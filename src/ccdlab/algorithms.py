@@ -1,10 +1,39 @@
-"""Optimizer runs: the cyclic proximal method, its variance-reduced variant,
-and full-vector baselines, all emitting a common per-cycle trace.
+"""Optimizer runs: one cycle engine behind the cyclic proximal method, its
+variance-reduced variants and the full-vector baselines, all emitting a
+common per-cycle trace.
 
-Conventions shared by every runner:
+Every method takes the same block prox step under the run's diagonal
+metric. The methods differ in two choices only:
 
-* one outer iteration = one pass over the blocks (cyclic) or one full-vector
-  step (baselines); iteration k maps the iterate x_{k-1} to x_k;
+================  ============  ===============================
+entry point       update order  gradient estimator
+================  ============  ===============================
+``pccd_run``      cyclic        exact
+``prox_gd_run``   simultaneous  exact
+``vrccd_run``     cyclic        recursive
+``page_run``      simultaneous  recursive
+``sgd_run``       simultaneous  recursive at p = 1, b' = b
+================  ============  ===============================
+
+* **Update order.** The cyclic order estimates block j's gradient at the
+  intermediate point just before block j is updated. The simultaneous order
+  estimates the whole gradient once per cycle. Either estimate then feeds
+  the same in-place per-block prox loop, since block j's prox reads only
+  block j's coordinates.
+* **Gradient estimator.** Exact, or the recursive estimator of PAGE (Li et
+  al., arXiv:2008.10898) with one anchor per estimate (per block, or one
+  for the whole vector). Each estimate either refreshes the anchor from a
+  size-b batch (probability p) or corrects it with a size-b' batch of
+  gradient differences between the current point and the matching point of
+  the previous cycle. That point is rebuilt from the two stored full
+  iterates, so memory stays O(d). The switch and the batch are drawn fresh
+  per estimate, or once per cycle and shared by every block
+  (``shared_per_cycle``). At p = 1 the estimator is plain minibatch and no
+  anchor batch is drawn.
+
+Conventions shared by every run:
+
+* one outer iteration = one cycle, which maps the iterate x_{k-1} to x_k;
 * the trace starts with a k = 0 row for the initial point;
 * per-cycle displacement is measured in the run's diagonal metric, and the
   stationarity value is the squared inverse-metric norm of the subgradient
@@ -13,14 +42,12 @@ Conventions shared by every runner:
   bound checks consume;
 * ``work`` accumulates optimizer gradient effort d-weighted: a batch of size
   c used to update a block of dimension d_j costs c * d_j (diagnostic
-  evaluations are excluded).
-
-The variance-reduced runner keeps one gradient anchor per block. Each inner
-step either refreshes the anchor from a size-b batch (probability p) or
-corrects it with a size-b' batch of gradient differences between the current
-intermediate point and the matching intermediate point of the previous
-cycle. Intermediate points of the previous cycle are reconstructed from the
-two stored full iterates, so memory stays O(d).
+  evaluations are excluded);
+* exact runs return the iterate with the smallest displacement from its
+  predecessor, randomized runs the iterate at an index drawn from the
+  output stream;
+* a non-finite objective value raises :class:`NonFiniteObjectiveError`
+  wherever a value exists (finite sums, or streaming runs with a surrogate).
 """
 
 from __future__ import annotations
@@ -31,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
+from .blocks import DiagonalMetric, weighted_norm_sq
 from .regularizers import Regularizer, metric_prox, total_value
 from .sampling import RngBundle, bernoulli_switch
 
@@ -90,8 +117,20 @@ class RunTrace:
         return np.diff(w)
 
 
+class _RunConfig:
+    """Checks every run config shares: positive counts, positive eta."""
+
+    _counts = ("cycles",)
+
+    def __post_init__(self):
+        if any(getattr(self, name) < 1 for name in self._counts):
+            raise ValueError(f"{' and '.join(self._counts)} must be >= 1")
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+
+
 @dataclass
-class PccdConfig:
+class PccdConfig(_RunConfig):
     """Cyclic proximal run: exact block gradients, unit step by default."""
 
     cycles: int
@@ -105,16 +144,13 @@ class PccdConfig:
     stop_step_sq: float | None = None  # early exit once v_k falls below this
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        super().__post_init__()
         if (self.metric is None) == (not self.backtracking):
             raise ValueError("provide a metric or enable backtracking (exactly one)")
 
 
 @dataclass
-class VrccdConfig:
+class VrccdConfig(_RunConfig):
     """Variance-reduced cyclic run."""
 
     cycles: int
@@ -132,10 +168,7 @@ class VrccdConfig:
     eta_override: bool = False
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        super().__post_init__()
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"refresh probability must lie in [0, 1], got {self.p}")
         if self.b_prime < 1 or self.b < self.b_prime:
@@ -151,7 +184,7 @@ class VrccdConfig:
 
 
 @dataclass
-class ProxGdConfig:
+class ProxGdConfig(_RunConfig):
     """Full-vector proximal gradient baseline (simultaneous block update)."""
 
     cycles: int
@@ -160,16 +193,12 @@ class ProxGdConfig:
     eta: float = 1.0
     keep_iterates: bool = False
 
-    def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
 
 @dataclass
-class SgdConfig:
+class SgdConfig(_RunConfig):
     """Minibatch stochastic proximal gradient baseline."""
+
+    _counts = ("cycles", "b")
 
     cycles: int
     eta: float
@@ -179,11 +208,12 @@ class SgdConfig:
     keep_iterates: bool = False
     surrogate_samples: int = 0
 
-    def __post_init__(self):
-        if self.cycles < 1 or self.b < 1:
-            raise ValueError("cycles and b must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+
+def _stationarity(grad, residuals, slices, inv_blocks) -> float:
+    total = 0.0
+    for cols, r, inv in zip(slices, residuals, inv_blocks):
+        total += weighted_norm_sq(grad[cols] + r, inv)
+    return total
 
 
 def stationarity_sq(prob, x, residuals, metric, grad_full=None) -> float:
@@ -194,100 +224,232 @@ def stationarity_sq(prob, x, residuals, metric, grad_full=None) -> float:
     if len(residuals) != part.num_blocks:
         raise ValueError("need one residual per block")
     grad = prob.full_grad(x) if grad_full is None else grad_full
-    total = 0.0
-    for j in range(part.num_blocks):
-        cols = part.block_slice(j)
-        inv = 1.0 / metric.block(j)
-        total += weighted_norm_sq(grad[cols] + residuals[j], inv)
-    return total
+    blocks = range(part.num_blocks)
+    return _stationarity(
+        grad, residuals, [part.block_slice(j) for j in blocks], [1.0 / metric.block(j) for j in blocks]
+    )
 
 
 def _objective(prob, reg, x) -> float:
     return prob.value(x) + total_value(reg, x, prob.partition)
 
 
-def _check_finite(value: float, k: int):
-    if not np.isfinite(value):
-        raise NonFiniteObjectiveError(k, value)
+def _require_finite(prob, message: str):
+    if not getattr(prob, "is_finite", False):
+        raise ValueError(message)
 
 
 def pccd_run(prob, reg: Regularizer, cfg: PccdConfig, row_sink=None):
     """Cyclic proximal descent; returns the iterate with the smallest metric
     displacement from its predecessor (first minimizer on ties) and the trace.
     """
-    if not getattr(prob, "is_finite", False):
-        raise ValueError("the cyclic proximal method needs exact gradients (finite sums)")
-    part: BlockPartition = prob.partition
-    m = part.num_blocks
-    n = prob.n
+    _require_finite(prob, "the cyclic proximal method needs exact gradients (finite sums)")
+    meta = {"algorithm": "pccd", "eta": cfg.eta}
+    return _run_cycles(prob, reg, cfg, meta, cyclic=True, row_sink=row_sink)
+
+
+def prox_gd_run(prob, reg: Regularizer, cfg: ProxGdConfig, row_sink=None):
+    """Full-gradient proximal baseline; same return rule as the cyclic run."""
+    _require_finite(prob, "the full-gradient baseline needs a finite sum")
+    meta = {"algorithm": "prox_gd", "eta": cfg.eta}
+    return _run_cycles(prob, reg, cfg, meta, cyclic=False, row_sink=row_sink)
+
+
+def vrccd_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
+    """Variance-reduced cyclic run; returns an iterate drawn uniformly from
+    the K cycle endpoints (via the output stream) and the trace.
+
+    With p = 1 and b = n the anchor is the exact block gradient and the
+    trajectory coincides, float for float, with the cyclic proximal method
+    run at the same step size.
+    """
+    if cfg.p == 0.0 and cfg.eta_bound is not None:
+        raise ValueError("p = 0 admits no step-size bound; pass an explicit eta only")
+    est = _Recursive(cfg.p, cfg.b, cfg.b_prime, shared=cfg.sample_sharing == SHARED_PER_CYCLE)
+    meta = {"algorithm": "vrccd", "eta": cfg.eta, "p": cfg.p, "b": cfg.b, "bprime": cfg.b_prime,
+            "sample_sharing": cfg.sample_sharing}
+    return _run_cycles(prob, reg, cfg, meta, cyclic=True, est=est, rngs=rngs, row_sink=row_sink)
+
+
+def page_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
+    """Full-vector recursive estimator baseline: one switch and one estimator
+    for the whole gradient per iteration, simultaneous block update."""
+    est = _Recursive(cfg.p, cfg.b, cfg.b_prime)
+    meta = {"algorithm": "page", "eta": cfg.eta, "p": cfg.p, "b": cfg.b, "bprime": cfg.b_prime}
+    return _run_cycles(prob, reg, cfg, meta, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
+
+
+def sgd_run(prob, reg: Regularizer, cfg: SgdConfig, rngs: RngBundle, row_sink=None):
+    """Minibatch proximal stochastic gradient baseline."""
+    est = _Recursive(1.0, cfg.b, cfg.b)
+    meta = {"algorithm": "sgd", "eta": cfg.eta, "b": cfg.b}
+    return _run_cycles(prob, reg, cfg, meta, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
+
+
+@dataclass(frozen=True)
+class _Recursive:
+    """The recursive estimator; ``shared`` draws one switch and one batch
+    per cycle instead of per estimate."""
+
+    p: float
+    b: int
+    b_prime: int
+    shared: bool = False
+
+
+def _grad(prob, j, x, batch=None):
+    """Gradient of block j, or of the whole vector when j is None; exact
+    unless a batch is given. Whole-vector estimates go through the
+    problem's full-vector methods, so they round as those do."""
+    if batch is None:
+        return prob.full_grad(x) if j is None else prob.block_grad(j, x)
+    return prob.batch_full_grad(batch, x) if j is None else prob.batch_block_grad(batch, j, x)
+
+
+def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None):
+    """The cycle engine. ``cyclic`` picks the update order and ``est`` the
+    gradient estimator (None: exact). Options a config lacks (backtracking,
+    early stop, anchor diagnostics, surrogate) are off."""
+    part = prob.partition
+    m, d = part.num_blocks, part.dim
+    finite = getattr(prob, "is_finite", False)
+    record_u = getattr(cfg, "record_u", False)
+    backtracking = getattr(cfg, "backtracking", False)
+    stop_step_sq = getattr(cfg, "stop_step_sq", None)
+    surrogate = getattr(cfg, "surrogate_samples", 0)
+    if est is not None and finite and est.b > prob.n:
+        raise ValueError(f"need b <= n, got b={est.b}, n={prob.n}")
+    if record_u and not finite:
+        raise ValueError("anchor-error recording needs exact gradients (finite sums)")
     x = np.array(cfg.x0, dtype=float)
-    if x.shape != (part.dim,):
+    if x.shape != (d,):
         raise ValueError("x0 does not match the problem dimension")
 
-    scales = np.full(m, cfg.backtrack_init) if cfg.backtracking else None
-    lam_blocks = None if cfg.backtracking else [cfg.metric.block(j) for j in range(m)]
+    # the block plan, built once; an estimate unit is (block or None, its
+    # coordinates, the blocks its estimate updates)
+    slices = [part.block_slice(j) for j in range(m)]
+    if backtracking:
+        scales = np.full(m, cfg.backtrack_init)
+    else:
+        lam_blocks = [cfg.metric.block(j) for j in range(m)]
+        inv_blocks = [1.0 / lam for lam in lam_blocks]
+    if cyclic:
+        units = [(j, slices[j], (j,)) for j in range(m)]
+        unit_invs = None if backtracking else inv_blocks
+    else:
+        units = [(None, slice(0, d), range(m))]
+        unit_invs = [cfg.metric.inv_entries]
 
-    trace = RunTrace(meta={"algorithm": "pccd", "eta": cfg.eta})
+    k_out = None
+    if rngs is not None:
+        k_out = int(rngs.output.integers(1, cfg.cycles + 1))
+        meta["output_index"] = k_out
+    trace = RunTrace(seed=None if rngs is None else rngs.seed, meta=meta)
     if cfg.keep_iterates:
         trace.iterates = [x.copy()]
     t0 = time.perf_counter_ns()
-    trace.add_row(0, _objective(prob, reg, x), None, 0.0, None, None, 0, 0)
+
+    # anchor the estimator with a size-b batch at the start point; with
+    # p = 1 the anchors are never read (the estimator is plain minibatch
+    # SGD), so no anchor batch is drawn and the streams line up with the
+    # SGD baseline under a shared seed
+    work = 0
+    anchors = [None] * len(units)
+    u0 = 0.0 if record_u else None
+    if est is not None and est.p < 1.0:
+        g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, est.b), x)
+        anchors = [np.array(g_init[cols]) for _, cols, _ in units]
+        work = est.b * d
+        if record_u:
+            for (j_u, _, _), anchor, inv in zip(units, anchors, unit_invs):
+                u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
+    f0, _ = _trace_value_grad(prob, reg, x, surrogate, rngs, want_grad=False)
+    trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
         row_sink(trace)
 
-    best_v = math.inf
-    best_x = x.copy()
-    work = 0
+    x_prev = x.copy()
+    x_prev2 = x.copy()
+    best_v, best_x = math.inf, x.copy()
+    x_hat = None
     for k in range(1, cfg.cycles + 1):
         t_iter = time.perf_counter_ns()
         v_k = 0.0
+        u_k = 0.0 if record_u else None
+        mid_k = 0.0 if record_u and cyclic else None
         residuals = []
-        lams_used = []
-        for j in range(m):
-            cols = part.block_slice(j)
-            g = prob.block_grad(j, x)
-            work += n * (cols.stop - cols.start)
-            center = x[cols].copy()
-            if cfg.backtracking:
-                scales[j], z = _accept_scale(
-                    prob, reg, j, x, g, center, scales[j], cfg.backtrack_growth, cfg.eta
-                )
-                lam = np.full(center.shape, scales[j])
+        inv_used = []
+        for u, (j_u, cols_u, blocks) in enumerate(units):
+            size = cols_u.stop - cols_u.start
+            if est is None:
+                g = _grad(prob, j_u, x)
+                work += prob.n * size
             else:
-                lam = lam_blocks[j]
-                z = metric_prox(reg, j, center, g, cfg.eta, lam)
-            residuals.append(lam * (center - z) / cfg.eta - g)
-            lams_used.append(lam)
-            v_k += weighted_norm_sq(z - center, lam)
-            x[cols] = z
+                if u == 0 or not est.shared:
+                    refresh = bernoulli_switch(rngs.switch, est.p)
+                    batch = prob.draw_batch(rngs.batch, est.b if refresh else est.b_prime)
+                if refresh:
+                    g = _grad(prob, j_u, x, batch)
+                    work += est.b * size
+                else:
+                    # the matching point of the previous cycle
+                    off = cols_u.start
+                    old = np.concatenate((x_prev[:off], x_prev2[off:]))
+                    g = anchors[u] + (_grad(prob, j_u, x, batch) - _grad(prob, j_u, old, batch))
+                    work += est.b_prime * size
+                anchors[u] = g
+            if record_u:
+                grad_mid = _grad(prob, j_u, x)
+                u_k += weighted_norm_sq(g - grad_mid, unit_invs[u])
+            for j in blocks:
+                cols = slices[j]
+                g_j = g if cyclic else g[cols]
+                center = x[cols].copy()
+                if backtracking:
+                    scales[j], z = _accept_scale(
+                        prob, reg, j, cols, x, g_j, center, scales[j], cfg.backtrack_growth, cfg.eta
+                    )
+                    lam = np.full(center.shape, scales[j])
+                    inv = 1.0 / lam
+                else:
+                    lam, inv = lam_blocks[j], inv_blocks[j]
+                    z = metric_prox(reg, j, center, g_j, cfg.eta, lam)
+                r_j = lam * (center - z) / cfg.eta - g_j
+                if mid_k is not None:
+                    mid_k += weighted_norm_sq(grad_mid + r_j, inv)
+                residuals.append(r_j)
+                inv_used.append(inv)
+                v_k += weighted_norm_sq(z - center, lam)
+                x[cols] = z
 
-        grad_end = prob.full_grad(x)
-        s_k = 0.0
-        for j in range(m):
-            cols = part.block_slice(j)
-            s_k += weighted_norm_sq(grad_end[cols] + residuals[j], 1.0 / lams_used[j])
-        f_k = _objective(prob, reg, x)
-        _check_finite(f_k, k)
-        if v_k < best_v:
+        f_k, grad_end = _trace_value_grad(prob, reg, x, surrogate, rngs, want_grad=True)
+        s_k = None if grad_end is None else _stationarity(grad_end, residuals, slices, inv_used)
+        if f_k is not None and not np.isfinite(f_k):
+            raise NonFiniteObjectiveError(k, f_k)
+        if k_out is None and v_k < best_v:
             best_v = v_k
             best_x = x.copy()
+        if k == k_out:
+            x_hat = x.copy()
         if cfg.keep_iterates:
             trace.iterates.append(x.copy())
-        trace.add_row(k, f_k, s_k, v_k, None, None, work, time.perf_counter_ns() - t_iter)
+        if est is not None:
+            x_prev2 = x_prev
+            x_prev = x.copy()
+        trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
         if row_sink is not None:
             row_sink(trace)
-        if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
+        if stop_step_sq is not None and v_k <= stop_step_sq:
             break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    if cfg.backtracking:
+    if backtracking:
         trace.meta["backtracked_scales"] = [float(s) for s in scales]
-    return best_x, trace
+    return (best_x if k_out is None else x_hat), trace
 
 
-def _accept_scale(prob, reg, j, x, g, center, scale, growth, eta, max_growths=200):
+def _accept_scale(prob, reg, j, cols, x, g, center, scale, growth, eta, max_growths=200):
     """Backtracking acceptance loop with precomputed block gradient."""
     base = prob.value(x)
-    cols = prob.partition.block_slice(j)
     trial = np.array(x, dtype=float)
     for _ in range(max_growths + 1):
         lam = np.full(center.shape, scale)
@@ -299,138 +461,6 @@ def _accept_scale(prob, reg, j, x, g, center, scale, growth, eta, max_growths=20
             return scale, z
         scale *= growth
     raise RuntimeError(f"backtracking exceeded {max_growths} growth steps on block {j}")
-
-
-def vrccd_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
-    """Variance-reduced cyclic run; returns an iterate drawn uniformly from
-    the K cycle endpoints (via the output stream) and the trace.
-
-    With p = 1 and b = n the anchor is the exact block gradient and the
-    trajectory coincides, float for float, with the cyclic proximal method
-    run at the same step size.
-    """
-    part: BlockPartition = prob.partition
-    m = part.num_blocks
-    finite = getattr(prob, "is_finite", False)
-    if finite and cfg.b > prob.n:
-        raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
-    if not finite and cfg.record_u:
-        raise ValueError("anchor-error recording needs exact gradients (finite sums)")
-    if cfg.p == 0.0 and cfg.eta_bound is not None:
-        raise ValueError("p = 0 admits no step-size bound; pass an explicit eta only")
-    x = np.array(cfg.x0, dtype=float)
-    if x.shape != (part.dim,):
-        raise ValueError("x0 does not match the problem dimension")
-    diagnostics = cfg.record_u
-
-    lam_blocks = [cfg.metric.block(j) for j in range(m)]
-    inv_blocks = [1.0 / lam for lam in lam_blocks]
-    sizes = part.block_sizes
-    offsets = part.offsets
-    d = part.dim
-
-    k_out = int(rngs.output.integers(1, cfg.cycles + 1))
-    x_hat = None
-
-    trace = RunTrace(
-        seed=rngs.seed,
-        meta={
-            "algorithm": "vrccd",
-            "eta": cfg.eta,
-            "p": cfg.p,
-            "b": cfg.b,
-            "bprime": cfg.b_prime,
-            "sample_sharing": cfg.sample_sharing,
-            "output_index": k_out,
-        },
-    )
-    if cfg.keep_iterates:
-        trace.iterates = [x.copy()]
-    t0 = time.perf_counter_ns()
-
-    # anchor the estimator with a size-b batch at the start point; with
-    # p = 1 the anchors are never read (the estimator is plain minibatch
-    # SGD), so no anchor batch is drawn and the streams line up with the
-    # SGD baseline under a shared seed
-    use_anchors = cfg.p < 1.0
-    work = 0
-    anchors = [None] * m
-    u0 = 0.0 if diagnostics else None
-    if use_anchors:
-        batch0 = prob.draw_batch(rngs.batch, cfg.b)
-        g_init = prob.batch_full_grad(batch0, x)
-        anchors = [np.array(g_init[part.block_slice(j)]) for j in range(m)]
-        work = cfg.b * d
-        if diagnostics:
-            u0 = 0.0
-            for j in range(m):
-                dev = anchors[j] - prob.block_grad(j, x)
-                u0 += weighted_norm_sq(dev, inv_blocks[j])
-    f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
-    trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
-    if row_sink is not None:
-        row_sink(trace)
-
-    x_prev = x.copy()
-    x_prev2 = x.copy()
-    shared = cfg.sample_sharing == SHARED_PER_CYCLE
-
-    for k in range(1, cfg.cycles + 1):
-        t_iter = time.perf_counter_ns()
-        if shared:
-            refresh_cycle = bernoulli_switch(rngs.switch, cfg.p)
-            shared_batch = prob.draw_batch(rngs.batch, cfg.b if refresh_cycle else cfg.b_prime)
-        v_k = 0.0
-        u_k = 0.0 if diagnostics else None
-        mid_k = 0.0 if diagnostics else None
-        residuals = []
-        for j in range(m):
-            cols = part.block_slice(j)
-            refresh = refresh_cycle if shared else bernoulli_switch(rngs.switch, cfg.p)
-            if refresh:
-                batch = shared_batch if shared else prob.draw_batch(rngs.batch, cfg.b)
-                g_j = prob.batch_block_grad(batch, j, x)
-                work += cfg.b * sizes[j]
-            else:
-                batch = shared_batch if shared else prob.draw_batch(rngs.batch, cfg.b_prime)
-                old_point = np.concatenate((x_prev[: offsets[j]], x_prev2[offsets[j] :]))
-                g_j = anchors[j] + (
-                    prob.batch_block_grad(batch, j, x) - prob.batch_block_grad(batch, j, old_point)
-                )
-                work += cfg.b_prime * sizes[j]
-            anchors[j] = g_j
-            if diagnostics:
-                grad_mid = prob.block_grad(j, x)
-                u_k += weighted_norm_sq(g_j - grad_mid, inv_blocks[j])
-            center = x[cols].copy()
-            z = metric_prox(reg, j, center, g_j, cfg.eta, lam_blocks[j])
-            r_j = lam_blocks[j] * (center - z) / cfg.eta - g_j
-            if diagnostics:
-                mid_k += weighted_norm_sq(grad_mid + r_j, inv_blocks[j])
-            residuals.append(r_j)
-            v_k += weighted_norm_sq(z - center, lam_blocks[j])
-            x[cols] = z
-
-        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        s_k = None
-        if grad_end is not None:
-            s_k = 0.0
-            for j in range(m):
-                cols = part.block_slice(j)
-                s_k += weighted_norm_sq(grad_end[cols] + residuals[j], inv_blocks[j])
-        if finite:
-            _check_finite(f_k, k)
-        if k == k_out:
-            x_hat = x.copy()
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
-        x_prev2 = x_prev
-        x_prev = x.copy()
-        trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
-        if row_sink is not None:
-            row_sink(trace)
-    trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    return x_hat, trace
 
 
 def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):
@@ -449,178 +479,3 @@ def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):
         grad = prob.batch_full_grad(batch, x) if want_grad else None
         return value, grad
     return None, None
-
-
-def _blockwise_prox_step(part, reg, metric, x, g, eta):
-    """Simultaneous prox step over all blocks; returns (x_new, residuals, v)."""
-    x_new = np.empty_like(x)
-    residuals = []
-    v = 0.0
-    for j in range(part.num_blocks):
-        cols = part.block_slice(j)
-        lam = metric.block(j)
-        center = x[cols]
-        z = metric_prox(reg, j, center, g[cols], eta, lam)
-        residuals.append(lam * (center - z) / eta - g[cols])
-        v += weighted_norm_sq(z - center, lam)
-        x_new[cols] = z
-    return x_new, residuals, v
-
-
-def prox_gd_run(prob, reg: Regularizer, cfg: ProxGdConfig, row_sink=None):
-    """Full-gradient proximal baseline; same return rule as the cyclic run."""
-    if not getattr(prob, "is_finite", False):
-        raise ValueError("the full-gradient baseline needs a finite sum")
-    part = prob.partition
-    x = np.array(cfg.x0, dtype=float)
-    trace = RunTrace(meta={"algorithm": "prox_gd", "eta": cfg.eta})
-    if cfg.keep_iterates:
-        trace.iterates = [x.copy()]
-    t0 = time.perf_counter_ns()
-    trace.add_row(0, _objective(prob, reg, x), None, 0.0, None, None, 0, 0)
-    if row_sink is not None:
-        row_sink(trace)
-    best_v = math.inf
-    best_x = x.copy()
-    work = 0
-    for k in range(1, cfg.cycles + 1):
-        t_iter = time.perf_counter_ns()
-        g = prob.full_grad(x)
-        work += prob.n * part.dim
-        x_new, residuals, v_k = _blockwise_prox_step(part, reg, cfg.metric, x, g, cfg.eta)
-        x = x_new
-        s_k = stationarity_sq(prob, x, residuals, cfg.metric)
-        f_k = _objective(prob, reg, x)
-        _check_finite(f_k, k)
-        if v_k < best_v:
-            best_v = v_k
-            best_x = x.copy()
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
-        trace.add_row(k, f_k, s_k, v_k, None, None, work, time.perf_counter_ns() - t_iter)
-        if row_sink is not None:
-            row_sink(trace)
-    trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    return best_x, trace
-
-
-def page_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
-    """Full-vector recursive estimator baseline: one switch and one estimator
-    for the whole gradient per iteration, simultaneous block update."""
-    part = prob.partition
-    finite = getattr(prob, "is_finite", False)
-    if finite and cfg.b > prob.n:
-        raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
-    if not finite and cfg.record_u:
-        raise ValueError("anchor-error recording needs exact gradients (finite sums)")
-    x = np.array(cfg.x0, dtype=float)
-    d = part.dim
-    k_out = int(rngs.output.integers(1, cfg.cycles + 1))
-    x_hat = None
-    trace = RunTrace(
-        seed=rngs.seed,
-        meta={
-            "algorithm": "page",
-            "eta": cfg.eta,
-            "p": cfg.p,
-            "b": cfg.b,
-            "bprime": cfg.b_prime,
-            "output_index": k_out,
-        },
-    )
-    if cfg.keep_iterates:
-        trace.iterates = [x.copy()]
-    t0 = time.perf_counter_ns()
-
-    # same p = 1 reduction as the cyclic runner: no anchor state, no draw
-    g = None
-    work = 0
-    u0 = 0.0 if cfg.record_u else None
-    if cfg.p < 1.0:
-        batch0 = prob.draw_batch(rngs.batch, cfg.b)
-        g = prob.batch_full_grad(batch0, x)
-        work = cfg.b * d
-        if cfg.record_u:
-            u0 = weighted_norm_sq(g - prob.full_grad(x), cfg.metric.inv_entries)
-    f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
-    trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
-    if row_sink is not None:
-        row_sink(trace)
-
-    x_old = x.copy()
-    for k in range(1, cfg.cycles + 1):
-        t_iter = time.perf_counter_ns()
-        refresh = bernoulli_switch(rngs.switch, cfg.p)
-        if refresh:
-            batch = prob.draw_batch(rngs.batch, cfg.b)
-            g = prob.batch_full_grad(batch, x)
-            work += cfg.b * d
-        else:
-            batch = prob.draw_batch(rngs.batch, cfg.b_prime)
-            g = g + (prob.batch_full_grad(batch, x) - prob.batch_full_grad(batch, x_old))
-            work += cfg.b_prime * d
-        u_k = None
-        if cfg.record_u:
-            u_k = weighted_norm_sq(g - prob.full_grad(x), cfg.metric.inv_entries)
-        x_old = x
-        x_new, residuals, v_k = _blockwise_prox_step(part, reg, cfg.metric, x, g, cfg.eta)
-        x = x_new
-        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        s_k = None
-        if grad_end is not None:
-            s_k = stationarity_sq(prob, x, residuals, cfg.metric, grad_full=grad_end)
-        if finite:
-            _check_finite(f_k, k)
-        if k == k_out:
-            x_hat = x.copy()
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
-        trace.add_row(k, f_k, s_k, v_k, u_k, None, work, time.perf_counter_ns() - t_iter)
-        if row_sink is not None:
-            row_sink(trace)
-    trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    return x_hat, trace
-
-
-def sgd_run(prob, reg: Regularizer, cfg: SgdConfig, rngs: RngBundle, row_sink=None):
-    """Minibatch proximal stochastic gradient baseline."""
-    part = prob.partition
-    finite = getattr(prob, "is_finite", False)
-    if finite and cfg.b > prob.n:
-        raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
-    x = np.array(cfg.x0, dtype=float)
-    k_out = int(rngs.output.integers(1, cfg.cycles + 1))
-    x_hat = None
-    trace = RunTrace(
-        seed=rngs.seed,
-        meta={"algorithm": "sgd", "eta": cfg.eta, "b": cfg.b, "output_index": k_out},
-    )
-    if cfg.keep_iterates:
-        trace.iterates = [x.copy()]
-    t0 = time.perf_counter_ns()
-    f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
-    trace.add_row(0, f0, None, 0.0, None, None, 0, 0)
-    if row_sink is not None:
-        row_sink(trace)
-    work = 0
-    for k in range(1, cfg.cycles + 1):
-        t_iter = time.perf_counter_ns()
-        batch = prob.draw_batch(rngs.batch, cfg.b)
-        g = prob.batch_full_grad(batch, x)
-        work += cfg.b * part.dim
-        x, residuals, v_k = _blockwise_prox_step(part, reg, cfg.metric, x, g, cfg.eta)
-        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        s_k = None
-        if grad_end is not None:
-            s_k = stationarity_sq(prob, x, residuals, cfg.metric, grad_full=grad_end)
-        if finite:
-            _check_finite(f_k, k)
-        if k == k_out:
-            x_hat = x.copy()
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
-        trace.add_row(k, f_k, s_k, v_k, None, None, work, time.perf_counter_ns() - t_iter)
-        if row_sink is not None:
-            row_sink(trace)
-    trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    return x_hat, trace

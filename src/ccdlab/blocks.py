@@ -76,10 +76,6 @@ class BlockPartition:
         j = self.check_block(j)
         return slice(self.offsets[j], self.offsets[j + 1])
 
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Views of ``x`` per block, in order."""
-        return [x[self.block_slice(j)] for j in range(self.num_blocks)]
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalMetric:

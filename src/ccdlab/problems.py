@@ -81,9 +81,6 @@ class FiniteSumObjective:
     def component_block_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.component_block_grads(j, x)[i]
 
-    def component_full_grads(self, x: np.ndarray) -> np.ndarray:
-        return self.component_block_grads_full(x)
-
     def component_block_grads_full(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -601,7 +598,7 @@ def estimate_sigma_sq(
     worst = 0.0
     if getattr(prob, "is_finite", False):
         for x in x_samples:
-            grads = prob.component_full_grads(np.asarray(x, dtype=float))
+            grads = prob.component_block_grads_full(np.asarray(x, dtype=float))
             dev = grads - grads.mean(axis=0)
             worst = max(worst, float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1))))
         return worst

@@ -247,20 +247,12 @@ def rate_iterations(delta0: float, epsilon: float, eta: float) -> int:
     return max(1, math.ceil(4.0 * delta0 / (epsilon**2 * eta)))
 
 
-def streaming_rate_iterations(delta0: float, epsilon: float, eta: float, p: float) -> int:
-    return max(1, math.ceil(12.0 * delta0 / (epsilon**2 * eta) + 0.5 / p))
-
-
 def pl_iterations(delta0: float, epsilon: float, eta: float, mu: float) -> int:
     """Cycles targeting an expected optimality gap <= epsilon under the
     gradient-dominance condition (finite sum)."""
     if delta0 <= epsilon:
         return 1
     return max(1, math.ceil((1.0 + 2.0 / (eta * mu)) * math.log(delta0 / epsilon)))
-
-
-def streaming_pl_iterations(delta0: float, epsilon: float, eta: float, mu: float) -> int:
-    return max(1, math.ceil((1.0 + 2.0 / (eta * mu)) * math.log(3.0 * delta0 / epsilon)))
 
 
 # --------------------------------------------------------------------------
@@ -284,38 +276,6 @@ def block_descent_holds(prob, j: int, x: np.ndarray, step: np.ndarray, scale: fl
     g = prob.block_grad(j, x)
     rhs = base + float(g @ step) + 0.5 * scale * float(step @ step)
     return lhs <= rhs + _BACKTRACK_SLACK * max(1.0, abs(rhs))
-
-
-def backtrack_block_scale(
-    prob,
-    reg: Regularizer,
-    j: int,
-    x: np.ndarray,
-    scale: float,
-    growth: float = 2.0,
-    eta: float = 1.0,
-    max_growths: int = 200,
-) -> tuple[float, np.ndarray]:
-    """Grow the block scale geometrically until the prox step it induces
-    satisfies the block descent inequality; returns (scale, accepted block).
-
-    The scale never shrinks, which keeps earlier accepted steps valid.
-    """
-    if growth <= 1.0:
-        raise ValueError(f"growth factor must exceed 1, got {growth}")
-    cols = prob.partition.block_slice(j)
-    center = np.array(x[cols], dtype=float)
-    g = prob.block_grad(j, x)
-    for _ in range(max_growths + 1):
-        lam = np.full(center.shape, scale)
-        z = metric_prox(reg, j, center, g, eta, lam)
-        if block_descent_holds(prob, j, x, z - center, scale):
-            return scale, z
-        scale *= growth
-    raise RuntimeError(
-        f"backtracking exceeded {max_growths} growth steps on block {j}; "
-        "the objective looks non-smooth along the iterates"
-    )
 
 
 def backtrack_lambda(
