@@ -1,8 +1,12 @@
 """Golden digests of trace and report bytes, one small experiment per runner path.
 
 Every algorithm name gets one ``run_experiment`` config, plus backtracking
-pccd on a sigmoid problem, vrccd with anchor diagnostics under a box, and a
-streaming run with a surrogate. The test hashes every trace and report file
+pccd on a sigmoid problem, vrccd with anchor diagnostics under a box, a
+streaming run with a surrogate, and one config for each check input the
+others leave out: the gradient-dominance checks, supplied coupling
+constants with a best-observed reference, shared-batch sampling, the
+deterministic (p = 1, b = n) and pathwise forms, a supplied ``sigma_sq``
+and the exact streaming ``sigma_sq``. The test hashes every trace and report file
 and compares the SHA-256 digests, and the exit code, with the stored record
 in ``golden_traces.json``. Float results depend on the numpy build and the
 BLAS kernels, so the record carries the numerics signature it was taken
@@ -120,6 +124,84 @@ algorithm.bprime = 3
 seeds.count = 2
 diagnostics.record_u = true
 diagnostics.checks = vr-descent, vr-grad-vs-step, vr-potential
+""",
+    "pccd-pl-envelope": _QUAD + """\
+algorithm.name = pccd
+algorithm.K = 20
+diagnostics.checks = pl-envelope, stationarity-rate
+""",
+    "pccd-sigmoid-supplied-constants": """\
+problem.family = sigmoid
+problem.n = 16
+problem.d = 8
+problem.m = 4
+algorithm.name = pccd
+algorithm.K = 15
+lambda.mode = sigmoid_bound
+lambda.lip_trailing = 2.0
+lambda.lip_leading = 0.5
+seeds.base = 7
+diagnostics.checks = grad-vs-step, stationarity-rate, step-telescope
+output.trace_path = traces
+output.report_path = report
+""",
+    "vrccd-vr-pl-rate": _QUAD + """\
+algorithm.name = vrccd
+algorithm.K = 15
+algorithm.p = 0.3
+algorithm.b = 8
+algorithm.bprime = 3
+seeds.count = 2
+diagnostics.checks = vr-pl-rate, vr-rate
+""",
+    "vroccd-vr-rate": _QUAD + """\
+algorithm.name = vroccd
+algorithm.K = 15
+algorithm.p = 0.3
+algorithm.b = 8
+algorithm.bprime = 3
+seeds.count = 2
+diagnostics.record_u = true
+diagnostics.checks = vr-rate, vr-potential, work-accounting
+""",
+    "vrccd-deterministic-vr-rate": _QUAD + """\
+algorithm.name = vrccd
+algorithm.K = 15
+algorithm.p = 1
+algorithm.b = 12
+algorithm.bprime = 12
+seeds.count = 2
+diagnostics.record_u = true
+diagnostics.checks = vr-rate, vr-pl-rate, vr-potential, work-accounting
+""",
+    "vrccd-sigma-sq-supplied": _QUAD + """\
+problem.sigma_sq = 0.75
+algorithm.name = vrccd
+algorithm.K = 15
+algorithm.p = 0.3
+algorithm.b = 8
+algorithm.bprime = 3
+seeds.count = 2
+diagnostics.record_u = true
+diagnostics.checks = vr-rate, vr-potential
+""",
+    "vrccd-streaming-vr-rate": """\
+problem.family = streaming
+problem.n = inf
+problem.d = 8
+problem.m = 4
+problem.condition_number = 4
+algorithm.name = vrccd
+algorithm.K = 5
+algorithm.p = 0.5
+algorithm.b = 8
+algorithm.bprime = 2
+seeds.base = 9
+seeds.count = 2
+diagnostics.s_surrogate_samples = 500
+diagnostics.checks = vr-rate
+output.trace_path = traces
+output.report_path = report
 """,
     "sgd-streaming-surrogate": """\
 problem.family = streaming
