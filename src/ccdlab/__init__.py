@@ -57,7 +57,6 @@ from .algorithms import (
     stationarity_sq,
     vrccd_run,
 )
-from .serialize import load_instance, save_instance
 from .config import ConfigError, ExperimentConfig, parse_config
 from .harness import run_experiment, sweep
 

@@ -47,7 +47,8 @@ Conventions shared by every run:
   predecessor, randomized runs the iterate at an index drawn from the
   output stream;
 * a non-finite objective value raises :class:`NonFiniteObjectiveError`
-  wherever a value exists (finite sums, or streaming runs with a surrogate).
+  wherever a value exists (finite sums, or streaming runs with a surrogate),
+  and so does a non-finite squared step v_k where none does.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ SHARED_PER_CYCLE = "shared_per_cycle"
 
 
 class NonFiniteObjectiveError(RuntimeError):
-    """Objective became non-finite during a run; carries the iteration."""
+    """Objective became non-finite during a run (or, where no objective value
+    is recorded, the squared step v_k); carries the iteration."""
 
-    def __init__(self, iteration: int, value: float):
-        super().__init__(f"objective value {value} at iteration {iteration}")
+    def __init__(self, iteration: int, value: float, quantity: str = "objective value"):
+        super().__init__(f"{quantity} {value} at iteration {iteration}")
         self.iteration = iteration
         self.value = value
 
@@ -164,8 +166,6 @@ class VrccdConfig(_RunConfig):
     record_u: bool = False
     keep_iterates: bool = False
     surrogate_samples: int = 0
-    eta_bound: float | None = None
-    eta_override: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -175,12 +175,6 @@ class VrccdConfig(_RunConfig):
             raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
         if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
-        if self.eta_bound is not None and not self.eta_override:
-            if self.eta > self.eta_bound * (1 + 1e-12):
-                raise ValueError(
-                    f"eta={self.eta} exceeds the admissible bound {self.eta_bound}; "
-                    "set eta_override to run anyway (bound checks are then skipped)"
-                )
 
 
 @dataclass
@@ -263,8 +257,6 @@ def vrccd_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sin
     trajectory coincides, float for float, with the cyclic proximal method
     run at the same step size.
     """
-    if cfg.p == 0.0 and cfg.eta_bound is not None:
-        raise ValueError("p = 0 admits no step-size bound; pass an explicit eta only")
     est = _Recursive(cfg.p, cfg.b, cfg.b_prime, shared=cfg.sample_sharing == SHARED_PER_CYCLE)
     meta = {"algorithm": "vrccd", "eta": cfg.eta, "p": cfg.p, "b": cfg.b, "bprime": cfg.b_prime,
             "sample_sharing": cfg.sample_sharing}
@@ -426,6 +418,8 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
         s_k = None if grad_end is None else _stationarity(grad_end, residuals, slices, inv_used)
         if f_k is not None and not np.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
+        if f_k is None and not np.isfinite(v_k):
+            raise NonFiniteObjectiveError(k, v_k, "objective value not recorded; squared step v_k =")
         if k_out is None and v_k < best_v:
             best_v = v_k
             best_x = x.copy()

@@ -11,21 +11,54 @@ import dataclasses
 import math
 from dataclasses import dataclass, field, replace
 
-CHECK_NAMES = (
-    "cyclic-descent",
-    "step-telescope",
-    "grad-vs-step",
-    "stationarity-rate",
-    "pl-envelope",
-    "vr-descent",
-    "vr-grad-vs-step",
-    "vr-rate",
-    "vr-potential",
-    "vr-pl-rate",
-    "work-accounting",
-)
-
 ALGORITHMS = ("pccd", "vrccd", "vroccd", "sccd", "prox_gd", "page", "sgd")
+CYCLIC_EXACT = ("pccd", "prox_gd")
+VARIANCE_REDUCED = ("vrccd", "vroccd", "sccd")
+STOCHASTIC = VARIANCE_REDUCED + ("page", "sgd")
+
+SHARED_BATCH_TAG = "shared-batch sampling (outside the analyzed variant)"
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """The algorithms one bound check applies to and what its inputs need.
+
+    ``validate`` rejects every requested check whose needs the config cannot
+    meet, so ``harness.run_checks`` only computes inputs. The last two
+    fields only tag the report: ``best_seen_reference`` checks fall back to
+    the best objective seen when no minimum F(x*) is certified, and are then
+    advisory; ``fresh_batches`` bounds are proved for fresh per-block
+    batches, so shared-batch runs carry ``SHARED_BATCH_TAG``.
+    """
+
+    algorithms: tuple[str, ...]
+    record_u: bool = False  # anchor-error diagnostics in the trace
+    coupling: bool = False  # coupling constants, computed or supplied
+    sigma_sq: bool = False  # a known gradient-noise constant sigma^2
+    convex_quadratic: bool = False  # known mu and gap: convex quadratic, reg = zero
+    best_seen_reference: bool = False
+    fresh_batches: bool = False
+
+
+CHECKS = {
+    "cyclic-descent": CheckSpec(CYCLIC_EXACT),
+    "step-telescope": CheckSpec(CYCLIC_EXACT, best_seen_reference=True),
+    "grad-vs-step": CheckSpec(("pccd",), coupling=True),
+    "stationarity-rate": CheckSpec(("pccd",), coupling=True, best_seen_reference=True),
+    "pl-envelope": CheckSpec(("pccd",), coupling=True, convex_quadratic=True),
+    "vr-descent": CheckSpec(VARIANCE_REDUCED, record_u=True),
+    "vr-grad-vs-step": CheckSpec(VARIANCE_REDUCED, record_u=True, coupling=True),
+    "vr-rate": CheckSpec(VARIANCE_REDUCED, coupling=True, sigma_sq=True, fresh_batches=True),
+    "vr-potential": CheckSpec(
+        VARIANCE_REDUCED, record_u=True, coupling=True, sigma_sq=True, fresh_batches=True
+    ),
+    "vr-pl-rate": CheckSpec(
+        VARIANCE_REDUCED, coupling=True, sigma_sq=True, convex_quadratic=True, fresh_batches=True
+    ),
+    "work-accounting": CheckSpec(STOCHASTIC),
+}
+CHECK_NAMES = tuple(CHECKS)
+
 FAMILIES = ("quadratic", "sigmoid", "streaming")
 LAMBDA_MODES = ("exact_quadratic", "backtracking", "explicit", "sigmoid_bound")
 SCHEDULES = ("finite_sum",)
@@ -248,6 +281,16 @@ _PARSERS = {
 }
 
 
+def numeric_type(key: str):
+    """``int`` or ``float`` for a numeric config key (a sweep axis), else None."""
+    parser = _PARSERS.get(key)
+    if parser in (_parse_int, _parse_count):
+        return int
+    if parser in (_parse_float, _parse_eta):
+        return float
+    return None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate; raises ConfigError listing every problem."""
     cfg = ExperimentConfig()
@@ -321,8 +364,8 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
     if a.eta_scale <= 0:
         errs.append((_line(key_lines, "algorithm.eta_scale"), "eta_scale must be positive"))
 
-    stochastic = a.name in ("vrccd", "vroccd", "sccd", "page", "sgd")
-    vr_like = a.name in ("vrccd", "vroccd", "sccd", "page")
+    stochastic = a.name in STOCHASTIC
+    vr_like = stochastic and a.name != "sgd"
     if a.name == "sccd" and a.p is not None and a.p != 1.0:
         errs.append((_line(key_lines, "algorithm.p"), "sccd forces p = 1"))
     if a.name == "vroccd" and a.sample_sharing == "fresh_per_block":
@@ -347,7 +390,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append((_line(key_lines, "algorithm.bprime"), "need bprime <= b"))
     if not streaming and a.b is not None and p_spec.n != math.inf and a.b > int(p_spec.n):
         errs.append((_line(key_lines, "algorithm.b"), "need b <= n"))
-    if streaming and a.name in ("pccd", "prox_gd"):
+    if streaming and a.name in CYCLIC_EXACT:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs exact gradients (finite n)")
         )
@@ -378,20 +421,8 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         )
     if mode == "sigmoid_bound" and p_spec.family != "sigmoid":
         errs.append((_line(key_lines, "lambda.mode"), "sigmoid_bound needs the sigmoid family"))
-    if a.eta == "auto" and vr_like:
-        can_auto = (
-            (p_spec.family == "quadratic")
-            or (p_spec.family == "streaming" and p_spec.streaming_family == "quadratic")
-            or (cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None)
-        )
-        if not can_auto:
-            errs.append(
-                (
-                    _line(key_lines, "algorithm.eta"),
-                    "eta = auto needs computable coupling constants (quadratic family) "
-                    "or supplied lambda.lip_trailing / lambda.lip_leading",
-                )
-            )
+    if a.eta == "auto" and vr_like and not coupling_known(cfg):
+        errs.append((_line(key_lines, "algorithm.eta"), f"eta = auto needs {_COUPLING}"))
 
     if cfg.seeds.count < 1:
         errs.append((_line(key_lines, "seeds.count"), "seeds.count must be >= 1"))
@@ -403,21 +434,57 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append(
             (_line(key_lines, "diagnostics.record_u"), "record_u needs exact gradients (finite n)")
         )
+
+    # every requested check the config cannot feed, read off CHECKS
+    line = _line(key_lines, "diagnostics.checks")
+    sigma_known = p_spec.sigma_sq is not None or not (
+        streaming and p_spec.streaming_family == "sigmoid"
+    )
+    convex_zero = p_spec.family == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
     for name in cfg.diagnostics.checks:
-        if name in ("vr-descent", "vr-grad-vs-step", "vr-potential") and not cfg.diagnostics.record_u:
-            errs.append(
-                (_line(key_lines, "diagnostics.checks"), f"check {name} needs diagnostics.record_u")
-            )
-        if name in ("pl-envelope", "vr-pl-rate") and not (
-            p_spec.family == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
-        ):
-            errs.append(
-                (
-                    _line(key_lines, "diagnostics.checks"),
-                    f"check {name} needs a convex quadratic with reg = zero (known mu and gap)",
-                )
-            )
+        spec = CHECKS[name]
+        if a.name not in spec.algorithms:
+            errs.append((line, f"check {name} does not apply to {a.name}"))
+            continue
+        unmet = [
+            (spec.record_u and not cfg.diagnostics.record_u, "diagnostics.record_u"),
+            (spec.coupling and not coupling_known(cfg), _COUPLING),
+            (spec.sigma_sq and not sigma_known, "problem.sigma_sq on a streaming sigmoid problem"),
+            (
+                spec.convex_quadratic and not convex_zero,
+                "a convex quadratic with reg = zero (known mu and gap)",
+            ),
+        ]
+        errs.extend((line, f"check {name} needs {what}") for bad, what in unmet if bad)
     return errs
+
+
+_COUPLING = (
+    "coupling constants: a quadratic family, or lambda.lip_trailing and lambda.lip_leading "
+    "under a non-backtracking metric"
+)
+
+
+def lambda_mode(cfg: ExperimentConfig) -> str:
+    """``lambda.mode``, or its default: backtracking for pccd on the sigmoid
+    family, the sigmoid bound for other sigmoid runs, else exact_quadratic."""
+    if cfg.lam.mode is not None:
+        return cfg.lam.mode
+    if cfg.problem.family == "sigmoid":
+        return "backtracking" if cfg.algorithm.name == "pccd" else "sigmoid_bound"
+    return "exact_quadratic"
+
+
+def coupling_known(cfg: ExperimentConfig) -> bool:
+    """Whether the run has coupling constants: computed exactly for the
+    quadratic families, or supplied as lambda.lip_trailing and
+    lambda.lip_leading; a backtracking metric has none."""
+    p_spec = cfg.problem
+    quadratic = p_spec.family == "quadratic" or (
+        p_spec.family == "streaming" and p_spec.streaming_family == "quadratic"
+    )
+    supplied = cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None
+    return lambda_mode(cfg) != "backtracking" and (quadratic or supplied)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -17,6 +17,11 @@ Trace CSV: a ``# key = value`` header echoing every resolved parameter
 with floats at 17 significant digits. ``u_k`` stays empty unless anchor
 diagnostics are on; ``wall_ns`` stays empty unless ``output.record_wall``
 is set, which keeps identical configs byte-identical on disk.
+
+Checks: ``config.CHECKS`` is the one place to add a check. Its row says
+which algorithms the check applies to and what its inputs need, so
+``config.validate`` rejects a misapplied check when the config is parsed;
+``_RUN_CHECK`` below then maps the name to its ``checks.check_*`` call.
 """
 
 from __future__ import annotations
@@ -24,32 +29,30 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, checks, problems, smoothness
 from .blocks import BlockPartition, DiagonalMetric
-from .config import ConfigError, ExperimentConfig, config_to_dict, validate
+from .config import (
+    CHECKS,
+    CYCLIC_EXACT,
+    SHARED_BATCH_TAG,
+    STOCHASTIC,
+    ConfigError,
+    ExperimentConfig,
+    config_to_dict,
+    lambda_mode,
+    numeric_type,
+    validate,
+)
 from .regularizers import L1, Box, Regularizer, Zero
 from .sampling import RngBundle
 from .smoothness import SmoothnessProfile
 
 TRACE_HEADER = "k,F,s_k,v_k,u_k,grad_component_evals,wall_ns"
-
-_CHECK_ALGOS = {
-    "cyclic-descent": {"pccd", "prox_gd"},
-    "step-telescope": {"pccd", "prox_gd"},
-    "grad-vs-step": {"pccd"},
-    "stationarity-rate": {"pccd"},
-    "pl-envelope": {"pccd"},
-    "vr-descent": {"vrccd", "vroccd", "sccd"},
-    "vr-grad-vs-step": {"vrccd", "vroccd", "sccd"},
-    "vr-rate": {"vrccd", "vroccd", "sccd"},
-    "vr-potential": {"vrccd", "vroccd", "sccd"},
-    "vr-pl-rate": {"vrccd", "vroccd", "sccd"},
-    "work-accounting": {"vrccd", "vroccd", "sccd", "page", "sgd"},
-}
 
 
 def build_regularizer(reg: tuple) -> Regularizer:
@@ -101,12 +104,7 @@ def initial_point(cfg: ExperimentConfig, prob) -> np.ndarray:
 
 def build_metric(cfg: ExperimentConfig, prob) -> tuple[DiagonalMetric | None, str]:
     """(metric, resolved mode); metric is None in backtracking mode."""
-    mode = cfg.lam.mode
-    if mode is None:
-        if cfg.problem.family == "sigmoid":
-            mode = "backtracking" if cfg.algorithm.name == "pccd" else "sigmoid_bound"
-        else:
-            mode = "exact_quadratic"
+    mode = lambda_mode(cfg)
     if mode == "backtracking":
         return None, mode
     if mode == "explicit":
@@ -211,9 +209,8 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     if b_prime is None and b is not None:
         b_prime = max(1, round(math.sqrt(b)))
 
-    stochastic = name in ("vrccd", "vroccd", "sccd", "page", "sgd")
     eta_bound = None
-    if stochastic and profile is not None and p is not None:
+    if name in STOCHASTIC and profile is not None and p is not None:
         # the gradient-dominance rate needs its own (smaller) admissible eta
         if "vr-pl-rate" in cfg.diagnostics.checks:
             mu = problems.pl_constant(prob, metric)
@@ -222,7 +219,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
             plan = smoothness.step_size(profile, p, b, b_prime, n, mode=smoothness.MODE_RATE)
         eta_bound = plan.eta
     if a.eta == "auto":
-        if name in ("pccd", "prox_gd"):
+        if name in CYCLIC_EXACT:
             eta = a.eta_scale  # unit step by default
         elif eta_bound is not None:
             eta = eta_bound * a.eta_scale
@@ -296,8 +293,6 @@ def run_seed(res: Resolved, seed: int, row_sink=None):
         sample_sharing=res.sample_sharing,
         record_u=cfg.diagnostics.record_u,
         surrogate_samples=surrogate,
-        eta_bound=res.eta_bound,
-        eta_override=cfg.algorithm.eta_override,
     )
     if name == "page":
         return algorithms.page_run(res.prob, res.reg, vcfg, rngs, row_sink=row_sink)
@@ -354,17 +349,6 @@ class TraceCsvWriter:
         self._fh.close()
 
 
-def write_trace(trace: algorithms.RunTrace, path: Path, echo: dict, record_wall: bool):
-    merged = dict(echo)
-    merged["resolved.run_seed"] = trace.seed
-    writer = TraceCsvWriter(path, merged, record_wall)
-    try:
-        for i in range(len(trace.k)):
-            writer._fh.write(_trace_row(trace, i, record_wall) + "\n")
-    finally:
-        writer.close()
-
-
 def write_report(reports: list[checks.BoundReport], path_base: Path) -> tuple[Path, Path]:
     path_base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = path_base.with_suffix(".csv")
@@ -405,147 +389,126 @@ def reference_minimum(res: Resolved) -> tuple[float, str]:
     return math.nan, "unavailable"
 
 
-def _sigma_sq(res: Resolved, traces) -> tuple[float, tuple[str, ...]]:
-    if res.cfg.problem.sigma_sq is not None:
-        return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
-    prob = res.prob
-    if isinstance(prob, problems.StreamingQuadratic):
-        return prob.sigma_sq_exact(res.metric), ()
-    if not prob.is_finite:
-        raise ConfigError([(0, "streaming sigmoid checks need problem.sigma_sq")])
-    if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
-        return problems.estimate_sigma_sq(prob, res.metric, [res.x0]), ()
-    probes = [res.x0]
-    value = problems.estimate_sigma_sq(prob, res.metric, probes)
-    return value, ("sigma_sq estimated at the start point",)
+class _CheckInputs:
+    """What the checks read, each computed at most once per ``run_checks``
+    call and only when a requested check reads it."""
+
+    def __init__(self, res: Resolved, traces: list[algorithms.RunTrace]):
+        prob = res.prob
+        self.res, self.traces, self.prob = res, traces, prob
+        self.eta, self.p, self.b, self.b_prime = res.eta, res.p, res.b, res.b_prime
+        self.n = prob.n if prob.is_finite else math.inf
+        self.lip = res.profile.lip_trailing if res.profile is not None else None
+        self.deterministic = res.p == 1.0 and res.b == prob.n
+        self.pathwise = bool(prob.is_finite and res.b == prob.n and res.b_prime == prob.n)
+
+    @cached_property
+    def reference(self) -> tuple[float, str]:
+        return reference_minimum(self.res)
+
+    @property
+    def no_reference(self) -> bool:
+        return self.reference[1] == "unavailable"
+
+    @cached_property
+    def delta0(self) -> float:
+        return self.traces[0].obj[0] - self.reference[0]
+
+    @cached_property
+    def delta0_or_best_seen(self) -> float:
+        if self.no_reference:
+            return self.traces[0].obj[0] - min(min(t.obj) for t in self.traces)
+        return self.delta0
+
+    @property
+    def provenance_tag(self) -> tuple[str, ...]:
+        provenance = self.reference[1]
+        if provenance in ("closed_form", "unavailable"):
+            return ()
+        return (f"reference minimum: {provenance}",)
+
+    @cached_property
+    def sigma(self) -> tuple[float, tuple[str, ...]]:
+        """(sigma^2, its conditional tags): supplied, exact for the streaming
+        quadratic, else computed at the start point (exact, and untagged,
+        when the components share one curvature)."""
+        res, prob = self.res, self.prob
+        if res.cfg.problem.sigma_sq is not None:
+            return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
+        if isinstance(prob, problems.StreamingQuadratic):
+            return prob.sigma_sq_exact(res.metric), ()
+        value = problems.estimate_sigma_sq(prob, res.metric, [res.x0])
+        if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
+            return value, ()
+        return value, ("sigma_sq estimated at the start point",)
+
+    @cached_property
+    def mu(self) -> float:
+        return problems.pl_constant(self.prob, self.res.metric)
+
+    def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
+        return np.array(trace.obj) - self.prob.f_star
+
+    @property
+    def final_gaps(self) -> np.ndarray:
+        return np.array([t.obj[-1] for t in self.traces]) - self.prob.f_star
+
+
+# check name -> its reports, given the inputs and the conditional tags
+_RUN_CHECK = {
+    "cyclic-descent": lambda i, c: [checks.check_cyclic_descent(t, c) for t in i.traces],
+    "step-telescope": lambda i, c: [
+        checks.check_step_telescope(t, i.delta0_or_best_seen, c) for t in i.traces
+    ],
+    "grad-vs-step": lambda i, c: [checks.check_grad_vs_step(t, i.lip, c) for t in i.traces],
+    "stationarity-rate": lambda i, c: [
+        checks.check_min_stationarity_rate(t, i.lip, i.delta0_or_best_seen, c + i.provenance_tag)
+        for t in i.traces
+    ],
+    "pl-envelope": lambda i, c: [
+        checks.check_pl_envelope(i.gaps(t), i.lip, i.mu, c) for t in i.traces
+    ],
+    "vr-descent": lambda i, c: [checks.check_vr_descent(t, i.eta, c) for t in i.traces],
+    "vr-grad-vs-step": lambda i, c: [checks.check_vr_grad_vs_step(t, i.lip, c) for t in i.traces],
+    "vr-rate": lambda i, c: [checks.check_vr_rate(
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0, i.deterministic, c
+    )],
+    "vr-potential": lambda i, c: [checks.check_vr_potential(
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], i.pathwise, c
+    )],
+    "vr-pl-rate": lambda i, c: [checks.check_vr_pl_rate(
+        i.final_gaps, i.eta, i.res.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0,
+        i.deterministic, c,
+    )],
+    "work-accounting": lambda i, c: [
+        checks.check_work_accounting(i.traces, i.p, i.b, i.b_prime, i.prob.dim, c)
+    ],
+}
 
 
 def run_checks(res: Resolved, traces: list[algorithms.RunTrace]) -> list[checks.BoundReport]:
-    requested = res.cfg.diagnostics.checks
+    """The reports of every requested check, in the order requested.
+
+    ``config.validate`` has already rejected each check the run cannot
+    feed, so this only computes inputs; the conditional tags are the run's,
+    then the ones ``config.CHECKS`` implies for the check.
+    """
+    inputs = _CheckInputs(res, traces)
+    shared = res.sample_sharing == algorithms.SHARED_PER_CYCLE
     reports: list[checks.BoundReport] = []
-    base_cond = res.conditional
-    prob = res.prob
-    lip = res.profile.lip_trailing if res.profile is not None else None
-
-    needs_delta0 = {"step-telescope", "stationarity-rate", "vr-rate", "vr-pl-rate"}
-    f_star, provenance = (math.nan, "unused")
-    if any(name in needs_delta0 for name in requested):
-        f_star, provenance = reference_minimum(res)
-
-    for name in requested:
-        if res.algorithm not in _CHECK_ALGOS[name]:
-            raise ConfigError([(0, f"check {name} does not apply to {res.algorithm}")])
-        cond = list(base_cond)
-        if name in ("grad-vs-step", "stationarity-rate", "pl-envelope", "vr-grad-vs-step",
-                    "vr-rate", "vr-potential", "vr-pl-rate") and lip is None:
-            raise ConfigError([(0, f"check {name} needs coupling constants")])
-        if res.sample_sharing == algorithms.SHARED_PER_CYCLE and name in (
-            "vr-rate", "vr-potential", "vr-pl-rate"
-        ):
-            cond.append("shared-batch sampling (outside the analyzed variant)")
-
-        if name == "cyclic-descent":
-            for t in traces:
-                reports.append(checks.check_cyclic_descent(t, conditional=cond))
-        elif name == "step-telescope":
-            advisory = provenance == "unavailable"
-            ref = f_star if not advisory else min(min(t.obj) for t in traces)
-            if advisory:
-                cond = cond + ["best-observed objective as reference"]
-            delta0 = traces[0].obj[0] - ref
-            for t in traces:
-                rep = checks.check_step_telescope(t, delta0, conditional=cond)
-                rep.advisory = advisory
-                reports.append(rep)
-        elif name == "grad-vs-step":
-            for t in traces:
-                reports.append(checks.check_grad_vs_step(t, lip, conditional=cond))
-        elif name == "stationarity-rate":
-            advisory = provenance == "unavailable"
-            ref = f_star if not advisory else min(min(t.obj) for t in traces)
-            if advisory:
-                cond = cond + ["best-observed objective as reference"]
-            elif provenance != "closed_form":
-                cond = cond + [f"reference minimum: {provenance}"]
-            delta0 = traces[0].obj[0] - ref
-            for t in traces:
-                rep = checks.check_min_stationarity_rate(t, lip, delta0, conditional=cond)
-                rep.advisory = advisory
-                reports.append(rep)
-        elif name == "pl-envelope":
-            mu = problems.pl_constant(prob, res.metric)
-            for t in traces:
-                gaps = np.array([v - prob.f_star for v in t.obj])
-                reports.append(checks.check_pl_envelope(gaps, lip, mu, conditional=cond))
-        elif name == "vr-descent":
-            for t in traces:
-                reports.append(checks.check_vr_descent(t, res.eta, conditional=cond))
-        elif name == "vr-grad-vs-step":
-            for t in traces:
-                reports.append(checks.check_vr_grad_vs_step(t, lip, conditional=cond))
-        elif name == "vr-rate":
-            sigma_sq, sig_cond = _sigma_sq(res, traces)
-            delta0 = traces[0].obj[0] - f_star
-            deterministic = res.p == 1.0 and res.b == prob.n
-            reports.append(
-                checks.check_vr_rate(
-                    traces,
-                    res.eta,
-                    res.p,
-                    res.b,
-                    res.b_prime,
-                    prob.n if prob.is_finite else math.inf,
-                    sigma_sq,
-                    delta0,
-                    deterministic=deterministic,
-                    conditional=tuple(cond) + sig_cond,
-                )
-            )
-        elif name == "vr-potential":
-            sigma_sq, sig_cond = _sigma_sq(res, traces)
-            pathwise = bool(prob.is_finite and res.b == prob.n and res.b_prime == prob.n)
-            reports.append(
-                checks.check_vr_potential(
-                    traces,
-                    res.eta,
-                    res.p,
-                    res.b,
-                    res.b_prime,
-                    prob.n if prob.is_finite else math.inf,
-                    lip,
-                    sigma_sq,
-                    pathwise=pathwise,
-                    conditional=tuple(cond) + sig_cond,
-                )
-            )
-        elif name == "vr-pl-rate":
-            sigma_sq, sig_cond = _sigma_sq(res, traces)
-            mu = problems.pl_constant(prob, res.metric)
-            delta0 = traces[0].obj[0] - prob.f_star
-            gaps = np.array([t.obj[-1] - prob.f_star for t in traces])
-            deterministic = res.p == 1.0 and res.b == prob.n
-            reports.append(
-                checks.check_vr_pl_rate(
-                    gaps,
-                    res.eta,
-                    res.cycles,
-                    res.p,
-                    res.b,
-                    res.b_prime,
-                    prob.n,
-                    mu,
-                    sigma_sq,
-                    delta0,
-                    deterministic=deterministic,
-                    conditional=tuple(cond) + sig_cond,
-                )
-            )
-        elif name == "work-accounting":
-            reports.append(
-                checks.check_work_accounting(
-                    traces, res.p, res.b, res.b_prime, prob.dim, conditional=cond
-                )
-            )
+    for name in res.cfg.diagnostics.checks:
+        spec = CHECKS[name]
+        cond = res.conditional
+        if spec.fresh_batches and shared:
+            cond += (SHARED_BATCH_TAG,)
+        if spec.sigma_sq:
+            cond += inputs.sigma[1]
+        advisory = spec.best_seen_reference and inputs.no_reference
+        if advisory:
+            cond += ("best-observed objective as reference",)
+        for rep in _RUN_CHECK[name](inputs, cond):
+            rep.advisory = advisory
+            reports.append(rep)
     return reports
 
 
@@ -653,31 +616,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     return ExperimentResult(code, trace_paths, report_csv, report_txt, reports, traces)
 
 
-_NUMERIC_FIELDS = {
-    "problem.n", "problem.d", "problem.m", "problem.condition_number", "problem.margin",
-    "problem.lin_scale", "problem.sigma_sq", "algorithm.K", "algorithm.eta",
-    "algorithm.eta_scale", "algorithm.p", "algorithm.b", "algorithm.bprime",
-    "seeds.base", "seeds.count", "diagnostics.s_surrogate_samples",
-}
-
-_INT_FIELDS = {
-    "problem.n", "problem.d", "problem.m", "algorithm.K", "algorithm.b",
-    "algorithm.bprime", "seeds.base", "seeds.count", "diagnostics.s_surrogate_samples",
-}
-
-
 def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=".", jobs: int = 1) -> Path:
     """Run the experiment once per axis value; one summary row per seed.
 
     Schedule-coupled fields re-derive dependents per value (overriding
     bprime under the finite-sum schedule recomputes p).
     """
-    if axis not in _NUMERIC_FIELDS:
+    cast = numeric_type(axis)
+    if cast is None:
         raise ConfigError([(0, f"sweep axis must be a numeric config field, got {axis!r}")])
     out_dir = Path(out_dir)
     rows = []
     for value in values:
-        val = int(value) if axis in _INT_FIELDS else float(value)
+        val = cast(value)
         cfg_i = cfg.with_override(axis, val)
         res, traces, _ = run_traces(cfg_i, jobs=jobs)
         for trace in traces:

@@ -148,10 +148,6 @@ def test_vrccd_validation():
         VrccdConfig(cycles=5, eta=0.1, p=0.5, b=2, b_prime=4, x0=x0, metric=metric)
     with pytest.raises(ValueError):
         VrccdConfig(cycles=5, eta=-0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
-    with pytest.raises(ValueError):
-        VrccdConfig(
-            cycles=5, eta=0.5, p=0.5, b=4, b_prime=2, x0=x0, metric=metric, eta_bound=0.3
-        )
     cfg = VrccdConfig(cycles=5, eta=0.1, p=0.5, b=20, b_prime=2, x0=x0, metric=metric)
     with pytest.raises(ValueError):
         vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(0))

@@ -135,6 +135,19 @@ def test_check_compatibility_rules():
         )
     with pytest.raises(ConfigError):
         parse_config("problem.family = quadratic\nalgorithm.name = pccd\ndiagnostics.checks = nope")
+    # a check that cannot apply is rejected at parse time, on its line
+    with pytest.raises(ConfigError) as err:
+        parse_config(
+            "problem.family = quadratic\nproblem.n = 256\nproblem.d = 64\nalgorithm.name = pccd\n"
+            "algorithm.K = 2000\nseeds.count = 4\ndiagnostics.checks = vr-rate"
+        )
+    assert err.value.errors == [(7, "check vr-rate does not apply to pccd")]
+    with pytest.raises(ConfigError) as err:
+        parse_config(
+            "problem.family = sigmoid\nalgorithm.name = pccd\ndiagnostics.checks = grad-vs-step"
+        )
+    assert [ln for ln, _ in err.value.errors] == [3]
+    assert "needs coupling constants" in err.value.errors[0][1]
 
 
 def test_streaming_constraints():

@@ -131,6 +131,13 @@ def test_sweep_rejects_non_numeric_axis(tmp_path):
         sweep(cfg, "problem.family", [1.0], out_dir=tmp_path)
 
 
+def test_sweep_takes_every_numeric_config_field(tmp_path):
+    # the supplied coupling constants are plain numbers, so they sweep too
+    path = sweep(parse_config(VR_CHECKED), "lambda.lip_trailing", [1.0, 2.0], out_dir=tmp_path)
+    rows = [ln for ln in path.read_text().splitlines() if ln.startswith("lambda.lip_trailing,")]
+    assert len(rows) == 4  # 2 values x 2 seeds
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     cfg = parse_config(VR_CHECKED)
     serial = run_experiment(cfg, out_dir=tmp_path / "s", jobs=1)

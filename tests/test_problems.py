@@ -16,7 +16,6 @@ from ccdlab.problems import (
     sigmoid_metric,
 )
 from ccdlab.regularizers import Zero
-from ccdlab.serialize import load_instance, save_instance
 
 PART = BlockPartition.even(8, 3)
 
@@ -215,21 +214,3 @@ def test_streaming_classification_batches():
     assert 0.0 <= prob.batch_value(batch, np.zeros(6)) <= 1.0
     single = prob.sample_block_grad(np.random.default_rng(6), 0, np.zeros(6))
     assert single.shape == (2,)
-
-
-def test_serialize_round_trip(tmp_path):
-    quad = generate_quadratic(59, n=3, d=8, partition=PART, convex=False)
-    path = tmp_path / "quad.txt"
-    save_instance(quad, path)
-    back = load_instance(path)
-    assert np.array_equal(back.quad, quad.quad)
-    assert np.array_equal(back.lin, quad.lin)
-    assert np.array_equal(back.const, quad.const)
-    assert back.partition.block_sizes == quad.partition.block_sizes
-
-    sig = generate_classification(61, n=5, d=8, partition=PART)
-    path2 = tmp_path / "sig.txt"
-    save_instance(sig, path2)
-    back2 = load_instance(path2)
-    assert np.array_equal(back2.rows, sig.rows)
-    assert np.array_equal(back2.labels, sig.labels)

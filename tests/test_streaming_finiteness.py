@@ -1,4 +1,5 @@
-"""Streaming runs with a surrogate objective stop at the first non-finite value."""
+"""Streaming runs stop at the first non-finite objective value, or at the
+first non-finite squared step when they record no objective value."""
 
 import math
 
@@ -47,8 +48,12 @@ def test_streaming_surrogate_run_raises_at_first_nonfinite_objective():
     assert not math.isfinite(err.value.value)
 
 
-def test_diverging_streaming_experiment_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("surrogate", [64, 0])
+def test_diverging_streaming_experiment_exits_3(surrogate, tmp_path, capsys):
+    # without a surrogate no objective value is recorded; the squared step
+    # v_k is then what turns non-finite
+    text = DIVERGING.replace("s_surrogate_samples = 64", f"s_surrogate_samples = {surrogate}")
     with np.errstate(all="ignore"):
-        result = run_experiment(parse_config(DIVERGING), out_dir=tmp_path)
+        result = run_experiment(parse_config(text), out_dir=tmp_path)
     assert result.exit_code == 3
     assert "objective value" in capsys.readouterr().out
