@@ -25,9 +25,10 @@ class CheckSpec:
 
     ``validate`` rejects every requested check whose needs the config cannot
     meet, so ``harness.run_checks`` only computes inputs. The last two
-    fields only tag the report: ``best_seen_reference`` checks fall back to
-    the best objective seen when no minimum F(x*) is certified, and are then
-    advisory; ``fresh_batches`` bounds are proved for fresh per-block
+    fields tag the report: ``best_seen_reference`` checks fall back to the
+    best objective seen when no minimum F(x*) is certified, and are then
+    advisory (they read F, so a streaming run must record it through a
+    surrogate); ``fresh_batches`` bounds are proved for fresh per-block
     batches, so shared-batch runs carry ``SHARED_BATCH_TAG``.
     """
 
@@ -48,7 +49,10 @@ CHECKS = {
     "pl-envelope": CheckSpec(("pccd",), coupling=True, convex_quadratic=True),
     "vr-descent": CheckSpec(VARIANCE_REDUCED, record_u=True),
     "vr-grad-vs-step": CheckSpec(VARIANCE_REDUCED, record_u=True, coupling=True),
-    "vr-rate": CheckSpec(VARIANCE_REDUCED, coupling=True, sigma_sq=True, fresh_batches=True),
+    "vr-rate": CheckSpec(
+        VARIANCE_REDUCED, coupling=True, sigma_sq=True, best_seen_reference=True,
+        fresh_batches=True,
+    ),
     "vr-potential": CheckSpec(
         VARIANCE_REDUCED, record_u=True, coupling=True, sigma_sq=True, fresh_batches=True
     ),
@@ -366,6 +370,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
 
     stochastic = a.name in STOCHASTIC
     vr_like = stochastic and a.name != "sgd"
+    streaming_sigmoid = streaming and p_spec.streaming_family == "sigmoid"
     if a.name == "sccd" and a.p is not None and a.p != 1.0:
         errs.append((_line(key_lines, "algorithm.p"), "sccd forces p = 1"))
     if a.name == "vroccd" and a.sample_sharing == "fresh_per_block":
@@ -419,9 +424,19 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append(
             (_line(key_lines, "lambda.mode"), "exact_quadratic needs a quadratic family")
         )
+    if lambda_mode(cfg) == "exact_quadratic" and streaming_sigmoid:
+        # sigmoid_bound and backtracking are rejected above, so explicit is left
+        where = "lambda.mode" if mode is not None else "problem.streaming_family"
+        errs.append(
+            (
+                _line(key_lines, where),
+                "a streaming sigmoid problem has no exact_quadratic metric; "
+                "set lambda.mode = explicit",
+            )
+        )
     if mode == "sigmoid_bound" and p_spec.family != "sigmoid":
         errs.append((_line(key_lines, "lambda.mode"), "sigmoid_bound needs the sigmoid family"))
-    if a.eta == "auto" and vr_like and not coupling_known(cfg):
+    if a.eta == "auto" and stochastic and not coupling_known(cfg):
         errs.append((_line(key_lines, "algorithm.eta"), f"eta = auto needs {_COUPLING}"))
 
     if cfg.seeds.count < 1:
@@ -437,9 +452,8 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
 
     # every requested check the config cannot feed, read off CHECKS
     line = _line(key_lines, "diagnostics.checks")
-    sigma_known = p_spec.sigma_sq is not None or not (
-        streaming and p_spec.streaming_family == "sigmoid"
-    )
+    sigma_known = p_spec.sigma_sq is not None or not streaming_sigmoid
+    objective_recorded = not streaming or cfg.diagnostics.s_surrogate_samples > 0
     convex_zero = p_spec.family == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
     for name in cfg.diagnostics.checks:
         spec = CHECKS[name]
@@ -450,6 +464,10 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
             (spec.record_u and not cfg.diagnostics.record_u, "diagnostics.record_u"),
             (spec.coupling and not coupling_known(cfg), _COUPLING),
             (spec.sigma_sq and not sigma_known, "problem.sigma_sq on a streaming sigmoid problem"),
+            (
+                spec.best_seen_reference and not objective_recorded,
+                "diagnostics.s_surrogate_samples > 0 to record F on a streaming problem",
+            ),
             (
                 spec.convex_quadratic and not convex_zero,
                 "a convex quadratic with reg = zero (known mu and gap)",

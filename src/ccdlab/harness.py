@@ -471,7 +471,8 @@ _RUN_CHECK = {
     "vr-descent": lambda i, c: [checks.check_vr_descent(t, i.eta, c) for t in i.traces],
     "vr-grad-vs-step": lambda i, c: [checks.check_vr_grad_vs_step(t, i.lip, c) for t in i.traces],
     "vr-rate": lambda i, c: [checks.check_vr_rate(
-        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0, i.deterministic, c
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0_or_best_seen,
+        i.deterministic, c,
     )],
     "vr-potential": lambda i, c: [checks.check_vr_potential(
         i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], i.pathwise, c
@@ -548,26 +549,47 @@ def _execute_seed(res: Resolved, seed: int, trace_path, record_wall: bool):
     return trace
 
 
-def _run_one(args):
-    cfg, seed, trace_path = args
-    res = resolve(cfg)
-    return _execute_seed(res, seed, trace_path, cfg.output.record_wall)
+# the experiment's Resolved in a pool worker, set once by _init_worker
+_worker_res: Resolved | None = None
+
+
+def _init_worker(res: Resolved):
+    global _worker_res
+    _worker_res = res
+
+
+def _run_one(task):
+    """Pool entry: run one ``(seed, trace_path)`` on the worker's Resolved."""
+    seed, trace_path = task
+    return _execute_seed(_worker_res, seed, trace_path, _worker_res.cfg.output.record_wall)
 
 
 def run_traces(
-    cfg: ExperimentConfig, jobs: int = 1, trace_dir: Path | None = None
+    cfg: ExperimentConfig,
+    jobs: int = 1,
+    trace_dir: Path | None = None,
+    res: Resolved | None = None,
 ) -> tuple[Resolved, list[algorithms.RunTrace], list[Path]]:
-    """Run every seed, optionally streaming each trace to its CSV file."""
-    res = resolve(cfg)
+    """Run every seed, optionally streaming each trace to its CSV file.
+
+    ``res`` is ``resolve(cfg)`` when the caller already has it. The
+    experiment resolves once: pool workers get the parent's Resolved through
+    the pool initializer (inherited under fork, pickled once per worker
+    otherwise), never one per seed.
+    """
+    if res is None:
+        res = resolve(cfg)
     seeds = _seed_list(cfg)
     if trace_dir is None:
         paths = [None] * len(seeds)
     else:
         paths = [Path(trace_dir) / f"trace_seed{s}.csv" for s in seeds]
-    if jobs > 1 and len(seeds) > 1:
-        args = [(cfg, s, p) for s, p in zip(seeds, paths)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_one, args))
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(res,)
+        ) as pool:
+            traces = list(pool.map(_run_one, zip(seeds, paths)))
     else:
         traces = [
             _execute_seed(res, s, p, cfg.output.record_wall) for s, p in zip(seeds, paths)
@@ -596,8 +618,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     if soft_failed:
         # escalate: rerun the Monte Carlo evidence at 4x seeds before failing
         try:
+            # only the seed count changes, so the instance is not resolved again
             cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=cfg.seeds.count * 4))
-            res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs)
+            res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=replace(res, cfg=cfg4))
             reports = run_checks(res_esc, traces_esc)
         except (ConfigError, ValueError, algorithms.NonFiniteObjectiveError) as exc:
             print(f"ccdlab: error during escalation: {exc}")

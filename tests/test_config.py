@@ -121,6 +121,10 @@ lambda.mode = sigmoid_bound
     res = resolve(cfg)
     assert res.profile is not None and res.profile.supplied
     assert "supplied coupling constants" in res.conditional
+    # sgd derives its step from the same constants
+    with pytest.raises(ConfigError) as err:
+        parse_config("problem.family = sigmoid\nalgorithm.name = sgd\nalgorithm.b = 8\n")
+    assert [ln for ln, msg in err.value.errors if "eta = auto" in msg] == [0]
 
 
 def test_check_compatibility_rules():
@@ -169,6 +173,16 @@ diagnostics.s_surrogate_samples = 64
     res = resolve(cfg)
     assert not res.prob.is_finite
     assert math.isinf(res.prob.n or math.inf)
+    # vr-rate reads F and s_k, which only a surrogate records on a stream
+    with pytest.raises(ConfigError) as err:
+        parse_config(
+            "problem.family = streaming\nalgorithm.name = vrccd\nalgorithm.p = 0.5\n"
+            "algorithm.b = 8\ndiagnostics.s_surrogate_samples = 0\ndiagnostics.checks = vr-rate"
+        )
+    assert err.value.errors == [
+        (6, "check vr-rate needs diagnostics.s_surrogate_samples > 0 to record F on a "
+            "streaming problem")
+    ]
 
 
 def test_backtracking_reserved_for_cyclic_runs():

@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from ccdlab import checks
+from ccdlab import checks, harness
 from ccdlab.algorithms import ProxGdConfig, prox_gd_run
 from ccdlab.cli import main
 from ccdlab.config import parse_config
@@ -77,9 +79,17 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
         lhs = 2.0 if calls["n"] == 1 else 0.5
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, lhs, 1.0)])]
 
+    resolves = []
+
+    def counting_resolve(cfg):
+        resolves.append(cfg)
+        return resolve(cfg)
+
     monkeypatch.setattr("ccdlab.harness.run_checks", soft_fail_then_pass)
+    monkeypatch.setattr("ccdlab.harness.resolve", counting_resolve)
     assert run_experiment(cfg, out_dir=tmp_path / "soft").exit_code == 0
     assert calls["n"] == 2  # escalation re-ran the evidence
+    assert len(resolves) == 1  # on the instance resolved for the first stage
 
     def soft_fail_always(res, traces):
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, 2.0, 1.0)])]
@@ -141,9 +151,30 @@ def test_sweep_takes_every_numeric_config_field(tmp_path):
 def test_parallel_jobs_match_serial(tmp_path):
     cfg = parse_config(VR_CHECKED)
     serial = run_experiment(cfg, out_dir=tmp_path / "s", jobs=1)
-    parallel = run_experiment(cfg, out_dir=tmp_path / "p", jobs=2)
-    for a, b in zip(serial.trace_paths, parallel.trace_paths):
-        assert a.read_text() == b.read_text()
+    # jobs = 8 exceeds the two seeds: the pool is capped at one worker per seed
+    for jobs in (2, 8):
+        parallel = run_experiment(cfg, out_dir=tmp_path / f"p{jobs}", jobs=jobs)
+        assert len(parallel.trace_paths) == len(serial.trace_paths) == 2
+        for a, b in zip(serial.trace_paths, parallel.trace_paths):
+            assert a.read_text() == b.read_text()
+
+
+def test_pool_resolves_once(tmp_path, monkeypatch):
+    # forked workers inherit the wrapper, so a resolve in a worker would
+    # leave its own pid in the log
+    log = tmp_path / "resolve_pids"
+
+    def logging_resolve(cfg):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return resolve(cfg)
+
+    monkeypatch.setattr(harness, "resolve", logging_resolve)
+    cfg = parse_config(VR_CHECKED).with_override("seeds.count", 4)
+    result = run_experiment(cfg, out_dir=tmp_path / "out", jobs=2)
+    assert result.exit_code == 0
+    assert len(result.trace_paths) == 4
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):
@@ -223,6 +254,30 @@ diagnostics.checks = step-telescope, stationarity-rate, cyclic-descent
     assert all("best-observed" in " ".join(r.conditional) for r in by_name["stationarity-rate"])
     assert not any(r.advisory for r in by_name["cyclic-descent"])
     assert all(r.passed for r in by_name["cyclic-descent"])
+
+
+def test_streaming_sigmoid_without_explicit_metric_exits_3(tmp_path, capsys):
+    # the default lambda.mode, exact_quadratic, has no metric for this family
+    text = """
+problem.family = streaming
+problem.streaming_family = sigmoid
+problem.d = 6
+problem.m = 2
+algorithm.name = sgd
+algorithm.K = 3
+algorithm.eta = 0.1
+algorithm.b = 8
+diagnostics.s_surrogate_samples = 64
+"""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]) == 3
+    assert "line 3: a streaming sigmoid problem has no exact_quadratic metric" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+    cfg_path.write_text(text + "lambda.mode = explicit\nlambda.values = 1, 1\n")
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "ok"), "--jobs", "1"]) == 0
 
 
 def test_streaming_experiment_smoke(tmp_path):
