@@ -534,12 +534,12 @@ def _seed_list(cfg: ExperimentConfig) -> list[int]:
     return [cfg.seeds.base + 1000 + i for i in range(cfg.seeds.count)]
 
 
-def _execute_seed(res: Resolved, seed: int, trace_path, record_wall: bool):
+def _execute_seed(res: Resolved, seed: int, trace_path):
     writer = None
     if trace_path is not None:
         echo = dict(res.echo())
         echo["resolved.run_seed"] = seed
-        writer = TraceCsvWriter(Path(trace_path), echo, record_wall)
+        writer = TraceCsvWriter(Path(trace_path), echo, res.cfg.output.record_wall)
     try:
         _, trace = run_seed(res, seed, row_sink=writer.sink if writer else None)
     finally:
@@ -561,7 +561,7 @@ def _init_worker(res: Resolved):
 def _run_one(task):
     """Pool entry: run one ``(seed, trace_path)`` on the worker's Resolved."""
     seed, trace_path = task
-    return _execute_seed(_worker_res, seed, trace_path, _worker_res.cfg.output.record_wall)
+    return _execute_seed(_worker_res, seed, trace_path)
 
 
 def run_traces(
@@ -591,9 +591,7 @@ def run_traces(
         ) as pool:
             traces = list(pool.map(_run_one, zip(seeds, paths)))
     else:
-        traces = [
-            _execute_seed(res, s, p, cfg.output.record_wall) for s, p in zip(seeds, paths)
-        ]
+        traces = [_execute_seed(res, s, p) for s, p in zip(seeds, paths)]
     return res, traces, [p for p in paths if p is not None]
 
 
