@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .algorithms import RunTrace
 from .sampling import variance_factor
 
-ONE_SIDED_99 = float(_norm.ppf(0.99))
+# bit-identical to scipy.stats.norm.ppf(0.99), without importing scipy.stats
+ONE_SIDED_99 = NormalDist().inv_cdf(0.99)
 
 HARD = "hard"
 MONTE_CARLO = "monte_carlo"

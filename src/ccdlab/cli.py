@@ -90,8 +90,8 @@ def main(argv=None) -> int:
             return 3
         try:
             path = sweep(cfg, args.axis, values, out_dir=args.out_dir, jobs=args.jobs)
-        except ConfigError as exc:
-            print(f"ccdlab: {exc}", file=sys.stderr)
+        except ValueError as exc:  # a bad axis or value, or a value whose run failed
+            print(f"ccdlab: error: {exc}", file=sys.stderr)
             return 3
         print(f"sweep: {path}")
         return 0

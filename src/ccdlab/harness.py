@@ -595,12 +595,16 @@ def run_traces(
     return res, traces, [p for p in paths if p is not None]
 
 
+# what a run of seeds raises on bad input or divergence: exit status 3, not a traceback
+RUN_ERRORS = (ConfigError, ValueError, algorithms.NonFiniteObjectiveError)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> ExperimentResult:
     out_dir = Path(out_dir)
     trace_dir = out_dir / cfg.output.trace_path
     try:
         res, traces, trace_paths = run_traces(cfg, jobs=jobs, trace_dir=trace_dir)
-    except (ConfigError, ValueError, algorithms.NonFiniteObjectiveError) as exc:
+    except RUN_ERRORS as exc:
         print(f"ccdlab: error: {exc}")
         return ExperimentResult(3, [], None, None, [], [])
 
@@ -620,7 +624,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
             cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=cfg.seeds.count * 4))
             res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=replace(res, cfg=cfg4))
             reports = run_checks(res_esc, traces_esc)
-        except (ConfigError, ValueError, algorithms.NonFiniteObjectiveError) as exc:
+        except RUN_ERRORS as exc:
             print(f"ccdlab: error during escalation: {exc}")
             return ExperimentResult(3, trace_paths, None, None, reports, traces)
 
@@ -641,17 +645,26 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=".", jobs: int = 1) 
     """Run the experiment once per axis value; one summary row per seed.
 
     Schedule-coupled fields re-derive dependents per value (overriding
-    bprime under the finite-sum schedule recomputes p).
+    bprime under the finite-sum schedule recomputes p). A non-integral value
+    on an integer axis is a ConfigError before anything runs; a value whose
+    run raises one of ``RUN_ERRORS`` ends the sweep with a ValueError that
+    names it.
     """
     cast = numeric_type(axis)
     if cast is None:
         raise ConfigError([(0, f"sweep axis must be a numeric config field, got {axis!r}")])
+    if cast is int:
+        bad = [v for v in values if not float(v).is_integer()]
+        if bad:
+            raise ConfigError([(0, f"sweep axis {axis} takes integers, got {_fmt(bad[0])}")])
     out_dir = Path(out_dir)
     rows = []
     for value in values:
         val = cast(value)
-        cfg_i = cfg.with_override(axis, val)
-        res, traces, _ = run_traces(cfg_i, jobs=jobs)
+        try:
+            res, traces, _ = run_traces(cfg.with_override(axis, val), jobs=jobs)
+        except RUN_ERRORS as exc:
+            raise ValueError(f"{axis} = {_fmt(val)}: {exc}") from exc
         for trace in traces:
             rows.append(
                 (

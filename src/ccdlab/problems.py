@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .blocks import BlockPartition, DiagonalMetric
 from . import sampling
@@ -221,7 +220,7 @@ class SigmoidClassification(FiniteSumObjective):
 
     def component_value(self, i, x):
         z = self.labels[i] * float(self.rows[i] @ x)
-        return float(expit(-z))
+        return float(_expit()(-z))
 
     def _rows_grad(self, cols, x):
         return _sigmoid_rows_grad(self.rows, self.labels, cols, x)
@@ -237,13 +236,23 @@ class SigmoidClassification(FiniteSumObjective):
         return _sigmoid_component_grads(self.rows, self.labels, slice(0, self.dim), x)
 
 
+@cache
+def _expit():
+    """``scipy.special.expit``, imported at the first sigmoid evaluation so
+    that ``import ccdlab`` loads no scipy module."""
+    from scipy.special import expit
+
+    return expit
+
+
 def _sigmoid_value(rows, labels, x):
     z = labels * (rows @ x)
-    return float(np.mean(expit(-z)))
+    return float(np.mean(_expit()(-z)))
 
 
 def _sigmoid_coeffs(rows, labels, x):
     # d/dz expit(-z) = -expit(z) expit(-z); chain rule factor per component
+    expit = _expit()
     z = labels * (rows @ x)
     return -expit(z) * expit(-z) * labels
 

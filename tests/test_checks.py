@@ -171,6 +171,14 @@ def test_mean_with_allowance():
     assert mean == 1.0 and allowance > 0.0
 
 
+def test_one_sided_99_matches_scipy_bit_for_bit():
+    from scipy.stats import norm
+
+    from ccdlab.checks import ONE_SIDED_99
+
+    assert ONE_SIDED_99 == float(norm.ppf(0.99))
+
+
 def test_vr_rate_coincides_with_classical_baseline_check():
     """Single block, full batch, always refresh, no regularizer: the rate
     check evaluated on the cyclic run is numerically the classical

@@ -141,6 +141,46 @@ def test_sweep_rejects_non_numeric_axis(tmp_path):
         sweep(cfg, "problem.family", [1.0], out_dir=tmp_path)
 
 
+DIVERGING_PCCD = """
+problem.family = quadratic
+problem.n = 16
+problem.d = 8
+problem.m = 2
+algorithm.name = pccd
+algorithm.K = 400
+seeds.count = 1
+"""
+
+
+def test_cli_sweep_exits_3_when_one_value_diverges(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(DIVERGING_PCCD)
+    args = ["--values", "1,50", "--out-dir", str(tmp_path / "sw"), "--jobs", "1"]
+    code = main(["sweep", str(cfg_path), "--axis", "algorithm.eta", *args])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ccdlab: error: algorithm.eta = 50: objective value inf at iteration" in err
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_sweep_rejects_non_integral_value_on_integer_axis(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(DIVERGING_PCCD)
+    args = ["--values", "2.5", "--out-dir", str(tmp_path / "sw"), "--jobs", "1"]
+    code = main(["sweep", str(cfg_path), "--axis", "seeds.count", *args])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "sweep axis seeds.count takes integers, got 2.5" in err
+    assert not (tmp_path / "sw").exists()
+
+    from ccdlab.config import ConfigError
+
+    # rejected before any value runs, even after an integral one
+    with pytest.raises(ConfigError, match="takes integers"):
+        sweep(parse_config(DIVERGING_PCCD), "problem.m", [2, 1.5], out_dir=tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
 def test_sweep_takes_every_numeric_config_field(tmp_path):
     # the supplied coupling constants are plain numbers, so they sweep too
     path = sweep(parse_config(VR_CHECKED), "lambda.lip_trailing", [1.0, 2.0], out_dir=tmp_path)
