@@ -60,7 +60,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import DiagonalMetric, weighted_norm_sq
-from .regularizers import Regularizer, metric_prox, total_value
+# metric_prox is not called here: the engine checks its inputs once per run.
+# perfbench/tracing.py still wraps ``algorithms.metric_prox``.
+from .regularizers import Regularizer, metric_prox, total_value  # noqa: F401
 from .sampling import RngBundle, bernoulli_switch
 
 FRESH_PER_BLOCK = "fresh_per_block"
@@ -127,7 +129,7 @@ class _RunConfig:
     def __post_init__(self):
         if any(getattr(self, name) < 1 for name in self._counts):
             raise ValueError(f"{' and '.join(self._counts)} must be >= 1")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
 
 
@@ -149,6 +151,11 @@ class PccdConfig(_RunConfig):
         super().__post_init__()
         if (self.metric is None) == (not self.backtracking):
             raise ValueError("provide a metric or enable backtracking (exactly one)")
+        # every backtracked block scale is backtrack_init * growth^t: positive
+        if not self.backtrack_init > 0:
+            raise ValueError(f"backtrack_init must be positive, got {self.backtrack_init}")
+        if not self.backtrack_growth > 1:
+            raise ValueError(f"backtrack_growth must exceed 1, got {self.backtrack_growth}")
 
 
 @dataclass
@@ -316,10 +323,18 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
     x = np.array(cfg.x0, dtype=float)
     if x.shape != (d,):
         raise ValueError("x0 does not match the problem dimension")
+    # with eta > 0 (the config) and positive metric entries (DiagonalMetric
+    # or the backtracking config), matching partitions are all the per-step
+    # prox needs: every block's center, gradient and metric block share a shape
+    if cfg.metric is not None and cfg.metric.partition != part:
+        raise ValueError(
+            f"metric partition {cfg.metric.partition.block_sizes} does not match "
+            f"the problem partition {part.block_sizes}"
+        )
 
     # the block plan, built once; an estimate unit is (block or None, its
     # coordinates, the blocks its estimate updates)
-    slices = [part.block_slice(j) for j in range(m)]
+    slices = part.slices
     if backtracking:
         scales = np.full(m, cfg.backtrack_init)
     else:
@@ -405,7 +420,7 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
                     inv = 1.0 / lam
                 else:
                     lam, inv = lam_blocks[j], inv_blocks[j]
-                    z = metric_prox(reg, j, center, g_j, cfg.eta, lam)
+                    z = reg.prox(j, center, g_j, cfg.eta, lam)
                 r_j = lam * (center - z) / cfg.eta - g_j
                 if mid_k is not None:
                     mid_k += weighted_norm_sq(grad_mid + r_j, inv)
@@ -447,7 +462,7 @@ def _accept_scale(prob, reg, j, cols, x, g, center, scale, growth, eta, max_grow
     trial = np.array(x, dtype=float)
     for _ in range(max_growths + 1):
         lam = np.full(center.shape, scale)
-        z = metric_prox(reg, j, center, g, eta, lam)
+        z = reg.prox(j, center, g, eta, lam)
         step = z - center
         trial[cols] = z
         rhs = base + float(g @ step) + 0.5 * scale * float(step @ step)

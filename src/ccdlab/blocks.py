@@ -72,9 +72,15 @@ class BlockPartition:
             raise IndexError(f"block index {j} out of range [0, {self.num_blocks})")
         return int(j)
 
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """``slices[j]`` covers the coordinates of block j; built once, so
+        hot loops index it instead of calling :meth:`block_slice`."""
+        off = self.offsets
+        return tuple(slice(off[j], off[j + 1]) for j in range(self.num_blocks))
+
     def block_slice(self, j: int) -> slice:
-        j = self.check_block(j)
-        return slice(self.offsets[j], self.offsets[j + 1])
+        return self.slices[self.check_block(j)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +188,9 @@ def masked_quadratic_form(
 def materialize_mask(
     Q: np.ndarray, kind: str, j: int, partition: BlockPartition
 ) -> np.ndarray:
-    """Dense masked matrix; the test oracle for :func:`masked_quadratic_form`."""
+    """Dense masked matrix. :func:`ccdlab.smoothness.masked_smoothness_constants`
+    sums these to build the coupling constants, and the tests use it as the
+    oracle for :func:`masked_quadratic_form`."""
     if kind not in MASK_KINDS:
         raise ValueError(f"mask kind must be one of {MASK_KINDS}, got {kind!r}")
     Q = symmetrize(Q)

@@ -14,7 +14,8 @@ line can reconstruct the exact claim that was tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -44,25 +45,37 @@ class BoundRow:
 
 @dataclass
 class BoundReport:
-    """Outcome of one bound check over one run family."""
+    """Outcome of one bound check over one run family.
+
+    ``rows`` is stored as a tuple, so the per-row verdicts, computed at the
+    first read, hold for the life of the report.
+    """
 
     name: str
     kind: str  # hard (deterministic) or monte_carlo (soft)
-    rows: list[BoundRow] = field(default_factory=list)
+    rows: tuple[BoundRow, ...] = ()
     conditional: tuple[str, ...] = ()
     low_power: bool = False
     notes: str = ""
     rel_tol: float = _REL_TOL
     advisory: bool = False  # reported but never gates the exit status
 
+    def __post_init__(self):
+        self.rows = tuple(self.rows)
+
     def row_passed(self, row: BoundRow) -> bool:
         if math.isnan(row.lhs) or math.isnan(row.rhs):
             return False
         return row.slack >= -self.rel_tol * max(1.0, abs(row.rhs))
 
+    @cached_property
+    def verdicts(self) -> tuple[bool, ...]:
+        """``row_passed`` of each row, in row order."""
+        return tuple(self.row_passed(r) for r in self.rows)
+
     @property
     def passed(self) -> bool:
-        return all(self.row_passed(r) for r in self.rows)
+        return all(self.verdicts)
 
     @property
     def worst(self) -> BoundRow | None:
@@ -81,14 +94,14 @@ class BoundReport:
         return f"{verdict} {self.name} ({self.kind}, {len(self.rows)} rows){extra}{cond}{power}"
 
     def csv_rows(self):
-        for r in self.rows:
+        for r, ok in zip(self.rows, self.verdicts):
             yield (
                 self.name,
                 "" if r.k is None else r.k,
                 r.lhs,
                 r.rhs,
                 r.slack,
-                "pass" if self.row_passed(r) else "fail",
+                "pass" if ok else "fail",
             )
 
 

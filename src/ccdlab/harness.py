@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -605,13 +606,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     try:
         res, traces, trace_paths = run_traces(cfg, jobs=jobs, trace_dir=trace_dir)
     except RUN_ERRORS as exc:
-        print(f"ccdlab: error: {exc}")
+        print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, [], None, None, [], [])
 
     try:
         reports = run_checks(res, traces)
     except (ConfigError, ValueError) as exc:
-        print(f"ccdlab: error: {exc}")
+        print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, trace_paths, None, None, [], traces)
 
     soft_failed = [
@@ -625,7 +626,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
             res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=replace(res, cfg=cfg4))
             reports = run_checks(res_esc, traces_esc)
         except RUN_ERRORS as exc:
-            print(f"ccdlab: error during escalation: {exc}")
+            print(f"ccdlab: error during escalation: {exc}", file=sys.stderr)
             return ExperimentResult(3, trace_paths, None, None, reports, traces)
 
     report_csv = report_txt = None

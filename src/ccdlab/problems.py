@@ -69,13 +69,10 @@ class FiniteSumObjective:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         # assembled block by block so the j-th slice is bit-identical to
         # block_grad(j, x); every equivalence contract leans on this
-        part = self.partition
-        return np.concatenate(
-            [self._rows_grad(part.block_slice(j), x) for j in range(part.num_blocks)]
-        )
+        return np.concatenate([self._rows_grad(cols, x) for cols in self.partition.slices])
 
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self._rows_grad(self.partition.block_slice(j), x)
+        return self._rows_grad(self.partition.slices[j], x)
 
     def component_block_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.component_block_grads(j, x)[i]
@@ -87,13 +84,12 @@ class FiniteSumObjective:
         return sampling.draw_minibatch(rng, self.n, size)
 
     def batch_full_grad(self, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-        part = self.partition
         return np.concatenate(
-            [self._batch_dispatch(batch, part.block_slice(j), x) for j in range(part.num_blocks)]
+            [self._batch_dispatch(batch, cols, x) for cols in self.partition.slices]
         )
 
     def batch_block_grad(self, batch: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
-        return self._batch_dispatch(batch, self.partition.block_slice(j), x)
+        return self._batch_dispatch(batch, self.partition.slices[j], x)
 
     def _batch_dispatch(self, idx: np.ndarray, cols: slice, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx)
@@ -355,7 +351,7 @@ class StreamingQuadratic(StreamingObjective):
         )
 
     def batch_block_grad(self, batch, j, x):
-        cols = self.partition.block_slice(j)
+        cols = self.partition.slices[j]
         return self.quad[cols] @ x + batch.lin[:, cols].mean(axis=0)
 
     # population quantities, exact for this family
@@ -402,7 +398,7 @@ class StreamingClassification(StreamingObjective):
         )
 
     def batch_block_grad(self, batch, j, x):
-        return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.block_slice(j), x)
+        return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)
 
 
 # --------------------------------------------------------------------------

@@ -88,7 +88,11 @@ def metric_prox(
     eta: float,
     lam: np.ndarray,
 ) -> np.ndarray:
-    """Validated block prox step (exact minimizer of the block subproblem)."""
+    """Validated block prox step (exact minimizer of the block subproblem).
+
+    The public boundary for a single prox step. The cycle engine checks eta,
+    the metric and the block shapes once per run and calls ``reg.prox``
+    directly."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     center = np.asarray(center, dtype=float)
@@ -104,8 +108,8 @@ def metric_prox(
 def total_value(reg: Regularizer, x: np.ndarray, partition: BlockPartition) -> float:
     """r(x) summed over blocks; +inf if any block is infeasible."""
     total = 0.0
-    for j in range(partition.num_blocks):
-        v = reg.block_value(j, x[partition.block_slice(j)])
+    for j, cols in enumerate(partition.slices):
+        v = reg.block_value(j, x[cols])
         if not np.isfinite(v):
             return float("inf")
         total += v

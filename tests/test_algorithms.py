@@ -258,3 +258,39 @@ def test_sgd_runs_and_counts_work():
     _, trace = sgd_run(prob, Zero(), cfg, RngBundle.from_seed(41))
     assert np.all(trace.work_increments() == 4 * 8)
     assert trace.cycles == 10
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"backtrack_init": 0.0},
+        {"backtrack_init": -1.0},
+        {"backtrack_init": float("nan")},
+        {"backtrack_growth": 1.0},
+        {"backtrack_growth": 0.5},
+        {"eta": float("nan")},
+    ],
+)
+def test_run_parameters_checked_when_config_is_built(bad):
+    with pytest.raises(ValueError):
+        PccdConfig(cycles=3, x0=np.zeros(8), backtracking=True, **bad)
+
+
+@pytest.mark.parametrize("algo", ["pccd", "prox_gd", "vrccd"])
+def test_metric_partition_checked_before_first_row(algo):
+    # same dimension, different blocks; the rows a run writes start at k = 0
+    part = BlockPartition((4, 4, 4, 4))
+    prob = generate_quadratic(167, n=6, d=16, partition=part, condition_number=5.0)
+    metric = DiagonalMetric.identity(BlockPartition((1, 5, 5, 5)))
+    x0 = np.zeros(16)
+    rows = []
+    with pytest.raises(ValueError, match="metric partition"):
+        if algo == "pccd":
+            pccd_run(prob, L1(0.1), PccdConfig(cycles=3, x0=x0, metric=metric), row_sink=rows.append)
+        elif algo == "prox_gd":
+            prox_gd_run(prob, L1(0.1), ProxGdConfig(cycles=3, x0=x0, metric=metric),
+                        row_sink=rows.append)
+        else:
+            cfg = VrccdConfig(cycles=3, eta=0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
+            vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0), row_sink=rows.append)
+    assert rows == []

@@ -163,6 +163,30 @@ def test_cli_sweep_exits_3_when_one_value_diverges(tmp_path, capsys):
     assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
+# kappa close to 1: the top eigenvalues of the coupling sum nearly tie, and
+# power iteration does not converge within its iteration cap
+NEAR_TIED = """
+problem.family = quadratic
+problem.n = 63
+problem.d = 10
+problem.m = 2
+problem.condition_number = 1.01
+algorithm.name = pccd
+algorithm.K = 5
+seeds.base = 265767123
+diagnostics.checks = cyclic-descent, grad-vs-step, stationarity-rate
+"""
+
+
+def test_cli_run_with_near_tied_top_eigenvalues(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(NEAR_TIED)
+    code = main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "pass grad-vs-step" in out
+
+
 def test_sweep_rejects_non_integral_value_on_integer_axis(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(DIVERGING_PCCD)

@@ -11,7 +11,6 @@ from ccdlab.regularizers import Zero
 from ccdlab.smoothness import (
     MODE_PL,
     SmoothnessProfile,
-    SpectralNormError,
     admissible_eta,
     backtrack_lambda,
     finite_sum_schedule,
@@ -36,12 +35,10 @@ def test_spectral_norm_examples():
         spectral_norm(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_spectral_norm_iteration_cap_carries_estimate():
+def test_spectral_norm_iteration_cap_falls_back_to_eigvalsh():
     # two nearly tied eigenvalues force slow convergence
     mat = np.diag([1.0, 1.0 - 1e-12])
-    with pytest.raises(SpectralNormError) as err:
-        spectral_norm(mat, tol=0.0, max_iter=3)
-    assert err.value.estimate == pytest.approx(1.0, rel=1e-6)
+    assert spectral_norm(mat, tol=0.0, max_iter=3) == float(np.linalg.eigvalsh(mat)[-1])
 
 
 def test_masked_constants_singleton_ladder():

@@ -56,4 +56,4 @@ def test_diverging_streaming_experiment_exits_3(surrogate, tmp_path, capsys):
     with np.errstate(all="ignore"):
         result = run_experiment(parse_config(text), out_dir=tmp_path)
     assert result.exit_code == 3
-    assert "objective value" in capsys.readouterr().out
+    assert "objective value" in capsys.readouterr().err
