@@ -62,7 +62,7 @@ import numpy as np
 from .blocks import DiagonalMetric, weighted_norm_sq
 # metric_prox is not called here: the engine checks its inputs once per run.
 # perfbench/tracing.py still wraps ``algorithms.metric_prox``.
-from .regularizers import Regularizer, metric_prox, total_value  # noqa: F401
+from .regularizers import Regularizer, metric_prox, total_value
 from .sampling import RngBundle, bernoulli_switch
 
 FRESH_PER_BLOCK = "fresh_per_block"
