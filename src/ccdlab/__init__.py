@@ -54,7 +54,6 @@ from .algorithms import (
     pccd_run,
     prox_gd_run,
     sgd_run,
-    stationarity_sq,
     vrccd_run,
 )
 from .config import ConfigError, ExperimentConfig, parse_config

@@ -217,20 +217,6 @@ def _stationarity(grad, residuals, slices, inv_blocks) -> float:
     return total
 
 
-def stationarity_sq(prob, x, residuals, metric, grad_full=None) -> float:
-    """Squared inverse-metric norm of grad f(x) + r' with the prox-built
-    subgradient r' per block. Equals the plain inverse-metric gradient norm
-    when the regularizer is zero."""
-    part = metric.partition
-    if len(residuals) != part.num_blocks:
-        raise ValueError("need one residual per block")
-    grad = prob.full_grad(x) if grad_full is None else grad_full
-    blocks = range(part.num_blocks)
-    return _stationarity(
-        grad, residuals, [part.block_slice(j) for j in blocks], [1.0 / metric.block(j) for j in blocks]
-    )
-
-
 def _objective(prob, reg, x) -> float:
     return prob.value(x) + total_value(reg, x, prob.partition)
 
@@ -402,7 +388,12 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
                     # the matching point of the previous cycle
                     off = cols_u.start
                     old = np.concatenate((x_prev[:off], x_prev2[off:]))
-                    g = anchors[u] + (_grad(prob, j_u, x, batch) - _grad(prob, j_u, old, batch))
+                    if j_u is None:
+                        g_x = prob.batch_full_grad(batch, x)
+                        g_old = prob.batch_full_grad(batch, old)
+                    else:
+                        g_x, g_old = prob.batch_block_grad_pair(batch, j_u, x, old)
+                    g = anchors[u] + (g_x - g_old)
                     work += est.b_prime * size
                 anchors[u] = g
             if record_u:

@@ -46,10 +46,6 @@ class RngBundle:
             surrogate=stream(seed, "surrogate"),
         )
 
-    def replay(self) -> "RngBundle":
-        """Fresh bundle reproducing this one from the start."""
-        return RngBundle.from_seed(self.seed)
-
 
 def draw_minibatch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
     """b distinct indices from range(n), uniform over size-b subsets.

@@ -11,7 +11,6 @@ from ccdlab.algorithms import (
     pccd_run,
     prox_gd_run,
     sgd_run,
-    stationarity_sq,
     vrccd_run,
 )
 from ccdlab.blocks import BlockPartition, DiagonalMetric
@@ -91,12 +90,6 @@ def test_scalar_l1_step_and_measure():
     # the implied subgradient sits on the boundary of the unit interval
     resid = metric.block(0) * (3.0 - 2.0) / 1.0 - prob.block_grad(0, np.array([3.0]))
     assert resid[0] == pytest.approx(1.0)
-
-
-def test_stationarity_requires_one_residual_per_block():
-    prob = _convex(109)
-    with pytest.raises(ValueError):
-        stationarity_sq(prob, np.zeros(8), [np.zeros(2)], exact_quadratic_metric(prob))
 
 
 def test_nonfinite_objective_reports_iteration():

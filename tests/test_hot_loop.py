@@ -1,15 +1,21 @@
 """The cycle engine reads the block plan it builds before cycle 1: neither
 the range-checked ``BlockPartition.block_slice`` nor the validated
-``regularizers.metric_prox`` runs inside the cycle loop."""
+``regularizers.metric_prox`` runs inside the cycle loop. A recursive
+correction gathers its batch rows once for both of its points."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ccdlab import algorithms, regularizers
+from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, VrccdConfig, vrccd_run
 from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
+from ccdlab.problems import exact_quadratic_metric, generate_quadratic
+from ccdlab.regularizers import L1
+from ccdlab.sampling import RngBundle
 
 PCCD_L1 = """\
 problem.family = quadratic
@@ -69,3 +75,45 @@ def test_cycle_loop_calls_no_validating_helper(text, tmp_path, monkeypatch):
     # set-up may slice a fixed number of times; nothing may scale with K
     assert seen[0] == seen[1]
     assert "metric_prox" not in seen[0]
+
+
+class _GatherCounting(np.ndarray):
+    """A view of ``quad`` that counts gathers of batch rows: an index whose
+    first entry is an index array."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[0], np.ndarray):
+            type(self).gathers += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("sharing", [FRESH_PER_BLOCK, SHARED_PER_CYCLE])
+def test_correction_gathers_batch_rows_once(sharing, monkeypatch):
+    n, d, m = 24, 12, 3
+    prob = generate_quadratic(7, n=n, d=d, partition=BlockPartition.even(d, m))
+    metric = exact_quadratic_metric(prob)
+    # b = n: the anchor and every refresh use the exact mean, so the only
+    # gathers left are the corrections' size-b' batches
+    cfg = VrccdConfig(cycles=12, eta=0.5, p=0.3, b=n, b_prime=4, x0=np.ones(d), metric=metric,
+                      sample_sharing=sharing)
+    _, reference = vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(3))
+
+    switches = []
+    switch = algorithms.bernoulli_switch
+
+    def recording_switch(rng, p):
+        switches.append(switch(rng, p))
+        return switches[-1]
+
+    monkeypatch.setattr(algorithms, "bernoulli_switch", recording_switch)
+    object.__setattr__(prob, "quad", prob.quad.view(_GatherCounting))
+    _GatherCounting.gathers = 0
+    _, trace = vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(3))
+
+    per_switch = m if sharing == SHARED_PER_CYCLE else 1
+    corrections = per_switch * switches.count(False)
+    assert 0 < corrections < per_switch * len(switches)
+    assert _GatherCounting.gathers == corrections
+    assert trace.obj == reference.obj and trace.step_sq == reference.step_sq

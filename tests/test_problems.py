@@ -7,6 +7,7 @@ from ccdlab.problems import (
     QuadraticFiniteSum,
     estimate_sigma_sq,
     exact_coupling_matrix,
+    exact_metric_scales,
     exact_quadratic_metric,
     generate_classification,
     generate_quadratic,
@@ -212,5 +213,96 @@ def test_streaming_classification_batches():
     g = prob.batch_block_grad(batch, 1, np.zeros(6))
     assert g.shape == (2,)
     assert 0.0 <= prob.batch_value(batch, np.zeros(6)) <= 1.0
-    single = prob.sample_block_grad(np.random.default_rng(6), 0, np.zeros(6))
-    assert single.shape == (2,)
+
+
+# -- the contiguous coupling slab and the paired batch gradients ------------
+
+UNEVEN = [
+    BlockPartition((1, 5, 5, 5)),
+    BlockPartition((2, 3, 5, 7, 11, 36)),
+    BlockPartition((1, 1, 1, 1)),
+    BlockPartition.even(7, 3),
+]
+
+
+def _strided_coupling(prob, j, metric):
+    """The coupling matrix as computed on the strided block-row view: the
+    oracle the contiguous slab must match bit for bit."""
+    cols = prob.partition.block_slice(j)
+    inv = 1.0 / metric.block(j)
+    if prob.identical_components:
+        rows_mat = prob.quad[0, cols]
+        out = rows_mat.T @ (inv[:, None] * rows_mat)
+    else:
+        stacked = prob.quad[:, cols, :]
+        out = np.einsum("nrd,nre->de", stacked * inv[None, :, None], stacked) / prob.n
+    return 0.5 * (out + out.T)
+
+
+def _strided_metric_scales(prob):
+    scales = []
+    for cols in prob.partition.slices:
+        if prob.identical_components:
+            sub = prob.quad[0, cols, cols]
+            msq = sub @ sub
+        else:
+            subs = prob.quad[:, cols, cols]
+            msq = np.einsum("nab,nbc->ac", subs, subs) / prob.n
+        top = float(np.linalg.eigvalsh(msq)[-1])
+        scales.append(max(np.sqrt(max(top, 0.0)) * (1.0 + 1e-12), 1e-12))
+    return np.array(scales)
+
+
+@pytest.mark.parametrize("part", UNEVEN, ids=lambda p: "-".join(map(str, p.block_sizes)))
+@pytest.mark.parametrize("n", [1, 2, 256])
+def test_coupling_matrices_match_the_strided_einsum_bitwise(part, n):
+    d = part.dim
+    for seed, convex, identical in ((3, True, False), (4, False, False), (5, True, True)):
+        prob = generate_quadratic(
+            seed, n=n, d=d, partition=part, convex=convex, identical_curvature=identical
+        )
+        assert np.array_equal(exact_metric_scales(prob), _strided_metric_scales(prob))
+        # a metric that varies within blocks as well as across them
+        entries = np.random.default_rng(seed).uniform(0.5, 4.0, size=d)
+        for metric in (exact_quadratic_metric(prob), DiagonalMetric(entries, part)):
+            for j in range(part.num_blocks):
+                assert np.array_equal(
+                    exact_coupling_matrix(prob, j, metric), _strided_coupling(prob, j, metric)
+                )
+
+
+def _assert_pairs_match(prob, batch, x, old):
+    for j in range(prob.partition.num_blocks):
+        g_x, g_old = prob.batch_block_grad_pair(batch, j, x, old)
+        assert np.array_equal(g_x, prob.batch_block_grad(batch, j, x))
+        assert np.array_equal(g_old, prob.batch_block_grad(batch, j, old))
+
+
+@pytest.mark.parametrize("part", UNEVEN[:2], ids=["1-5-5-5", "2-3-5-7-11-36"])
+def test_paired_batch_gradients_match_two_calls_bitwise(part):
+    d = part.dim
+    rng = np.random.default_rng(17)
+    x, old = rng.standard_normal(d), rng.standard_normal(d)
+    quad = generate_quadratic(19, n=40, d=d, partition=part)
+    sigmoid = generate_classification(23, n=40, d=d, partition=part)
+    for prob in (quad, sigmoid):
+        for size in (1, 16, 40):  # b' < n, and the full batch b = n
+            _assert_pairs_match(prob, prob.draw_batch(rng, size), x, old)
+    for prob in (
+        generate_streaming_quadratic(29, d=d, partition=part),
+        generate_streaming_classification(31, d=d, partition=part),
+    ):
+        for size in (1, 16):
+            _assert_pairs_match(prob, prob.draw_batch(rng, size), x, old)
+
+
+def test_batch_gradient_sum_rounds_as_mean():
+    # the batch kernel divides an add.reduce by the count, which is np.mean
+    prob = generate_quadratic(37, n=64, d=8, partition=PART)
+    rng = np.random.default_rng(41)
+    for size in (1, 3, 16, 63):
+        idx = prob.draw_batch(rng, size)
+        x = rng.standard_normal(8)
+        for j, cols in enumerate(PART.slices):
+            g = prob.quad[idx, cols, :] @ x + prob.lin[idx, cols]
+            assert np.array_equal(prob.batch_block_grad(idx, j, x), g.mean(axis=0))
