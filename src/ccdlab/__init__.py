@@ -5,9 +5,7 @@ from .blocks import (
     MASK_TRAILING,
     BlockPartition,
     DiagonalMetric,
-    masked_quadratic_form,
     materialize_mask,
-    metric_norm_sq,
 )
 from .regularizers import L1, Box, Regularizer, Zero, metric_prox
 from .problems import (
@@ -37,12 +35,10 @@ from .smoothness import (
     SmoothnessProfile,
     StepSizePlan,
     admissible_eta,
-    backtrack_lambda,
     finite_sum_schedule,
     masked_smoothness_constants,
     spectral_norm,
     step_size,
-    streaming_schedule,
 )
 from .algorithms import (
     PccdConfig,

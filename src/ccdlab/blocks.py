@@ -1,4 +1,4 @@
-"""Block partitions, diagonal metrics, and masked quadratic forms.
+"""Block partitions, diagonal metrics, and masked coupling matrices.
 
 Coordinates 0..dim-1 are split into contiguous, ordered blocks. A cut at
 block ``j`` separates the leading blocks 0..j-1 (already updated within a
@@ -129,15 +129,6 @@ class DiagonalMetric:
         return rt
 
 
-def metric_norm_sq(v: np.ndarray, metric: DiagonalMetric, inverted: bool = False) -> float:
-    """Squared diagonal-metric norm: sum_i w_i v_i^2 with w = entries or 1/entries."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (metric.partition.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match dimension {metric.partition.dim}")
-    w = metric.inv_entries if inverted else metric.entries
-    return float(np.dot(w, v * v))
-
-
 def weighted_norm_sq(v: np.ndarray, weights: np.ndarray) -> float:
     """Squared norm of a block vector against explicit positive weights."""
     v = np.asarray(v, dtype=float)
@@ -156,47 +147,18 @@ def symmetrize(Q: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return 0.5 * (Q + Q.T)
 
 
-def _cut(partition: BlockPartition, j: int) -> int:
-    partition.check_block(j)
-    return partition.offsets[j]
-
-
-def masked_quadratic_form(
-    Q: np.ndarray, kind: str, j: int, u: np.ndarray, partition: BlockPartition
-) -> float:
-    """Evaluate u^T M u where M is ``Q`` masked at block ``j``.
-
-    Computed from the surviving sub-block directly, without materializing
-    the masked matrix.
-    """
-    if kind not in MASK_KINDS:
-        raise ValueError(f"mask kind must be one of {MASK_KINDS}, got {kind!r}")
-    Q = symmetrize(Q)
-    u = np.asarray(u, dtype=float)
-    if Q.shape[0] != partition.dim or u.shape != (partition.dim,):
-        raise ValueError("matrix/vector size does not match the partition")
-    cut = _cut(partition, j)
-    if kind == MASK_TRAILING:
-        w = u[cut:]
-        return float(w @ Q[cut:, cut:] @ w)
-    w = u[:cut]
-    if w.size == 0:
-        return 0.0
-    return float(w @ Q[:cut, :cut] @ w)
-
-
 def materialize_mask(
     Q: np.ndarray, kind: str, j: int, partition: BlockPartition
 ) -> np.ndarray:
-    """Dense masked matrix. :func:`ccdlab.smoothness.masked_smoothness_constants`
-    sums these to build the coupling constants, and the tests use it as the
-    oracle for :func:`masked_quadratic_form`."""
+    """Dense copy of ``Q`` masked at block ``j``.
+    :func:`ccdlab.smoothness.masked_smoothness_constants` sums these to build
+    the coupling constants."""
     if kind not in MASK_KINDS:
         raise ValueError(f"mask kind must be one of {MASK_KINDS}, got {kind!r}")
     Q = symmetrize(Q)
     if Q.shape[0] != partition.dim:
         raise ValueError("matrix size does not match the partition")
-    cut = _cut(partition, j)
+    cut = partition.offsets[partition.check_block(j)]
     out = np.zeros_like(Q)
     if kind == MASK_TRAILING:
         out[cut:, cut:] = Q[cut:, cut:]

@@ -219,12 +219,6 @@ def check_vr_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) 
 # --------------------------------------------------------------------------
 
 
-def _noise_terms(p, b, b_prime, n, sigma_sq, eta, cycles):
-    vf = variance_factor(n, b)
-    mid = 2.0 * (1.0 - p) * sigma_sq * vf / (p * cycles) if p > 0 else math.inf
-    return vf, mid
-
-
 def check_vr_rate(
     traces: list[RunTrace],
     eta: float,
@@ -250,7 +244,8 @@ def check_vr_rate(
     cycles = traces[0].cycles
     if any(t.cycles != cycles for t in traces):
         raise ValueError("all traces must share the cycle count")
-    vf, mid_term = _noise_terms(p, b, b_prime, n, sigma_sq, eta, cycles)
+    vf = variance_factor(n, b)
+    mid_term = 2.0 * (1.0 - p) * sigma_sq * vf / (p * cycles) if p > 0 else math.inf
     bound = 4.0 * delta0 / (eta * cycles) + mid_term + 4.0 * sigma_sq * vf
 
     if deterministic:

@@ -5,7 +5,7 @@
     ccdlab sweep <config>  --axis KEY --values v1,v2,... [--seed] [--jobs] [--out-dir]
 
 Exit status: 0 all checks pass, 1 Monte Carlo failure after escalation,
-2 deterministic bound violation, 3 configuration or runtime error.
+2 deterministic bound violation, 3 usage, configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,28 @@ from .harness import run_experiment, sweep
 from .suites import SUITES, run_suite
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as exit status 3; argparse's own 2 would read
+    as a deterministic bound violation."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _jobs(tok: str) -> int:
+    try:
+        jobs = int(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {tok!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _load_config(path: str, seed: int | None):
     text = Path(path).read_text(encoding="utf-8")
     cfg = parse_config(text)
@@ -29,13 +51,13 @@ def _load_config(path: str, seed: int | None):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ccdlab", description=__doc__)
+    parser = _Parser(prog="ccdlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment config")
     run_p.add_argument("config")
     run_p.add_argument("--seed", type=int, default=None, help="override seeds.base")
-    run_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    run_p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     run_p.add_argument("--out-dir", default=".")
 
     check_p = sub.add_parser("check", help="run a built-in verification suite")
@@ -46,10 +68,14 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--axis", required=True)
     sweep_p.add_argument("--values", required=True, help="comma-separated numbers")
     sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sweep_p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     sweep_p.add_argument("--out-dir", default=".")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 3
 
     if args.command == "run":
         try:

@@ -570,17 +570,20 @@ def run_traces(
     jobs: int = 1,
     trace_dir: Path | None = None,
     res: Resolved | None = None,
+    seeds: list[int] | None = None,
 ) -> tuple[Resolved, list[algorithms.RunTrace], list[Path]]:
     """Run every seed, optionally streaming each trace to its CSV file.
 
-    ``res`` is ``resolve(cfg)`` when the caller already has it. The
+    ``res`` is ``resolve(cfg)`` when the caller already has it, and
+    ``seeds`` are the run seeds, ``_seed_list(cfg)`` by default. The
     experiment resolves once: pool workers get the parent's Resolved through
     the pool initializer (inherited under fork, pickled once per worker
     otherwise), never one per seed.
     """
     if res is None:
         res = resolve(cfg)
-    seeds = _seed_list(cfg)
+    if seeds is None:
+        seeds = _seed_list(cfg)
     if trace_dir is None:
         paths = [None] * len(seeds)
     else:
@@ -681,9 +684,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=".", jobs: int = 1) 
     path = out_dir / "sweep.csv"
     lines = ["# ccdlab sweep", f"# axis = {axis}", "axis,value,seed,final_F,final_s,total_work"]
     for r in rows:
-        lines.append(
-            ",".join([r[0], _fmt(r[1] if isinstance(r[1], float) else r[1]), str(r[2]),
-                      _fmt(r[3]), _fmt(r[4]), str(r[5])])
-        )
+        lines.append(",".join([r[0], _fmt(r[1]), str(r[2]), _fmt(r[3]), _fmt(r[4]), str(r[5])]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -1,5 +1,5 @@
 """Smoothness machinery: spectral norms, cycle coupling constants, step-size
-plans, and backtracking calibration of per-block metric scales.
+plans and the finite-sum batch schedule.
 
 Two aggregate constants drive every rate in the toolkit. Both are spectral
 norms of metric-normalized sums of masked coupling matrices:
@@ -26,7 +26,6 @@ from .blocks import (
     materialize_mask,
     symmetrize,
 )
-from .regularizers import Regularizer, Zero, metric_prox
 
 
 def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
@@ -206,7 +205,7 @@ def step_size(
 
 
 # --------------------------------------------------------------------------
-# batch-size / iteration schedules behind the complexity statements
+# batch-size schedule behind the finite-sum complexity statement
 # --------------------------------------------------------------------------
 
 
@@ -217,102 +216,3 @@ def finite_sum_schedule(n: int) -> tuple[int, int, float]:
     b = int(n)
     b_prime = max(1, round(math.sqrt(n)))
     return b, b_prime, b_prime / (b + b_prime)
-
-
-def streaming_schedule(sigma_sq: float, epsilon: float, n=None) -> tuple[int, int, float]:
-    """(b, b', p) for the streaming/infinite-sum target accuracy epsilon:
-    b = ceil(12 sigma^2 / epsilon^2) capped at n when finite."""
-    if epsilon <= 0 or sigma_sq < 0:
-        raise ValueError("need epsilon > 0 and sigma_sq >= 0")
-    b = max(1, math.ceil(12.0 * sigma_sq / epsilon**2))
-    if n is not None and n != math.inf:
-        b = min(b, int(n))
-    b_prime = max(1, round(math.sqrt(b)))
-    return b, b_prime, b_prime / (b + b_prime)
-
-
-def rate_iterations(delta0: float, epsilon: float, eta: float) -> int:
-    """Cycles targeting mean squared stationarity <= epsilon^2 (finite sum)."""
-    return max(1, math.ceil(4.0 * delta0 / (epsilon**2 * eta)))
-
-
-def pl_iterations(delta0: float, epsilon: float, eta: float, mu: float) -> int:
-    """Cycles targeting an expected optimality gap <= epsilon under the
-    gradient-dominance condition (finite sum)."""
-    if delta0 <= epsilon:
-        return 1
-    return max(1, math.ceil((1.0 + 2.0 / (eta * mu)) * math.log(delta0 / epsilon)))
-
-
-# --------------------------------------------------------------------------
-# backtracking calibration
-# --------------------------------------------------------------------------
-
-_BACKTRACK_SLACK = 1e-12
-
-
-def block_descent_holds(prob, j: int, x: np.ndarray, step: np.ndarray, scale: float) -> bool:
-    """Does the quadratic upper model with per-block scale hold for this step?
-
-    Checks f(x + step on block j) <= f(x) + <g_j, step> + (scale/2)||step||^2
-    with a relative slack of 1e-12 for float noise.
-    """
-    cols = prob.partition.block_slice(j)
-    trial = np.array(x, dtype=float)
-    trial[cols] = trial[cols] + step
-    lhs = prob.value(trial)
-    base = prob.value(x)
-    g = prob.block_grad(j, x)
-    rhs = base + float(g @ step) + 0.5 * scale * float(step @ step)
-    return lhs <= rhs + _BACKTRACK_SLACK * max(1.0, abs(rhs))
-
-
-def backtrack_lambda(
-    prob,
-    j: int,
-    x: np.ndarray,
-    direction_probe_count: int = 0,
-    growth: float = 2.0,
-    init: float = 1.0,
-    reg: Regularizer | None = None,
-    rng: np.random.Generator | None = None,
-    max_growths: int = 200,
-) -> float:
-    """Standalone calibration of one block's metric scale at a point.
-
-    The candidate step is the prox step the scale itself induces. When that
-    step vanishes (stationary block) and ``direction_probe_count`` > 0,
-    random probe directions at the natural step length 1/sqrt(scale) are
-    tested instead. Deterministic for a fixed rng seed; repeated calls at
-    the same point return the same multiplier.
-    """
-    if growth <= 1.0:
-        raise ValueError(f"growth factor must exceed 1, got {growth}")
-    if init <= 0:
-        raise ValueError("init must be positive")
-    reg = reg if reg is not None else Zero()
-    cols = prob.partition.block_slice(j)
-    center = np.array(x[cols], dtype=float)
-    g = prob.block_grad(j, x)
-    dj = center.shape[0]
-    probe_dirs = []
-    if direction_probe_count > 0:
-        prng = rng if rng is not None else np.random.default_rng(0)
-        for _ in range(direction_probe_count):
-            v = prng.standard_normal(dj)
-            probe_dirs.append(v / np.linalg.norm(v))
-
-    scale = float(init)
-    for _ in range(max_growths + 1):
-        lam = np.full(dj, scale)
-        z = metric_prox(reg, j, center, g, 1.0, lam)
-        steps = [z - center]
-        if float(np.linalg.norm(steps[0])) == 0.0 and probe_dirs:
-            steps = [v / math.sqrt(scale) for v in probe_dirs]
-        if all(block_descent_holds(prob, j, x, s, scale) for s in steps):
-            return scale
-        scale *= growth
-    raise RuntimeError(
-        f"backtracking exceeded {max_growths} growth steps on block {j}; "
-        "the objective looks non-smooth at this point"
-    )

@@ -1,21 +1,25 @@
 """Built-in verification suites, one per acceptance criterion.
 
-Each suite builds its own seeded instances, runs the relevant optimizer(s),
-evaluates the bound checks at their stated tolerances, and returns a
-SuiteResult with one human-readable line per sub-verdict. The CLI ``check``
-subcommand and the acceptance test module both run these functions, so the
-gate has a single implementation.
+The seven optimizer suites take the ``ccdlab run`` path: each instance is
+an ``ExperimentConfig`` that ``harness.resolve`` builds, ``run_traces``
+runs and ``run_checks`` checks. A suite owns only its choice of runs: the
+instance seeds, run seeds, start-point rule ``_x0`` and cycle counts. The
+batch-variance, equivalence and gradient/prox suites, and the one-cycle
+exact solve, call the library directly, as oracles for the pieces the
+harness is built from. The CLI ``check`` subcommand and the acceptance
+tests both run these functions, so the gate has a single implementation.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checks, problems, sampling, smoothness
+from . import checks, harness, problems, sampling
 from .algorithms import (
     FRESH_PER_BLOCK,
     PccdConfig,
@@ -29,9 +33,11 @@ from .algorithms import (
     vrccd_run,
 )
 from .blocks import BlockPartition, DiagonalMetric
+from .config import AlgorithmSpec, DiagSpec, ExperimentConfig, ProblemSpec, SeedSpec
 from .regularizers import L1, Box, Zero, metric_prox
 from .sampling import RngBundle
-from .smoothness import SmoothnessProfile, step_size
+
+_JOBS = os.cpu_count() or 1
 
 
 @dataclass
@@ -42,17 +48,28 @@ class SuiteResult:
     elapsed_s: float = 0.0
 
 
-def _quad_profile(prob):
-    metric = problems.exact_quadratic_metric(prob)
-    q_list = problems.exact_coupling_matrices(prob, metric)
-    return metric, SmoothnessProfile.from_coupling_matrices(metric, q_list)
-
-
 def _x0(prob, seed, reg=None):
     x0 = np.random.default_rng(seed ^ 0xA5A5).standard_normal(prob.dim)
     if isinstance(reg, Box):
         x0 = np.clip(x0, reg.lo, reg.hi)
     return x0
+
+
+def _check(seed, problem, algorithm, checked, seeds=None, record_u=False, **fields):
+    """(res, traces, reports) of suite instance ``seed`` (``seeds.base``)
+    through the harness: resolved, started at the suite's point ``_x0``
+    with ``fields`` replaced on the result, run on ``seeds`` (the harness's
+    seed list by default) and checked."""
+    cfg = ExperimentConfig(
+        problem=problem,
+        algorithm=algorithm,
+        seeds=SeedSpec(base=seed),
+        diagnostics=DiagSpec(record_u=record_u, checks=checked),
+    )
+    res = harness.resolve(cfg)
+    res = replace(res, x0=_x0(res.prob, seed, res.reg), **fields)
+    _, traces, _ = harness.run_traces(cfg, jobs=_JOBS, res=res, seeds=seeds)
+    return res, traces, harness.run_checks(res, traces)
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +78,6 @@ def _x0(prob, seed, reg=None):
 
 
 def suite_batch_variance_identity() -> SuiteResult:
-    t0 = time.perf_counter()
     worst = 0.0
     comparisons = 0
     ok = True
@@ -86,11 +102,10 @@ def suite_batch_variance_identity() -> SuiteResult:
                 comparisons += 1
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
                 ok = ok and rep.passed
-    elapsed = time.perf_counter() - t0
     lines = [
         f"instances=50 comparisons={comparisons} max_rel_err={worst:.3e} (tol 1e-10)",
     ]
-    return SuiteResult("batch-variance-identity", ok, lines, elapsed)
+    return SuiteResult("batch-variance-identity", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +114,6 @@ def suite_batch_variance_identity() -> SuiteResult:
 
 
 def suite_cyclic_descent() -> SuiteResult:
-    t0 = time.perf_counter()
     ok = True
     worst = math.inf
     kinds = ("convex", "boxed", "sigmoid")
@@ -110,27 +124,18 @@ def suite_cyclic_descent() -> SuiteResult:
         d = d_choices[idx % 4]
         m_raw = m_choices[idx % 4]
         m = d if m_raw is None else min(m_raw, d)
-        part = BlockPartition.even(d, m)
-        seed = 2000 + idx
         if kind == "sigmoid":
-            prob = problems.generate_classification(seed, n=16, d=d, partition=part)
-            reg = Zero()
-            cfg = PccdConfig(cycles=25, x0=_x0(prob, seed), backtracking=True)
+            # the default pccd metric on the sigmoid family is backtracking
+            problem = ProblemSpec(family="sigmoid", n=16, d=d, m=m)
         else:
             convex = kind == "convex"
-            prob = problems.generate_quadratic(
-                seed, n=6, d=d, partition=part, condition_number=6.0, convex=convex
-            )
-            reg = Zero() if convex else Box(-2.0, 2.0)
-            metric = problems.exact_quadratic_metric(prob)
-            cfg = PccdConfig(cycles=25, x0=_x0(prob, seed, reg), metric=metric)
-        _, trace = pccd_run(prob, reg, cfg)
-        rep = checks.check_cyclic_descent(trace)
+            reg = ("zero",) if convex else ("box", -2.0, 2.0)
+            problem = ProblemSpec(n=6, d=d, m=m, condition_number=6.0, convex=convex, reg=reg)
+        _, _, (rep,) = _check(2000 + idx, problem, AlgorithmSpec(cycles=25), ("cyclic-descent",))
         ok = ok and rep.passed
         worst = min(worst, rep.worst.slack)
-    elapsed = time.perf_counter() - t0
     lines = [f"instances=100 cycles=25 each, min slack={worst:.3e} (tol 1e-9 rel)"]
-    return SuiteResult("cyclic-descent", ok, lines, elapsed)
+    return SuiteResult("cyclic-descent", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -139,31 +144,15 @@ def suite_cyclic_descent() -> SuiteResult:
 
 
 def suite_stationarity_rate() -> SuiteResult:
-    t0 = time.perf_counter()
     ok = True
+    problem = ProblemSpec(n=4, d=16, m=4, condition_number=3.0, reg=("l1", 0.1))
+    # the harness takes delta0 from its machine-precision reference solve
+    checked = ("stationarity-rate", "grad-vs-step", "step-telescope")
     for idx in range(100):
-        seed = 3000 + idx
-        part = BlockPartition.even(16, 4)
-        prob = problems.generate_quadratic(
-            seed, n=4, d=16, partition=part, condition_number=3.0, convex=True
-        )
-        metric, profile = _quad_profile(prob)
-        reg = L1(0.1)
-        x0 = _x0(prob, seed)
-        # machine-precision reference minimum for the regularized objective
-        _, ref = pccd_run(
-            prob, reg, PccdConfig(cycles=30_000, x0=x0, metric=metric, stop_step_sq=1e-28)
-        )
-        f_star = min(ref.obj)
-        _, trace = pccd_run(prob, reg, PccdConfig(cycles=500, x0=x0, metric=metric))
-        delta0 = trace.obj[0] - f_star
-        rep = checks.check_min_stationarity_rate(trace, profile.lip_trailing, delta0)
-        rep2 = checks.check_grad_vs_step(trace, profile.lip_trailing)
-        rep3 = checks.check_step_telescope(trace, delta0)
-        ok = ok and rep.passed and rep2.passed and rep3.passed
-    elapsed = time.perf_counter() - t0
+        _, _, reports = _check(3000 + idx, problem, AlgorithmSpec(cycles=500), checked)
+        ok = ok and all(rep.passed for rep in reports)
     lines = ["instances=100, prefixes K=1..500 plus per-cycle gradient/telescope bounds"]
-    return SuiteResult("stationarity-rate", ok, lines, elapsed)
+    return SuiteResult("stationarity-rate", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -172,20 +161,10 @@ def suite_stationarity_rate() -> SuiteResult:
 
 
 def suite_pl_linear_rate() -> SuiteResult:
-    t0 = time.perf_counter()
     ok = True
+    problem = ProblemSpec(n=6, d=16, m=4, condition_number=10.0)
     for idx in range(100):
-        seed = 4000 + idx
-        part = BlockPartition.even(16, 4)
-        prob = problems.generate_quadratic(
-            seed, n=6, d=16, partition=part, condition_number=10.0, convex=True
-        )
-        metric, profile = _quad_profile(prob)
-        mu = problems.pl_constant(prob, metric)
-        x0 = _x0(prob, seed)
-        _, trace = pccd_run(prob, Zero(), PccdConfig(cycles=60, x0=x0, metric=metric))
-        gaps = np.array([v - prob.f_star for v in trace.obj])
-        rep = checks.check_pl_envelope(gaps, profile.lip_trailing, mu)
+        _, _, (rep,) = _check(4000 + idx, problem, AlgorithmSpec(cycles=60), ("pl-envelope",))
         ok = ok and rep.passed
 
     # one-cycle exact solve: identity curvature, one block per coordinate
@@ -198,12 +177,11 @@ def suite_pl_linear_rate() -> SuiteResult:
     x_out, _ = pccd_run(prob, Zero(), PccdConfig(cycles=1, x0=_x0(prob, 41), metric=metric))
     one_cycle_gap = prob.gap(x_out)
     ok = ok and one_cycle_gap <= 1e-20
-    elapsed = time.perf_counter() - t0
     lines = [
         "instances=100, geometric envelope at every cycle (K=60)",
         f"one-cycle exact solve gap={one_cycle_gap:.3e} (tol 1e-20)",
     ]
-    return SuiteResult("pl-linear-rate", ok, lines, elapsed)
+    return SuiteResult("pl-linear-rate", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -212,38 +190,23 @@ def suite_pl_linear_rate() -> SuiteResult:
 
 
 def suite_vr_pathwise() -> SuiteResult:
-    t0 = time.perf_counter()
     ok = True
     worst = math.inf
+    algorithm = AlgorithmSpec(
+        name="vrccd", cycles=200, p=0.3, b=16, bprime=4, sample_sharing=FRESH_PER_BLOCK
+    )
+    checked = ("vr-descent", "vr-grad-vs-step")
     for idx in range(50):
         seed = 5000 + idx
-        part = BlockPartition.even(16, 4)
         convex = idx % 2 == 0
-        prob = problems.generate_quadratic(
-            seed, n=32, d=16, partition=part, condition_number=5.0, convex=convex
-        )
-        reg = L1(0.05) if convex else Box(-2.0, 2.0)
-        metric, profile = _quad_profile(prob)
-        plan = step_size(profile, p=0.3, b=16, b_prime=4, n=prob.n)
-        cfg = VrccdConfig(
-            cycles=200,
-            eta=plan.eta,
-            p=0.3,
-            b=16,
-            b_prime=4,
-            x0=_x0(prob, seed, reg),
-            metric=metric,
-            sample_sharing=FRESH_PER_BLOCK,
-            record_u=True,
-        )
-        _, trace = vrccd_run(prob, reg, cfg, RngBundle.from_seed(seed))
-        rep_descent = checks.check_vr_descent(trace, plan.eta)
-        rep_grad = checks.check_vr_grad_vs_step(trace, profile.lip_trailing)
-        ok = ok and rep_descent.passed and rep_grad.passed
-        worst = min(worst, rep_descent.worst.slack, rep_grad.worst.slack)
-    elapsed = time.perf_counter() - t0
+        reg = ("l1", 0.05) if convex else ("box", -2.0, 2.0)
+        problem = ProblemSpec(n=32, d=16, m=4, condition_number=5.0, convex=convex, reg=reg)
+        _, _, reports = _check(seed, problem, algorithm, checked, [seed], record_u=True)
+        for rep in reports:
+            ok = ok and rep.passed
+            worst = min(worst, rep.worst.slack)
     lines = [f"instances=50 x 200 cycles, both pathwise bounds, min slack={worst:.3e}"]
-    return SuiteResult("vr-pathwise", ok, lines, elapsed)
+    return SuiteResult("vr-pathwise", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -252,49 +215,26 @@ def suite_vr_pathwise() -> SuiteResult:
 
 
 def suite_vr_rate() -> SuiteResult:
-    t0 = time.perf_counter()
-    part = BlockPartition.even(64, 4)
-    prob = problems.generate_quadratic(
-        6100, n=256, d=64, partition=part, condition_number=10.0, convex=True
-    )
-    metric, profile = _quad_profile(prob)
-    b, b_prime, p = smoothness.finite_sum_schedule(prob.n)
-    plan = step_size(profile, p=p, b=b, b_prime=b_prime, n=prob.n)
-    x0 = _x0(prob, 6100)
-    delta0 = prob.value(x0) - prob.f_star
+    # b = n under the finite-sum schedule, so both variance terms vanish
+    problem = ProblemSpec(n=256, d=64, m=4, condition_number=10.0)
+    seeds = [61_000 + s for s in range(100)]
     ok = True
     lines = []
     for cycles in (10, 100, 1000):
-        traces = []
-        for s in range(100):
-            cfg = VrccdConfig(
-                cycles=cycles,
-                eta=plan.eta,
-                p=p,
-                b=b,
-                b_prime=b_prime,
-                x0=x0,
-                metric=metric,
-            )
-            _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(61_000 + s))
-            traces.append(trace)
-        rep = checks.check_vr_rate(
-            traces, plan.eta, p, b, b_prime, prob.n, sigma_sq=0.0, delta0=delta0
-        )
+        algorithm = AlgorithmSpec(name="vrccd", cycles=cycles, schedule="finite_sum")
+        res, _, (rep,) = _check(6100, problem, algorithm, ("vr-rate",), seeds)
         ok = ok and rep.passed
         row = rep.rows[0]
         note = ""
         if cycles == 100:
             # the schedule's accuracy target: K = 4*delta0/(eps^2 eta) cycles
             # drive the mean below eps^2, which is exactly this bound value
-            eps_sq = 4.0 * delta0 / (plan.eta * cycles)
+            delta0 = res.prob.value(res.x0) - res.prob.f_star
+            eps_sq = 4.0 * delta0 / (res.eta * cycles)
             note = f" (meets target eps^2={eps_sq:.4g})"
-        lines.append(
-            f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}"
-        )
-    elapsed = time.perf_counter() - t0
-    lines.insert(0, f"n=256 d=64 schedule b={b} b'={b_prime} p={p:.4g} eta={plan.eta:.4g}, 100 seeds")
-    return SuiteResult("vr-rate", ok, lines, elapsed)
+        lines.append(f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}")
+    head = f"n=256 d=64 schedule b={res.b} b'={res.b_prime} p={res.p:.4g} eta={res.eta:.4g}"
+    return SuiteResult("vr-rate", ok, [head + ", 100 seeds"] + lines)
 
 
 # --------------------------------------------------------------------------
@@ -303,69 +243,36 @@ def suite_vr_rate() -> SuiteResult:
 
 
 def suite_vr_potential() -> SuiteResult:
-    t0 = time.perf_counter()
+    checked = ("vr-potential",)
     ok = True
     lines = []
 
     # exact-anchor specialization: b = b' = n makes the noise term vanish and
-    # the inequality must hold pathwise
-    part = BlockPartition.even(12, 3)
-    prob = problems.generate_quadratic(
-        7100, n=24, d=12, partition=part, condition_number=5.0, convex=True
-    )
-    metric, profile = _quad_profile(prob)
-    p = 0.4
-    plan = step_size(profile, p=p, b=prob.n, b_prime=prob.n, n=prob.n)
-    traces = []
-    for s in range(5):
-        cfg = VrccdConfig(
-            cycles=100,
-            eta=plan.eta,
-            p=p,
-            b=prob.n,
-            b_prime=prob.n,
-            x0=_x0(prob, 7100),
-            metric=metric,
-            record_u=True,
-        )
-        _, trace = vrccd_run(prob, L1(0.05), cfg, RngBundle.from_seed(71_000 + s))
-        traces.append(trace)
+    # the harness asserts the inequality pathwise
+    problem = ProblemSpec(n=24, d=12, m=3, condition_number=5.0, reg=("l1", 0.05))
+    algorithm = AlgorithmSpec(name="vrccd", cycles=100, p=0.4, b=24, bprime=24)
+    seeds = [71_000 + s for s in range(5)]
+    _, traces, (rep_path,) = _check(7100, problem, algorithm, checked, seeds, record_u=True)
+    for trace in traces:
         assert max(v for v in trace.est_err_sq if v is not None) <= 1e-20
-    rep_path = checks.check_vr_potential(
-        traces, plan.eta, p, prob.n, prob.n, prob.n, profile.lip_trailing, 0.0, pathwise=True
-    )
     ok = ok and rep_path.passed
     lines.append(f"exact-anchor pathwise: 5 seeds x 100 cycles, worst slack={rep_path.worst.slack:.3e}")
 
-    # generic parameters: seed-mean within the one-sided 99% allowance
-    part = BlockPartition.even(16, 4)
-    prob = problems.generate_quadratic(
-        7200, n=64, d=16, partition=part, condition_number=8.0, convex=True,
-        identical_curvature=True,
+    # generic parameters: seed-mean within the one-sided 99% allowance; the
+    # components share one curvature, so sigma^2 at the start point is exact
+    problem = ProblemSpec(
+        n=64, d=16, m=4, condition_number=8.0, identical_curvature=True, reg=("l1", 0.05)
     )
-    metric, profile = _quad_profile(prob)
     p, b, b_prime = 0.2, 32, 8
-    plan = step_size(profile, p=p, b=b, b_prime=b_prime, n=prob.n)
-    x0 = _x0(prob, 7200)
-    sigma_sq = problems.estimate_sigma_sq(prob, metric, [x0])  # exact: shared curvature
-    traces = []
-    for s in range(200):
-        cfg = VrccdConfig(
-            cycles=120, eta=plan.eta, p=p, b=b, b_prime=b_prime, x0=x0, metric=metric,
-            record_u=True,
-        )
-        _, trace = vrccd_run(prob, L1(0.05), cfg, RngBundle.from_seed(72_000 + s))
-        traces.append(trace)
-    rep_mc = checks.check_vr_potential(
-        traces, plan.eta, p, b, b_prime, prob.n, profile.lip_trailing, sigma_sq
-    )
+    algorithm = AlgorithmSpec(name="vrccd", cycles=120, p=p, b=b, bprime=b_prime)
+    seeds = [72_000 + s for s in range(200)]
+    _, _, (rep_mc,) = _check(7200, problem, algorithm, checked, seeds, record_u=True)
     ok = ok and rep_mc.passed
     lines.append(
         f"generic (p={p}, b={b}, b'={b_prime}): 200 seeds x 120 cycles, "
         f"worst mean-vs-allowance slack={rep_mc.worst.slack:.3e}"
     )
-    elapsed = time.perf_counter() - t0
-    return SuiteResult("vr-potential", ok, lines, elapsed)
+    return SuiteResult("vr-potential", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -374,36 +281,27 @@ def suite_vr_potential() -> SuiteResult:
 
 
 def suite_work_accounting() -> SuiteResult:
-    t0 = time.perf_counter()
-    part = BlockPartition.even(8, 4)
-    prob = problems.generate_quadratic(
-        8100, n=64, d=8, partition=part, condition_number=4.0, convex=True
-    )
-    metric, profile = _quad_profile(prob)
-    reg = Box(-2.0, 2.0)
+    problem = ProblemSpec(n=64, d=8, m=4, condition_number=4.0, reg=("box", -2.0, 2.0))
     b, b_prime = 64, 8
+    checked = ("work-accounting",)
     ok = True
     lines = []
-
-    for label, p, cycles, eta in (
-        ("p=1 (exact)", 1.0, 2000, step_size(profile, 1.0, b, b_prime, prob.n).eta),
-        ("p=0 (exact)", 0.0, 2000, 0.01),
-        ("generic", b_prime / (b + b_prime), 10_000, None),
+    for label, p, cycles in (
+        ("p=1 (exact)", 1.0, 2000),
+        ("p=0 (exact)", 0.0, 2000),
+        ("generic", b_prime / (b + b_prime), 10_000),
     ):
-        if eta is None:
-            eta = step_size(profile, b_prime / (b + b_prime), b, b_prime, prob.n).eta
-        cfg = VrccdConfig(
-            cycles=cycles, eta=eta, p=p, b=b, b_prime=b_prime,
-            x0=_x0(prob, 8100, reg), metric=metric,
-        )
-        _, trace = vrccd_run(prob, reg, cfg, RngBundle.from_seed(81_000 + int(p * 100)))
-        rep = checks.check_work_accounting([trace], p, b, b_prime, prob.dim)
+        # a config keeps p in (0, 1]: the p = 0 run resolves at p = 1, then
+        # takes p = 0 and a fixed step on the resolved run
+        fields = {"p": 0.0, "eta": 0.01} if p == 0.0 else {}
+        algorithm = AlgorithmSpec(name="vrccd", cycles=cycles, p=p or 1.0, b=b, bprime=b_prime)
+        seeds = [81_000 + int(p * 100)]
+        res, (trace,), (rep,) = _check(8100, problem, algorithm, checked, seeds, **fields)
         ok = ok and rep.passed
-        target = (p * b + (1 - p) * b_prime) * prob.dim
+        target = (p * b + (1 - p) * b_prime) * res.prob.dim
         mean = float(trace.work_increments().mean())
         lines.append(f"{label}: mean per-cycle work {mean:.4f} vs target {target:.4f} over {cycles} cycles")
-    elapsed = time.perf_counter() - t0
-    return SuiteResult("work-accounting", ok, lines, elapsed)
+    return SuiteResult("work-accounting", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +319,6 @@ def _same_trajectories(tr_a, tr_b) -> bool:
 
 
 def suite_equivalences() -> SuiteResult:
-    t0 = time.perf_counter()
     lines = []
     ok = True
 
@@ -489,8 +386,7 @@ def suite_equivalences() -> SuiteResult:
     ok = ok and same
     lines.append(f"p=1, b=n recursive baseline == proximal gradient: {'bitwise equal' if same else 'MISMATCH'}")
 
-    elapsed = time.perf_counter() - t0
-    return SuiteResult("equivalences", ok, lines, elapsed)
+    return SuiteResult("equivalences", ok, lines)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +406,6 @@ def _central_diff_block(value_fn, x, cols, h=1e-6):
 
 
 def suite_gradient_prox_oracles() -> SuiteResult:
-    t0 = time.perf_counter()
     ok = True
     lines = []
 
@@ -581,8 +476,7 @@ def suite_gradient_prox_oracles() -> SuiteResult:
     ok = ok and worst_prox <= 1e-5
     lines.append(f"1000 scalar prox grid searches, worst err={worst_prox:.3e} (tol 1e-5)")
 
-    elapsed = time.perf_counter() - t0
-    return SuiteResult("gradient-prox-oracles", ok, lines, elapsed)
+    return SuiteResult("gradient-prox-oracles", ok, lines)
 
 
 SUITES = {
@@ -616,4 +510,7 @@ SUITE_BUDGETS = {
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name]()
+    t0 = time.perf_counter()
+    result = SUITES[name]()
+    result.elapsed_s = time.perf_counter() - t0
+    return result

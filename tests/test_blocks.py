@@ -8,9 +8,7 @@ from ccdlab.blocks import (
     MASK_TRAILING,
     BlockPartition,
     DiagonalMetric,
-    masked_quadratic_form,
     materialize_mask,
-    metric_norm_sq,
     symmetrize,
 )
 
@@ -48,52 +46,17 @@ def test_metric_validation():
     assert np.array_equal(metric.block(1), [5.0])
 
 
-def test_metric_norm_examples():
-    part = BlockPartition((2,))
-    metric = DiagonalMetric(np.array([2.0, 3.0]), part)
-    # zero vector
-    assert metric_norm_sq(np.zeros(2), metric) == 0.0
-    # identity reduces to the squared euclidean norm
-    ident = DiagonalMetric.identity(part)
-    v = np.array([1.5, -2.0])
-    assert metric_norm_sq(v, ident) == pytest.approx(float(v @ v), rel=1e-15)
-    # hand evaluation: diag(2,3) on (1,1)
-    ones = np.ones(2)
-    assert metric_norm_sq(ones, metric) == pytest.approx(5.0, rel=1e-15)
-    assert metric_norm_sq(ones, metric, inverted=True) == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
-    # brute force v^T diag v
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(2)
-    assert metric_norm_sq(w, metric) == pytest.approx(float(w @ np.diag([2.0, 3.0]) @ w), rel=1e-14)
-    with pytest.raises(ValueError):
-        metric_norm_sq(np.zeros(3), metric)
-
-
-@given(st.floats(-1e3, 1e3), st.integers(0, 2**31 - 1))
-@settings(max_examples=50, deadline=None)
-def test_metric_norm_homogeneity_and_sqrt_identity(scale, seed):
-    rng = np.random.default_rng(seed)
-    part = BlockPartition((3, 2))
-    metric = DiagonalMetric(rng.uniform(0.1, 5.0, size=5), part)
-    v = rng.standard_normal(5)
-    base = metric_norm_sq(v, metric)
-    assert base >= 0.0
-    assert metric_norm_sq(scale * v, metric) == pytest.approx(scale**2 * base, rel=1e-12, abs=1e-12)
-    # ||v||^2_w == ||sqrt(w) v||^2 exactly in exact arithmetic
-    rooted = metric.sqrt_entries * v
-    assert base == pytest.approx(float(rooted @ rooted), rel=1e-12)
-
-
 def test_mask_trivial_cases():
     part = BlockPartition((1, 1, 1))
     Q = np.ones((3, 3))
-    u = np.ones(3)
     # leading mask at the first cut keeps nothing
-    assert masked_quadratic_form(Q, MASK_LEADING, 0, u, part) == 0.0
+    assert np.all(materialize_mask(Q, MASK_LEADING, 0, part) == 0.0)
     # trailing mask at the first cut keeps everything
-    assert masked_quadratic_form(Q, MASK_TRAILING, 0, u, part) == pytest.approx(9.0)
+    assert np.array_equal(materialize_mask(Q, MASK_TRAILING, 0, part), Q)
     # zeroing the first singleton block leaves a 2x2 block of ones
-    assert masked_quadratic_form(Q, MASK_TRAILING, 1, u, part) == pytest.approx(4.0)
+    want = np.zeros((3, 3))
+    want[1:, 1:] = 1.0
+    assert np.array_equal(materialize_mask(Q, MASK_TRAILING, 1, part), want)
 
 
 def test_materialize_matches_and_bounds():
@@ -105,22 +68,7 @@ def test_materialize_matches_and_bounds():
     with pytest.raises(IndexError):
         materialize_mask(Q, MASK_LEADING, 2, part)
     with pytest.raises(ValueError):
-        masked_quadratic_form(Q, "diagonal", 0, np.zeros(4), part)
-
-
-def test_masked_form_agrees_with_materialized_oracle():
-    rng = np.random.default_rng(42)
-    part = BlockPartition((2, 3, 1, 2))
-    Q = rng.standard_normal((8, 8))
-    Q = 0.5 * (Q + Q.T)
-    for kind in (MASK_TRAILING, MASK_LEADING):
-        for j in range(part.num_blocks):
-            dense = materialize_mask(Q, kind, j, part)
-            for _ in range(100):
-                u = rng.standard_normal(8)
-                fast = masked_quadratic_form(Q, kind, j, u, part)
-                slow = float(u @ dense @ u)
-                assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+        materialize_mask(Q, "diagonal", 0, part)
 
 
 @given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=5))
@@ -136,8 +84,8 @@ def test_mask_reconstruction_identity(seed, sizes):
     full = float(u @ Q @ u)
     for j in range(part.num_blocks):
         cut = part.offsets[j]
-        trailing = masked_quadratic_form(Q, MASK_TRAILING, j, u, part)
-        leading = masked_quadratic_form(Q, MASK_LEADING, j, u, part)
+        trailing = float(u @ materialize_mask(Q, MASK_TRAILING, j, part) @ u)
+        leading = float(u @ materialize_mask(Q, MASK_LEADING, j, part) @ u)
         cross = float(u[:cut] @ Q[:cut, cut:] @ u[cut:])
         assert trailing + leading + 2 * cross == pytest.approx(full, rel=1e-12, abs=1e-12)
 
@@ -150,4 +98,4 @@ def test_symmetry_policy():
     assert out[0, 1] == out[1, 0]
     badly = np.array([[1.0, 2.0], [2.5, 3.0]])
     with pytest.raises(ValueError):
-        masked_quadratic_form(badly, MASK_TRAILING, 0, np.ones(2), part)
+        materialize_mask(badly, MASK_TRAILING, 0, part)

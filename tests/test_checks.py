@@ -27,7 +27,7 @@ from ccdlab.problems import (
 )
 from ccdlab.regularizers import L1, Zero
 from ccdlab.sampling import RngBundle
-from ccdlab.smoothness import MODE_PL, SmoothnessProfile, rate_iterations, step_size
+from ccdlab.smoothness import MODE_PL, SmoothnessProfile, step_size
 
 
 def _setup(seed=211, n=16, d=8, m=4, cond=5.0, identical=False):
@@ -93,7 +93,7 @@ def test_vr_rate_deterministic_full_batch():
     assert rep.passed and rep.kind == "hard"
     # the schedule target: K = ceil(4 delta0 / (eps^2 eta)) drives the bound to eps^2
     eps = 0.5
-    K = rate_iterations(delta0, eps, plan.eta)
+    K = max(1, math.ceil(4.0 * delta0 / (eps**2 * plan.eta)))
     assert 4.0 * delta0 / (plan.eta * K) <= eps**2 * (1 + 1e-12)
 
 

@@ -270,6 +270,24 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "nosuch"], "invalid choice: 'nosuch'"),
+        (["run"], "the following arguments are required: config"),
+        (["run", "exp.cfg", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+        (["sweep", "exp.cfg", "--axis", "algorithm.K", "--values", "1", "--jobs", "-2"],
+         "argument --jobs: must be >= 1, got -2"),
+    ],
+)
+def test_cli_usage_errors_exit_3(argv, message, capsys):
+    # argparse's own exit 2 would read as a deterministic bound violation
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_seed_override_changes_instance(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(VR_CHECKED)

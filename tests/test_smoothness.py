@@ -6,20 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdlab.blocks import BlockPartition, DiagonalMetric
-from ccdlab.problems import QuadraticFiniteSum, generate_classification
-from ccdlab.regularizers import Zero
 from ccdlab.smoothness import (
     MODE_PL,
     SmoothnessProfile,
     admissible_eta,
-    backtrack_lambda,
     finite_sum_schedule,
     masked_smoothness_constants,
-    pl_iterations,
-    rate_iterations,
     spectral_norm,
     step_size,
-    streaming_schedule,
 )
 
 
@@ -122,62 +116,5 @@ def test_step_size_validation():
     assert plan.c0 == pytest.approx(want, rel=1e-12)
 
 
-def test_schedules_and_iteration_counts():
+def test_finite_sum_schedule():
     assert finite_sum_schedule(16) == (16, 4, pytest.approx(0.2))
-    b, bp, p = streaming_schedule(sigma_sq=3.0, epsilon=0.5, n=None)
-    assert b == math.ceil(12 * 3.0 / 0.25)
-    assert bp == max(1, round(math.sqrt(b)))
-    b_capped, _, _ = streaming_schedule(sigma_sq=100.0, epsilon=0.1, n=64)
-    assert b_capped == 64
-    assert rate_iterations(delta0=2.0, epsilon=0.5, eta=0.4) == math.ceil(8.0 / 0.1)
-    assert pl_iterations(delta0=8.0, epsilon=1.0, eta=0.5, mu=0.25) == math.ceil(
-        (1 + 2 / 0.125) * math.log(8.0)
-    )
-    assert pl_iterations(delta0=0.5, epsilon=1.0, eta=0.5, mu=0.25) == 1
-
-
-def _scalar_quadratic(curvature, d=4):
-    part = BlockPartition((d,))
-    quad = (curvature * np.eye(d))[None, :, :]
-    return QuadraticFiniteSum(quad, np.zeros((1, d)), np.zeros(1), part)
-
-
-def test_backtracking_brackets_quadratic_curvature():
-    prob = _scalar_quadratic(5.0)
-    x = np.ones(4)
-    scale = backtrack_lambda(prob, 0, x, init=1.0, growth=2.0)
-    assert 5.0 <= scale < 10.0
-    # doubling the curvature at least doubles the accepted multiplier
-    scale2 = backtrack_lambda(_scalar_quadratic(10.0), 0, x, init=1.0, growth=2.0)
-    assert scale2 >= 2 * scale / 2  # same bracket shifted one growth step up
-    assert scale2 >= scale
-
-
-def test_backtracking_linear_and_idempotent():
-    part = BlockPartition((3,))
-    lin_prob = QuadraticFiniteSum(
-        np.zeros((1, 3, 3)), np.array([[1.0, -2.0, 0.5]]), np.zeros(1), part
-    )
-    assert backtrack_lambda(lin_prob, 0, np.zeros(3), init=1.0) == 1.0
-    sig = generate_classification(83, n=8, d=6, partition=BlockPartition.even(6, 2))
-    x = np.random.default_rng(6).standard_normal(6)
-    first = backtrack_lambda(sig, 1, x, init=1.0, reg=Zero())
-    second = backtrack_lambda(sig, 1, x, init=1.0, reg=Zero())
-    assert first == second
-
-
-def test_backtracking_probes_at_stationary_point():
-    prob = _scalar_quadratic(4.0)
-    # gradient vanishes at the origin; probe directions still reveal curvature
-    scale = backtrack_lambda(
-        prob, 0, np.zeros(4), direction_probe_count=3, rng=np.random.default_rng(0)
-    )
-    assert 4.0 <= scale < 8.0
-    with pytest.raises(ValueError):
-        backtrack_lambda(prob, 0, np.zeros(4), growth=1.0)
-
-
-def test_backtracking_growth_cap_reports_nonsmooth():
-    prob = _scalar_quadratic(64.0)
-    with pytest.raises(RuntimeError, match="non-smooth"):
-        backtrack_lambda(prob, 0, np.ones(4), init=1.0, max_growths=2)
