@@ -41,11 +41,8 @@ from .smoothness import (
     step_size,
 )
 from .algorithms import (
-    PccdConfig,
-    ProxGdConfig,
+    RunConfig,
     RunTrace,
-    SgdConfig,
-    VrccdConfig,
     page_run,
     pccd_run,
     prox_gd_run,

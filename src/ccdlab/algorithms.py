@@ -3,17 +3,19 @@ variance-reduced variants and the full-vector baselines, all emitting a
 common per-cycle trace.
 
 Every method takes the same block prox step under the run's diagonal
-metric. The methods differ in two choices only:
+metric, and every entry point takes one :class:`RunConfig` (the randomized
+ones also an ``RngBundle``). The methods differ in two choices only; each
+entry point rejects a config that lacks a field it needs:
 
-================  ============  ===============================
-entry point       update order  gradient estimator
-================  ============  ===============================
-``pccd_run``      cyclic        exact
-``prox_gd_run``   simultaneous  exact
-``vrccd_run``     cyclic        recursive
-``page_run``      simultaneous  recursive
-``sgd_run``       simultaneous  recursive at p = 1, b' = b
-================  ============  ===============================
+================  ============  ==========================  ====================
+entry point       update order  gradient estimator          RunConfig fields
+================  ============  ==========================  ====================
+``pccd_run``      cyclic        exact                       metric or None
+``prox_gd_run``   simultaneous  exact                       metric
+``vrccd_run``     cyclic        recursive                   p, b, b', metric
+``page_run``      simultaneous  recursive                   p, b, b', metric
+``sgd_run``       simultaneous  recursive at p = 1, b' = b  b, metric
+================  ============  ==========================  ====================
 
 * **Update order.** The cyclic order estimates block j's gradient at the
   intermediate point just before block j is updated. The simultaneous order
@@ -121,93 +123,45 @@ class RunTrace:
         return np.diff(w)
 
 
-class _RunConfig:
-    """Checks every run config shares: positive counts, positive eta."""
-
-    _counts = ("cycles",)
-
-    def __post_init__(self):
-        if any(getattr(self, name) < 1 for name in self._counts):
-            raise ValueError(f"{' and '.join(self._counts)} must be >= 1")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-
-
-@dataclass
-class PccdConfig(_RunConfig):
-    """Cyclic proximal run: exact block gradients, unit step by default."""
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    """One run's parameters, checked once when built. ``metric = None``
+    calibrates the metric by backtracking (cyclic exact runs only); p, b and
+    b' are None for the exact methods."""
 
     cycles: int
     x0: np.ndarray
     metric: DiagonalMetric | None = None
-    backtracking: bool = False
+    eta: float = 1.0
+    p: float | None = None
+    b: int | None = None
+    b_prime: int | None = None
+    sample_sharing: str = FRESH_PER_BLOCK
+    record_u: bool = False
+    keep_iterates: bool = False
+    surrogate_samples: int = 0
+    stop_step_sq: float | None = None  # early exit once v_k falls below this
     backtrack_init: float = 1.0
     backtrack_growth: float = 2.0
-    eta: float = 1.0
-    keep_iterates: bool = False
-    stop_step_sq: float | None = None  # early exit once v_k falls below this
 
     def __post_init__(self):
-        super().__post_init__()
-        if (self.metric is None) == (not self.backtracking):
-            raise ValueError("provide a metric or enable backtracking (exactly one)")
+        if self.cycles < 1:
+            raise ValueError("cycles must be >= 1")
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"refresh probability must lie in [0, 1], got {self.p}")
+        if self.b is not None and self.b < 1:
+            raise ValueError(f"b must be >= 1, got {self.b}")
+        if self.b_prime is not None and (self.b is None or not 1 <= self.b_prime <= self.b):
+            raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
+        if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
+            raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
         # every backtracked block scale is backtrack_init * growth^t: positive
         if not self.backtrack_init > 0:
             raise ValueError(f"backtrack_init must be positive, got {self.backtrack_init}")
         if not self.backtrack_growth > 1:
             raise ValueError(f"backtrack_growth must exceed 1, got {self.backtrack_growth}")
-
-
-@dataclass
-class VrccdConfig(_RunConfig):
-    """Variance-reduced cyclic run."""
-
-    cycles: int
-    eta: float
-    p: float
-    b: int
-    b_prime: int
-    x0: np.ndarray
-    metric: DiagonalMetric
-    sample_sharing: str = FRESH_PER_BLOCK
-    record_u: bool = False
-    keep_iterates: bool = False
-    surrogate_samples: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"refresh probability must lie in [0, 1], got {self.p}")
-        if self.b_prime < 1 or self.b < self.b_prime:
-            raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
-        if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
-            raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
-
-
-@dataclass
-class ProxGdConfig(_RunConfig):
-    """Full-vector proximal gradient baseline (simultaneous block update)."""
-
-    cycles: int
-    x0: np.ndarray
-    metric: DiagonalMetric
-    eta: float = 1.0
-    keep_iterates: bool = False
-
-
-@dataclass
-class SgdConfig(_RunConfig):
-    """Minibatch stochastic proximal gradient baseline."""
-
-    _counts = ("cycles", "b")
-
-    cycles: int
-    eta: float
-    b: int
-    x0: np.ndarray
-    metric: DiagonalMetric
-    keep_iterates: bool = False
-    surrogate_samples: int = 0
 
 
 def _stationarity(grad, residuals, slices, inv_blocks) -> float:
@@ -226,23 +180,28 @@ def _require_finite(prob, message: str):
         raise ValueError(message)
 
 
-def pccd_run(prob, reg: Regularizer, cfg: PccdConfig, row_sink=None):
+def _require(cfg: RunConfig, method: str, *names):
+    missing = [name for name in names if getattr(cfg, name) is None]
+    if missing:
+        raise ValueError(f"{method} needs {', '.join(missing)} in its run config")
+
+
+def pccd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
     """Cyclic proximal descent; returns the iterate with the smallest metric
     displacement from its predecessor (first minimizer on ties) and the trace.
     """
     _require_finite(prob, "the cyclic proximal method needs exact gradients (finite sums)")
-    meta = {"algorithm": "pccd", "eta": cfg.eta}
-    return _run_cycles(prob, reg, cfg, meta, cyclic=True, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=True, row_sink=row_sink)
 
 
-def prox_gd_run(prob, reg: Regularizer, cfg: ProxGdConfig, row_sink=None):
+def prox_gd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
     """Full-gradient proximal baseline; same return rule as the cyclic run."""
     _require_finite(prob, "the full-gradient baseline needs a finite sum")
-    meta = {"algorithm": "prox_gd", "eta": cfg.eta}
-    return _run_cycles(prob, reg, cfg, meta, cyclic=False, row_sink=row_sink)
+    _require(cfg, "prox_gd", "metric")
+    return _run_cycles(prob, reg, cfg, cyclic=False, row_sink=row_sink)
 
 
-def vrccd_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
+def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
     """Variance-reduced cyclic run; returns an iterate drawn uniformly from
     the K cycle endpoints (via the output stream) and the trace.
 
@@ -250,25 +209,25 @@ def vrccd_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sin
     trajectory coincides, float for float, with the cyclic proximal method
     run at the same step size.
     """
+    _require(cfg, "vrccd", "p", "b", "b_prime", "metric")
     est = _Recursive(cfg.p, cfg.b, cfg.b_prime, shared=cfg.sample_sharing == SHARED_PER_CYCLE)
-    meta = {"algorithm": "vrccd", "eta": cfg.eta, "p": cfg.p, "b": cfg.b, "bprime": cfg.b_prime,
-            "sample_sharing": cfg.sample_sharing}
-    return _run_cycles(prob, reg, cfg, meta, cyclic=True, est=est, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=True, est=est, rngs=rngs, row_sink=row_sink)
 
 
-def page_run(prob, reg: Regularizer, cfg: VrccdConfig, rngs: RngBundle, row_sink=None):
+def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
     """Full-vector recursive estimator baseline: one switch and one estimator
     for the whole gradient per iteration, simultaneous block update."""
+    _require(cfg, "page", "p", "b", "b_prime", "metric")
     est = _Recursive(cfg.p, cfg.b, cfg.b_prime)
-    meta = {"algorithm": "page", "eta": cfg.eta, "p": cfg.p, "b": cfg.b, "bprime": cfg.b_prime}
-    return _run_cycles(prob, reg, cfg, meta, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
 
 
-def sgd_run(prob, reg: Regularizer, cfg: SgdConfig, rngs: RngBundle, row_sink=None):
-    """Minibatch proximal stochastic gradient baseline."""
+def sgd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
+    """Minibatch proximal stochastic gradient baseline (``cfg.p`` and
+    ``cfg.b_prime`` are not read)."""
+    _require(cfg, "sgd", "b", "metric")
     est = _Recursive(1.0, cfg.b, cfg.b)
-    meta = {"algorithm": "sgd", "eta": cfg.eta, "b": cfg.b}
-    return _run_cycles(prob, reg, cfg, meta, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
 
 
 @dataclass(frozen=True)
@@ -291,17 +250,14 @@ def _grad(prob, j, x, batch=None):
     return prob.batch_full_grad(batch, x) if j is None else prob.batch_block_grad(batch, j, x)
 
 
-def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None):
+def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink=None):
     """The cycle engine. ``cyclic`` picks the update order and ``est`` the
-    gradient estimator (None: exact). Options a config lacks (backtracking,
-    early stop, anchor diagnostics, surrogate) are off."""
+    gradient estimator (None: exact)."""
     part = prob.partition
     m, d = part.num_blocks, part.dim
     finite = getattr(prob, "is_finite", False)
-    record_u = getattr(cfg, "record_u", False)
-    backtracking = getattr(cfg, "backtracking", False)
-    stop_step_sq = getattr(cfg, "stop_step_sq", None)
-    surrogate = getattr(cfg, "surrogate_samples", 0)
+    record_u = cfg.record_u
+    backtracking = cfg.metric is None
     if est is not None and finite and est.b > prob.n:
         raise ValueError(f"need b <= n, got b={est.b}, n={prob.n}")
     if record_u and not finite:
@@ -310,9 +266,9 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
     if x.shape != (d,):
         raise ValueError("x0 does not match the problem dimension")
     # with eta > 0 (the config) and positive metric entries (DiagonalMetric
-    # or the backtracking config), matching partitions are all the per-step
+    # or the backtracking scales), matching partitions are all the per-step
     # prox needs: every block's center, gradient and metric block share a shape
-    if cfg.metric is not None and cfg.metric.partition != part:
+    if not backtracking and cfg.metric.partition != part:
         raise ValueError(
             f"metric partition {cfg.metric.partition.block_sizes} does not match "
             f"the problem partition {part.block_sizes}"
@@ -334,10 +290,10 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
         unit_invs = [cfg.metric.inv_entries]
 
     k_out = None
+    trace = RunTrace(seed=None if rngs is None else rngs.seed)
     if rngs is not None:
         k_out = int(rngs.output.integers(1, cfg.cycles + 1))
-        meta["output_index"] = k_out
-    trace = RunTrace(seed=None if rngs is None else rngs.seed, meta=meta)
+        trace.meta["output_index"] = k_out
     if cfg.keep_iterates:
         trace.iterates = [x.copy()]
     t0 = time.perf_counter_ns()
@@ -356,7 +312,7 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
         if record_u:
             for (j_u, _, _), anchor, inv in zip(units, anchors, unit_invs):
                 u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
-    f0, _ = _trace_value_grad(prob, reg, x, surrogate, rngs, want_grad=False)
+    f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
         row_sink(trace)
@@ -420,7 +376,7 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
                 v_k += weighted_norm_sq(z - center, lam)
                 x[cols] = z
 
-        f_k, grad_end = _trace_value_grad(prob, reg, x, surrogate, rngs, want_grad=True)
+        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
         s_k = None if grad_end is None else _stationarity(grad_end, residuals, slices, inv_used)
         if f_k is not None and not np.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
@@ -439,7 +395,7 @@ def _run_cycles(prob, reg, cfg, meta, cyclic, est=None, rngs=None, row_sink=None
         trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
         if row_sink is not None:
             row_sink(trace)
-        if stop_step_sq is not None and v_k <= stop_step_sq:
+        if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
             break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
     if backtracking:

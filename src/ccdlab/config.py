@@ -198,9 +198,12 @@ def _parse_count(tok: str) -> float:
 
 def _parse_float(tok: str) -> float:
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
         raise ValueError(f"expected a number, got {tok!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {tok!r}")
+    return val
 
 
 def _parse_eta(tok: str):
@@ -235,7 +238,7 @@ def _parse_checks(tok: str) -> tuple:
 
 
 def _parse_values(tok: str) -> tuple:
-    return tuple(_parse_float(t) for t in tok.split(",") if t.strip())
+    return tuple(_parse_float(t.strip()) for t in tok.split(",") if t.strip())
 
 
 def _choice(options):

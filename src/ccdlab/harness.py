@@ -137,32 +137,26 @@ class Resolved:
     cfg: ExperimentConfig
     prob: object
     reg: Regularizer
-    metric: DiagonalMetric | None
     metric_mode: str
     profile: SmoothnessProfile | None
-    x0: np.ndarray
     algorithm: str
-    cycles: int
-    eta: float
     eta_bound: float | None
-    p: float | None
-    b: int | None
-    b_prime: int | None
-    sample_sharing: str
     conditional: tuple[str, ...]
+    run: algorithms.RunConfig
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
+        run = self.run
         out.update(
             {
                 "resolved.algorithm": self.algorithm,
-                "resolved.cycles": self.cycles,
-                "resolved.eta": self.eta,
+                "resolved.cycles": run.cycles,
+                "resolved.eta": run.eta,
                 "resolved.eta_bound": self.eta_bound,
-                "resolved.p": self.p,
-                "resolved.b": self.b,
-                "resolved.bprime": self.b_prime,
-                "resolved.sample_sharing": self.sample_sharing,
+                "resolved.p": run.p,
+                "resolved.b": run.b,
+                "resolved.bprime": run.b_prime,
+                "resolved.sample_sharing": run.sample_sharing,
                 "resolved.lambda_mode": self.metric_mode,
                 "resolved.instance_seed": self.cfg.seeds.base,
             }
@@ -235,69 +229,52 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
             )
         conditional.append("eta above the admissible bound (override)")
 
-    return Resolved(
-        cfg=cfg,
-        prob=prob,
-        reg=reg,
-        metric=metric,
-        metric_mode=metric_mode,
-        profile=profile,
-        x0=x0,
-        algorithm=name,
+    run = algorithms.RunConfig(
         cycles=a.cycles,
+        x0=x0,
+        metric=metric,
         eta=eta,
-        eta_bound=eta_bound,
         p=p,
         b=b,
         b_prime=b_prime,
         sample_sharing=sharing,
-        conditional=tuple(conditional),
+        # sgd's p = 1 estimator keeps no anchor to diagnose
+        record_u=cfg.diagnostics.record_u and name in STOCHASTIC and name != "sgd",
+        surrogate_samples=cfg.diagnostics.s_surrogate_samples,
     )
+    return Resolved(
+        cfg=cfg,
+        prob=prob,
+        reg=reg,
+        metric_mode=metric_mode,
+        profile=profile,
+        algorithm=name,
+        eta_bound=eta_bound,
+        conditional=tuple(conditional),
+        run=run,
+    )
+
+
+# algorithm name -> the name of its entry point, looked up on ``algorithms``
+# at call time so that a rebound entry point (a profiler's wrapper) is called
+_ENTRY_POINTS = {
+    "pccd": "pccd_run",
+    "prox_gd": "prox_gd_run",
+    "vrccd": "vrccd_run",
+    "vroccd": "vrccd_run",
+    "sccd": "vrccd_run",
+    "page": "page_run",
+    "sgd": "sgd_run",
+}
 
 
 def run_seed(res: Resolved, seed: int, row_sink=None):
-    """Execute one seed; returns (x_out, trace)."""
-    cfg = res.cfg
-    name = res.algorithm
-    if name == "pccd":
-        pcfg = algorithms.PccdConfig(
-            cycles=res.cycles,
-            x0=res.x0,
-            metric=res.metric,
-            backtracking=res.metric is None,
-            eta=res.eta,
-        )
-        return algorithms.pccd_run(res.prob, res.reg, pcfg, row_sink=row_sink)
-    if name == "prox_gd":
-        gcfg = algorithms.ProxGdConfig(cycles=res.cycles, x0=res.x0, metric=res.metric, eta=res.eta)
-        return algorithms.prox_gd_run(res.prob, res.reg, gcfg, row_sink=row_sink)
-    rngs = RngBundle.from_seed(seed)
-    surrogate = 0 if res.prob.is_finite else cfg.diagnostics.s_surrogate_samples
-    if name == "sgd":
-        scfg = algorithms.SgdConfig(
-            cycles=res.cycles,
-            eta=res.eta,
-            b=res.b,
-            x0=res.x0,
-            metric=res.metric,
-            surrogate_samples=surrogate,
-        )
-        return algorithms.sgd_run(res.prob, res.reg, scfg, rngs, row_sink=row_sink)
-    vcfg = algorithms.VrccdConfig(
-        cycles=res.cycles,
-        eta=res.eta,
-        p=res.p,
-        b=res.b,
-        b_prime=res.b_prime,
-        x0=res.x0,
-        metric=res.metric,
-        sample_sharing=res.sample_sharing,
-        record_u=cfg.diagnostics.record_u,
-        surrogate_samples=surrogate,
-    )
-    if name == "page":
-        return algorithms.page_run(res.prob, res.reg, vcfg, rngs, row_sink=row_sink)
-    return algorithms.vrccd_run(res.prob, res.reg, vcfg, rngs, row_sink=row_sink)
+    """Execute one seed; returns (x_out, trace). The exact methods draw no
+    randomness, so they get no ``RngBundle``."""
+    entry = getattr(algorithms, _ENTRY_POINTS[res.algorithm])
+    if res.algorithm in CYCLIC_EXACT:
+        return entry(res.prob, res.reg, res.run, row_sink=row_sink)
+    return entry(res.prob, res.reg, res.run, RngBundle.from_seed(seed), row_sink=row_sink)
 
 
 # --------------------------------------------------------------------------
@@ -377,14 +354,10 @@ def reference_minimum(res: Resolved) -> tuple[float, str]:
     if isinstance(prob, problems.QuadraticFiniteSum) and prob.is_strongly_convex:
         if isinstance(reg, Zero):
             return prob.f_star, "closed_form"
-        metric = res.metric if res.metric is not None else problems.exact_quadratic_metric(prob)
-        pcfg = algorithms.PccdConfig(
-            cycles=30_000,
-            x0=res.x0,
-            metric=metric,
-            eta=1.0,
-            stop_step_sq=1e-28,
-        )
+        metric = res.run.metric
+        if metric is None:
+            metric = problems.exact_quadratic_metric(prob)
+        pcfg = algorithms.RunConfig(cycles=30_000, x0=res.run.x0, metric=metric, stop_step_sq=1e-28)
         _, trace = algorithms.pccd_run(prob, reg, pcfg)
         return float(min(trace.obj)), "high_precision_run"
     return math.nan, "unavailable"
@@ -397,11 +370,12 @@ class _CheckInputs:
     def __init__(self, res: Resolved, traces: list[algorithms.RunTrace]):
         prob = res.prob
         self.res, self.traces, self.prob = res, traces, prob
-        self.eta, self.p, self.b, self.b_prime = res.eta, res.p, res.b, res.b_prime
+        run = res.run
+        self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.n = prob.n if prob.is_finite else math.inf
         self.lip = res.profile.lip_trailing if res.profile is not None else None
-        self.deterministic = res.p == 1.0 and res.b == prob.n
-        self.pathwise = bool(prob.is_finite and res.b == prob.n and res.b_prime == prob.n)
+        self.deterministic = run.p == 1.0 and run.b == prob.n
+        self.pathwise = bool(prob.is_finite and run.b == prob.n and run.b_prime == prob.n)
 
     @cached_property
     def reference(self) -> tuple[float, str]:
@@ -437,15 +411,15 @@ class _CheckInputs:
         if res.cfg.problem.sigma_sq is not None:
             return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
         if isinstance(prob, problems.StreamingQuadratic):
-            return prob.sigma_sq_exact(res.metric), ()
-        value = problems.estimate_sigma_sq(prob, res.metric, [res.x0])
+            return prob.sigma_sq_exact(res.run.metric), ()
+        value = problems.estimate_sigma_sq(prob, res.run.metric, [res.run.x0])
         if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
             return value, ()
         return value, ("sigma_sq estimated at the start point",)
 
     @cached_property
     def mu(self) -> float:
-        return problems.pl_constant(self.prob, self.res.metric)
+        return problems.pl_constant(self.prob, self.res.run.metric)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
         return np.array(trace.obj) - self.prob.f_star
@@ -479,7 +453,7 @@ _RUN_CHECK = {
         i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], i.pathwise, c
     )],
     "vr-pl-rate": lambda i, c: [checks.check_vr_pl_rate(
-        i.final_gaps, i.eta, i.res.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0,
+        i.final_gaps, i.eta, i.res.run.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0,
         i.deterministic, c,
     )],
     "work-accounting": lambda i, c: [
@@ -496,7 +470,7 @@ def run_checks(res: Resolved, traces: list[algorithms.RunTrace]) -> list[checks.
     then the ones ``config.CHECKS`` implies for the check.
     """
     inputs = _CheckInputs(res, traces)
-    shared = res.sample_sharing == algorithms.SHARED_PER_CYCLE
+    shared = res.run.sample_sharing == algorithms.SHARED_PER_CYCLE
     reports: list[checks.BoundReport] = []
     for name in res.cfg.diagnostics.checks:
         spec = CHECKS[name]
@@ -649,14 +623,17 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=".", jobs: int = 1) 
     """Run the experiment once per axis value; one summary row per seed.
 
     Schedule-coupled fields re-derive dependents per value (overriding
-    bprime under the finite-sum schedule recomputes p). A non-integral value
-    on an integer axis is a ConfigError before anything runs; a value whose
-    run raises one of ``RUN_ERRORS`` ends the sweep with a ValueError that
-    names it.
+    bprime under the finite-sum schedule recomputes p). A non-finite value,
+    or a non-integral one on an integer axis, is a ConfigError before
+    anything runs; a value whose run raises one of ``RUN_ERRORS`` ends the
+    sweep with a ValueError that names it.
     """
     cast = numeric_type(axis)
     if cast is None:
         raise ConfigError([(0, f"sweep axis must be a numeric config field, got {axis!r}")])
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ConfigError([(0, f"sweep axis {axis} takes finite numbers, got {_fmt(bad[0])}")])
     if cast is int:
         bad = [v for v in values if not float(v).is_integer()]
         if bad:

@@ -118,8 +118,6 @@ class QuadraticFiniteSum(FiniteSumObjective):
     lin: np.ndarray  # (n, d)
     const: np.ndarray  # (n,)
     partition: BlockPartition
-    box_recommended: bool = False
-    suggested_box: tuple[float, float] = (-2.0, 2.0)
     identical_components: bool = False
 
     def __post_init__(self):
@@ -440,9 +438,9 @@ def generate_quadratic(
 
     convex=True draws component eigenvalues uniformly in [1, condition_number]
     (positive definite); convex=False draws them in [-condition_number,
-    condition_number] with mixed signs and flags a box regularizer so the
-    objective is bounded below on the feasible set. identical_curvature shares
-    one curvature matrix across components (linear terms still differ), which
+    condition_number] with mixed signs, so the objective is bounded below
+    only on a bounded domain such as a box. identical_curvature shares one
+    curvature matrix across components (linear terms still differ), which
     keeps the gradient variance constant in x.
     """
     if condition_number < 1:
@@ -466,14 +464,7 @@ def generate_quadratic(
         quad = np.stack([_random_symmetric(rng, eig_draw()) for _ in range(n)])
     lin = rng.standard_normal((n, d))
     const = rng.standard_normal(n)
-    return QuadraticFiniteSum(
-        quad,
-        lin,
-        const,
-        partition,
-        box_recommended=not convex,
-        identical_components=identical_curvature,
-    )
+    return QuadraticFiniteSum(quad, lin, const, partition, identical_components=identical_curvature)
 
 
 def generate_classification(

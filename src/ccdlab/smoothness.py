@@ -96,7 +96,6 @@ class SmoothnessProfile:
     metric: DiagonalMetric
     lip_trailing: float
     lip_leading: float
-    q_list: list[np.ndarray] | None = None
     supplied: bool = False
 
     def __post_init__(self):
@@ -108,7 +107,7 @@ class SmoothnessProfile:
         cls, metric: DiagonalMetric, q_list: list[np.ndarray]
     ) -> "SmoothnessProfile":
         lt, ll = masked_smoothness_constants(q_list, metric, metric.partition)
-        return cls(metric=metric, lip_trailing=lt, lip_leading=ll, q_list=list(q_list))
+        return cls(metric=metric, lip_trailing=lt, lip_leading=ll)
 
     @classmethod
     def from_constants(

@@ -22,10 +22,7 @@ import numpy as np
 from . import checks, harness, problems, sampling
 from .algorithms import (
     FRESH_PER_BLOCK,
-    PccdConfig,
-    ProxGdConfig,
-    SgdConfig,
-    VrccdConfig,
+    RunConfig,
     page_run,
     pccd_run,
     prox_gd_run,
@@ -58,8 +55,8 @@ def _x0(prob, seed, reg=None):
 def _check(seed, problem, algorithm, checked, seeds=None, record_u=False, **fields):
     """(res, traces, reports) of suite instance ``seed`` (``seeds.base``)
     through the harness: resolved, started at the suite's point ``_x0``
-    with ``fields`` replaced on the result, run on ``seeds`` (the harness's
-    seed list by default) and checked."""
+    with ``fields`` replaced on the run config, run on ``seeds`` (the
+    harness's seed list by default) and checked."""
     cfg = ExperimentConfig(
         problem=problem,
         algorithm=algorithm,
@@ -67,7 +64,7 @@ def _check(seed, problem, algorithm, checked, seeds=None, record_u=False, **fiel
         diagnostics=DiagSpec(record_u=record_u, checks=checked),
     )
     res = harness.resolve(cfg)
-    res = replace(res, x0=_x0(res.prob, seed, res.reg), **fields)
+    res = replace(res, run=replace(res.run, x0=_x0(res.prob, seed, res.reg), **fields))
     _, traces, _ = harness.run_traces(cfg, jobs=_JOBS, res=res, seeds=seeds)
     return res, traces, harness.run_checks(res, traces)
 
@@ -174,7 +171,7 @@ def suite_pl_linear_rate() -> SuiteResult:
     lin = np.random.default_rng(41).standard_normal((4, d))
     prob = problems.QuadraticFiniteSum(quad, lin, np.zeros(4), part, identical_components=True)
     metric = DiagonalMetric.identity(part)
-    x_out, _ = pccd_run(prob, Zero(), PccdConfig(cycles=1, x0=_x0(prob, 41), metric=metric))
+    x_out, _ = pccd_run(prob, Zero(), RunConfig(cycles=1, x0=_x0(prob, 41), metric=metric))
     one_cycle_gap = prob.gap(x_out)
     ok = ok and one_cycle_gap <= 1e-20
     lines = [
@@ -229,11 +226,12 @@ def suite_vr_rate() -> SuiteResult:
         if cycles == 100:
             # the schedule's accuracy target: K = 4*delta0/(eps^2 eta) cycles
             # drive the mean below eps^2, which is exactly this bound value
-            delta0 = res.prob.value(res.x0) - res.prob.f_star
-            eps_sq = 4.0 * delta0 / (res.eta * cycles)
+            delta0 = res.prob.value(res.run.x0) - res.prob.f_star
+            eps_sq = 4.0 * delta0 / (res.run.eta * cycles)
             note = f" (meets target eps^2={eps_sq:.4g})"
         lines.append(f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}")
-    head = f"n=256 d=64 schedule b={res.b} b'={res.b_prime} p={res.p:.4g} eta={res.eta:.4g}"
+    run = res.run
+    head = f"n=256 d=64 schedule b={run.b} b'={run.b_prime} p={run.p:.4g} eta={run.eta:.4g}"
     return SuiteResult("vr-rate", ok, [head + ", 100 seeds"] + lines)
 
 
@@ -328,8 +326,9 @@ def suite_equivalences() -> SuiteResult:
     metric = problems.exact_quadratic_metric(prob)
     reg = L1(0.1)
     x0 = _x0(prob, 9100, reg)
-    _, tr_ccd = pccd_run(prob, reg, PccdConfig(cycles=30, x0=x0, metric=metric, keep_iterates=True))
-    _, tr_gd = prox_gd_run(prob, reg, ProxGdConfig(cycles=30, x0=x0, metric=metric, keep_iterates=True))
+    run = RunConfig(cycles=30, x0=x0, metric=metric, keep_iterates=True)
+    _, tr_ccd = pccd_run(prob, reg, run)
+    _, tr_gd = prox_gd_run(prob, reg, run)
     same = _same_trajectories(tr_ccd, tr_gd)
     ok = ok and same
     lines.append(f"m=1 cyclic == proximal gradient: {'bitwise equal' if same else 'MISMATCH'}")
@@ -340,15 +339,12 @@ def suite_equivalences() -> SuiteResult:
     metric = problems.exact_quadratic_metric(prob)
     reg = L1(0.1)
     x0 = _x0(prob, 9200, reg)
-    eta = 0.5
-    vcfg = VrccdConfig(
-        cycles=25, eta=eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
+    run = RunConfig(
+        cycles=25, x0=x0, metric=metric, eta=0.5, p=1.0, b=prob.n, b_prime=prob.n,
         keep_iterates=True,
     )
-    _, tr_vr = vrccd_run(prob, reg, vcfg, RngBundle.from_seed(92))
-    _, tr_ccd = pccd_run(
-        prob, reg, PccdConfig(cycles=25, x0=x0, metric=metric, eta=eta, keep_iterates=True)
-    )
+    _, tr_vr = vrccd_run(prob, reg, run, RngBundle.from_seed(92))
+    _, tr_ccd = pccd_run(prob, reg, run)
     same = _same_trajectories(tr_vr, tr_ccd)
     ok = ok and same
     lines.append(f"p=1, b=n VR run == cyclic with same eta: {'bitwise equal' if same else 'MISMATCH'}")
@@ -358,30 +354,19 @@ def suite_equivalences() -> SuiteResult:
     prob = problems.generate_quadratic(9300, n=32, d=10, partition=part, condition_number=5.0)
     metric = problems.exact_quadratic_metric(prob)
     x0 = _x0(prob, 9300)
-    eta = 0.05
-    sccd_cfg = VrccdConfig(
-        cycles=40, eta=eta, p=1.0, b=8, b_prime=8, x0=x0, metric=metric, keep_iterates=True
+    run = RunConfig(
+        cycles=40, x0=x0, metric=metric, eta=0.05, p=1.0, b=8, b_prime=8, keep_iterates=True
     )
-    out_sccd, tr_sccd = vrccd_run(prob, Zero(), sccd_cfg, RngBundle.from_seed(93))
-    sgd_cfg = SgdConfig(cycles=40, eta=eta, b=8, x0=x0, metric=metric, keep_iterates=True)
-    out_sgd, tr_sgd = sgd_run(prob, Zero(), sgd_cfg, RngBundle.from_seed(93))
+    out_sccd, tr_sccd = vrccd_run(prob, Zero(), run, RngBundle.from_seed(93))
+    out_sgd, tr_sgd = sgd_run(prob, Zero(), run, RngBundle.from_seed(93))
     same = _same_trajectories(tr_sccd, tr_sgd) and np.array_equal(out_sccd, out_sgd)
     ok = ok and same
     lines.append(f"m=1 cyclic-SGD == SGD under shared seed: {'bitwise equal' if same else 'MISMATCH'}")
 
     # full-batch recursive baseline == proximal gradient descent
-    _, tr_page = page_run(
-        prob,
-        Zero(),
-        VrccdConfig(
-            cycles=25, eta=eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
-            keep_iterates=True,
-        ),
-        RngBundle.from_seed(94),
-    )
-    _, tr_pgd = prox_gd_run(
-        prob, Zero(), ProxGdConfig(cycles=25, x0=x0, metric=metric, eta=eta, keep_iterates=True)
-    )
+    run = replace(run, cycles=25, b=prob.n, b_prime=prob.n)
+    _, tr_page = page_run(prob, Zero(), run, RngBundle.from_seed(94))
+    _, tr_pgd = prox_gd_run(prob, Zero(), run)
     same = _same_trajectories(tr_page, tr_pgd)
     ok = ok and same
     lines.append(f"p=1, b=n recursive baseline == proximal gradient: {'bitwise equal' if same else 'MISMATCH'}")

@@ -3,10 +3,7 @@ import pytest
 
 from ccdlab.algorithms import (
     NonFiniteObjectiveError,
-    PccdConfig,
-    ProxGdConfig,
-    SgdConfig,
-    VrccdConfig,
+    RunConfig,
     page_run,
     pccd_run,
     prox_gd_run,
@@ -39,7 +36,7 @@ def test_separable_quadratic_solved_in_one_cycle():
     prob = QuadraticFiniteSum(np.diag(eigs)[None], np.zeros((1, d)), np.zeros(1), part)
     metric = DiagonalMetric(eigs, part)
     x0 = np.random.default_rng(1).standard_normal(d)
-    x_out, trace = pccd_run(prob, Zero(), PccdConfig(cycles=1, x0=x0, metric=metric))
+    x_out, trace = pccd_run(prob, Zero(), RunConfig(cycles=1, x0=x0, metric=metric))
     assert np.all(x_out == 0.0)
     assert trace.obj[-1] == 0.0
 
@@ -47,7 +44,7 @@ def test_separable_quadratic_solved_in_one_cycle():
 def test_run_from_stationary_point_stays_put():
     prob = _convex()
     metric = exact_quadratic_metric(prob)
-    _, trace = pccd_run(prob, Zero(), PccdConfig(cycles=1, x0=prob.x_star, metric=metric))
+    _, trace = pccd_run(prob, Zero(), RunConfig(cycles=1, x0=prob.x_star, metric=metric))
     assert trace.stat_sq[1] <= 1e-20
     assert trace.step_sq[1] <= 1e-20
 
@@ -56,7 +53,7 @@ def test_return_rule_minimizes_metric_displacement():
     prob = _convex(103)
     metric = exact_quadratic_metric(prob)
     x0 = np.random.default_rng(2).standard_normal(8)
-    cfg = PccdConfig(cycles=12, x0=x0, metric=metric, keep_iterates=True)
+    cfg = RunConfig(cycles=12, x0=x0, metric=metric, keep_iterates=True)
     x_out, trace = pccd_run(prob, L1(0.1), cfg)
     steps = trace.array("step_sq", skip_first=True)
     k_best = int(np.argmin(steps)) + 1
@@ -68,7 +65,7 @@ def test_stationarity_matches_gradient_norm_for_zero_reg():
     part = prob.partition
     metric = DiagonalMetric.identity(part)
     x0 = np.random.default_rng(3).standard_normal(8)
-    _, trace = pccd_run(prob, Zero(), PccdConfig(cycles=3, x0=x0, metric=metric, keep_iterates=True))
+    _, trace = pccd_run(prob, Zero(), RunConfig(cycles=3, x0=x0, metric=metric, keep_iterates=True))
     for i in (1, 2, 3):
         g = prob.full_grad(trace.iterates[i])
         assert trace.stat_sq[i] == pytest.approx(float(g @ g), rel=1e-9, abs=1e-12)
@@ -83,7 +80,7 @@ def test_scalar_l1_step_and_measure():
     )
     metric = DiagonalMetric.identity(part)
     x_out, trace = pccd_run(
-        prob, L1(1.0), PccdConfig(cycles=1, x0=np.array([3.0]), metric=metric, keep_iterates=True)
+        prob, L1(1.0), RunConfig(cycles=1, x0=np.array([3.0]), metric=metric, keep_iterates=True)
     )
     assert trace.iterates[1][0] == 2.0
     assert trace.stat_sq[1] <= 1e-28
@@ -100,14 +97,14 @@ def test_nonfinite_objective_reports_iteration():
     metric = DiagonalMetric.identity(part)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteObjectiveError) as err:
-            pccd_run(prob, Zero(), PccdConfig(cycles=5000, x0=np.ones(d), metric=metric))
+            pccd_run(prob, Zero(), RunConfig(cycles=5000, x0=np.ones(d), metric=metric))
     assert err.value.iteration >= 1
 
 
 def test_backtracking_run_descends():
     prob = _convex(113)
     x0 = np.random.default_rng(5).standard_normal(8)
-    _, trace = pccd_run(prob, Zero(), PccdConfig(cycles=20, x0=x0, backtracking=True))
+    _, trace = pccd_run(prob, Zero(), RunConfig(cycles=20, x0=x0, metric=None))
     obj = trace.array("obj")
     steps = trace.array("step_sq", skip_first=True)
     assert np.all(np.diff(obj) <= 1e-12)
@@ -117,7 +114,7 @@ def test_backtracking_run_descends():
 def test_vrccd_exact_anchors_have_zero_error():
     prob = _convex(127, n=10)
     metric = exact_quadratic_metric(prob)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=30,
         eta=0.3,
         p=0.5,
@@ -136,12 +133,12 @@ def test_vrccd_validation():
     metric = exact_quadratic_metric(prob)
     x0 = np.zeros(8)
     with pytest.raises(ValueError):
-        VrccdConfig(cycles=5, eta=0.1, p=1.5, b=4, b_prime=2, x0=x0, metric=metric)
+        RunConfig(cycles=5, eta=0.1, p=1.5, b=4, b_prime=2, x0=x0, metric=metric)
     with pytest.raises(ValueError):
-        VrccdConfig(cycles=5, eta=0.1, p=0.5, b=2, b_prime=4, x0=x0, metric=metric)
+        RunConfig(cycles=5, eta=0.1, p=0.5, b=2, b_prime=4, x0=x0, metric=metric)
     with pytest.raises(ValueError):
-        VrccdConfig(cycles=5, eta=-0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
-    cfg = VrccdConfig(cycles=5, eta=0.1, p=0.5, b=20, b_prime=2, x0=x0, metric=metric)
+        RunConfig(cycles=5, eta=-0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
+    cfg = RunConfig(cycles=5, eta=0.1, p=0.5, b=20, b_prime=2, x0=x0, metric=metric)
     with pytest.raises(ValueError):
         vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(0))
 
@@ -152,7 +149,7 @@ def test_vrccd_determinism_and_sharing_modes():
     x0 = np.random.default_rng(7).standard_normal(8)
 
     def run(sharing, seed):
-        cfg = VrccdConfig(
+        cfg = RunConfig(
             cycles=15, eta=0.2, p=0.4, b=6, b_prime=2, x0=x0, metric=metric,
             sample_sharing=sharing,
         )
@@ -169,14 +166,14 @@ def test_vrccd_determinism_and_sharing_modes():
 def test_vrccd_work_accounting_exact_at_p_one():
     prob = _convex(139, n=12)
     metric = exact_quadratic_metric(prob)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=10, eta=0.2, p=1.0, b=5, b_prime=2, x0=np.zeros(8), metric=metric
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(3))
     assert np.all(trace.work_increments() == 5 * 8)
     assert trace.work[0] == 0  # p = 1 carries no anchor state, so no setup cost
 
-    half = VrccdConfig(
+    half = RunConfig(
         cycles=4, eta=0.2, p=0.5, b=5, b_prime=2, x0=np.zeros(8), metric=metric
     )
     _, tr_half = vrccd_run(prob, Zero(), half, RngBundle.from_seed(3))
@@ -187,7 +184,7 @@ def test_streaming_run_uses_surrogates():
     part = BlockPartition.even(6, 2)
     prob = generate_streaming_quadratic(149, d=6, partition=part, lin_scale=0.3)
     metric = exact_quadratic_metric(prob)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=8, eta=0.05, p=0.5, b=8, b_prime=2, x0=np.ones(6), metric=metric,
         surrogate_samples=256,
     )
@@ -197,7 +194,7 @@ def test_streaming_run_uses_surrogates():
     _, silent = vrccd_run(
         prob,
         Zero(),
-        VrccdConfig(
+        RunConfig(
             cycles=4, eta=0.05, p=0.5, b=8, b_prime=2, x0=np.ones(6), metric=metric
         ),
         RngBundle.from_seed(21),
@@ -207,7 +204,7 @@ def test_streaming_run_uses_surrogates():
         vrccd_run(
             prob,
             Zero(),
-            VrccdConfig(
+            RunConfig(
                 cycles=4, eta=0.05, p=0.5, b=8, b_prime=2, x0=np.ones(6), metric=metric,
                 record_u=True,
             ),
@@ -222,7 +219,7 @@ def test_prox_gd_monotone_at_admissible_step():
     lip = float(np.linalg.eigvalsh(prob.mean_quad)[-1])
     x0 = np.random.default_rng(9).standard_normal(8)
     _, trace = prox_gd_run(
-        prob, Zero(), ProxGdConfig(cycles=25, x0=x0, metric=metric, eta=1.0 / lip)
+        prob, Zero(), RunConfig(cycles=25, x0=x0, metric=metric, eta=1.0 / lip)
     )
     obj = trace.array("obj")
     assert np.all(np.diff(obj) <= 1e-12)
@@ -232,13 +229,13 @@ def test_page_full_batch_equals_prox_gd():
     prob = _convex(157, n=9)
     metric = exact_quadratic_metric(prob)
     x0 = np.random.default_rng(10).standard_normal(8)
-    vcfg = VrccdConfig(
+    vcfg = RunConfig(
         cycles=12, eta=0.4, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
         keep_iterates=True,
     )
     _, tr_page = page_run(prob, Zero(), vcfg, RngBundle.from_seed(31))
     _, tr_gd = prox_gd_run(
-        prob, Zero(), ProxGdConfig(cycles=12, x0=x0, metric=metric, eta=0.4, keep_iterates=True)
+        prob, Zero(), RunConfig(cycles=12, x0=x0, metric=metric, eta=0.4, keep_iterates=True)
     )
     for a, b in zip(tr_page.iterates, tr_gd.iterates):
         assert np.array_equal(a, b)
@@ -247,7 +244,7 @@ def test_page_full_batch_equals_prox_gd():
 def test_sgd_runs_and_counts_work():
     prob = _convex(163, n=20)
     metric = exact_quadratic_metric(prob)
-    cfg = SgdConfig(cycles=10, eta=0.05, b=4, x0=np.zeros(8), metric=metric)
+    cfg = RunConfig(cycles=10, eta=0.05, b=4, x0=np.zeros(8), metric=metric)
     _, trace = sgd_run(prob, Zero(), cfg, RngBundle.from_seed(41))
     assert np.all(trace.work_increments() == 4 * 8)
     assert trace.cycles == 10
@@ -262,11 +259,35 @@ def test_sgd_runs_and_counts_work():
         {"backtrack_growth": 1.0},
         {"backtrack_growth": 0.5},
         {"eta": float("nan")},
+        {"cycles": 0},
+        {"p": float("nan"), "b": 4, "b_prime": 2},
+        {"b": 0},
+        {"b_prime": 2},
+        {"sample_sharing": "per_run"},
     ],
 )
 def test_run_parameters_checked_when_config_is_built(bad):
     with pytest.raises(ValueError):
-        PccdConfig(cycles=3, x0=np.zeros(8), backtracking=True, **bad)
+        RunConfig(**{"cycles": 3, "x0": np.zeros(8), "metric": None, **bad})
+
+
+@pytest.mark.parametrize(
+    "entry, fields, missing",
+    [
+        (prox_gd_run, {"metric": None}, "metric"),
+        (vrccd_run, {"b": 4, "b_prime": 2}, "p"),
+        (vrccd_run, {"p": 0.5, "b": 4, "b_prime": 2, "metric": None}, "metric"),
+        (page_run, {"p": 0.5}, "b, b_prime"),
+        (sgd_run, {}, "b"),
+    ],
+)
+def test_entry_point_rejects_config_lacking_its_fields(entry, fields, missing):
+    prob = _convex(173)
+    fields = {"metric": exact_quadratic_metric(prob), **fields}
+    cfg = RunConfig(cycles=3, x0=np.zeros(8), **fields)
+    args = (RngBundle.from_seed(0),) if entry in (vrccd_run, page_run, sgd_run) else ()
+    with pytest.raises(ValueError, match=f"needs {missing} in its run config"):
+        entry(prob, Zero(), cfg, *args)
 
 
 @pytest.mark.parametrize("algo", ["pccd", "prox_gd", "vrccd"])
@@ -279,11 +300,11 @@ def test_metric_partition_checked_before_first_row(algo):
     rows = []
     with pytest.raises(ValueError, match="metric partition"):
         if algo == "pccd":
-            pccd_run(prob, L1(0.1), PccdConfig(cycles=3, x0=x0, metric=metric), row_sink=rows.append)
+            pccd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=rows.append)
         elif algo == "prox_gd":
-            prox_gd_run(prob, L1(0.1), ProxGdConfig(cycles=3, x0=x0, metric=metric),
+            prox_gd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric),
                         row_sink=rows.append)
         else:
-            cfg = VrccdConfig(cycles=3, eta=0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
+            cfg = RunConfig(cycles=3, eta=0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
             vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0), row_sink=rows.append)
     assert rows == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccdlab.algorithms import PccdConfig, RunTrace, VrccdConfig, pccd_run, vrccd_run
+from ccdlab.algorithms import RunConfig, RunTrace, pccd_run, vrccd_run
 from ccdlab.blocks import BlockPartition
 from ccdlab.checks import (
     BoundReport,
@@ -66,7 +66,7 @@ def test_descent_check_flags_violations():
 
 def test_rate_check_from_a_stationary_start():
     prob, metric, profile = _setup()
-    _, trace = pccd_run(prob, Zero(), PccdConfig(cycles=10, x0=prob.x_star, metric=metric))
+    _, trace = pccd_run(prob, Zero(), RunConfig(cycles=10, x0=prob.x_star, metric=metric))
     rep = check_min_stationarity_rate(trace, profile.lip_trailing, delta0=0.0)
     assert rep.passed  # lhs is numerically zero for every prefix
 
@@ -81,7 +81,7 @@ def test_vr_rate_deterministic_full_batch():
     p = 1.0
     plan = step_size(profile, p, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(1).standard_normal(prob.dim)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=50, eta=plan.eta, p=p, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(5))
@@ -105,7 +105,7 @@ def test_vr_rate_monte_carlo_shape():
     sigma_sq = estimate_sigma_sq(prob, metric, [x0])
     traces = []
     for s in range(10):
-        cfg = VrccdConfig(cycles=30, eta=plan.eta, p=p, b=b, b_prime=bp, x0=x0, metric=metric)
+        cfg = RunConfig(cycles=30, eta=plan.eta, p=p, b=b, b_prime=bp, x0=x0, metric=metric)
         _, tr = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(100 + s))
         traces.append(tr)
     delta0 = prob.value(x0) - prob.f_star
@@ -119,7 +119,7 @@ def test_potential_collapses_to_objective_at_p_one():
     prob, metric, profile = _setup(229)
     plan = step_size(profile, 1.0, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(3).standard_normal(prob.dim)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=20, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
         record_u=True,
     )
@@ -137,7 +137,7 @@ def test_vr_pl_rate_deterministic():
     mu = pl_constant(prob, metric)
     plan = step_size(profile, 1.0, prob.n, prob.n, prob.n, mode=MODE_PL, mu=mu)
     x0 = np.random.default_rng(4).standard_normal(prob.dim)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=40, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(9))
@@ -183,7 +183,7 @@ def test_vr_rate_coincides_with_classical_baseline_check():
     """Single block, full batch, always refresh, no regularizer: the rate
     check evaluated on the cyclic run is numerically the classical
     full-gradient rate check on the baseline trajectory."""
-    from ccdlab.algorithms import ProxGdConfig, prox_gd_run
+    from ccdlab.algorithms import prox_gd_run
 
     part = BlockPartition.even(8, 1)
     prob = generate_quadratic(241, n=6, d=8, partition=part, condition_number=5.0)
@@ -193,12 +193,12 @@ def test_vr_rate_coincides_with_classical_baseline_check():
     )
     plan = step_size(profile, 1.0, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(8).standard_normal(8)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=40, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, tr_vr = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(13))
     _, tr_gd = prox_gd_run(
-        prob, Zero(), ProxGdConfig(cycles=40, x0=x0, metric=metric, eta=plan.eta)
+        prob, Zero(), RunConfig(cycles=40, x0=x0, metric=metric, eta=plan.eta)
     )
     assert tr_vr.stat_sq == tr_gd.stat_sq  # bitwise-equal trajectories
     delta0 = prob.value(x0) - prob.f_star

@@ -16,7 +16,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.problem.n == 32 and cfg.problem.d == 16 and cfg.problem.m == 4
     assert cfg.algorithm.eta == "auto"
     res = resolve(cfg)
-    assert res.eta == 1.0  # the cyclic method takes unit prox steps by default
+    assert res.run.eta == 1.0  # the cyclic method takes unit prox steps by default
     assert res.algorithm == "pccd"
 
 
@@ -69,12 +69,12 @@ algorithm.schedule = finite_sum
 """
     )
     res = resolve(cfg)
-    assert res.b == 16 and res.b_prime == 4
-    assert res.p == pytest.approx(4 / 20)
+    assert res.run.b == 16 and res.run.b_prime == 4
+    assert res.run.p == pytest.approx(4 / 20)
     # overriding bprime under the schedule re-derives p
     cfg2 = cfg.with_override("algorithm.bprime", 8)
     res2 = resolve(cfg2)
-    assert res2.b_prime == 8 and res2.p == pytest.approx(8 / 24)
+    assert res2.run.b_prime == 8 and res2.run.p == pytest.approx(8 / 24)
 
 
 def test_sccd_forces_full_refresh():
@@ -84,7 +84,7 @@ def test_sccd_forces_full_refresh():
         )
     cfg = parse_config("problem.family = quadratic\nalgorithm.name = sccd\nalgorithm.b = 8")
     res = resolve(cfg)
-    assert res.p == 1.0
+    assert res.run.p == 1.0
 
 
 def test_vroccd_means_shared_sampling():
@@ -97,7 +97,7 @@ algorithm.b = 8
 algorithm.bprime = 2
 """
     )
-    assert resolve(cfg).sample_sharing == "shared_per_cycle"
+    assert resolve(cfg).run.sample_sharing == "shared_per_cycle"
     with pytest.raises(ConfigError):
         parse_config(
             "problem.family = quadratic\nalgorithm.name = vroccd\nalgorithm.p = 0.5\n"

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from ccdlab import checks, harness
-from ccdlab.algorithms import ProxGdConfig, prox_gd_run
+from ccdlab.algorithms import prox_gd_run
 from ccdlab.cli import main
 from ccdlab.config import parse_config
 from ccdlab.harness import (
@@ -124,11 +124,7 @@ seeds.count = 2
     path_m = sweep(cfg, "problem.m", [1, 2], out_dir=tmp_path / "m")
     m1_rows = [ln for ln in path_m.read_text().splitlines() if ln.startswith("problem.m,1,")]
     res = resolve(cfg.with_override("problem.m", 1))
-    _, trace = prox_gd_run(
-        res.prob,
-        res.reg,
-        ProxGdConfig(cycles=res.cycles, x0=res.x0, metric=res.metric, eta=res.eta),
-    )
+    _, trace = prox_gd_run(res.prob, res.reg, res.run)
     final_f = float(m1_rows[0].split(",")[3])
     assert final_f == trace.obj[-1]
 
@@ -386,3 +382,38 @@ diagnostics.s_surrogate_samples = 128
     # byte-identical rerun holds for the surrogate path too
     again = run_experiment(cfg, out_dir=tmp_path / "again")
     assert result.trace_paths[0].read_text() == again.trace_paths[0].read_text()
+
+
+@pytest.mark.parametrize(
+    "line, argv, message",
+    [
+        ("problem.condition_number = nan", ["run"],
+         "problem.condition_number: expected a finite number, got 'nan'"),
+        ("problem.reg = l1(nan)", ["run"], "problem.reg: expected a finite number, got 'nan'"),
+        ("algorithm.eta = inf", ["run"], "algorithm.eta: expected a finite number, got 'inf'"),
+        ("lambda.values = 1, -inf", ["run"], "lambda.values: expected a finite number, got '-inf'"),
+        ("", ["sweep", "--axis", "algorithm.eta_scale", "--values", "1,nan"],
+         "sweep axis algorithm.eta_scale takes finite numbers, got nan"),
+        ("", ["sweep", "--axis", "problem.n", "--values", "8,inf"],
+         "sweep axis problem.n takes finite numbers, got inf"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, line, argv, message):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(DIVERGING_PCCD + line + "\n")
+    command, *rest = argv
+    code = main([command, str(cfg_path), *rest, "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def test_bad_run_parameter_rejected_before_any_trace_file(tmp_path, capsys):
+    # the run config is built and checked once, when the experiment resolves
+    cfg = parse_config(VR_CHECKED).with_override("algorithm.eta", float("nan"))
+    result = run_experiment(cfg, out_dir=tmp_path)
+    assert result.exit_code == 3
+    assert "ccdlab: error: eta must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccdlab import algorithms, regularizers
-from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, VrccdConfig, vrccd_run
+from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, RunConfig, vrccd_run
 from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
@@ -96,7 +96,7 @@ def test_correction_gathers_batch_rows_once(sharing, monkeypatch):
     metric = exact_quadratic_metric(prob)
     # b = n: the anchor and every refresh use the exact mean, so the only
     # gathers left are the corrections' size-b' batches
-    cfg = VrccdConfig(cycles=12, eta=0.5, p=0.3, b=n, b_prime=4, x0=np.ones(d), metric=metric,
+    cfg = RunConfig(cycles=12, eta=0.5, p=0.3, b=n, b_prime=4, x0=np.ones(d), metric=metric,
                       sample_sharing=sharing)
     _, reference = vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(3))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccdlab.algorithms import ProxGdConfig, prox_gd_run
+from ccdlab.algorithms import RunConfig, prox_gd_run
 from ccdlab.blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
 from ccdlab.problems import (
     QuadraticFiniteSum,
@@ -38,17 +38,16 @@ def test_condition_one_minimizer_matches_descent_run():
     metric = exact_quadratic_metric(prob)
     x0 = np.zeros(8)
     x_out, _ = prox_gd_run(
-        prob, Zero(), ProxGdConfig(cycles=400, x0=x0, metric=metric, eta=1.0)
+        prob, Zero(), RunConfig(cycles=400, x0=x0, metric=metric, eta=1.0)
     )
     assert np.linalg.norm(x_out + prob.mean_lin) < 1e-10
     assert np.linalg.norm(x_out - prob.x_star) < 1e-10
 
 
-def test_nonconvex_flags_box_and_stays_finite_on_corners():
+def test_nonconvex_stays_finite_on_box_corners():
     prob = generate_quadratic(13, n=3, d=8, partition=PART, convex=False)
-    assert prob.box_recommended
     assert not prob.is_strongly_convex
-    lo, hi = prob.suggested_box
+    lo, hi = -2.0, 2.0
     rng = np.random.default_rng(0)
     for _ in range(8):
         corner = np.where(rng.random(8) < 0.5, lo, hi)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ccdlab.algorithms import NonFiniteObjectiveError, VrccdConfig, vrccd_run
+from ccdlab.algorithms import NonFiniteObjectiveError, RunConfig, vrccd_run
 from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
@@ -34,7 +34,7 @@ diagnostics.s_surrogate_samples = 64
 def test_streaming_surrogate_run_raises_at_first_nonfinite_objective():
     part = BlockPartition.even(8, 4)
     prob = generate_streaming_quadratic(0, d=8, partition=part)
-    cfg = VrccdConfig(
+    cfg = RunConfig(
         cycles=400, eta=50.0, p=0.5, b=8, b_prime=2, x0=np.ones(8),
         metric=exact_quadratic_metric(prob), surrogate_samples=64,
     )
