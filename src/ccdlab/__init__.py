@@ -46,7 +46,6 @@ from .algorithms import (
     page_run,
     pccd_run,
     prox_gd_run,
-    sgd_run,
     vrccd_run,
 )
 from .config import ConfigError, ExperimentConfig, parse_config

@@ -4,34 +4,36 @@ common per-cycle trace.
 
 Every method takes the same block prox step under the run's diagonal
 metric, and every entry point takes one :class:`RunConfig` (the randomized
-ones also an ``RngBundle``). The methods differ in two choices only; each
-entry point rejects a config that lacks a field it needs:
+ones also an ``RngBundle``). The methods differ in two choices only, and
+the engine rejects, before cycle 1, a config that lacks a field it needs:
 
-================  ============  ==========================  ====================
-entry point       update order  gradient estimator          RunConfig fields
-================  ============  ==========================  ====================
-``pccd_run``      cyclic        exact                       metric or None
-``prox_gd_run``   simultaneous  exact                       metric
-``vrccd_run``     cyclic        recursive                   p, b, b', metric
-``page_run``      simultaneous  recursive                   p, b, b', metric
-``sgd_run``       simultaneous  recursive at p = 1, b' = b  b, metric
-================  ============  ==========================  ====================
+================  ============  ==================  ====================
+entry point       update order  gradient estimator  RunConfig fields
+================  ============  ==================  ====================
+``pccd_run``      cyclic        exact               metric or None
+``prox_gd_run``   simultaneous  exact               metric
+``vrccd_run``     cyclic        recursive           p, b, b', metric
+``page_run``      simultaneous  recursive           p, b, b', metric
+================  ============  ==================  ====================
+
+Minibatch proximal SGD is ``page_run`` at p = 1, b' = b. ``config.METHODS``
+maps each algorithm name to its entry point and the settings it fixes.
 
 * **Update order.** The cyclic order estimates block j's gradient at the
   intermediate point just before block j is updated. The simultaneous order
   estimates the whole gradient once per cycle. Either estimate then feeds
   the same in-place per-block prox loop, since block j's prox reads only
   block j's coordinates.
-* **Gradient estimator.** Exact, or the recursive estimator of PAGE (Li et
-  al., arXiv:2008.10898) with one anchor per estimate (per block, or one
-  for the whole vector). Each estimate either refreshes the anchor from a
-  size-b batch (probability p) or corrects it with a size-b' batch of
-  gradient differences between the current point and the matching point of
-  the previous cycle. That point is rebuilt from the two stored full
-  iterates, so memory stays O(d). The switch and the batch are drawn fresh
-  per estimate, or once per cycle and shared by every block
-  (``shared_per_cycle``). At p = 1 the estimator is plain minibatch and no
-  anchor batch is drawn.
+* **Gradient estimator.** Exact without an ``RngBundle``; with one, the
+  recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
+  per estimate (per block, or one for the whole vector). Each estimate
+  either refreshes the anchor from a size-b batch (probability p) or
+  corrects it with a size-b' batch of gradient differences between the
+  current point and the matching point of the previous cycle. That point is
+  rebuilt from the two stored full iterates, so memory stays O(d). The
+  switch and the batch are drawn fresh per estimate, or once per cycle and
+  shared by every block (``shared_per_cycle``). At p = 1 the estimator is
+  plain minibatch and no anchor batch is drawn.
 
 Conventions shared by every run:
 
@@ -69,6 +71,10 @@ from .sampling import RngBundle, bernoulli_switch
 
 FRESH_PER_BLOCK = "fresh_per_block"
 SHARED_PER_CYCLE = "shared_per_cycle"
+
+# every backtracked block scale is _BACKTRACK_INIT * _BACKTRACK_GROWTH^t
+_BACKTRACK_INIT = 1.0
+_BACKTRACK_GROWTH = 2.0
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -141,8 +147,6 @@ class RunConfig:
     keep_iterates: bool = False
     surrogate_samples: int = 0
     stop_step_sq: float | None = None  # early exit once v_k falls below this
-    backtrack_init: float = 1.0
-    backtrack_growth: float = 2.0
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -157,11 +161,6 @@ class RunConfig:
             raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
         if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
-        # every backtracked block scale is backtrack_init * growth^t: positive
-        if not self.backtrack_init > 0:
-            raise ValueError(f"backtrack_init must be positive, got {self.backtrack_init}")
-        if not self.backtrack_growth > 1:
-            raise ValueError(f"backtrack_growth must exceed 1, got {self.backtrack_growth}")
 
 
 def _stationarity(grad, residuals, slices, inv_blocks) -> float:
@@ -175,29 +174,15 @@ def _objective(prob, reg, x) -> float:
     return prob.value(x) + total_value(reg, x, prob.partition)
 
 
-def _require_finite(prob, message: str):
-    if not getattr(prob, "is_finite", False):
-        raise ValueError(message)
-
-
-def _require(cfg: RunConfig, method: str, *names):
-    missing = [name for name in names if getattr(cfg, name) is None]
-    if missing:
-        raise ValueError(f"{method} needs {', '.join(missing)} in its run config")
-
-
 def pccd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
     """Cyclic proximal descent; returns the iterate with the smallest metric
     displacement from its predecessor (first minimizer on ties) and the trace.
     """
-    _require_finite(prob, "the cyclic proximal method needs exact gradients (finite sums)")
     return _run_cycles(prob, reg, cfg, cyclic=True, row_sink=row_sink)
 
 
 def prox_gd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
     """Full-gradient proximal baseline; same return rule as the cyclic run."""
-    _require_finite(prob, "the full-gradient baseline needs a finite sum")
-    _require(cfg, "prox_gd", "metric")
     return _run_cycles(prob, reg, cfg, cyclic=False, row_sink=row_sink)
 
 
@@ -209,36 +194,14 @@ def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=
     trajectory coincides, float for float, with the cyclic proximal method
     run at the same step size.
     """
-    _require(cfg, "vrccd", "p", "b", "b_prime", "metric")
-    est = _Recursive(cfg.p, cfg.b, cfg.b_prime, shared=cfg.sample_sharing == SHARED_PER_CYCLE)
-    return _run_cycles(prob, reg, cfg, cyclic=True, est=est, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=True, rngs=rngs, row_sink=row_sink)
 
 
 def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
     """Full-vector recursive estimator baseline: one switch and one estimator
-    for the whole gradient per iteration, simultaneous block update."""
-    _require(cfg, "page", "p", "b", "b_prime", "metric")
-    est = _Recursive(cfg.p, cfg.b, cfg.b_prime)
-    return _run_cycles(prob, reg, cfg, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
-
-
-def sgd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
-    """Minibatch proximal stochastic gradient baseline (``cfg.p`` and
-    ``cfg.b_prime`` are not read)."""
-    _require(cfg, "sgd", "b", "metric")
-    est = _Recursive(1.0, cfg.b, cfg.b)
-    return _run_cycles(prob, reg, cfg, cyclic=False, est=est, rngs=rngs, row_sink=row_sink)
-
-
-@dataclass(frozen=True)
-class _Recursive:
-    """The recursive estimator; ``shared`` draws one switch and one batch
-    per cycle instead of per estimate."""
-
-    p: float
-    b: int
-    b_prime: int
-    shared: bool = False
+    for the whole gradient per iteration, simultaneous block update. At
+    p = 1 and b' = b it is minibatch proximal SGD."""
+    return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs, row_sink=row_sink)
 
 
 def _grad(prob, j, x, batch=None):
@@ -250,16 +213,27 @@ def _grad(prob, j, x, batch=None):
     return prob.batch_full_grad(batch, x) if j is None else prob.batch_block_grad(batch, j, x)
 
 
-def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink=None):
-    """The cycle engine. ``cyclic`` picks the update order and ``est`` the
-    gradient estimator (None: exact)."""
+def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
+    """The cycle engine. ``cyclic`` picks the update order; with ``rngs`` the
+    gradient estimator is the recursive one with cfg's p, b, b' and sample
+    sharing, without it exact gradients."""
     part = prob.partition
     m, d = part.num_blocks, part.dim
-    finite = getattr(prob, "is_finite", False)
+    finite = prob.is_finite
     record_u = cfg.record_u
     backtracking = cfg.metric is None
-    if est is not None and finite and est.b > prob.n:
-        raise ValueError(f"need b <= n, got b={est.b}, n={prob.n}")
+    recursive = rngs is not None
+    if not (recursive or finite):
+        raise ValueError("exact gradients need a finite sum")
+    needed = ["p", "b", "b_prime"] if recursive else []
+    if recursive or not cyclic:  # backtracking is wired into the cyclic exact order only
+        needed.append("metric")
+    missing = [name for name in needed if getattr(cfg, name) is None]
+    if missing:
+        raise ValueError(f"this run needs {', '.join(missing)} in its run config")
+    shared = cfg.sample_sharing == SHARED_PER_CYCLE
+    if recursive and finite and cfg.b > prob.n:
+        raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
     if record_u and not finite:
         raise ValueError("anchor-error recording needs exact gradients (finite sums)")
     x = np.array(cfg.x0, dtype=float)
@@ -278,7 +252,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
     # coordinates, the blocks its estimate updates)
     slices = part.slices
     if backtracking:
-        scales = np.full(m, cfg.backtrack_init)
+        scales = np.full(m, _BACKTRACK_INIT)
     else:
         lam_blocks = [cfg.metric.block(j) for j in range(m)]
         inv_blocks = [1.0 / lam for lam in lam_blocks]
@@ -305,10 +279,10 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
     work = 0
     anchors = [None] * len(units)
     u0 = 0.0 if record_u else None
-    if est is not None and est.p < 1.0:
-        g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, est.b), x)
+    if recursive and cfg.p < 1.0:
+        g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
         anchors = [np.array(g_init[cols]) for _, cols, _ in units]
-        work = est.b * d
+        work = cfg.b * d
         if record_u:
             for (j_u, _, _), anchor, inv in zip(units, anchors, unit_invs):
                 u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
@@ -330,16 +304,16 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
         inv_used = []
         for u, (j_u, cols_u, blocks) in enumerate(units):
             size = cols_u.stop - cols_u.start
-            if est is None:
+            if not recursive:
                 g = _grad(prob, j_u, x)
                 work += prob.n * size
             else:
-                if u == 0 or not est.shared:
-                    refresh = bernoulli_switch(rngs.switch, est.p)
-                    batch = prob.draw_batch(rngs.batch, est.b if refresh else est.b_prime)
+                if u == 0 or not shared:
+                    refresh = bernoulli_switch(rngs.switch, cfg.p)
+                    batch = prob.draw_batch(rngs.batch, cfg.b if refresh else cfg.b_prime)
                 if refresh:
                     g = _grad(prob, j_u, x, batch)
-                    work += est.b * size
+                    work += cfg.b * size
                 else:
                     # the matching point of the previous cycle
                     off = cols_u.start
@@ -350,7 +324,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
                     else:
                         g_x, g_old = prob.batch_block_grad_pair(batch, j_u, x, old)
                     g = anchors[u] + (g_x - g_old)
-                    work += est.b_prime * size
+                    work += cfg.b_prime * size
                 anchors[u] = g
             if record_u:
                 grad_mid = _grad(prob, j_u, x)
@@ -361,7 +335,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
                 center = x[cols].copy()
                 if backtracking:
                     scales[j], z = _accept_scale(
-                        prob, reg, j, cols, x, g_j, center, scales[j], cfg.backtrack_growth, cfg.eta
+                        prob, reg, j, cols, x, g_j, center, scales[j], cfg.eta
                     )
                     lam = np.full(center.shape, scales[j])
                     inv = 1.0 / lam
@@ -389,7 +363,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
             x_hat = x.copy()
         if cfg.keep_iterates:
             trace.iterates.append(x.copy())
-        if est is not None:
+        if recursive:
             x_prev2 = x_prev
             x_prev = x.copy()
         trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
@@ -403,7 +377,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, est=None, rngs=None, row_sink
     return (best_x if k_out is None else x_hat), trace
 
 
-def _accept_scale(prob, reg, j, cols, x, g, center, scale, growth, eta, max_growths=200):
+def _accept_scale(prob, reg, j, cols, x, g, center, scale, eta, max_growths=200):
     """Backtracking acceptance loop with precomputed block gradient."""
     base = prob.value(x)
     trial = np.array(x, dtype=float)
@@ -415,7 +389,7 @@ def _accept_scale(prob, reg, j, cols, x, g, center, scale, growth, eta, max_grow
         rhs = base + float(g @ step) + 0.5 * scale * float(step @ step)
         if prob.value(trial) <= rhs + 1e-12 * max(1.0, abs(rhs)):
             return scale, z
-        scale *= growth
+        scale *= _BACKTRACK_GROWTH
     raise RuntimeError(f"backtracking exceeded {max_growths} growth steps on block {j}")
 
 
@@ -426,7 +400,7 @@ def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):
     (both quantities are then sample estimates and labeled approximate by
     the harness); with no surrogate budget they are skipped.
     """
-    if getattr(prob, "is_finite", False):
+    if prob.is_finite:
         grad = prob.full_grad(x) if want_grad else None
         return _objective(prob, reg, x), grad
     if surrogate_samples and surrogate_samples > 0:

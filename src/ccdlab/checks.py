@@ -56,7 +56,6 @@ class BoundReport:
     rows: tuple[BoundRow, ...] = ()
     conditional: tuple[str, ...] = ()
     low_power: bool = False
-    notes: str = ""
     rel_tol: float = _REL_TOL
     advisory: bool = False  # reported but never gates the exit status
 
@@ -268,7 +267,6 @@ def check_vr_rate(
         [BoundRow(cycles, mean, bound + allowance)],
         conditional=tuple(conditional),
         low_power=len(traces) < 30,
-        notes=f"seeds={len(traces)} allowance={allowance:.6g} bound={bound:.6g}",
     )
     return report
 
@@ -337,7 +335,6 @@ def check_vr_potential(
         rows,
         conditional=tuple(conditional),
         low_power=len(traces) < 30,
-        notes=f"seeds={len(traces)} noise={noise:.6g}",
     )
 
 
@@ -379,7 +376,6 @@ def check_vr_pl_rate(
         [BoundRow(cycles, mean, bound + allowance)],
         conditional=tuple(conditional),
         low_power=gaps.size < 30,
-        notes=f"seeds={gaps.size} allowance={allowance:.6g} bound={bound:.6g}",
     )
 
 
@@ -402,7 +398,6 @@ def check_work_accounting(
             HARD,
             [BoundRow(None, dev, 0.0)],
             conditional=tuple(conditional),
-            notes=f"target={target:.6g} cycles={increments.size}",
         )
     dev = abs(float(increments.mean()) - target)
     return BoundReport(
@@ -411,7 +406,6 @@ def check_work_accounting(
         [BoundRow(None, dev, 0.02 * target)],
         conditional=tuple(conditional),
         low_power=increments.size < 10_000,
-        notes=f"target={target:.6g} mean={float(increments.mean()):.6g} cycles={increments.size}",
     )
 
 
@@ -422,6 +416,5 @@ def check_batch_variance_identity(lhs: float, rhs: float) -> BoundReport:
         "batch-variance-identity",
         HARD,
         [BoundRow(None, err, 1e-10 * max(1.0, abs(rhs)))],
-        notes=f"lhs={lhs:.12g} rhs={rhs:.12g}",
         rel_tol=0.0,
     )

@@ -10,11 +10,44 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
-ALGORITHMS = ("pccd", "vrccd", "vroccd", "sccd", "prox_gd", "page", "sgd")
-CYCLIC_EXACT = ("pccd", "prox_gd")
-VARIANCE_REDUCED = ("vrccd", "vroccd", "sccd")
-STOCHASTIC = VARIANCE_REDUCED + ("page", "sgd")
+
+@dataclass(frozen=True)
+class Method:
+    """What one algorithm name means: its ``algorithms`` entry point, update
+    order and gradient estimator, and the estimator settings the name fixes
+    (None or False: the config's)."""
+
+    entry: str  # looked up on ``algorithms`` at call time
+    cyclic: bool  # block by block, else the whole vector at once
+    stochastic: bool  # the recursive estimator (seeded), else exact gradients
+    p: float | None = None
+    bprime_is_b: bool = False
+    sample_sharing: str | None = None
+
+    @property
+    def backtracks(self) -> bool:  # the engine backtracks in the cyclic exact order only
+        return self.cyclic and not self.stochastic
+
+
+METHODS = MappingProxyType({
+    "pccd": Method("pccd_run", cyclic=True, stochastic=False),
+    "vrccd": Method("vrccd_run", cyclic=True, stochastic=True),
+    "vroccd": Method("vrccd_run", cyclic=True, stochastic=True, sample_sharing="shared_per_cycle"),
+    "sccd": Method("vrccd_run", cyclic=True, stochastic=True, p=1.0),
+    "prox_gd": Method("prox_gd_run", cyclic=False, stochastic=False),
+    "page": Method("page_run", cyclic=False, stochastic=True),
+    "sgd": Method("page_run", cyclic=False, stochastic=True, p=1.0, bprime_is_b=True),
+})
+ALGORITHMS = tuple(METHODS)
+CYCLIC_EXACT = tuple(name for name, m in METHODS.items() if not m.stochastic)
+VARIANCE_REDUCED = tuple(name for name, m in METHODS.items() if m.cyclic and m.stochastic)
+STOCHASTIC = tuple(name for name, m in METHODS.items() if m.stochastic)
+
+# the recursive estimator's keys, which the exact methods never read
+_ESTIMATOR_KEYS = ("algorithm.p", "algorithm.b", "algorithm.bprime", "algorithm.sample_sharing",
+                   "algorithm.schedule", "diagnostics.record_u")
 
 SHARED_BATCH_TAG = "shared-batch sampling (outside the analyzed variant)"
 
@@ -341,6 +374,11 @@ def _line(key_lines, key) -> int:
     return key_lines.get(key, 0)
 
 
+def _value(cfg: ExperimentConfig, key: str):
+    section, attr = _split_path(key)
+    return getattr(getattr(cfg, _SECTION_ATTRS[section]), attr)
+
+
 def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
     """Cross-field constraints; returns (line, message) pairs (line 0 when
     the offending value is a default)."""
@@ -365,30 +403,41 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append((_line(key_lines, "problem.reg"), "box bounds need lo < hi"))
     if p_spec.reg[0] == "l1" and p_spec.reg[1] < 0:
         errs.append((_line(key_lines, "problem.reg"), "l1 weight must be nonnegative"))
+    for key in ("problem.sigma_sq", "lambda.lip_trailing", "lambda.lip_leading"):
+        value = _value(cfg, key)
+        if value is not None and value < 0:
+            errs.append((_line(key_lines, key), f"{key} must be nonnegative"))
 
     if a.cycles < 1:
         errs.append((_line(key_lines, "algorithm.K"), "algorithm.K must be >= 1"))
     if a.eta_scale <= 0:
         errs.append((_line(key_lines, "algorithm.eta_scale"), "eta_scale must be positive"))
 
-    stochastic = a.name in STOCHASTIC
-    vr_like = stochastic and a.name != "sgd"
+    method = METHODS[a.name]
     streaming_sigmoid = streaming and p_spec.streaming_family == "sigmoid"
-    if a.name == "sccd" and a.p is not None and a.p != 1.0:
-        errs.append((_line(key_lines, "algorithm.p"), "sccd forces p = 1"))
-    if a.name == "vroccd" and a.sample_sharing == "fresh_per_block":
-        errs.append(
-            (_line(key_lines, "algorithm.sample_sharing"), "vroccd means shared_per_cycle")
-        )
+    # estimator keys the method never reads, each with the reason
+    unread = [] if method.stochastic else [(k, "takes exact gradients") for k in _ESTIMATOR_KEYS]
+    if method.stochastic and not method.cyclic:
+        unread.append(("algorithm.sample_sharing", "estimates the whole gradient at once"))
+    if method.bprime_is_b:
+        unread.append(("algorithm.bprime", "fixes bprime = b"))
+    for key, why in unread:
+        if _value(cfg, key) is not None and _value(cfg, key) is not False:
+            errs.append((_line(key_lines, key), f"{a.name} never reads {key}: it {why}"))
+    if method.p is not None and a.p is not None and a.p != method.p:
+        errs.append((_line(key_lines, "algorithm.p"), f"{a.name} forces p = {method.p:g}"))
+    if method.sample_sharing and a.sample_sharing not in (None, method.sample_sharing):
+        where = _line(key_lines, "algorithm.sample_sharing")
+        errs.append((where, f"{a.name} means {method.sample_sharing}"))
     if a.p is not None and not 0.0 < a.p <= 1.0:
         errs.append(
             (_line(key_lines, "algorithm.p"), f"p must lie in (0, 1], got {a.p}")
         )
-    if vr_like and a.name != "sccd" and a.schedule is None and a.p is None:
+    if method.stochastic and method.p is None and a.schedule is None and a.p is None:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs algorithm.p or a schedule")
         )
-    if stochastic and a.schedule is None and a.b is None:
+    if method.stochastic and a.schedule is None and a.b is None:
         errs.append((_line(key_lines, "algorithm.name"), f"{a.name} needs algorithm.b or a schedule"))
     if a.b is not None and a.b < 1:
         errs.append((_line(key_lines, "algorithm.b"), "b must be >= 1"))
@@ -398,7 +447,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append((_line(key_lines, "algorithm.bprime"), "need bprime <= b"))
     if not streaming and a.b is not None and p_spec.n != math.inf and a.b > int(p_spec.n):
         errs.append((_line(key_lines, "algorithm.b"), "need b <= n"))
-    if streaming and a.name in CYCLIC_EXACT:
+    if streaming and not method.stochastic:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs exact gradients (finite n)")
         )
@@ -415,7 +464,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
             errs.append((_line(key_lines, "lambda.values"), "need one scale per block"))
         elif any(v <= 0 for v in cfg.lam.values):
             errs.append((_line(key_lines, "lambda.values"), "scales must be positive"))
-    if mode == "backtracking" and a.name != "pccd":
+    if mode == "backtracking" and not method.backtracks:
         errs.append(
             (
                 _line(key_lines, "lambda.mode"),
@@ -439,7 +488,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         )
     if mode == "sigmoid_bound" and p_spec.family != "sigmoid":
         errs.append((_line(key_lines, "lambda.mode"), "sigmoid_bound needs the sigmoid family"))
-    if a.eta == "auto" and stochastic and not coupling_known(cfg):
+    if a.eta == "auto" and method.stochastic and not coupling_known(cfg):
         errs.append((_line(key_lines, "algorithm.eta"), f"eta = auto needs {_COUPLING}"))
 
     if cfg.seeds.count < 1:
@@ -492,7 +541,7 @@ def lambda_mode(cfg: ExperimentConfig) -> str:
     if cfg.lam.mode is not None:
         return cfg.lam.mode
     if cfg.problem.family == "sigmoid":
-        return "backtracking" if cfg.algorithm.name == "pccd" else "sigmoid_bound"
+        return "backtracking" if METHODS[cfg.algorithm.name].backtracks else "sigmoid_bound"
     return "exact_quadratic"
 
 

@@ -39,9 +39,8 @@ from . import algorithms, checks, problems, smoothness
 from .blocks import BlockPartition, DiagonalMetric
 from .config import (
     CHECKS,
-    CYCLIC_EXACT,
+    METHODS,
     SHARED_BATCH_TAG,
-    STOCHASTIC,
     ConfigError,
     ExperimentConfig,
     config_to_dict,
@@ -178,6 +177,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     x0 = initial_point(cfg, prob)
     a = cfg.algorithm
     name = a.name
+    method = METHODS[name]
     conditional: list[str] = []
     if profile is not None and profile.supplied:
         conditional.append("supplied coupling constants")
@@ -189,23 +189,17 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         if a.bprime is not None:
             b_prime = a.bprime
             p = b_prime / (b + b_prime)
-    if name == "sccd":
-        p = 1.0
-        if b_prime is None:
-            b_prime = b
-    if name == "sgd":
-        p, b_prime = 1.0, b
-    if name == "vroccd":
-        sharing = algorithms.SHARED_PER_CYCLE
-    elif a.sample_sharing is not None:
-        sharing = a.sample_sharing
-    else:
-        sharing = algorithms.FRESH_PER_BLOCK
+    if method.p is not None:
+        p = method.p
+    # at a fixed p = 1 no correction batch is drawn, so b' defaults to b
+    if method.bprime_is_b or (method.p is not None and b_prime is None):
+        b_prime = b
+    sharing = method.sample_sharing or a.sample_sharing or algorithms.FRESH_PER_BLOCK
     if b_prime is None and b is not None:
         b_prime = max(1, round(math.sqrt(b)))
 
     eta_bound = None
-    if name in STOCHASTIC and profile is not None and p is not None:
+    if method.stochastic and profile is not None and p is not None:
         # the gradient-dominance rate needs its own (smaller) admissible eta
         if "vr-pl-rate" in cfg.diagnostics.checks:
             mu = problems.pl_constant(prob, metric)
@@ -214,7 +208,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
             plan = smoothness.step_size(profile, p, b, b_prime, n, mode=smoothness.MODE_RATE)
         eta_bound = plan.eta
     if a.eta == "auto":
-        if name in CYCLIC_EXACT:
+        if not method.stochastic:
             eta = a.eta_scale  # unit step by default
         elif eta_bound is not None:
             eta = eta_bound * a.eta_scale
@@ -238,8 +232,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         b=b,
         b_prime=b_prime,
         sample_sharing=sharing,
-        # sgd's p = 1 estimator keeps no anchor to diagnose
-        record_u=cfg.diagnostics.record_u and name in STOCHASTIC and name != "sgd",
+        record_u=cfg.diagnostics.record_u,
         surrogate_samples=cfg.diagnostics.s_surrogate_samples,
     )
     return Resolved(
@@ -255,24 +248,13 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     )
 
 
-# algorithm name -> the name of its entry point, looked up on ``algorithms``
-# at call time so that a rebound entry point (a profiler's wrapper) is called
-_ENTRY_POINTS = {
-    "pccd": "pccd_run",
-    "prox_gd": "prox_gd_run",
-    "vrccd": "vrccd_run",
-    "vroccd": "vrccd_run",
-    "sccd": "vrccd_run",
-    "page": "page_run",
-    "sgd": "sgd_run",
-}
-
-
 def run_seed(res: Resolved, seed: int, row_sink=None):
     """Execute one seed; returns (x_out, trace). The exact methods draw no
     randomness, so they get no ``RngBundle``."""
-    entry = getattr(algorithms, _ENTRY_POINTS[res.algorithm])
-    if res.algorithm in CYCLIC_EXACT:
+    method = METHODS[res.algorithm]
+    # looked up at call time, so that a rebound entry point (a profiler's wrapper) is called
+    entry = getattr(algorithms, method.entry)
+    if not method.stochastic:
         return entry(res.prob, res.reg, res.run, row_sink=row_sink)
     return entry(res.prob, res.reg, res.run, RngBundle.from_seed(seed), row_sink=row_sink)
 
@@ -412,7 +394,7 @@ class _CheckInputs:
             return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
         if isinstance(prob, problems.StreamingQuadratic):
             return prob.sigma_sq_exact(res.run.metric), ()
-        value = problems.estimate_sigma_sq(prob, res.run.metric, [res.run.x0])
+        value = problems.estimate_sigma_sq(prob, res.run.metric, res.run.x0)
         if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
             return value, ()
         return value, ("sigma_sq estimated at the start point",)

@@ -48,7 +48,10 @@ class _Objective:
 
 
 class FiniteSumObjective(_Objective):
-    """Shared finite-sum plumbing; concrete families implement the kernels."""
+    """Shared finite-sum plumbing. Each family implements ``_rows_grad``,
+    ``_batch_rows_grad``, ``value``, ``component_value``, and the stacks of
+    per-component gradients ``component_block_grads`` (one block) and
+    ``component_block_grads_full``."""
 
     n: int
 
@@ -56,27 +59,6 @@ class FiniteSumObjective(_Objective):
     def is_finite(self) -> bool:
         return True
 
-    def _full_slice(self) -> slice:
-        return slice(0, self.dim)
-
-    # kernels implemented per family -------------------------------------
-    def _rows_grad(self, cols: slice, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _batch_rows_grad(self, idx: np.ndarray, cols: slice, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def component_block_grads(self, j: int, x: np.ndarray) -> np.ndarray:
-        """(n, d_j) stack of per-component block gradients."""
-        raise NotImplementedError
-
-    # shared surface -------------------------------------------------------
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         # assembled block by block so the j-th slice is bit-identical to
         # block_grad(j, x); every equivalence contract leans on this
@@ -87,9 +69,6 @@ class FiniteSumObjective(_Objective):
 
     def component_block_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.component_block_grads(j, x)[i]
-
-    def component_block_grads_full(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
@@ -300,7 +279,9 @@ class _RowBatch(NamedTuple):
 
 
 class StreamingObjective(_Objective):
-    """Infinite-sum interface: i.i.d. component batches, no exact gradients."""
+    """Infinite-sum interface: i.i.d. component batches, no exact gradients.
+    Each family implements ``draw_batch``, ``batch_value`` and
+    ``batch_block_grad``."""
 
     n = None
 
@@ -308,17 +289,10 @@ class StreamingObjective(_Objective):
     def is_finite(self) -> bool:
         return False
 
-    def draw_batch(self, rng: np.random.Generator, size: int):
-        raise NotImplementedError
-
-    def batch_value(self, batch, x) -> float:
-        raise NotImplementedError
-
     def batch_full_grad(self, batch, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_block_grad(self, batch, j, x) -> np.ndarray:
-        raise NotImplementedError
+        return np.concatenate(
+            [self.batch_block_grad(batch, j, x) for j in range(self.partition.num_blocks)]
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,20 +330,11 @@ class StreamingQuadratic(StreamingObjective):
     def batch_value(self, batch, x):
         return float(0.5 * x @ (self.quad @ x) + batch.lin.mean(axis=0) @ x)
 
-    def batch_full_grad(self, batch, x):
-        part = self.partition
-        return np.concatenate(
-            [self.batch_block_grad(batch, j, x) for j in range(part.num_blocks)]
-        )
-
     def batch_block_grad(self, batch, j, x):
         cols = self.partition.slices[j]
         return self.quad[cols] @ x + batch.lin[:, cols].mean(axis=0)
 
     # population quantities, exact for this family
-    def population_value(self, x):
-        return float(0.5 * x @ (self.quad @ x) + self.lin_mean @ x)
-
     def population_grad(self, x):
         return self.quad @ x + self.lin_mean
 
@@ -402,12 +367,6 @@ class StreamingClassification(StreamingObjective):
 
     def batch_value(self, batch, x):
         return _sigmoid_value(batch.rows, batch.labels, x)
-
-    def batch_full_grad(self, batch, x):
-        part = self.partition
-        return np.concatenate(
-            [self.batch_block_grad(batch, j, x) for j in range(part.num_blocks)]
-        )
 
     def batch_block_grad(self, batch, j, x):
         return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)
@@ -598,36 +557,10 @@ def pl_constant(prob: QuadraticFiniteSum, metric: DiagonalMetric) -> float:
     return float(np.linalg.eigvalsh(scaled)[0])
 
 
-def estimate_sigma_sq(
-    prob,
-    metric: DiagonalMetric,
-    x_samples,
-    rng: np.random.Generator | None = None,
-    sample_count: int | None = None,
-) -> float:
-    """Empirical bound for the gradient variance constant.
-
-    Finite sums enumerate all components exactly and return the max over the
-    probe points. Streaming objectives require ``rng`` and ``sample_count``
-    and return a sample-mean estimate (callers should flag results built on
-    it as conditional).
-    """
-    worst = 0.0
-    if getattr(prob, "is_finite", False):
-        for x in x_samples:
-            grads = prob.component_block_grads_full(np.asarray(x, dtype=float))
-            dev = grads - grads.mean(axis=0)
-            worst = max(worst, float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1))))
-        return worst
-    if rng is None or sample_count is None:
-        raise ValueError("streaming objective: pass rng and sample_count for a sample estimate")
-    for x in x_samples:
-        x = np.asarray(x, dtype=float)
-        batch = prob.draw_batch(rng, sample_count)
-        if isinstance(batch, _LinBatch):
-            grads = prob.quad @ x + batch.lin
-        else:
-            grads = _sigmoid_component_grads(batch.rows, batch.labels, slice(0, prob.dim), x)
-        dev = grads - grads.mean(axis=0)
-        worst = max(worst, float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1))))
-    return worst
+def estimate_sigma_sq(prob: FiniteSumObjective, metric: DiagonalMetric, x) -> float:
+    """The gradient variance at one point of a finite sum: the mean squared
+    inverse-metric deviation of the component gradients from their mean,
+    with every component enumerated."""
+    grads = prob.component_block_grads_full(np.asarray(x, dtype=float))
+    dev = grads - grads.mean(axis=0)
+    return float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1)))

@@ -106,7 +106,7 @@ def subset_variance_identity(
     deviation moment. The two are equal as an identity; tests assert it to
     1e-10 relative.
     """
-    if not getattr(prob, "is_finite", False):
+    if not prob.is_finite:
         raise ValueError("subset enumeration needs a finite-sum objective")
     n = prob.n
     if n > max_n:

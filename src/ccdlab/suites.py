@@ -26,7 +26,6 @@ from .algorithms import (
     page_run,
     pccd_run,
     prox_gd_run,
-    sgd_run,
     vrccd_run,
 )
 from .blocks import BlockPartition, DiagonalMetric
@@ -358,7 +357,7 @@ def suite_equivalences() -> SuiteResult:
         cycles=40, x0=x0, metric=metric, eta=0.05, p=1.0, b=8, b_prime=8, keep_iterates=True
     )
     out_sccd, tr_sccd = vrccd_run(prob, Zero(), run, RngBundle.from_seed(93))
-    out_sgd, tr_sgd = sgd_run(prob, Zero(), run, RngBundle.from_seed(93))
+    out_sgd, tr_sgd = page_run(prob, Zero(), run, RngBundle.from_seed(93))
     same = _same_trajectories(tr_sccd, tr_sgd) and np.array_equal(out_sccd, out_sgd)
     ok = ok and same
     lines.append(f"m=1 cyclic-SGD == SGD under shared seed: {'bitwise equal' if same else 'MISMATCH'}")

@@ -7,7 +7,6 @@ from ccdlab.algorithms import (
     page_run,
     pccd_run,
     prox_gd_run,
-    sgd_run,
     vrccd_run,
 )
 from ccdlab.blocks import BlockPartition, DiagonalMetric
@@ -242,10 +241,11 @@ def test_page_full_batch_equals_prox_gd():
 
 
 def test_sgd_runs_and_counts_work():
+    # minibatch SGD is the full-vector recursive run at p = 1, b' = b
     prob = _convex(163, n=20)
     metric = exact_quadratic_metric(prob)
-    cfg = RunConfig(cycles=10, eta=0.05, b=4, x0=np.zeros(8), metric=metric)
-    _, trace = sgd_run(prob, Zero(), cfg, RngBundle.from_seed(41))
+    cfg = RunConfig(cycles=10, eta=0.05, p=1.0, b=4, b_prime=4, x0=np.zeros(8), metric=metric)
+    _, trace = page_run(prob, Zero(), cfg, RngBundle.from_seed(41))
     assert np.all(trace.work_increments() == 4 * 8)
     assert trace.cycles == 10
 
@@ -253,11 +253,6 @@ def test_sgd_runs_and_counts_work():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"backtrack_init": 0.0},
-        {"backtrack_init": -1.0},
-        {"backtrack_init": float("nan")},
-        {"backtrack_growth": 1.0},
-        {"backtrack_growth": 0.5},
         {"eta": float("nan")},
         {"cycles": 0},
         {"p": float("nan"), "b": 4, "b_prime": 2},
@@ -278,14 +273,13 @@ def test_run_parameters_checked_when_config_is_built(bad):
         (vrccd_run, {"b": 4, "b_prime": 2}, "p"),
         (vrccd_run, {"p": 0.5, "b": 4, "b_prime": 2, "metric": None}, "metric"),
         (page_run, {"p": 0.5}, "b, b_prime"),
-        (sgd_run, {}, "b"),
     ],
 )
 def test_entry_point_rejects_config_lacking_its_fields(entry, fields, missing):
     prob = _convex(173)
     fields = {"metric": exact_quadratic_metric(prob), **fields}
     cfg = RunConfig(cycles=3, x0=np.zeros(8), **fields)
-    args = (RngBundle.from_seed(0),) if entry in (vrccd_run, page_run, sgd_run) else ()
+    args = (RngBundle.from_seed(0),) if entry in (vrccd_run, page_run) else ()
     with pytest.raises(ValueError, match=f"needs {missing} in its run config"):
         entry(prob, Zero(), cfg, *args)
 

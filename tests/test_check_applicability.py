@@ -5,7 +5,7 @@ misapplied check surfaces after the seeds have run."""
 import numpy as np
 import pytest
 
-from ccdlab.config import ALGORITHMS, CHECK_NAMES, CHECKS, ConfigError, parse_config
+from ccdlab.config import ALGORITHMS, CHECK_NAMES, CHECKS, STOCHASTIC, ConfigError, parse_config
 from ccdlab.harness import run_experiment
 
 ESTIMATOR = {
@@ -27,15 +27,18 @@ problem.condition_number = 3
 algorithm.name = {algorithm}
 algorithm.K = 4
 {estimator}seeds.count = 2
-diagnostics.record_u = true
-diagnostics.checks = {check}
+{record_u}diagnostics.checks = {check}
 """
 
 
 @pytest.mark.parametrize("check", CHECK_NAMES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_check_rejected_at_parse_time_or_run_to_a_verdict(algorithm, check, tmp_path):
-    text = TINY.format(algorithm=algorithm, estimator=ESTIMATOR[algorithm], check=check)
+    # the exact methods keep no anchor, so they reject diagnostics.record_u
+    record_u = "diagnostics.record_u = true\n" if algorithm in STOCHASTIC else ""
+    text = TINY.format(
+        algorithm=algorithm, estimator=ESTIMATOR[algorithm], record_u=record_u, check=check
+    )
     checks_line = text.splitlines().index(f"diagnostics.checks = {check}") + 1
     try:
         cfg = parse_config(text)

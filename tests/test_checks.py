@@ -102,7 +102,7 @@ def test_vr_rate_monte_carlo_shape():
     p, b, bp = 0.4, 6, 2
     plan = step_size(profile, p, b, bp, prob.n)
     x0 = np.random.default_rng(2).standard_normal(prob.dim)
-    sigma_sq = estimate_sigma_sq(prob, metric, [x0])
+    sigma_sq = estimate_sigma_sq(prob, metric, x0)
     traces = []
     for s in range(10):
         cfg = RunConfig(cycles=30, eta=plan.eta, p=p, b=b, b_prime=bp, x0=x0, metric=metric)

@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+from ccdlab.cli import main
 from ccdlab.config import ConfigError, config_to_dict, parse_config
 from ccdlab.harness import resolve
 
@@ -103,6 +105,50 @@ algorithm.bprime = 2
             "problem.family = quadratic\nalgorithm.name = vroccd\nalgorithm.p = 0.5\n"
             "algorithm.b = 8\nalgorithm.sample_sharing = fresh_per_block"
         )
+
+
+_VALID = {
+    "pccd": "",
+    "prox_gd": "",
+    "vrccd": "algorithm.p = 0.5\nalgorithm.b = 4\n",
+    "page": "algorithm.p = 0.5\nalgorithm.b = 4\n",
+    "sgd": "algorithm.b = 4\n",
+}
+_UNREAD_BY_EXACT = (
+    "algorithm.p = 0.5",
+    "algorithm.b = 4",
+    "algorithm.bprime = 2",
+    "algorithm.sample_sharing = shared_per_cycle",
+    "algorithm.schedule = finite_sum",
+    "diagnostics.record_u = true",
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm, line",
+    [(name, line) for name in ("pccd", "prox_gd") for line in _UNREAD_BY_EXACT]
+    + [
+        ("page", "algorithm.sample_sharing = fresh_per_block"),
+        ("sgd", "algorithm.sample_sharing = shared_per_cycle"),
+        ("sgd", "algorithm.bprime = 2"),
+        ("sgd", "algorithm.p = 0.5"),
+        ("vrccd", "problem.sigma_sq = -5"),
+        ("pccd", "lambda.lip_trailing = -0.5"),
+        ("pccd", "lambda.lip_leading = -0.5"),
+    ],
+)
+def test_unread_key_or_negative_constant_rejected_on_its_line(algorithm, line, tmp_path, capsys):
+    # a key the method never reads, or a negative supplied constant, is the
+    # only error, and it is reported on the key's own line
+    text = f"problem.n = 8\nproblem.d = 4\nproblem.m = 2\nalgorithm.name = {algorithm}\n"
+    text += _VALID[algorithm] + line + "\n"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    code = main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.findall(r"line (\d+):", err) == [str(len(text.splitlines()))]
+    assert not (tmp_path / "out").exists()
 
 
 def test_eta_auto_needs_constants_for_sigmoid():

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdlab.cli import main
-from ccdlab.config import ALGORITHMS, CHECKS, STOCHASTIC
+from ccdlab.config import ALGORITHMS, CHECKS, STOCHASTIC, VARIANCE_REDUCED
 
 MONTE_CARLO_FAIL = re.compile(r"^FAIL \S+ \(monte_carlo", re.MULTILINE)
 
@@ -58,14 +58,18 @@ def experiment_configs(draw):
             fields["algorithm.bprime"] = draw(st.integers(1, b))
     if draw(st.booleans()):
         fields["algorithm.eta"] = draw(st.sampled_from([0.01, 0.3, 2.0]))
+    # only the cyclic recursive methods read the sharing key
     sharing = draw(st.sampled_from([None, "shared_per_cycle", "fresh_per_block"]))
-    if sharing is not None and not (name == "vroccd" and sharing == "fresh_per_block"):
+    if name in VARIANCE_REDUCED and sharing is not None and not (
+        name == "vroccd" and sharing == "fresh_per_block"
+    ):
         fields["algorithm.sample_sharing"] = sharing
     applicable = [check for check, spec in CHECKS.items() if name in spec.algorithms]
     checks = draw(st.lists(st.sampled_from(applicable), max_size=2, unique=True))
     if checks:
         fields["diagnostics.checks"] = ", ".join(checks)
-        fields["diagnostics.record_u"] = not streaming and draw(st.booleans())
+        if name in STOCHASTIC:
+            fields["diagnostics.record_u"] = not streaming and draw(st.booleans())
     # about a third of the draws break one field, to reach the exit-3 paths
     broken = draw(st.sampled_from([None] * 10 + ["problem.m", "algorithm.b", "algorithm.p",
                                                  "algorithm.bprime", "algorithm.sample_sharing"]))

@@ -30,6 +30,26 @@ algorithm.p = 0.5
 algorithm.b = 4
 seeds.count = 4
 """
+# the names that fix an estimator setting run through the same entry point
+SCCD = """
+problem.n = 8
+problem.d = 6
+problem.m = 3
+algorithm.name = sccd
+algorithm.K = 5
+algorithm.b = 4
+seeds.count = 3
+"""
+VROCCD = """
+problem.n = 8
+problem.d = 6
+problem.m = 3
+algorithm.name = vroccd
+algorithm.K = 5
+algorithm.p = 0.5
+algorithm.b = 4
+seeds.count = 2
+"""
 
 
 def _tracing_module():
@@ -39,7 +59,11 @@ def _tracing_module():
     return module
 
 
-@pytest.mark.parametrize("text, cycles", [(PCCD, 5 * 2), (VRCCD, 5 * 4)], ids=["pccd", "vrccd"])
+@pytest.mark.parametrize(
+    "text, cycles",
+    [(PCCD, 5 * 2), (VRCCD, 5 * 4), (SCCD, 5 * 3), (VROCCD, 5 * 2)],
+    ids=["pccd", "vrccd", "sccd", "vroccd"],
+)
 def test_traced_entry_points_see_every_cycle(tmp_path, text, cycles):
     tracing = _tracing_module()
     tracer = tracing.Tracer()
