@@ -1,12 +1,6 @@
 """Cyclic block coordinate descent toolkit with an executable bound-check suite."""
 
-from .blocks import (
-    MASK_LEADING,
-    MASK_TRAILING,
-    BlockPartition,
-    DiagonalMetric,
-    materialize_mask,
-)
+from .blocks import BlockPartition, DiagonalMetric
 from .regularizers import L1, Box, Regularizer, Zero, metric_prox
 from .problems import (
     QuadraticFiniteSum,

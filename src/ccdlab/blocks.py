@@ -1,17 +1,6 @@
-"""Block partitions, diagonal metrics, and masked coupling matrices.
+"""Block partitions and diagonal metrics.
 
-Coordinates 0..dim-1 are split into contiguous, ordered blocks. A cut at
-block ``j`` separates the leading blocks 0..j-1 (already updated within a
-cycle) from the trailing blocks j..m-1 (not yet updated). Coupling matrices
-are masked against that cut:
-
-* ``"trailing"`` keeps rows/columns with index >= the cut (the leading
-  blocks of rows and columns are zeroed),
-* ``"leading"`` keeps rows/columns with index < the cut (everything else is
-  zeroed).
-
-For ``j = 0`` the leading mask is identically zero and the trailing mask is
-the full matrix.
+Coordinates 0..dim-1 are split into contiguous, ordered blocks.
 """
 
 from __future__ import annotations
@@ -20,10 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-MASK_TRAILING = "trailing"
-MASK_LEADING = "leading"
-MASK_KINDS = (MASK_TRAILING, MASK_LEADING)
 
 SYMMETRY_RTOL = 1e-12
 
@@ -146,22 +131,3 @@ def symmetrize(Q: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {rtol:.0e} relative")
     return 0.5 * (Q + Q.T)
 
-
-def materialize_mask(
-    Q: np.ndarray, kind: str, j: int, partition: BlockPartition
-) -> np.ndarray:
-    """Dense copy of ``Q`` masked at block ``j``.
-    :func:`ccdlab.smoothness.masked_smoothness_constants` sums these to build
-    the coupling constants."""
-    if kind not in MASK_KINDS:
-        raise ValueError(f"mask kind must be one of {MASK_KINDS}, got {kind!r}")
-    Q = symmetrize(Q)
-    if Q.shape[0] != partition.dim:
-        raise ValueError("matrix size does not match the partition")
-    cut = partition.offsets[partition.check_block(j)]
-    out = np.zeros_like(Q)
-    if kind == MASK_TRAILING:
-        out[cut:, cut:] = Q[cut:, cut:]
-    else:
-        out[:cut, :cut] = Q[:cut, :cut]
-    return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -44,10 +45,6 @@ ALGORITHMS = tuple(METHODS)
 CYCLIC_EXACT = tuple(name for name, m in METHODS.items() if not m.stochastic)
 VARIANCE_REDUCED = tuple(name for name, m in METHODS.items() if m.cyclic and m.stochastic)
 STOCHASTIC = tuple(name for name, m in METHODS.items() if m.stochastic)
-
-# the recursive estimator's keys, which the exact methods never read
-_ESTIMATOR_KEYS = ("algorithm.p", "algorithm.b", "algorithm.bprime", "algorithm.sample_sharing",
-                   "algorithm.schedule", "diagnostics.record_u")
 
 SHARED_BATCH_TAG = "shared-batch sampling (outside the analyzed variant)"
 
@@ -97,6 +94,12 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 FAMILIES = ("quadratic", "sigmoid", "streaming")
+# what a run is built on: the family, a stream named by what it streams
+KINDS = ("quadratic", "sigmoid", "streaming quadratic", "streaming sigmoid")
+QUADRATIC_KINDS = KINDS[0::2]
+SIGMOID_KINDS = KINDS[1::2]
+FINITE_KINDS = KINDS[:2]
+STREAMING_KINDS = KINDS[2:]
 LAMBDA_MODES = ("exact_quadratic", "backtracking", "explicit", "sigmoid_bound")
 SCHEDULES = ("finite_sum",)
 
@@ -240,12 +243,7 @@ def _parse_float(tok: str) -> float:
 
 
 def _parse_eta(tok: str):
-    if tok.lower() == "auto":
-        return "auto"
-    val = _parse_float(tok)
-    if val <= 0:
-        raise ValueError(f"eta must be positive, got {tok!r}")
-    return val
+    return "auto" if tok.lower() == "auto" else _parse_float(tok)
 
 
 def _parse_reg(tok: str) -> tuple:
@@ -253,12 +251,18 @@ def _parse_reg(tok: str) -> tuple:
     if low == "zero":
         return ("zero",)
     if low.startswith("l1(") and low.endswith(")"):
-        return ("l1", _parse_float(low[3:-1]))
+        weight = _parse_float(low[3:-1])
+        if weight < 0:
+            raise ValueError("l1 weight must be nonnegative")
+        return ("l1", weight)
     if low.startswith("box(") and low.endswith(")"):
         parts = low[4:-1].split(",")
         if len(parts) != 2:
             raise ValueError(f"box regularizer needs two bounds, got {tok!r}")
-        return ("box", _parse_float(parts[0]), _parse_float(parts[1]))
+        lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
+        if not lo < hi:
+            raise ValueError("box bounds need lo < hi")
+        return ("box", lo, hi)
     raise ValueError(f"unknown regularizer {tok!r}; expected zero, l1(w), or box(lo,hi)")
 
 
@@ -271,7 +275,10 @@ def _parse_checks(tok: str) -> tuple:
 
 
 def _parse_values(tok: str) -> tuple:
-    return tuple(_parse_float(t.strip()) for t in tok.split(",") if t.strip())
+    values = tuple(_parse_float(t.strip()) for t in tok.split(",") if t.strip())
+    if any(v <= 0 for v in values):
+        raise ValueError("scales must be positive")
+    return values
 
 
 def _choice(options):
@@ -283,52 +290,83 @@ def _choice(options):
     return parse
 
 
-_PARSERS = {
-    "problem.family": _choice(FAMILIES),
-    "problem.n": _parse_count,
-    "problem.d": _parse_int,
-    "problem.m": _parse_int,
-    "problem.condition_number": _parse_float,
-    "problem.convex": _parse_bool,
-    "problem.identical_curvature": _parse_bool,
-    "problem.margin": _parse_float,
-    "problem.reg": _parse_reg,
-    "problem.streaming_family": _choice(("quadratic", "sigmoid")),
-    "problem.lin_scale": _parse_float,
-    "problem.sigma_sq": _parse_float,
-    "algorithm.name": _choice(ALGORITHMS),
-    "algorithm.K": _parse_int,
-    "algorithm.eta": _parse_eta,
-    "algorithm.eta_scale": _parse_float,
-    "algorithm.p": _parse_float,
-    "algorithm.b": _parse_int,
-    "algorithm.bprime": _parse_int,
-    "algorithm.sample_sharing": _choice(("fresh_per_block", "shared_per_cycle")),
-    "algorithm.schedule": _choice(SCHEDULES),
-    "algorithm.eta_override": _parse_bool,
-    "lambda.mode": _choice(LAMBDA_MODES),
-    "lambda.values": _parse_values,
-    "lambda.lip_trailing": _parse_float,
-    "lambda.lip_leading": _parse_float,
-    "seeds.base": _parse_int,
-    "seeds.count": _parse_int,
-    "diagnostics.record_u": _parse_bool,
-    "diagnostics.checks": _parse_checks,
-    "diagnostics.s_surrogate_samples": _parse_int,
-    "output.trace_path": str,
-    "output.report_path": str,
-    "output.record_wall": _parse_bool,
-}
+@dataclass(frozen=True)
+class Key:
+    """One config key: its parser, the least value it takes (excluded when
+    ``strict``, and ``most`` the largest), and the problem kinds and
+    algorithms whose runs read it. ``validate`` rejects a value other than
+    the default that breaks the bound or that the run never reads."""
+
+    parse: Callable[[str], object]
+    least: float | None = None
+    strict: bool = False
+    most: float | None = None
+    kinds: tuple[str, ...] = KINDS
+    algorithms: tuple[str, ...] = ALGORITHMS
+
+    def bound_error(self, key: str, value) -> str | None:
+        if self.least is None or isinstance(value, str):  # eta = auto
+            return None
+        below = value < self.least or (self.strict and value == self.least)
+        if not below and (self.most is None or value <= self.most):
+            return None
+        if self.most is None:
+            return f"{key} must be {'>' if self.strict else '>='} {self.least:g}"
+        return f"{key} must lie in {'(' if self.strict else '['}{self.least:g}, {self.most:g}]"
+
+
+KEYS = MappingProxyType({
+    "problem.family": Key(_choice(FAMILIES)),
+    "problem.n": Key(_parse_count, least=1),
+    "problem.d": Key(_parse_int, least=1),
+    "problem.m": Key(_parse_int, least=1),
+    "problem.condition_number": Key(_parse_float, least=1, kinds=QUADRATIC_KINDS),
+    "problem.convex": Key(_parse_bool, kinds=("quadratic",)),
+    "problem.identical_curvature": Key(_parse_bool, kinds=("quadratic",)),
+    "problem.margin": Key(_parse_float, kinds=SIGMOID_KINDS),
+    "problem.reg": Key(_parse_reg),
+    "problem.streaming_family": Key(_choice(("quadratic", "sigmoid")), kinds=STREAMING_KINDS),
+    "problem.lin_scale": Key(_parse_float, least=0, kinds=("streaming quadratic",)),
+    "problem.sigma_sq": Key(_parse_float, least=0, algorithms=VARIANCE_REDUCED),
+    "algorithm.name": Key(_choice(ALGORITHMS)),
+    "algorithm.K": Key(_parse_int, least=1),
+    "algorithm.eta": Key(_parse_eta, least=0, strict=True),
+    "algorithm.eta_scale": Key(_parse_float, least=0, strict=True),
+    "algorithm.p": Key(_parse_float, least=0, strict=True, most=1, algorithms=STOCHASTIC),
+    "algorithm.b": Key(_parse_int, least=1, algorithms=STOCHASTIC),
+    # also accepted at p = 1, where no correction batch is drawn: the
+    # work-accounting suite resolves its p = 0 row at p = 1 with b' = 8
+    "algorithm.bprime": Key(
+        _parse_int, least=1,
+        algorithms=tuple(name for name in STOCHASTIC if not METHODS[name].bprime_is_b),
+    ),
+    "algorithm.sample_sharing": Key(
+        _choice(("fresh_per_block", "shared_per_cycle")), algorithms=VARIANCE_REDUCED
+    ),
+    "algorithm.schedule": Key(_choice(SCHEDULES), kinds=FINITE_KINDS, algorithms=STOCHASTIC),
+    # a permission: it changes a run only when eta exceeds the admissible bound
+    "algorithm.eta_override": Key(_parse_bool, algorithms=STOCHASTIC),
+    "lambda.mode": Key(_choice(LAMBDA_MODES)),
+    "lambda.values": Key(_parse_values),
+    "lambda.lip_trailing": Key(_parse_float, least=0, kinds=SIGMOID_KINDS),
+    "lambda.lip_leading": Key(_parse_float, least=0, kinds=SIGMOID_KINDS),
+    "seeds.base": Key(_parse_int, least=0),
+    "seeds.count": Key(_parse_int, least=1),
+    "diagnostics.record_u": Key(_parse_bool, kinds=FINITE_KINDS, algorithms=STOCHASTIC),
+    "diagnostics.checks": Key(_parse_checks),
+    "diagnostics.s_surrogate_samples": Key(_parse_int, least=0, kinds=STREAMING_KINDS),
+    "output.trace_path": Key(str),
+    "output.report_path": Key(str),
+    "output.record_wall": Key(_parse_bool),
+})
+
+_NUMERIC = {_parse_int: int, _parse_count: int, _parse_float: float, _parse_eta: float}
 
 
 def numeric_type(key: str):
     """``int`` or ``float`` for a numeric config key (a sweep axis), else None."""
-    parser = _PARSERS.get(key)
-    if parser in (_parse_int, _parse_count):
-        return int
-    if parser in (_parse_float, _parse_eta):
-        return float
-    return None
+    row = KEYS.get(key)
+    return _NUMERIC.get(row.parse) if row is not None else None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -348,7 +386,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in KEYS:
             errors.append((ln, f"unknown key {key!r}"))
             continue
         if key in seen:
@@ -357,7 +395,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seen.add(key)
         key_lines[key] = ln
         try:
-            parsed = _PARSERS[key](value)
+            parsed = KEYS[key].parse(value)
         except ValueError as exc:
             errors.append((ln, f"{key}: {exc}"))
             continue
@@ -379,70 +417,66 @@ def _value(cfg: ExperimentConfig, key: str):
     return getattr(getattr(cfg, _SECTION_ATTRS[section]), attr)
 
 
+_DEFAULT = ExperimentConfig()
+
+
 def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
-    """Cross-field constraints; returns (line, message) pairs (line 0 when
-    the offending value is a default)."""
+    """One pass over ``KEYS``, then the cross-field rules; returns (line,
+    message) pairs (line 0 when the offending value is a default)."""
     key_lines = key_lines or {}
     errs: list[tuple[int, str]] = []
-    p_spec, a = cfg.problem, cfg.algorithm
-
+    p_spec, a, checks = cfg.problem, cfg.algorithm, cfg.diagnostics.checks
+    method = METHODS[a.name]
+    kind = problem_kind(cfg)
     streaming = p_spec.family == "streaming"
+
+    # keys whose reader depends on another key's value: (unread, why)
+    unread_when = {
+        "problem.n": (streaming and p_spec.n != math.inf, "a stream has n = inf"),
+        "problem.sigma_sq": (
+            not any(CHECKS[name].sigma_sq for name in checks), "no requested check reads it"
+        ),
+        "algorithm.p": (a.schedule is not None, "the schedule sets p"),
+        "algorithm.b": (a.schedule is not None, "the schedule sets b"),
+        "lambda.values": (cfg.lam.mode != "explicit", "only lambda.mode = explicit reads it"),
+        "output.report_path": (not checks, "no check is requested"),
+    }
+    unread_when["lambda.lip_trailing"] = unread_when["lambda.lip_leading"] = (
+        not (needs_coupling(cfg) and coupling_known(cfg)),
+        "supplied constants are read as a pair, under a metric that does not backtrack, "
+        "when the step size or a requested check needs them",
+    )
+    for key, row in KEYS.items():
+        value = _value(cfg, key)
+        if value == _value(_DEFAULT, key):
+            continue
+        line = _line(key_lines, key)
+        unread, why = unread_when.get(key, (False, ""))
+        bound_error = row.bound_error(key, value)
+        if bound_error:
+            errs.append((line, bound_error))
+        elif a.name not in row.algorithms:
+            errs.append((line, f"{a.name} never reads {key}"))
+        elif kind not in row.kinds:
+            errs.append((line, f"a {kind} problem never reads {key}"))
+        elif unread:
+            errs.append((line, f"{key} is never read here: {why}"))
+
     if not streaming and p_spec.n == math.inf:
         errs.append((_line(key_lines, "problem.n"), "problem.n = inf requires family streaming"))
-    if not streaming and (p_spec.n != math.inf) and int(p_spec.n) < 1:
-        errs.append((_line(key_lines, "problem.n"), "problem.n must be >= 1"))
-    if p_spec.d < 1:
-        errs.append((_line(key_lines, "problem.d"), "problem.d must be >= 1"))
-    if not 1 <= p_spec.m <= p_spec.d:
-        errs.append((_line(key_lines, "problem.m"), "need 1 <= m <= d"))
-    if p_spec.condition_number < 1:
-        errs.append(
-            (_line(key_lines, "problem.condition_number"), "condition_number must be >= 1")
-        )
-    if p_spec.reg[0] == "box" and not p_spec.reg[1] < p_spec.reg[2]:
-        errs.append((_line(key_lines, "problem.reg"), "box bounds need lo < hi"))
-    if p_spec.reg[0] == "l1" and p_spec.reg[1] < 0:
-        errs.append((_line(key_lines, "problem.reg"), "l1 weight must be nonnegative"))
-    for key in ("problem.sigma_sq", "lambda.lip_trailing", "lambda.lip_leading"):
-        value = _value(cfg, key)
-        if value is not None and value < 0:
-            errs.append((_line(key_lines, key), f"{key} must be nonnegative"))
-
-    if a.cycles < 1:
-        errs.append((_line(key_lines, "algorithm.K"), "algorithm.K must be >= 1"))
-    if a.eta_scale <= 0:
-        errs.append((_line(key_lines, "algorithm.eta_scale"), "eta_scale must be positive"))
-
-    method = METHODS[a.name]
-    streaming_sigmoid = streaming and p_spec.streaming_family == "sigmoid"
-    # estimator keys the method never reads, each with the reason
-    unread = [] if method.stochastic else [(k, "takes exact gradients") for k in _ESTIMATOR_KEYS]
-    if method.stochastic and not method.cyclic:
-        unread.append(("algorithm.sample_sharing", "estimates the whole gradient at once"))
-    if method.bprime_is_b:
-        unread.append(("algorithm.bprime", "fixes bprime = b"))
-    for key, why in unread:
-        if _value(cfg, key) is not None and _value(cfg, key) is not False:
-            errs.append((_line(key_lines, key), f"{a.name} never reads {key}: it {why}"))
+    if p_spec.m > p_spec.d:
+        errs.append((_line(key_lines, "problem.m"), "need m <= d"))
     if method.p is not None and a.p is not None and a.p != method.p:
         errs.append((_line(key_lines, "algorithm.p"), f"{a.name} forces p = {method.p:g}"))
     if method.sample_sharing and a.sample_sharing not in (None, method.sample_sharing):
         where = _line(key_lines, "algorithm.sample_sharing")
         errs.append((where, f"{a.name} means {method.sample_sharing}"))
-    if a.p is not None and not 0.0 < a.p <= 1.0:
-        errs.append(
-            (_line(key_lines, "algorithm.p"), f"p must lie in (0, 1], got {a.p}")
-        )
     if method.stochastic and method.p is None and a.schedule is None and a.p is None:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs algorithm.p or a schedule")
         )
     if method.stochastic and a.schedule is None and a.b is None:
         errs.append((_line(key_lines, "algorithm.name"), f"{a.name} needs algorithm.b or a schedule"))
-    if a.b is not None and a.b < 1:
-        errs.append((_line(key_lines, "algorithm.b"), "b must be >= 1"))
-    if a.bprime is not None and a.bprime < 1:
-        errs.append((_line(key_lines, "algorithm.bprime"), "bprime must be >= 1"))
     if a.b is not None and a.bprime is not None and a.bprime > a.b:
         errs.append((_line(key_lines, "algorithm.bprime"), "need bprime <= b"))
     if not streaming and a.b is not None and p_spec.n != math.inf and a.b > int(p_spec.n):
@@ -451,19 +485,12 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs exact gradients (finite n)")
         )
-    if a.schedule is not None and streaming:
-        errs.append(
-            (_line(key_lines, "algorithm.schedule"), "finite_sum schedule needs finite n")
-        )
 
     mode = cfg.lam.mode
     if mode == "explicit" and cfg.lam.values is None:
         errs.append((_line(key_lines, "lambda.mode"), "explicit mode needs lambda.values"))
-    if cfg.lam.values is not None:
-        if len(cfg.lam.values) != p_spec.m:
-            errs.append((_line(key_lines, "lambda.values"), "need one scale per block"))
-        elif any(v <= 0 for v in cfg.lam.values):
-            errs.append((_line(key_lines, "lambda.values"), "scales must be positive"))
+    if mode == "explicit" and cfg.lam.values is not None and len(cfg.lam.values) != p_spec.m:
+        errs.append((_line(key_lines, "lambda.values"), "need one scale per block"))
     if mode == "backtracking" and not method.backtracks:
         errs.append(
             (
@@ -476,7 +503,7 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         errs.append(
             (_line(key_lines, "lambda.mode"), "exact_quadratic needs a quadratic family")
         )
-    if lambda_mode(cfg) == "exact_quadratic" and streaming_sigmoid:
+    if lambda_mode(cfg) == "exact_quadratic" and kind == "streaming sigmoid":
         # sigmoid_bound and backtracking are rejected above, so explicit is left
         where = "lambda.mode" if mode is not None else "problem.streaming_family"
         errs.append(
@@ -491,23 +518,12 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
     if a.eta == "auto" and method.stochastic and not coupling_known(cfg):
         errs.append((_line(key_lines, "algorithm.eta"), f"eta = auto needs {_COUPLING}"))
 
-    if cfg.seeds.count < 1:
-        errs.append((_line(key_lines, "seeds.count"), "seeds.count must be >= 1"))
-    if cfg.diagnostics.s_surrogate_samples < 0:
-        errs.append(
-            (_line(key_lines, "diagnostics.s_surrogate_samples"), "surrogate samples must be >= 0")
-        )
-    if cfg.diagnostics.record_u and streaming:
-        errs.append(
-            (_line(key_lines, "diagnostics.record_u"), "record_u needs exact gradients (finite n)")
-        )
-
     # every requested check the config cannot feed, read off CHECKS
     line = _line(key_lines, "diagnostics.checks")
-    sigma_known = p_spec.sigma_sq is not None or not streaming_sigmoid
+    sigma_known = p_spec.sigma_sq is not None or kind != "streaming sigmoid"
     objective_recorded = not streaming or cfg.diagnostics.s_surrogate_samples > 0
-    convex_zero = p_spec.family == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
-    for name in cfg.diagnostics.checks:
+    convex_zero = kind == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
+    for name in checks:
         spec = CHECKS[name]
         if a.name not in spec.algorithms:
             errs.append((line, f"check {name} does not apply to {a.name}"))
@@ -545,16 +561,27 @@ def lambda_mode(cfg: ExperimentConfig) -> str:
     return "exact_quadratic"
 
 
+def problem_kind(cfg: ExperimentConfig) -> str:
+    """One of ``KINDS``."""
+    p_spec = cfg.problem
+    return f"streaming {p_spec.streaming_family}" if p_spec.family == "streaming" else p_spec.family
+
+
 def coupling_known(cfg: ExperimentConfig) -> bool:
     """Whether the run has coupling constants: computed exactly for the
     quadratic families, or supplied as lambda.lip_trailing and
     lambda.lip_leading; a backtracking metric has none."""
-    p_spec = cfg.problem
-    quadratic = p_spec.family == "quadratic" or (
-        p_spec.family == "streaming" and p_spec.streaming_family == "quadratic"
-    )
     supplied = cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None
+    quadratic = problem_kind(cfg) in QUADRATIC_KINDS
     return lambda_mode(cfg) != "backtracking" and (quadratic or supplied)
+
+
+def needs_coupling(cfg: ExperimentConfig) -> bool:
+    """Whether the run reads coupling constants: the step-size bound of a
+    stochastic method does, and so does every check with ``coupling``."""
+    return METHODS[cfg.algorithm.name].stochastic or any(
+        CHECKS[name].coupling for name in cfg.diagnostics.checks
+    )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -45,6 +45,7 @@ from .config import (
     ExperimentConfig,
     config_to_dict,
     lambda_mode,
+    needs_coupling,
     numeric_type,
     validate,
 )
@@ -173,7 +174,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     prob = build_problem(cfg, cfg.seeds.base)
     reg = build_regularizer(cfg.problem.reg)
     metric, metric_mode = build_metric(cfg, prob)
-    profile = build_profile(cfg, prob, metric)
+    profile = build_profile(cfg, prob, metric) if needs_coupling(cfg) else None
     x0 = initial_point(cfg, prob)
     a = cfg.algorithm
     name = a.name

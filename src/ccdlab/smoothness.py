@@ -2,13 +2,19 @@
 plans and the finite-sum batch schedule.
 
 Two aggregate constants drive every rate in the toolkit. Both are spectral
-norms of metric-normalized sums of masked coupling matrices:
+norms of metric-normalized sums of masked coupling matrices. The coupling
+matrix of block ``j`` is cut at that block's first coordinate, which
+separates the leading blocks 0..j-1 (already updated within a cycle) from
+the trailing blocks j..m-1 (not yet updated):
 
-* ``lip_trailing``: masks keep each matrix's trailing blocks (the cut and
-  beyond), so the constant measures coupling into coordinates not yet
-  updated within a cycle;
-* ``lip_leading``: masks keep the leading blocks only (coupling into
-  coordinates already updated this cycle).
+* ``lip_trailing``: each matrix keeps its trailing rows and columns only
+  (index >= the cut), so the constant measures coupling into coordinates
+  not yet updated within a cycle;
+* ``lip_leading``: each matrix keeps its leading rows and columns only
+  (index < the cut): coupling into coordinates already updated this cycle.
+
+At ``j = 0`` the leading part is empty and the trailing part is the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -18,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    MASK_LEADING,
-    MASK_TRAILING,
-    BlockPartition,
-    DiagonalMetric,
-    materialize_mask,
-    symmetrize,
-)
+from .blocks import BlockPartition, DiagonalMetric, symmetrize
 
 
 def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
@@ -76,9 +75,12 @@ def masked_smoothness_constants(
     d = partition.dim
     sum_trailing = np.zeros((d, d))
     sum_leading = np.zeros((d, d))
-    for j, q in enumerate(q_list):
-        sum_trailing += materialize_mask(q, MASK_TRAILING, j, partition)
-        sum_leading += materialize_mask(q, MASK_LEADING, j, partition)
+    for cut, q in zip(partition.offsets, q_list):
+        q = symmetrize(q)
+        if q.shape[0] != d:
+            raise ValueError("matrix size does not match the partition")
+        sum_trailing[cut:, cut:] += q[cut:, cut:]
+        sum_leading[:cut, :cut] += q[:cut, :cut]
     scale = np.sqrt(metric.inv_entries)
     norm_trailing = spectral_norm(scale[:, None] * sum_trailing * scale[None, :], tol=tol)
     norm_leading = spectral_norm(scale[:, None] * sum_leading * scale[None, :], tol=tol)

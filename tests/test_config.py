@@ -107,12 +107,14 @@ algorithm.bprime = 2
         )
 
 
-_VALID = {
-    "pccd": "",
-    "prox_gd": "",
-    "vrccd": "algorithm.p = 0.5\nalgorithm.b = 4\n",
-    "page": "algorithm.p = 0.5\nalgorithm.b = 4\n",
-    "sgd": "algorithm.b = 4\n",
+# the lines after problem.n, d and m of each base config
+_BASES = {
+    "pccd": "algorithm.name = pccd\n",
+    "prox_gd": "algorithm.name = prox_gd\n",
+    "vrccd": "algorithm.name = vrccd\nalgorithm.p = 0.5\nalgorithm.b = 4\n",
+    "page": "algorithm.name = page\nalgorithm.p = 0.5\nalgorithm.b = 4\n",
+    "sgd": "algorithm.name = sgd\nalgorithm.b = 4\n",
+    "sigmoid-pccd": "problem.family = sigmoid\nalgorithm.name = pccd\n",
 }
 _UNREAD_BY_EXACT = (
     "algorithm.p = 0.5",
@@ -135,13 +137,28 @@ _UNREAD_BY_EXACT = (
         ("vrccd", "problem.sigma_sq = -5"),
         ("pccd", "lambda.lip_trailing = -0.5"),
         ("pccd", "lambda.lip_leading = -0.5"),
+        # keys the problem kind, or another key's value, leaves unread
+        ("pccd", "lambda.values = 1, 2"),
+        ("pccd", "lambda.lip_trailing = 5"),
+        ("pccd", "problem.margin = 1"),
+        ("pccd", "problem.streaming_family = sigmoid"),
+        ("pccd", "output.report_path = elsewhere"),
+        ("pccd", "algorithm.eta_override = true"),
+        ("sigmoid-pccd", "problem.condition_number = 50"),
+        ("sigmoid-pccd", "problem.convex = false"),
+        ("sigmoid-pccd", "lambda.lip_trailing = 1"),
+        ("vrccd", "diagnostics.s_surrogate_samples = 64"),
+        ("vrccd", "problem.sigma_sq = 0.5"),
+        # out of its key's bound
+        ("pccd", "seeds.base = -3"),
+        ("pccd", "algorithm.eta = -1"),
+        ("pccd", "algorithm.eta_scale = 0"),
     ],
 )
 def test_unread_key_or_negative_constant_rejected_on_its_line(algorithm, line, tmp_path, capsys):
-    # a key the method never reads, or a negative supplied constant, is the
+    # a key the run never reads, or a value out of its key's bound, is the
     # only error, and it is reported on the key's own line
-    text = f"problem.n = 8\nproblem.d = 4\nproblem.m = 2\nalgorithm.name = {algorithm}\n"
-    text += _VALID[algorithm] + line + "\n"
+    text = "problem.n = 8\nproblem.d = 4\nproblem.m = 2\n" + _BASES[algorithm] + line + "\n"
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(text)
     code = main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"])

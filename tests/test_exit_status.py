@@ -2,7 +2,8 @@
 exits 0, 1, 2 or 3, never in a traceback, exit 3 always says why on stderr,
 and exit 1 always comes with a failed Monte Carlo report line. The draws
 cover every family and algorithm, the finite-sum schedule, explicit step
-sizes and several seeds, and include invalid combinations on purpose."""
+sizes, supplied coupling constants and several seeds, and include invalid
+combinations on purpose."""
 
 import contextlib
 import io
@@ -32,7 +33,6 @@ def experiment_configs(draw):
         "problem.n": "inf" if streaming else n,
         "problem.d": d,
         "problem.m": draw(st.integers(1, d)),
-        "problem.condition_number": draw(st.sampled_from([1, 1.01, 2, 10, 1000])),
         "problem.reg": draw(st.sampled_from(["zero", "l1(0.1)", "box(-1, 1)"])),
         "algorithm.name": name,
         "algorithm.K": draw(st.integers(1, 3)),
@@ -44,9 +44,15 @@ def experiment_configs(draw):
         sigmoid = draw(st.sampled_from(["quadratic", "sigmoid"])) == "sigmoid"
         fields["problem.streaming_family"] = "sigmoid" if sigmoid else "quadratic"
         fields["diagnostics.s_surrogate_samples"] = draw(st.sampled_from([0, 64]))
+    if not sigmoid:  # only the quadratic kinds read the condition number
+        fields["problem.condition_number"] = draw(st.sampled_from([1, 1.01, 2, 10, 1000]))
     if sigmoid and name != "pccd" and draw(st.booleans()):
         fields["lambda.mode"] = "explicit"
         fields["lambda.values"] = ", ".join(["2"] * fields["problem.m"])
+    if sigmoid and name in STOCHASTIC and draw(st.booleans()):
+        # supplied coupling constants, which the step-size bound reads
+        fields["lambda.lip_trailing"] = 1
+        fields["lambda.lip_leading"] = 0.5
     if name in STOCHASTIC:
         if not streaming and draw(st.booleans()):
             fields["algorithm.schedule"] = "finite_sum"

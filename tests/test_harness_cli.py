@@ -201,11 +201,31 @@ def test_sweep_rejects_non_integral_value_on_integer_axis(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+SIGMOID_SUPPLIED = """
+problem.family = sigmoid
+problem.n = 16
+problem.d = 8
+problem.m = 4
+algorithm.name = vrccd
+algorithm.K = 5
+algorithm.p = 0.5
+algorithm.b = 8
+lambda.mode = sigmoid_bound
+lambda.lip_trailing = 2.0
+lambda.lip_leading = 0.5
+seeds.count = 2
+"""
+
+
 def test_sweep_takes_every_numeric_config_field(tmp_path):
-    # the supplied coupling constants are plain numbers, so they sweep too
-    path = sweep(parse_config(VR_CHECKED), "lambda.lip_trailing", [1.0, 2.0], out_dir=tmp_path)
-    rows = [ln for ln in path.read_text().splitlines() if ln.startswith("lambda.lip_trailing,")]
+    # the supplied coupling constants are plain numbers, so they sweep too;
+    # a sigmoid run reads them for its step-size bound
+    path = sweep(parse_config(SIGMOID_SUPPLIED), "lambda.lip_trailing", [1.0, 2.0], out_dir=tmp_path)
+    rows = [ln.split(",") for ln in path.read_text().splitlines()
+            if ln.startswith("lambda.lip_trailing,")]
     assert len(rows) == 4  # 2 values x 2 seeds
+    final_f = {(value, seed): f for _, value, seed, f, _, _ in rows}
+    assert all(final_f["1", seed] != final_f["2", seed] for _, _, seed, *_ in rows)
 
 
 def test_parallel_jobs_match_serial(tmp_path):

@@ -56,6 +56,40 @@ def test_masked_constants_edge_cases():
     assert (lt0, ll0) == (0.0, 0.0)
 
 
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_masked_constants_match_dense_masks(seed, sizes):
+    # block j's matrix keeps rows and columns from its cut on (trailing) and
+    # before it (leading); at j = 0 the leading part is empty
+    part = BlockPartition(tuple(sizes))
+    d = part.dim
+    rng = np.random.default_rng(seed)
+    metric = DiagonalMetric(rng.uniform(0.5, 2.0, d), part)
+    q_list = []
+    for _ in range(part.num_blocks):
+        g = rng.standard_normal((d, d))
+        q_list.append(g @ g.T)
+    sum_trailing, sum_leading = np.zeros((d, d)), np.zeros((d, d))
+    for j, q in enumerate(q_list):
+        cut = part.offsets[j]
+        trailing, leading = np.zeros((d, d)), np.zeros((d, d))
+        trailing[cut:, cut:] = q[cut:, cut:]
+        leading[:cut, :cut] = q[:cut, :cut]
+        sum_trailing += 0.5 * (trailing + trailing.T)
+        sum_leading += 0.5 * (leading + leading.T)
+    scale = np.sqrt(metric.inv_entries)
+    want = tuple(
+        spectral_norm(scale[:, None] * total * scale[None, :])
+        for total in (sum_trailing, sum_leading)
+    )
+    assert masked_smoothness_constants(q_list, metric, part) == want
+    asymmetric = [q.copy() for q in q_list]
+    asymmetric[-1][0, -1] += 1.0 + abs(asymmetric[-1][0, -1])
+    if d > 1:
+        with pytest.raises(ValueError):
+            masked_smoothness_constants(asymmetric, metric, part)
+
+
 def test_admissible_eta_root():
     eta = admissible_eta(2.0)
     assert eta == pytest.approx(0.5, rel=1e-15)
