@@ -1,7 +1,9 @@
 """Executable verifiers for every computable inequality the analysis provides.
 
 Deterministic (pathwise) bounds are hard assertions: each row must satisfy
-lhs <= rhs up to a 1e-9-relative float allowance. Expectation-level bounds
+lhs <= rhs up to the float allowance of ``BoundReport._margin``.
+Expectation-level bounds go through ``_expectation``: in the noise-free
+cases they hold pathwise, so every seed is asserted (hard); otherwise they
 are Monte Carlo: the seed mean must stay below the bound plus a one-sided
 99% normal-approximation confidence allowance; a failure there is soft and
 the harness escalates to 4x seeds before the final verdict.
@@ -56,16 +58,20 @@ class BoundReport:
     rows: tuple[BoundRow, ...] = ()
     conditional: tuple[str, ...] = ()
     low_power: bool = False
-    rel_tol: float = _REL_TOL
     advisory: bool = False  # reported but never gates the exit status
 
     def __post_init__(self):
         self.rows = tuple(self.rows)
+        self.conditional = tuple(self.conditional)
+
+    @staticmethod
+    def _margin(row: BoundRow) -> float:
+        """Slack plus the float allowance: the row holds iff this is >= 0
+        (NaN, from a NaN side or inf - inf, never does)."""
+        return row.slack + _REL_TOL * max(1.0, abs(row.rhs))
 
     def row_passed(self, row: BoundRow) -> bool:
-        if math.isnan(row.lhs) or math.isnan(row.rhs):
-            return False
-        return row.slack >= -self.rel_tol * max(1.0, abs(row.rhs))
+        return self._margin(row) >= 0.0
 
     @cached_property
     def verdicts(self) -> tuple[bool, ...]:
@@ -80,7 +86,8 @@ class BoundReport:
     def worst(self) -> BoundRow | None:
         if not self.rows:
             return None
-        return min(self.rows, key=lambda r: r.slack + self.rel_tol * max(1.0, abs(r.rhs)))
+        # a NaN margin ranks lowest, so a NaN row is never hidden behind a passing one
+        return min(self.rows, key=lambda r: -math.inf if math.isnan(m := self._margin(r)) else m)
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -123,7 +130,7 @@ def check_cyclic_descent(trace: RunTrace, conditional=()) -> BoundReport:
     rows = []
     for i in range(1, len(trace.k)):
         rows.append(BoundRow(trace.k[i], trace.obj[i], trace.obj[i - 1] - 0.5 * trace.step_sq[i]))
-    return BoundReport("cyclic-descent", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("cyclic-descent", HARD, rows, conditional)
 
 
 def check_step_telescope(trace: RunTrace, delta0: float, conditional=()) -> BoundReport:
@@ -133,7 +140,7 @@ def check_step_telescope(trace: RunTrace, delta0: float, conditional=()) -> Boun
     for i in range(1, len(trace.k)):
         running += trace.step_sq[i]
         rows.append(BoundRow(trace.k[i], running, 2.0 * delta0))
-    return BoundReport("step-telescope", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("step-telescope", HARD, rows, conditional)
 
 
 def check_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) -> BoundReport:
@@ -143,7 +150,7 @@ def check_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) -> 
         BoundRow(trace.k[i], trace.stat_sq[i], factor * trace.step_sq[i])
         for i in range(1, len(trace.k))
     ]
-    return BoundReport("grad-vs-step", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("grad-vs-step", HARD, rows, conditional)
 
 
 def check_min_stationarity_rate(
@@ -155,7 +162,7 @@ def check_min_stationarity_rate(
     for i in range(1, len(trace.k)):
         best = min(best, trace.stat_sq[i])
         rows.append(BoundRow(trace.k[i], best, 4.0 * (lip_trailing + 1.0) * delta0 / trace.k[i]))
-    return BoundReport("stationarity-rate", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("stationarity-rate", HARD, rows, conditional)
 
 
 def check_pl_envelope(
@@ -173,7 +180,7 @@ def check_pl_envelope(
         BoundRow(k, float(gaps[k]), float(ratio**k) * float(gaps[0]))
         for k in range(1, gaps.shape[0])
     ]
-    return BoundReport("pl-envelope", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("pl-envelope", HARD, rows, conditional)
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +207,7 @@ def check_vr_descent(trace: RunTrace, eta: float, conditional=()) -> BoundReport
             - 0.5 * eta * trace.mid_resid_sq[i]
         )
         rows.append(BoundRow(trace.k[i], trace.obj[i], rhs))
-    return BoundReport("vr-descent", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("vr-descent", HARD, rows, conditional)
 
 
 def check_vr_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) -> BoundReport:
@@ -210,12 +217,44 @@ def check_vr_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) 
     for i in range(1, len(trace.k)):
         rhs = 2.0 * lip_trailing * trace.step_sq[i] + 2.0 * trace.mid_resid_sq[i]
         rows.append(BoundRow(trace.k[i], trace.stat_sq[i], rhs))
-    return BoundReport("vr-grad-vs-step", HARD, rows, conditional=tuple(conditional))
+    return BoundReport("vr-grad-vs-step", HARD, rows, conditional)
 
 
 # --------------------------------------------------------------------------
 # expectation-level checks
 # --------------------------------------------------------------------------
+
+
+def _cycles(traces: list[RunTrace]) -> int:
+    """The cycle count every trace of a family shares."""
+    if not traces:
+        raise ValueError("need at least one trace")
+    cycles = traces[0].cycles
+    if any(t.cycles != cycles for t in traces):
+        raise ValueError("all traces must share the cycle count")
+    return cycles
+
+
+def _expectation(name, ks, samples, bounds, exact, conditional) -> BoundReport:
+    """The verdict rule of the expectation-level checks.
+
+    ``samples`` is (seeds, rows), one column per row ``(ks[i], bounds[i])``.
+    In the noise-free case (``exact``) the inequality holds pathwise, so the
+    report is hard and each row's lhs is the max over seeds: every seed is
+    asserted. Otherwise the report is Monte Carlo: each row's seed mean
+    against the bound plus the one-sided 99% allowance, low-power under 30
+    seeds.
+    """
+    samples = np.asarray(samples, dtype=float)
+    columns = zip(ks, samples.T, bounds)
+    if exact:
+        rows = [BoundRow(k, float(col.max()), bound) for k, col, bound in columns]
+        return BoundReport(name, HARD, rows, conditional)
+    rows = []
+    for k, col, bound in columns:
+        mean, allowance = mean_with_allowance(col)
+        rows.append(BoundRow(k, mean, bound + allowance))
+    return BoundReport(name, MONTE_CARLO, rows, conditional, low_power=samples.shape[0] < 30)
 
 
 def check_vr_rate(
@@ -227,48 +266,25 @@ def check_vr_rate(
     n,
     sigma_sq: float,
     delta0: float,
-    deterministic: bool = False,
     conditional=(),
 ) -> BoundReport:
     """Stationarity of the uniformly drawn output iterate against
     4 delta0 / (eta K) plus the two variance terms.
 
-    Monte Carlo mode compares the seed mean of s at each run's output iterate
-    to the bound plus a one-sided 99% allowance. Deterministic mode (p = 1
-    with the full batch: the trajectory carries no sampling noise) averages
-    s over the cycles of a single trace, which is the output expectation.
+    The sample of a trace is s at its output iterate. At p = 1 with the full
+    batch the trajectory carries no sampling noise, and the sample is s
+    averaged over the trace's cycles, which is the output expectation.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
-    cycles = traces[0].cycles
-    if any(t.cycles != cycles for t in traces):
-        raise ValueError("all traces must share the cycle count")
+    cycles = _cycles(traces)
     vf = variance_factor(n, b)
     mid_term = 2.0 * (1.0 - p) * sigma_sq * vf / (p * cycles) if p > 0 else math.inf
     bound = 4.0 * delta0 / (eta * cycles) + mid_term + 4.0 * sigma_sq * vf
-
-    if deterministic:
-        stat = traces[0].array("stat_sq", skip_first=True)
-        return BoundReport(
-            "vr-rate",
-            HARD,
-            [BoundRow(cycles, float(stat.mean()), bound)],
-            conditional=tuple(conditional),
-        )
-
-    outputs = []
-    for t in traces:
-        k_out = t.meta["output_index"]
-        outputs.append(t.stat_sq[k_out])
-    mean, allowance = mean_with_allowance(np.array(outputs))
-    report = BoundReport(
-        "vr-rate",
-        MONTE_CARLO,
-        [BoundRow(cycles, mean, bound + allowance)],
-        conditional=tuple(conditional),
-        low_power=len(traces) < 30,
-    )
-    return report
+    exact = p == 1.0 and b == n
+    if exact:
+        samples = [[t.array("stat_sq", skip_first=True).mean()] for t in traces]
+    else:
+        samples = [[t.stat_sq[t.meta["output_index"]]] for t in traces]
+    return _expectation("vr-rate", [cycles], samples, [bound], exact, conditional)
 
 
 def potential_values(trace: RunTrace, eta: float, p: float, b_prime: int, lip_trailing: float):
@@ -298,44 +314,21 @@ def check_vr_potential(
     n,
     lip_trailing: float,
     sigma_sq: float,
-    pathwise: bool = False,
     conditional=(),
 ) -> BoundReport:
     """Per-iteration potential descent:
     (eta/4) s_k + Phi_k <= Phi_{k-1} + sigma^2 eta (n-b)/(b(n-1)).
 
-    pathwise=True asserts every iteration of every trace (valid when the
-    anchors are exact, i.e. b = b' = n, so the noise term is zero); otherwise
-    the seed mean of the deficit is tested per iteration with a one-sided
-    99% allowance.
+    The sample of a trace is its per-iteration deficit. With exact anchors
+    (b = b' = n, so the noise term is zero; a stream never has them) every
+    iteration of every trace is asserted.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
-    cycles = traces[0].cycles
-    if any(t.cycles != cycles for t in traces):
-        raise ValueError("all traces must share the cycle count")
+    cycles = _cycles(traces)
     noise = sigma_sq * eta * variance_factor(n, b)
-    deficits = np.stack(
-        [potential_values(t, eta, p, b_prime, lip_trailing)[1] for t in traces]
-    )  # (seeds, cycles)
-
-    rows = []
-    if pathwise:
-        for i in range(cycles):
-            worst = float(deficits[:, i].max())
-            rows.append(BoundRow(i + 1, worst, noise))
-        return BoundReport("vr-potential", HARD, rows, conditional=tuple(conditional))
-
-    for i in range(cycles):
-        mean, allowance = mean_with_allowance(deficits[:, i])
-        rows.append(BoundRow(i + 1, mean, noise + allowance))
-    return BoundReport(
-        "vr-potential",
-        MONTE_CARLO,
-        rows,
-        conditional=tuple(conditional),
-        low_power=len(traces) < 30,
-    )
+    deficits = [potential_values(t, eta, p, b_prime, lip_trailing)[1] for t in traces]
+    exact = b == n and b_prime == n
+    ks = range(1, cycles + 1)
+    return _expectation("vr-potential", ks, deficits, [noise] * cycles, exact, conditional)
 
 
 def check_vr_pl_rate(
@@ -349,11 +342,13 @@ def check_vr_pl_rate(
     mu: float,
     sigma_sq: float,
     delta0: float,
-    deterministic: bool = False,
     conditional=(),
 ) -> BoundReport:
     """Expected final optimality gap under gradient dominance:
     (1 + eta mu / 2)^{-K} (delta0 + sigma^2 eta (1-p) vf / p) + 4 sigma^2 vf / mu.
+
+    The samples are the final gaps; at p = 1 with the full batch every one
+    is asserted.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -361,22 +356,8 @@ def check_vr_pl_rate(
     decay = (1.0 + 0.5 * eta * mu) ** (-cycles)
     inflated = delta0 + (sigma_sq * eta * (1.0 - p) * vf / p if p > 0 else math.inf)
     bound = decay * inflated + 4.0 * sigma_sq * vf / mu
-    gaps = np.asarray(final_gaps, dtype=float)
-    if deterministic:
-        return BoundReport(
-            "vr-pl-rate",
-            HARD,
-            [BoundRow(cycles, float(gaps[0]), bound)],
-            conditional=tuple(conditional),
-        )
-    mean, allowance = mean_with_allowance(gaps)
-    return BoundReport(
-        "vr-pl-rate",
-        MONTE_CARLO,
-        [BoundRow(cycles, mean, bound + allowance)],
-        conditional=tuple(conditional),
-        low_power=gaps.size < 30,
-    )
+    samples = np.asarray(final_gaps, dtype=float)[:, None]
+    return _expectation("vr-pl-rate", [cycles], samples, [bound], p == 1.0 and b == n, conditional)
 
 
 def check_work_accounting(
@@ -384,37 +365,21 @@ def check_work_accounting(
 ) -> BoundReport:
     """Mean per-cycle d-weighted gradient work against (p b + (1-p) b') d.
 
-    Exact (zero tolerance) for p in {0, 1}; otherwise the Monte Carlo mean
-    must land within 2% of the target.
+    Exact (zero tolerance, every increment asserted) for p in {0, 1};
+    otherwise the Monte Carlo mean must land within 2% of the target.
     """
     target = (p * b + (1.0 - p) * b_prime) * dim
     increments = np.concatenate([t.work_increments() for t in traces])
     if increments.size == 0:
         raise ValueError("traces carry no cycles")
     if p in (0.0, 1.0):
-        dev = float(np.max(np.abs(increments - target)))
-        return BoundReport(
-            "work-accounting",
-            HARD,
-            [BoundRow(None, dev, 0.0)],
-            conditional=tuple(conditional),
-        )
+        deviations = np.abs(increments - target)[:, None]
+        return _expectation("work-accounting", [None], deviations, [0.0], True, conditional)
     dev = abs(float(increments.mean()) - target)
     return BoundReport(
         "work-accounting",
         MONTE_CARLO,
         [BoundRow(None, dev, 0.02 * target)],
-        conditional=tuple(conditional),
+        conditional,
         low_power=increments.size < 10_000,
-    )
-
-
-def check_batch_variance_identity(lhs: float, rhs: float) -> BoundReport:
-    """Subset-enumeration identity: |lhs - rhs| within 1e-10 relative."""
-    err = abs(lhs - rhs)
-    return BoundReport(
-        "batch-variance-identity",
-        HARD,
-        [BoundRow(None, err, 1e-10 * max(1.0, abs(rhs)))],
-        rel_tol=0.0,
     )

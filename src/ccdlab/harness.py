@@ -357,8 +357,6 @@ class _CheckInputs:
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.n = prob.n if prob.is_finite else math.inf
         self.lip = res.profile.lip_trailing if res.profile is not None else None
-        self.deterministic = run.p == 1.0 and run.b == prob.n
-        self.pathwise = bool(prob.is_finite and run.b == prob.n and run.b_prime == prob.n)
 
     @cached_property
     def reference(self) -> tuple[float, str]:
@@ -429,15 +427,13 @@ _RUN_CHECK = {
     "vr-descent": lambda i, c: [checks.check_vr_descent(t, i.eta, c) for t in i.traces],
     "vr-grad-vs-step": lambda i, c: [checks.check_vr_grad_vs_step(t, i.lip, c) for t in i.traces],
     "vr-rate": lambda i, c: [checks.check_vr_rate(
-        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0_or_best_seen,
-        i.deterministic, c,
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0_or_best_seen, c
     )],
     "vr-potential": lambda i, c: [checks.check_vr_potential(
-        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], i.pathwise, c
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], c
     )],
     "vr-pl-rate": lambda i, c: [checks.check_vr_pl_rate(
-        i.final_gaps, i.eta, i.res.run.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0,
-        i.deterministic, c,
+        i.final_gaps, i.eta, i.res.run.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0, c
     )],
     "work-accounting": lambda i, c: [
         checks.check_work_accounting(i.traces, i.p, i.b, i.b_prime, i.prob.dim, c)
@@ -575,10 +571,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, trace_paths, None, None, [], traces)
 
-    soft_failed = [
-        r for r in reports if not r.passed and not r.advisory and r.kind == checks.MONTE_CARLO
-    ]
-    if soft_failed:
+    def failed(kind: str) -> bool:
+        """Whether a gating report of this kind failed (reads the latest reports)."""
+        return any(not r.passed and not r.advisory and r.kind == kind for r in reports)
+
+    if failed(checks.MONTE_CARLO):
         # escalate: rerun the Monte Carlo evidence at 4x seeds before failing
         try:
             # only the seed count changes, so the instance is not resolved again
@@ -592,13 +589,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     report_csv = report_txt = None
     if reports:
         report_csv, report_txt = write_report(reports, out_dir / cfg.output.report_path)
-    hard_fail = any(
-        not r.passed and not r.advisory and r.kind == checks.HARD for r in reports
-    )
-    soft_fail = any(
-        not r.passed and not r.advisory and r.kind == checks.MONTE_CARLO for r in reports
-    )
-    code = 2 if hard_fail else (1 if soft_fail else 0)
+    code = 2 if failed(checks.HARD) else (1 if failed(checks.MONTE_CARLO) else 0)
     return ExperimentResult(code, trace_paths, report_csv, report_txt, reports, traces)
 
 

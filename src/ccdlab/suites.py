@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checks, harness, problems, sampling
+from . import harness, problems, sampling
 from .algorithms import (
     FRESH_PER_BLOCK,
     RunConfig,
@@ -94,10 +94,10 @@ def suite_batch_variance_identity() -> SuiteResult:
         for b in range(1, n + 1):
             for j in range(m):
                 lhs, rhs = sampling.subset_variance_identity(prob, metric, x, j, b)
-                rep = checks.check_batch_variance_identity(lhs, rhs)
                 comparisons += 1
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                ok = ok and rep.passed
+                # a NaN side fails, as it would in a bound report
+                ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
     lines = [
         f"instances=50 comparisons={comparisons} max_rel_err={worst:.3e} (tol 1e-10)",
     ]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdlab.algorithms import RunConfig, RunTrace, pccd_run, vrccd_run
 from ccdlab.blocks import BlockPartition
@@ -86,10 +88,8 @@ def test_vr_rate_deterministic_full_batch():
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(5))
     delta0 = prob.value(x0) - prob.f_star
-    rep = check_vr_rate(
-        [trace], plan.eta, p, prob.n, prob.n, prob.n, sigma_sq=0.0, delta0=delta0,
-        deterministic=True,
-    )
+    # p = 1 with the full batch: the noise-free case, asserted as a hard bound
+    rep = check_vr_rate([trace], plan.eta, p, prob.n, prob.n, prob.n, sigma_sq=0.0, delta0=delta0)
     assert rep.passed and rep.kind == "hard"
     # the schedule target: K = ceil(4 delta0 / (eps^2 eta)) drives the bound to eps^2
     eps = 0.5
@@ -127,9 +127,9 @@ def test_potential_collapses_to_objective_at_p_one():
     phi, deficits = potential_values(trace, plan.eta, 1.0, prob.n, profile.lip_trailing)
     assert np.allclose(phi, trace.array("obj"))
     rep = check_vr_potential(
-        [trace], plan.eta, 1.0, prob.n, prob.n, prob.n, profile.lip_trailing, 0.0, pathwise=True
+        [trace], plan.eta, 1.0, prob.n, prob.n, prob.n, profile.lip_trailing, 0.0
     )
-    assert rep.passed
+    assert rep.passed and rep.kind == "hard"
 
 
 def test_vr_pl_rate_deterministic():
@@ -143,10 +143,8 @@ def test_vr_pl_rate_deterministic():
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(9))
     delta0 = prob.value(x0) - prob.f_star
     gap = np.array([trace.obj[-1] - prob.f_star])
-    rep = check_vr_pl_rate(
-        gap, plan.eta, 40, 1.0, prob.n, prob.n, prob.n, mu, 0.0, delta0, deterministic=True
-    )
-    assert rep.passed
+    rep = check_vr_pl_rate(gap, plan.eta, 40, 1.0, prob.n, prob.n, prob.n, mu, 0.0, delta0)
+    assert rep.passed and rep.kind == "hard"
 
 
 def test_work_accounting_modes():
@@ -202,12 +200,105 @@ def test_vr_rate_coincides_with_classical_baseline_check():
     )
     assert tr_vr.stat_sq == tr_gd.stat_sq  # bitwise-equal trajectories
     delta0 = prob.value(x0) - prob.f_star
-    rep_vr = check_vr_rate(
-        [tr_vr], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0, deterministic=True
-    )
-    rep_gd = check_vr_rate(
-        [tr_gd], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0, deterministic=True
-    )
+    rep_vr = check_vr_rate([tr_vr], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
+    rep_gd = check_vr_rate([tr_gd], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
     assert rep_vr.rows[0].lhs == rep_gd.rows[0].lhs
     assert rep_vr.rows[0].rhs == rep_gd.rows[0].rhs
     assert rep_vr.passed and rep_gd.passed
+
+
+# --------------------------------------------------------------------------
+# the one verdict rule of the expectation-level checks
+# --------------------------------------------------------------------------
+
+
+def _hand_trace(rng, cycles=6, work_step=40):
+    """A trace with every diagnostic column filled and a drawn output index."""
+    trace = RunTrace(meta={"output_index": int(rng.integers(1, cycles + 1))})
+    trace.add_row(0, 10.0, None, 0.0, 0.1, None, 0, 0)
+    for k in range(1, cycles + 1):
+        s, v, u, mid = rng.uniform(0.0, 1.0, size=4)
+        trace.add_row(k, 10.0 - k, s, v, u, mid, k * work_step, 0)
+    return trace
+
+
+_EXPECTATION_CHECKS = {
+    "vr-rate": lambda traces, p, b, bp, n: check_vr_rate(traces, 0.1, p, b, bp, n, 0.5, 1.0),
+    "vr-pl-rate": lambda traces, p, b, bp, n: check_vr_pl_rate(
+        np.array([t.obj[-1] for t in traces]), 0.1, traces[0].cycles, p, b, bp, n, 0.5, 0.5, 1.0
+    ),
+    "vr-potential": lambda traces, p, b, bp, n: check_vr_potential(
+        traces, 0.1, p, b, bp, n, 1.0, 0.5
+    ),
+    "work-accounting": lambda traces, p, b, bp, n: check_work_accounting(traces, p, b, bp, 1),
+}
+
+
+@pytest.mark.parametrize("seeds", [5, 40])
+@pytest.mark.parametrize(
+    "name, p, b, bp, n, exact",
+    [
+        # p = 1 with the full batch: no sampling noise
+        ("vr-rate", 1.0, 8, 8, 8, True),
+        ("vr-rate", 1.0, 4, 4, 8, False),
+        ("vr-rate", 0.5, 8, 8, 8, False),
+        ("vr-pl-rate", 1.0, 8, 4, 8, True),
+        ("vr-pl-rate", 1.0, 4, 4, 8, False),
+        ("vr-pl-rate", 0.5, 8, 8, 8, False),
+        # exact anchors: b = b' = n; a stream never has them
+        ("vr-potential", 0.5, 8, 8, 8, True),
+        ("vr-potential", 1.0, 8, 8, 8, True),
+        ("vr-potential", 0.5, 8, 4, 8, False),
+        ("vr-potential", 1.0, 8, 8, math.inf, False),
+        # the switch never mixes batch sizes at p in {0, 1}
+        ("work-accounting", 1.0, 8, 4, 8, True),
+        ("work-accounting", 0.0, 8, 4, 8, True),
+        ("work-accounting", 0.5, 8, 4, 8, False),
+    ],
+)
+def test_expectation_checks_are_hard_exactly_when_noise_free(name, p, b, bp, n, exact, seeds):
+    rng = np.random.default_rng(17)
+    traces = [_hand_trace(rng) for _ in range(seeds)]
+    rep = _EXPECTATION_CHECKS[name](traces, p, b, bp, n)
+    assert rep.kind == ("hard" if exact else "monte_carlo")
+    if exact:
+        assert not rep.low_power
+    elif name == "work-accounting":
+        assert rep.low_power  # its power counts increments: fewer than 10,000 here
+    else:
+        assert rep.low_power == (seeds < 30)
+
+
+def test_exact_expectation_asserts_every_trace():
+    """Noise-free runs share one trajectory, so the hard form asserts each
+    seed; a violating second trace fails the report even when the first
+    passes."""
+    rng = np.random.default_rng(19)
+    good, bad = _hand_trace(rng), _hand_trace(rng)
+    good.obj[-1] = 0.1  # final gap below the vr-pl-rate bound
+    bad.stat_sq[1:] = [1e6] * bad.cycles
+    bad.obj[-1] = 1e6
+    for name in ("vr-rate", "vr-pl-rate"):
+        alone = _EXPECTATION_CHECKS[name]([good], 1.0, 8, 8, 8)
+        both = _EXPECTATION_CHECKS[name]([good, bad], 1.0, 8, 8, 8)
+        assert alone.kind == both.kind == "hard"
+        assert alone.passed and not both.passed
+        assert both.worst.lhs == 1e6
+
+
+_SIDES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
+    [0.0, 1.0, -1.0, 1.0 + 5e-10, 1e9]
+)
+
+
+@given(st.lists(st.tuples(_SIDES, _SIDES), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_passed_iff_worst_margin_is_nonnegative(sides):
+    rep = BoundReport("demo", "hard", [BoundRow(k, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)])
+    assert rep.passed == (BoundReport._margin(rep.worst) >= 0.0)
+    for row, ok in zip(rep.rows, rep.verdicts):
+        if math.isnan(row.lhs) or math.isnan(row.rhs):
+            assert not ok
+        elif math.isfinite(row.lhs) and math.isfinite(row.rhs):
+            # the 1e-9-relative allowance of the rule this margin replaced
+            assert ok == (row.slack >= -1e-9 * max(1.0, abs(row.rhs)))
