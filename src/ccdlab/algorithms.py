@@ -274,12 +274,13 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
 
     # anchor the estimator with a size-b batch at the start point; with
     # p = 1 the anchors are never read (the estimator is plain minibatch
-    # SGD), so no anchor batch is drawn and the streams line up with the
-    # SGD baseline under a shared seed
+    # SGD), so no anchor batch is drawn, u_0 stays unrecorded, and the
+    # streams line up with the SGD baseline under a shared seed
     work = 0
     anchors = [None] * len(units)
-    u0 = 0.0 if record_u else None
-    if recursive and cfg.p < 1.0:
+    anchored = recursive and cfg.p < 1.0
+    u0 = 0.0 if record_u and (anchored or not recursive) else None
+    if anchored:
         g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
         anchors = [np.array(g_init[cols]) for _, cols, _ in units]
         work = cfg.b * d

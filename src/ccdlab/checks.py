@@ -289,15 +289,21 @@ def check_vr_rate(
 
 def potential_values(trace: RunTrace, eta: float, p: float, b_prime: int, lip_trailing: float):
     """Per-iteration potential F_k + cu u_k + cv v_k and its descent deficit
-    D_k = (eta/4) s_k + Phi_k - Phi_{k-1}."""
+    D_k = (eta/4) s_k + Phi_k - Phi_{k-1}.
+
+    A run that draws no anchor (p = 1) records no u_0; its weight cu is then
+    0, so it reads as 0."""
     if not 0.0 < p <= 1.0:
         raise ValueError("the potential needs p in (0, 1]")
     _require_diagnostics(trace, "the potential check")
     cu = (1.0 - p) * eta / (2.0 * p)
     cv = (1.0 - p) * lip_trailing * eta / (p * b_prime)
-    if trace.est_err_sq[0] is None:
-        raise ValueError("the potential check needs the initial anchor error (k = 0 row)")
-    phi = [trace.obj[0] + cu * trace.est_err_sq[0] + cv * trace.step_sq[0]]
+    u0 = trace.est_err_sq[0]
+    if u0 is None:
+        if cu != 0.0:
+            raise ValueError("the potential check needs the initial anchor error (k = 0 row)")
+        u0 = 0.0
+    phi = [trace.obj[0] + cu * u0 + cv * trace.step_sq[0]]
     deficits = []
     for i in range(1, len(trace.k)):
         phi.append(trace.obj[i] + cu * trace.est_err_sq[i] + cv * trace.step_sq[i])

@@ -63,6 +63,47 @@ def test_trace_schema_and_empty_columns(tmp_path):
     assert len(first_row) == 7
 
 
+RECORD_U = """
+problem.family = quadratic
+problem.n = 8
+problem.d = 4
+problem.m = 2
+algorithm.name = {name}
+algorithm.K = 3
+algorithm.b = 4
+{extra}seeds.count = 1
+diagnostics.record_u = true
+output.trace_path = traces
+"""
+
+
+@pytest.mark.parametrize(
+    "name, extra, anchored",
+    [
+        ("sccd", "", False),
+        ("sgd", "", False),
+        ("vrccd", "algorithm.p = 0.3\nalgorithm.bprime = 2\n", True),
+    ],
+)
+def test_initial_anchor_error_only_where_an_anchor_is_drawn(tmp_path, name, extra, anchored):
+    result = run_experiment(parse_config(RECORD_U.format(name=name, extra=extra)), out_dir=tmp_path)
+    assert result.exit_code == 0
+    lines = result.trace_paths[0].read_text().splitlines()
+    u0 = lines[lines.index(TRACE_HEADER) + 1].split(",")[4]
+    later = [row.split(",")[4] for row in lines[lines.index(TRACE_HEADER) + 2 :]]
+    assert all(float(u) >= 0.0 for u in later)  # every cycle draws its estimate
+    if anchored:
+        assert float(u0) >= 0.0
+    else:
+        assert u0 == ""  # p = 1: no anchor batch, so no anchor error at k = 0
+    if name == "sccd":  # the potential needs the cyclic order's residual column
+        # it reads the missing u_0 as 0 only where its weight (1 - p) eta / (2p) is 0
+        trace = result.traces[0]
+        checks.potential_values(trace, 0.1, 1.0, 4, 1.0)
+        with pytest.raises(ValueError, match="initial anchor error"):
+            checks.potential_values(trace, 0.1, 0.3, 4, 1.0)
+
+
 def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     cfg = parse_config(VR_CHECKED)
 
