@@ -103,17 +103,17 @@ def initial_point(cfg: ExperimentConfig, prob) -> np.ndarray:
     return x0
 
 
-def build_metric(cfg: ExperimentConfig, prob) -> tuple[DiagonalMetric | None, str]:
-    """(metric, resolved mode); metric is None in backtracking mode."""
+def build_metric(cfg: ExperimentConfig, prob) -> DiagonalMetric | None:
+    """The metric of ``lambda_mode(cfg)``; None in backtracking mode."""
     mode = lambda_mode(cfg)
     if mode == "backtracking":
-        return None, mode
+        return None
     if mode == "explicit":
-        return DiagonalMetric.from_block_scales(prob.partition, cfg.lam.values), mode
+        return DiagonalMetric.from_block_scales(prob.partition, cfg.lam.values)
     if mode == "sigmoid_bound":
-        return problems.sigmoid_metric(prob), mode
+        return problems.sigmoid_metric(prob)
     if mode == "exact_quadratic":
-        return problems.exact_quadratic_metric(prob), mode
+        return problems.exact_quadratic_metric(prob)
     raise ValueError(f"unknown lambda mode {mode!r}")
 
 
@@ -126,7 +126,7 @@ def build_profile(cfg: ExperimentConfig, prob, metric) -> SmoothnessProfile | No
         q_list = problems.exact_coupling_matrices(prob, metric)
         return SmoothnessProfile.from_coupling_matrices(metric, q_list)
     if cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None:
-        return SmoothnessProfile.from_constants(metric, cfg.lam.lip_trailing, cfg.lam.lip_leading)
+        return SmoothnessProfile.from_constants(cfg.lam.lip_trailing, cfg.lam.lip_leading)
     return None
 
 
@@ -137,9 +137,7 @@ class Resolved:
     cfg: ExperimentConfig
     prob: object
     reg: Regularizer
-    metric_mode: str
     profile: SmoothnessProfile | None
-    algorithm: str
     eta_bound: float | None
     conditional: tuple[str, ...]
     run: algorithms.RunConfig
@@ -149,7 +147,7 @@ class Resolved:
         run = self.run
         out.update(
             {
-                "resolved.algorithm": self.algorithm,
+                "resolved.algorithm": self.cfg.algorithm.name,
                 "resolved.cycles": run.cycles,
                 "resolved.eta": run.eta,
                 "resolved.eta_bound": self.eta_bound,
@@ -157,7 +155,7 @@ class Resolved:
                 "resolved.b": run.b,
                 "resolved.bprime": run.b_prime,
                 "resolved.sample_sharing": run.sample_sharing,
-                "resolved.lambda_mode": self.metric_mode,
+                "resolved.lambda_mode": lambda_mode(self.cfg),
                 "resolved.instance_seed": self.cfg.seeds.base,
             }
         )
@@ -173,7 +171,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         raise ConfigError(errs)
     prob = build_problem(cfg, cfg.seeds.base)
     reg = build_regularizer(cfg.problem.reg)
-    metric, metric_mode = build_metric(cfg, prob)
+    metric = build_metric(cfg, prob)
     profile = build_profile(cfg, prob, metric) if needs_coupling(cfg) else None
     x0 = initial_point(cfg, prob)
     a = cfg.algorithm
@@ -240,9 +238,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         cfg=cfg,
         prob=prob,
         reg=reg,
-        metric_mode=metric_mode,
         profile=profile,
-        algorithm=name,
         eta_bound=eta_bound,
         conditional=tuple(conditional),
         run=run,
@@ -252,7 +248,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
 def run_seed(res: Resolved, seed: int, row_sink=None):
     """Execute one seed; returns (x_out, trace). The exact methods draw no
     randomness, so they get no ``RngBundle``."""
-    method = METHODS[res.algorithm]
+    method = METHODS[res.cfg.algorithm.name]
     # looked up at call time, so that a rebound entry point (a profiler's wrapper) is called
     entry = getattr(algorithms, method.entry)
     if not method.stochastic:

@@ -89,13 +89,12 @@ def masked_smoothness_constants(
 
 @dataclass(frozen=True, eq=False)
 class SmoothnessProfile:
-    """Metric plus the two aggregate coupling constants.
+    """The two aggregate coupling constants of a metric.
 
     ``supplied`` marks constants that were configured rather than computed
     from coupling matrices; bound checks built on them are conditional.
     """
 
-    metric: DiagonalMetric
     lip_trailing: float
     lip_leading: float
     supplied: bool = False
@@ -109,14 +108,11 @@ class SmoothnessProfile:
         cls, metric: DiagonalMetric, q_list: list[np.ndarray]
     ) -> "SmoothnessProfile":
         lt, ll = masked_smoothness_constants(q_list, metric, metric.partition)
-        return cls(metric=metric, lip_trailing=lt, lip_leading=ll)
+        return cls(lip_trailing=lt, lip_leading=ll)
 
     @classmethod
-    def from_constants(
-        cls, metric: DiagonalMetric, lip_trailing: float, lip_leading: float
-    ) -> "SmoothnessProfile":
+    def from_constants(cls, lip_trailing: float, lip_leading: float) -> "SmoothnessProfile":
         return cls(
-            metric=metric,
             lip_trailing=float(lip_trailing),
             lip_leading=float(lip_leading),
             supplied=True,

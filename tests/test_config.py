@@ -19,7 +19,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.algorithm.eta == "auto"
     res = resolve(cfg)
     assert res.run.eta == 1.0  # the cyclic method takes unit prox steps by default
-    assert res.algorithm == "pccd"
+    assert res.echo()["resolved.algorithm"] == "pccd"
 
 
 def test_comments_and_inline_comments():

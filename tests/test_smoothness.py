@@ -105,9 +105,8 @@ def test_admissible_eta_inequality_holds_in_floats(c0):
     assert c0 * eta * eta + eta - 1.0 <= 0.0
 
 
-def _profile(lt, ll, dim=4):
-    part = BlockPartition((dim,))
-    return SmoothnessProfile.from_constants(DiagonalMetric.identity(part), lt, ll)
+def _profile(lt, ll):
+    return SmoothnessProfile.from_constants(lt, ll)
 
 
 def test_step_size_finite_sum_schedule_coefficient():
