@@ -212,13 +212,13 @@ def test_vr_rate_coincides_with_classical_baseline_check():
 # --------------------------------------------------------------------------
 
 
-def _hand_trace(rng, cycles=6, work_step=40):
+def _hand_trace(rng, cycles=6):
     """A trace with every diagnostic column filled and a drawn output index."""
     trace = RunTrace(meta={"output_index": int(rng.integers(1, cycles + 1))})
     trace.add_row(0, 10.0, None, 0.0, 0.1, None, 0, 0)
     for k in range(1, cycles + 1):
         s, v, u, mid = rng.uniform(0.0, 1.0, size=4)
-        trace.add_row(k, 10.0 - k, s, v, u, mid, k * work_step, 0)
+        trace.add_row(k, 10.0 - k, s, v, u, mid, 40 * k, 0)
     return trace
 
 
