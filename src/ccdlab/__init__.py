@@ -27,7 +27,6 @@ from .sampling import (
 )
 from .smoothness import (
     SmoothnessProfile,
-    StepSizePlan,
     admissible_eta,
     finite_sum_schedule,
     masked_smoothness_constants,

@@ -232,7 +232,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     if missing:
         raise ValueError(f"this run needs {', '.join(missing)} in its run config")
     shared = cfg.sample_sharing == SHARED_PER_CYCLE
-    if recursive and finite and cfg.b > prob.n:
+    if recursive and cfg.b > prob.n:
         raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
     if record_u and not finite:
         raise ValueError("anchor-error recording needs exact gradients (finite sums)")

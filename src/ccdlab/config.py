@@ -13,6 +13,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
+from .smoothness import finite_sum_schedule
+
 
 @dataclass(frozen=True)
 class Method:
@@ -334,11 +336,11 @@ KEYS = MappingProxyType({
     "algorithm.eta_scale": Key(_parse_float, least=0, strict=True),
     "algorithm.p": Key(_parse_float, least=0, strict=True, most=1, algorithms=STOCHASTIC),
     "algorithm.b": Key(_parse_int, least=1, algorithms=STOCHASTIC),
-    # also accepted at p = 1, where no correction batch is drawn: the
-    # work-accounting suite resolves its p = 0 row at p = 1 with b' = 8
+    # read where p is not fixed, also at p = 1, where no correction batch is
+    # drawn: the work-accounting suite resolves its p = 0 row at p = 1 with b' = 8
     "algorithm.bprime": Key(
         _parse_int, least=1,
-        algorithms=tuple(name for name in STOCHASTIC if not METHODS[name].bprime_is_b),
+        algorithms=tuple(name for name in STOCHASTIC if METHODS[name].p is None),
     ),
     "algorithm.sample_sharing": Key(
         _choice(("fresh_per_block", "shared_per_cycle")), algorithms=VARIANCE_REDUCED
@@ -464,6 +466,12 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
 
     if not streaming and p_spec.n == math.inf:
         errs.append((_line(key_lines, "problem.n"), "problem.n = inf requires family streaming"))
+    if not errs:  # the derived batch sizes, once the keys they come from are sound
+        _, b, b_prime, _ = estimator_settings(cfg)
+        if not streaming and b is not None and b > p_spec.n:
+            errs.append((_line(key_lines, "algorithm.b"), "need b <= n"))
+        if b is not None and b_prime is not None and b_prime > b:
+            errs.append((_line(key_lines, "algorithm.bprime"), "need bprime <= b"))
     if p_spec.m > p_spec.d:
         errs.append((_line(key_lines, "problem.m"), "need m <= d"))
     if method.p is not None and a.p is not None and a.p != method.p:
@@ -477,10 +485,6 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         )
     if method.stochastic and a.schedule is None and a.b is None:
         errs.append((_line(key_lines, "algorithm.name"), f"{a.name} needs algorithm.b or a schedule"))
-    if a.b is not None and a.bprime is not None and a.bprime > a.b:
-        errs.append((_line(key_lines, "algorithm.bprime"), "need bprime <= b"))
-    if not streaming and a.b is not None and p_spec.n != math.inf and a.b > int(p_spec.n):
-        errs.append((_line(key_lines, "algorithm.b"), "need b <= n"))
     if streaming and not method.stochastic:
         errs.append(
             (_line(key_lines, "algorithm.name"), f"{a.name} needs exact gradients (finite n)")
@@ -549,6 +553,33 @@ _COUPLING = (
     "coupling constants: a quadratic family, or lambda.lip_trailing and lambda.lip_leading "
     "under a non-backtracking metric"
 )
+
+
+def estimator_settings(cfg: ExperimentConfig) -> tuple[float | None, int | None, int | None, str]:
+    """The run's (p, b, b', sample sharing), from the algorithm keys alone.
+
+    The finite-sum schedule sets b = n, b' = round(sqrt(n)) and
+    p = b'/(b+b'); a given bprime replaces b' and re-derives p. A name that
+    fixes p overrides it, and there a b' left unset is b (sgd always takes
+    b' = b); elsewhere it is round(sqrt(b)). The exact methods get None for
+    p, b and b'.
+    """
+    a = cfg.algorithm
+    method = METHODS[a.name]
+    p, b, b_prime = a.p, a.b, a.bprime
+    if a.schedule == "finite_sum":
+        b, b_prime, p = finite_sum_schedule(int(cfg.problem.n))
+        if a.bprime is not None:
+            b_prime = a.bprime
+            p = b_prime / (b + b_prime)
+    if method.p is not None:
+        p = method.p
+        # no correction batch is drawn at a fixed p = 1
+        if method.bprime_is_b or b_prime is None:
+            b_prime = b
+    elif b_prime is None and b is not None:
+        b_prime = max(1, round(math.sqrt(b)))
+    return p, b, b_prime, method.sample_sharing or a.sample_sharing or "fresh_per_block"
 
 
 def lambda_mode(cfg: ExperimentConfig) -> str:

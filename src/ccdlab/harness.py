@@ -18,10 +18,11 @@ with floats at 17 significant digits. ``u_k`` stays empty unless anchor
 diagnostics are on; ``wall_ns`` stays empty unless ``output.record_wall``
 is set, which keeps identical configs byte-identical on disk.
 
-Checks: ``config.CHECKS`` is the one place to add a check. Its row says
+Checks: a new check needs three things. Its ``config.CHECKS`` row says
 which algorithms the check applies to and what its inputs need, so
 ``config.validate`` rejects a misapplied check when the config is parsed;
-``_RUN_CHECK`` below then maps the name to its ``checks.check_*`` call.
+its ``checks.check_*`` function makes the report; and its ``_RUN_CHECK``
+row below maps the name to that call.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     config_to_dict,
+    estimator_settings,
     lambda_mode,
     needs_coupling,
     numeric_type,
@@ -181,31 +183,12 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     if profile is not None and profile.supplied:
         conditional.append("supplied coupling constants")
 
-    n = prob.n if prob.is_finite else math.inf
-    p, b, b_prime = a.p, a.b, a.bprime
-    if a.schedule == "finite_sum":
-        b, b_prime, p = smoothness.finite_sum_schedule(int(n))
-        if a.bprime is not None:
-            b_prime = a.bprime
-            p = b_prime / (b + b_prime)
-    if method.p is not None:
-        p = method.p
-    # at a fixed p = 1 no correction batch is drawn, so b' defaults to b
-    if method.bprime_is_b or (method.p is not None and b_prime is None):
-        b_prime = b
-    sharing = method.sample_sharing or a.sample_sharing or algorithms.FRESH_PER_BLOCK
-    if b_prime is None and b is not None:
-        b_prime = max(1, round(math.sqrt(b)))
-
+    p, b, b_prime, sharing = estimator_settings(cfg)
     eta_bound = None
-    if method.stochastic and profile is not None and p is not None:
+    if method.stochastic and profile is not None:
         # the gradient-dominance rate needs its own (smaller) admissible eta
-        if "vr-pl-rate" in cfg.diagnostics.checks:
-            mu = problems.pl_constant(prob, metric)
-            plan = smoothness.step_size(profile, p, b, b_prime, n, mode=smoothness.MODE_PL, mu=mu)
-        else:
-            plan = smoothness.step_size(profile, p, b, b_prime, n, mode=smoothness.MODE_RATE)
-        eta_bound = plan.eta
+        mu = problems.pl_constant(prob, metric) if "vr-pl-rate" in cfg.diagnostics.checks else None
+        eta_bound = smoothness.step_size(profile, p, b, b_prime, prob.n, mu)
     if a.eta == "auto":
         if not method.stochastic:
             eta = a.eta_scale  # unit step by default
@@ -351,7 +334,6 @@ class _CheckInputs:
         self.res, self.traces, self.prob = res, traces, prob
         run = res.run
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
-        self.n = prob.n if prob.is_finite else math.inf
         self.lip = res.profile.lip_trailing if res.profile is not None else None
 
     @cached_property
@@ -423,13 +405,13 @@ _RUN_CHECK = {
     "vr-descent": lambda i, c: [checks.check_vr_descent(t, i.eta, c) for t in i.traces],
     "vr-grad-vs-step": lambda i, c: [checks.check_vr_grad_vs_step(t, i.lip, c) for t in i.traces],
     "vr-rate": lambda i, c: [checks.check_vr_rate(
-        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.sigma[0], i.delta0_or_best_seen, c
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.prob.n, i.sigma[0], i.delta0_or_best_seen, c
     )],
     "vr-potential": lambda i, c: [checks.check_vr_potential(
-        i.traces, i.eta, i.p, i.b, i.b_prime, i.n, i.lip, i.sigma[0], c
+        i.traces, i.eta, i.p, i.b, i.b_prime, i.prob.n, i.lip, i.sigma[0], c
     )],
     "vr-pl-rate": lambda i, c: [checks.check_vr_pl_rate(
-        i.final_gaps, i.eta, i.res.run.cycles, i.p, i.b, i.b_prime, i.n, i.mu, i.sigma[0], i.delta0, c
+        i.final_gaps, i.eta, i.res.run.cycles, i.p, i.b, i.b_prime, i.prob.n, i.mu, i.sigma[0], i.delta0, c
     )],
     "work-accounting": lambda i, c: [
         checks.check_work_accounting(i.traces, i.p, i.b, i.b_prime, i.prob.dim, c)

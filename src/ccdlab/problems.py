@@ -283,7 +283,7 @@ class StreamingObjective(_Objective):
     Each family implements ``draw_batch``, ``batch_value`` and
     ``batch_block_grad``."""
 
-    n = None
+    n = math.inf
 
     @property
     def is_finite(self) -> bool:

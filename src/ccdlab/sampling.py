@@ -77,15 +77,14 @@ def bernoulli_switch(rng: np.random.Generator, p: float) -> bool:
     return bool(rng.random() < p)
 
 
-def variance_factor(n, b: int) -> float:
+def variance_factor(n: float, b: int) -> float:
     """Without-replacement minibatch variance factor (n - b) / (b (n - 1)).
 
-    ``n`` may be None or math.inf for the streaming limit, where the factor
-    is 1/b. Zero for the full batch b = n.
+    1/b for a stream (n = math.inf); zero for the full batch b = n.
     """
     if b < 1:
         raise ValueError("batch size must be positive")
-    if n is None or n == math.inf:
+    if n == math.inf:
         return 1.0 / b
     n = int(n)
     if b > n:

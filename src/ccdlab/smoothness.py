@@ -1,5 +1,5 @@
-"""Smoothness machinery: spectral norms, cycle coupling constants, step-size
-plans and the finite-sum batch schedule.
+"""Smoothness machinery: spectral norms, cycle coupling constants, the
+admissible step size and the finite-sum batch schedule.
 
 Two aggregate constants drive every rate in the toolkit. Both are spectral
 norms of metric-normalized sums of masked coupling matrices. The coupling
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, DiagonalMetric, symmetrize
+from .blocks import DiagonalMetric, symmetrize
 
 
 def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
@@ -64,12 +64,11 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> f
 
 
 def masked_smoothness_constants(
-    q_list: list[np.ndarray],
-    metric: DiagonalMetric,
-    partition: BlockPartition,
-    tol: float = 1e-10,
+    q_list: list[np.ndarray], metric: DiagonalMetric
 ) -> tuple[float, float]:
-    """(lip_trailing, lip_leading) for a per-block list of coupling matrices."""
+    """(lip_trailing, lip_leading) for a per-block list of coupling matrices,
+    one per block of ``metric.partition``."""
+    partition = metric.partition
     if len(q_list) != partition.num_blocks:
         raise ValueError("need one coupling matrix per block")
     d = partition.dim
@@ -82,8 +81,8 @@ def masked_smoothness_constants(
         sum_trailing[cut:, cut:] += q[cut:, cut:]
         sum_leading[:cut, :cut] += q[:cut, :cut]
     scale = np.sqrt(metric.inv_entries)
-    norm_trailing = spectral_norm(scale[:, None] * sum_trailing * scale[None, :], tol=tol)
-    norm_leading = spectral_norm(scale[:, None] * sum_leading * scale[None, :], tol=tol)
+    norm_trailing = spectral_norm(scale[:, None] * sum_trailing * scale[None, :])
+    norm_leading = spectral_norm(scale[:, None] * sum_leading * scale[None, :])
     return norm_trailing, norm_leading
 
 
@@ -107,7 +106,7 @@ class SmoothnessProfile:
     def from_coupling_matrices(
         cls, metric: DiagonalMetric, q_list: list[np.ndarray]
     ) -> "SmoothnessProfile":
-        lt, ll = masked_smoothness_constants(q_list, metric, metric.partition)
+        lt, ll = masked_smoothness_constants(q_list, metric)
         return cls(lip_trailing=lt, lip_leading=ll)
 
     @classmethod
@@ -135,45 +134,21 @@ def admissible_eta(c0: float) -> float:
     return eta
 
 
-MODE_RATE = "rate"
-MODE_PL = "pl"
-
-
-@dataclass(frozen=True)
-class StepSizePlan:
-    """Maximal admissible step size and the curvature coefficient behind it."""
-
-    eta: float
-    c0: float
-    mode: str
-    p: float
-    b: int
-    b_prime: int
-    n: object  # int or None/inf for streaming
-    mu: float | None = None
-
-
 def step_size(
-    profile: SmoothnessProfile,
-    p: float,
-    b: int,
-    b_prime: int,
-    n,
-    mode: str = MODE_RATE,
-    mu: float | None = None,
-) -> StepSizePlan:
-    """Step-size plan for the variance-reduced cyclic method.
+    profile: SmoothnessProfile, p: float, b: int, b_prime: int, n: float, mu: float | None = None
+) -> float:
+    """Largest admissible step size of the variance-reduced cyclic method.
 
-    mode="rate" bounds eta by the root of c0*eta^2 + eta - 1 with
+    Without ``mu`` (the rate form) eta is the root of c0*eta^2 + eta - 1 with
 
-        c0 = 2(1-p)*LT/(p*b') + LT + 2*(p*vf + (1-p)/b') * LL / p,
+        c0 = 2(1-p)*LT/(p*b') + LT + 2*(p*vf + (1-p)/b') * LL / p;
 
-    mode="pl" additionally caps eta at p / (mu (1-p)) and uses
+    a given ``mu`` selects the PL form, which caps eta at p / (mu (1-p)) and uses
 
         c0 = LT + 4*LT/(p*b') + (4*LL/p) * (p*vf + (1-p)/b'),
 
     where LT/LL are the trailing/leading coupling constants and vf is the
-    without-replacement variance factor (1/b in the streaming limit).
+    without-replacement variance factor (1/b for a stream, n = inf).
     """
     from .sampling import variance_factor
 
@@ -181,24 +156,16 @@ def step_size(
         raise ValueError(f"refresh probability must lie in (0, 1], got {p}")
     if b_prime < 1 or b < b_prime:
         raise ValueError(f"need 1 <= b' <= b, got b'={b_prime}, b={b}")
-    if n is not None and n != math.inf and b > int(n):
+    if b > n:
         raise ValueError(f"need b <= n, got b={b}, n={n}")
-    vf = variance_factor(n, b)
     lt, ll = profile.lip_trailing, profile.lip_leading
-    mix = p * vf + (1.0 - p) / b_prime
-    if mode == MODE_RATE:
-        c0 = 2.0 * (1.0 - p) * lt / (p * b_prime) + lt + 2.0 * mix * ll / p
-        eta = admissible_eta(c0)
-    elif mode == MODE_PL:
-        if mu is None or mu <= 0:
-            raise ValueError("pl mode needs mu > 0")
-        c0 = lt + 4.0 * lt / (p * b_prime) + (4.0 * ll / p) * mix
-        eta = admissible_eta(c0)
-        if p < 1.0:
-            eta = min(eta, p / (mu * (1.0 - p)))
-    else:
-        raise ValueError(f"unknown step-size mode {mode!r}")
-    return StepSizePlan(eta=eta, c0=c0, mode=mode, p=p, b=b, b_prime=b_prime, n=n, mu=mu)
+    mix = p * variance_factor(n, b) + (1.0 - p) / b_prime
+    if mu is None:
+        return admissible_eta(2.0 * (1.0 - p) * lt / (p * b_prime) + lt + 2.0 * mix * ll / p)
+    if mu <= 0:
+        raise ValueError("the PL form needs mu > 0")
+    eta = admissible_eta(lt + 4.0 * lt / (p * b_prime) + (4.0 * ll / p) * mix)
+    return min(eta, p / (mu * (1.0 - p))) if p < 1.0 else eta
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_hard_bounds_hold_on_drawn_instances(inst):
         metric, exact_coupling_matrices(prob, metric)
     )
     p, b, b_prime = inst["p"], inst["b"], inst["b_prime"]
-    eta = step_size(profile, p, b, b_prime, prob.n).eta
+    eta = step_size(profile, p, b, b_prime, prob.n)
     lt = profile.lip_trailing
 
     run = RunConfig(cycles=inst["cycles"], x0=x0, metric=metric)

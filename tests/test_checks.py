@@ -29,7 +29,7 @@ from ccdlab.problems import (
 )
 from ccdlab.regularizers import L1, Zero
 from ccdlab.sampling import RngBundle
-from ccdlab.smoothness import MODE_PL, SmoothnessProfile, step_size
+from ccdlab.smoothness import SmoothnessProfile, step_size
 
 
 def _setup(seed=211, n=16, d=8, m=4, cond=5.0, identical=False):
@@ -81,35 +81,35 @@ def test_pl_envelope_requires_positive_mu():
 def test_vr_rate_deterministic_full_batch():
     prob, metric, profile = _setup(223)
     p = 1.0
-    plan = step_size(profile, p, prob.n, prob.n, prob.n)
+    eta = step_size(profile, p, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(1).standard_normal(prob.dim)
     cfg = RunConfig(
-        cycles=50, eta=plan.eta, p=p, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
+        cycles=50, eta=eta, p=p, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(5))
     delta0 = prob.value(x0) - prob.f_star
     # p = 1 with the full batch: the noise-free case, asserted as a hard bound
-    rep = check_vr_rate([trace], plan.eta, p, prob.n, prob.n, prob.n, sigma_sq=0.0, delta0=delta0)
+    rep = check_vr_rate([trace], eta, p, prob.n, prob.n, prob.n, sigma_sq=0.0, delta0=delta0)
     assert rep.passed and rep.kind == "hard"
     # the schedule target: K = ceil(4 delta0 / (eps^2 eta)) drives the bound to eps^2
     eps = 0.5
-    K = max(1, math.ceil(4.0 * delta0 / (eps**2 * plan.eta)))
-    assert 4.0 * delta0 / (plan.eta * K) <= eps**2 * (1 + 1e-12)
+    K = max(1, math.ceil(4.0 * delta0 / (eps**2 * eta)))
+    assert 4.0 * delta0 / (eta * K) <= eps**2 * (1 + 1e-12)
 
 
 def test_vr_rate_monte_carlo_shape():
     prob, metric, profile = _setup(227, n=12)
     p, b, bp = 0.4, 6, 2
-    plan = step_size(profile, p, b, bp, prob.n)
+    eta = step_size(profile, p, b, bp, prob.n)
     x0 = np.random.default_rng(2).standard_normal(prob.dim)
     sigma_sq = estimate_sigma_sq(prob, metric, x0)
     traces = []
     for s in range(10):
-        cfg = RunConfig(cycles=30, eta=plan.eta, p=p, b=b, b_prime=bp, x0=x0, metric=metric)
+        cfg = RunConfig(cycles=30, eta=eta, p=p, b=b, b_prime=bp, x0=x0, metric=metric)
         _, tr = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(100 + s))
         traces.append(tr)
     delta0 = prob.value(x0) - prob.f_star
-    rep = check_vr_rate(traces, plan.eta, p, b, bp, prob.n, sigma_sq, delta0)
+    rep = check_vr_rate(traces, eta, p, b, bp, prob.n, sigma_sq, delta0)
     assert rep.kind == "monte_carlo"
     assert rep.low_power  # fewer than 30 seeds
     assert rep.passed
@@ -117,17 +117,17 @@ def test_vr_rate_monte_carlo_shape():
 
 def test_potential_collapses_to_objective_at_p_one():
     prob, metric, profile = _setup(229)
-    plan = step_size(profile, 1.0, prob.n, prob.n, prob.n)
+    eta = step_size(profile, 1.0, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(3).standard_normal(prob.dim)
     cfg = RunConfig(
-        cycles=20, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
+        cycles=20, eta=eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric,
         record_u=True,
     )
     _, trace = vrccd_run(prob, L1(0.05), cfg, RngBundle.from_seed(7))
-    phi, deficits = potential_values(trace, plan.eta, 1.0, prob.n, profile.lip_trailing)
+    phi, deficits = potential_values(trace, eta, 1.0, prob.n, profile.lip_trailing)
     assert np.allclose(phi, trace.array("obj"))
     rep = check_vr_potential(
-        [trace], plan.eta, 1.0, prob.n, prob.n, prob.n, profile.lip_trailing, 0.0
+        [trace], eta, 1.0, prob.n, prob.n, prob.n, profile.lip_trailing, 0.0
     )
     assert rep.passed and rep.kind == "hard"
 
@@ -135,15 +135,15 @@ def test_potential_collapses_to_objective_at_p_one():
 def test_vr_pl_rate_deterministic():
     prob, metric, profile = _setup(233, identical=True)
     mu = pl_constant(prob, metric)
-    plan = step_size(profile, 1.0, prob.n, prob.n, prob.n, mode=MODE_PL, mu=mu)
+    eta = step_size(profile, 1.0, prob.n, prob.n, prob.n, mu=mu)
     x0 = np.random.default_rng(4).standard_normal(prob.dim)
     cfg = RunConfig(
-        cycles=40, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
+        cycles=40, eta=eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, trace = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(9))
     delta0 = prob.value(x0) - prob.f_star
     gap = np.array([trace.obj[-1] - prob.f_star])
-    rep = check_vr_pl_rate(gap, plan.eta, 40, 1.0, prob.n, prob.n, prob.n, mu, 0.0, delta0)
+    rep = check_vr_pl_rate(gap, eta, 40, 1.0, prob.n, prob.n, prob.n, mu, 0.0, delta0)
     assert rep.passed and rep.kind == "hard"
 
 
@@ -189,19 +189,19 @@ def test_vr_rate_coincides_with_classical_baseline_check():
     profile = SmoothnessProfile.from_coupling_matrices(
         metric, exact_coupling_matrices(prob, metric)
     )
-    plan = step_size(profile, 1.0, prob.n, prob.n, prob.n)
+    eta = step_size(profile, 1.0, prob.n, prob.n, prob.n)
     x0 = np.random.default_rng(8).standard_normal(8)
     cfg = RunConfig(
-        cycles=40, eta=plan.eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
+        cycles=40, eta=eta, p=1.0, b=prob.n, b_prime=prob.n, x0=x0, metric=metric
     )
     _, tr_vr = vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(13))
     _, tr_gd = prox_gd_run(
-        prob, Zero(), RunConfig(cycles=40, x0=x0, metric=metric, eta=plan.eta)
+        prob, Zero(), RunConfig(cycles=40, x0=x0, metric=metric, eta=eta)
     )
     assert tr_vr.stat_sq == tr_gd.stat_sq  # bitwise-equal trajectories
     delta0 = prob.value(x0) - prob.f_star
-    rep_vr = check_vr_rate([tr_vr], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
-    rep_gd = check_vr_rate([tr_gd], plan.eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
+    rep_vr = check_vr_rate([tr_vr], eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
+    rep_gd = check_vr_rate([tr_gd], eta, 1.0, prob.n, prob.n, prob.n, 0.0, delta0)
     assert rep_vr.rows[0].lhs == rep_gd.rows[0].lhs
     assert rep_vr.rows[0].rhs == rep_gd.rows[0].rhs
     assert rep_vr.passed and rep_gd.passed

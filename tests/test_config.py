@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ccdlab.cli import main
-from ccdlab.config import ConfigError, config_to_dict, parse_config
+from ccdlab.config import STOCHASTIC, ConfigError, config_to_dict, parse_config
 from ccdlab.harness import resolve
 
 MINIMAL_PCCD = """
@@ -114,6 +114,8 @@ _BASES = {
     "vrccd": "algorithm.name = vrccd\nalgorithm.p = 0.5\nalgorithm.b = 4\n",
     "page": "algorithm.name = page\nalgorithm.p = 0.5\nalgorithm.b = 4\n",
     "sgd": "algorithm.name = sgd\nalgorithm.b = 4\n",
+    "sccd": "algorithm.name = sccd\nalgorithm.b = 4\n",
+    "vrccd-schedule": "algorithm.name = vrccd\nalgorithm.schedule = finite_sum\n",
     "sigmoid-pccd": "problem.family = sigmoid\nalgorithm.name = pccd\n",
 }
 _UNREAD_BY_EXACT = (
@@ -134,6 +136,10 @@ _UNREAD_BY_EXACT = (
         ("sgd", "algorithm.sample_sharing = shared_per_cycle"),
         ("sgd", "algorithm.bprime = 2"),
         ("sgd", "algorithm.p = 0.5"),
+        ("sccd", "algorithm.bprime = 2"),
+        # b' above the b that the schedule derives (b = n = 8)
+        ("vrccd-schedule", "algorithm.bprime = 9"),
+        ("vrccd-schedule", "algorithm.bprime = 40"),
         ("vrccd", "problem.sigma_sq = -5"),
         ("pccd", "lambda.lip_trailing = -0.5"),
         ("pccd", "lambda.lip_leading = -0.5"),
@@ -166,6 +172,41 @@ def test_unread_key_or_negative_constant_rejected_on_its_line(algorithm, line, t
     assert code == 3
     assert re.findall(r"line (\d+):", err) == [str(len(text.splitlines()))]
     assert not (tmp_path / "out").exists()
+
+
+# resolved (p, b, b', sample sharing) at n = 16 of each stochastic method
+# under explicit keys (p = 0.5 where p is not fixed, b = 8), the finite-sum
+# schedule, and the schedule with bprime = 8 (None: rejected on its line)
+FRESH, SHARED = "fresh_per_block", "shared_per_cycle"
+_SETTINGS = (
+    "algorithm.b = 8\n",
+    "algorithm.schedule = finite_sum\n",
+    "algorithm.schedule = finite_sum\nalgorithm.bprime = 8\n",
+)
+_ESTIMATOR = {
+    "vrccd": ((0.5, 8, 3, FRESH), (4 / 20, 16, 4, FRESH), (8 / 24, 16, 8, FRESH)),
+    "vroccd": ((0.5, 8, 3, SHARED), (4 / 20, 16, 4, SHARED), (8 / 24, 16, 8, SHARED)),
+    "sccd": ((1.0, 8, 8, FRESH), (1.0, 16, 4, FRESH), None),
+    "page": ((0.5, 8, 3, FRESH), (4 / 20, 16, 4, FRESH), (8 / 24, 16, 8, FRESH)),
+    "sgd": ((1.0, 8, 8, FRESH), (1.0, 16, 16, FRESH), None),
+}
+
+
+@pytest.mark.parametrize("name", STOCHASTIC)
+@pytest.mark.parametrize("setting", range(len(_SETTINGS)))
+def test_estimator_settings_resolve(name, setting):
+    fixed_p = name in ("sccd", "sgd")
+    keys = "algorithm.p = 0.5\n" if setting == 0 and not fixed_p else ""
+    text = f"problem.n = 16\nproblem.d = 4\nproblem.m = 2\nalgorithm.name = {name}\n"
+    text += keys + _SETTINGS[setting]
+    want = _ESTIMATOR[name][setting]
+    if want is None:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [(6, f"{name} never reads algorithm.bprime")]
+        return
+    run = resolve(parse_config(text)).run
+    assert (run.p, run.b, run.b_prime, run.sample_sharing) == want
 
 
 def test_eta_auto_needs_constants_for_sigmoid():
@@ -235,7 +276,7 @@ diagnostics.s_surrogate_samples = 64
     assert cfg.problem.family == "streaming"
     res = resolve(cfg)
     assert not res.prob.is_finite
-    assert math.isinf(res.prob.n or math.inf)
+    assert res.prob.n == math.inf
     # vr-rate reads F and s_k, which only a surrogate records on a stream
     with pytest.raises(ConfigError) as err:
         parse_config(

@@ -60,7 +60,7 @@ def experiment_configs(draw):
             fields["algorithm.b"] = b
             if name not in ("sgd", "sccd"):
                 fields["algorithm.p"] = draw(st.sampled_from([0.05, 0.5, 1.0]))
-        if name != "sgd" and draw(st.booleans()):
+        if name not in ("sgd", "sccd") and draw(st.booleans()):
             fields["algorithm.bprime"] = draw(st.integers(1, b))
     if draw(st.booleans()):
         fields["algorithm.eta"] = draw(st.sampled_from([0.01, 0.3, 2.0]))

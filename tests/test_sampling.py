@@ -78,7 +78,6 @@ def test_variance_factor_values():
     assert variance_factor(6, 6) == 0.0
     assert variance_factor(9, 1) == 1.0
     assert variance_factor(5, 2) == pytest.approx(3 / 8)
-    assert variance_factor(None, 4) == pytest.approx(0.25)
     assert variance_factor(np.inf, 5) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         variance_factor(4, 5)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdlab.blocks import BlockPartition, DiagonalMetric
+from ccdlab.sampling import variance_factor
 from ccdlab.smoothness import (
-    MODE_PL,
     SmoothnessProfile,
     admissible_eta,
     finite_sum_schedule,
@@ -42,7 +42,7 @@ def test_masked_constants_singleton_ladder():
     part = BlockPartition((1,) * m)
     metric = DiagonalMetric(np.full(m, L), part)
     q_list = [L * np.eye(m) for _ in range(m)]
-    lt, ll = masked_smoothness_constants(q_list, metric, part)
+    lt, ll = masked_smoothness_constants(q_list, metric)
     assert lt == pytest.approx(m, rel=1e-9)
     assert ll == pytest.approx(m - 1, rel=1e-9)
 
@@ -50,9 +50,9 @@ def test_masked_constants_singleton_ladder():
 def test_masked_constants_edge_cases():
     part = BlockPartition((4,))
     metric = DiagonalMetric.identity(part)
-    lt, ll = masked_smoothness_constants([np.eye(4)], metric, part)
+    lt, ll = masked_smoothness_constants([np.eye(4)], metric)
     assert ll == 0.0 and lt == pytest.approx(1.0)
-    lt0, ll0 = masked_smoothness_constants([np.zeros((4, 4))], metric, part)
+    lt0, ll0 = masked_smoothness_constants([np.zeros((4, 4))], metric)
     assert (lt0, ll0) == (0.0, 0.0)
 
 
@@ -82,12 +82,12 @@ def test_masked_constants_match_dense_masks(seed, sizes):
         spectral_norm(scale[:, None] * total * scale[None, :])
         for total in (sum_trailing, sum_leading)
     )
-    assert masked_smoothness_constants(q_list, metric, part) == want
+    assert masked_smoothness_constants(q_list, metric) == want
     asymmetric = [q.copy() for q in q_list]
     asymmetric[-1][0, -1] += 1.0 + abs(asymmetric[-1][0, -1])
     if d > 1:
         with pytest.raises(ValueError):
-            masked_smoothness_constants(asymmetric, metric, part)
+            masked_smoothness_constants(asymmetric, metric)
 
 
 def test_admissible_eta_root():
@@ -109,29 +109,40 @@ def _profile(lt, ll):
     return SmoothnessProfile.from_constants(lt, ll)
 
 
+def _c0(lt, ll, p, b, b_prime, n, pl=False):
+    # the curvature coefficients of the step_size docstring
+    mix = p * variance_factor(n, b) + (1 - p) / b_prime
+    if pl:
+        return lt + 4 * lt / (p * b_prime) + (4 * ll / p) * mix
+    return 2 * (1 - p) * lt / (p * b_prime) + lt + 2 * mix * ll / p
+
+
 def test_step_size_finite_sum_schedule_coefficient():
     # b = n, b' = sqrt(n), p = b'/(b+b'): the curvature coefficient collapses
     # to 3*trailing + 2*leading
     lt, ll = 1.7, 0.4
-    profile = _profile(lt, ll)
     n = 16
     b, b_prime, p = finite_sum_schedule(n)
     assert (b, b_prime) == (16, 4)
-    plan = step_size(profile, p, b, b_prime, n)
-    assert plan.c0 == pytest.approx(3 * lt + 2 * ll, rel=1e-12)
-    assert plan.eta == pytest.approx(admissible_eta(plan.c0), rel=1e-15)
+    c0 = _c0(lt, ll, p, b, b_prime, n)
+    assert c0 == pytest.approx(3 * lt + 2 * ll, rel=1e-12)
+    assert step_size(_profile(lt, ll), p, b, b_prime, n) == admissible_eta(c0)
 
 
-def test_step_size_pl_mode():
+def test_step_size_pl_form():
+    # a given mu selects the PL form: its own c0, capped at p / (mu (1-p))
     profile = _profile(2.0, 1.0)
-    plan = step_size(profile, p=0.25, b=8, b_prime=2, n=16, mode=MODE_PL, mu=0.5)
-    cap = 0.25 / (0.5 * 0.75)
-    assert plan.eta <= min(cap, admissible_eta(plan.c0)) * (1 + 1e-15)
+    c0 = _c0(2.0, 1.0, 0.25, 8, 2, 16, pl=True)
+    assert c0 != _c0(2.0, 1.0, 0.25, 8, 2, 16)
+    assert step_size(profile, p=0.25, b=8, b_prime=2, n=16, mu=0.5) == admissible_eta(c0)
+    cap = 0.25 / (50.0 * 0.75)
+    assert cap < admissible_eta(c0)
+    assert step_size(profile, p=0.25, b=8, b_prime=2, n=16, mu=50.0) == cap
     # p = 1 removes the cap
-    plan1 = step_size(profile, p=1.0, b=16, b_prime=16, n=16, mode=MODE_PL, mu=0.5)
-    assert plan1.eta == pytest.approx(admissible_eta(plan1.c0), rel=1e-15)
+    c1 = _c0(2.0, 1.0, 1.0, 16, 16, 16, pl=True)
+    assert step_size(profile, p=1.0, b=16, b_prime=16, n=16, mu=50.0) == admissible_eta(c1)
     with pytest.raises(ValueError):
-        step_size(profile, p=0.5, b=8, b_prime=2, n=16, mode=MODE_PL)
+        step_size(profile, p=0.5, b=8, b_prime=2, n=16, mu=0.0)
 
 
 def test_step_size_validation():
@@ -143,10 +154,11 @@ def test_step_size_validation():
     with pytest.raises(ValueError):
         step_size(profile, p=0.5, b=9, b_prime=2, n=8)
     # streaming limit replaces the variance factor by 1/b
-    plan = step_size(profile, p=0.5, b=4, b_prime=2, n=math.inf)
     mix = 0.5 * 0.25 + 0.5 / 2
     want = 2 * 0.5 * 1.0 / (0.5 * 2) + 1.0 + 2 * mix * 0.5 / 0.5
-    assert plan.c0 == pytest.approx(want, rel=1e-12)
+    assert _c0(1.0, 0.5, 0.5, 4, 2, math.inf) == pytest.approx(want, rel=1e-12)
+    eta = step_size(profile, p=0.5, b=4, b_prime=2, n=math.inf)
+    assert eta == admissible_eta(_c0(1.0, 0.5, 0.5, 4, 2, math.inf))
 
 
 def test_finite_sum_schedule():
