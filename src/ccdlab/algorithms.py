@@ -399,7 +399,9 @@ def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):
 
     Exact for finite sums. Streaming objectives use a seeded surrogate batch
     (both quantities are then sample estimates and labeled approximate by
-    the harness); with no surrogate budget they are skipped.
+    the harness); a streaming quadratic's batch is the column mean of its
+    linear terms, drawn in chunks, so the surrogate holds O(chunk * d)
+    memory at any sample count. With no surrogate budget they are skipped.
     """
     if prob.is_finite:
         grad = prob.full_grad(x) if want_grad else None

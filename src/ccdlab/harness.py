@@ -143,6 +143,7 @@ class Resolved:
     eta_bound: float | None
     conditional: tuple[str, ...]
     run: algorithms.RunConfig
+    mu: float | None = None  # the PL constant, when a check reads it
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
@@ -184,10 +185,13 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         conditional.append("supplied coupling constants")
 
     p, b, b_prime, sharing = estimator_settings(cfg)
+    mu = None
+    if any(CHECKS[name].convex_quadratic for name in cfg.diagnostics.checks):
+        mu = problems.pl_constant(prob, metric)
     eta_bound = None
     if method.stochastic and profile is not None:
-        # the gradient-dominance rate needs its own (smaller) admissible eta
-        mu = problems.pl_constant(prob, metric) if "vr-pl-rate" in cfg.diagnostics.checks else None
+        # the gradient-dominance rate needs its own (smaller) admissible eta;
+        # vr-pl-rate is the one convex_quadratic check of a stochastic method
         eta_bound = smoothness.step_size(profile, p, b, b_prime, prob.n, mu)
     if a.eta == "auto":
         if not method.stochastic:
@@ -225,6 +229,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         eta_bound=eta_bound,
         conditional=tuple(conditional),
         run=run,
+        mu=mu,
     )
 
 
@@ -335,6 +340,7 @@ class _CheckInputs:
         run = res.run
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.lip = res.profile.lip_trailing if res.profile is not None else None
+        self.mu = res.mu
 
     @cached_property
     def reference(self) -> tuple[float, str]:
@@ -375,10 +381,6 @@ class _CheckInputs:
         if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
             return value, ()
         return value, ("sigma_sq estimated at the start point",)
-
-    @cached_property
-    def mu(self) -> float:
-        return problems.pl_constant(self.prob, self.res.run.metric)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
         return np.array(trace.obj) - self.prob.f_star

@@ -219,6 +219,9 @@ class SigmoidClassification(FiniteSumObjective):
         z = self.labels[i] * float(self.rows[i] @ x)
         return float(_expit()(-z))
 
+    def full_grad(self, x):
+        return _sigmoid_grad(self.rows, self.labels, self.partition.slices, x)
+
     def _rows_grad(self, cols, x):
         return _sigmoid_rows_grad(self.rows, self.labels, cols, x)
 
@@ -259,6 +262,14 @@ def _sigmoid_rows_grad(rows, labels, cols, x):
     return rows[:, cols].T @ coeff / rows.shape[0]
 
 
+def _sigmoid_grad(rows, labels, slices, x):
+    """The blocks of ``slices`` concatenated, each bitwise its
+    ``_sigmoid_rows_grad``: the coefficients do not depend on the block, so
+    they are computed once."""
+    coeff = _sigmoid_coeffs(rows, labels, x)
+    return np.concatenate([rows[:, cols].T @ coeff / rows.shape[0] for cols in slices])
+
+
 def _sigmoid_component_grads(rows, labels, cols, x):
     coeff = _sigmoid_coeffs(rows, labels, x)
     return coeff[:, None] * rows[:, cols]
@@ -269,8 +280,13 @@ def _sigmoid_component_grads(rows, labels, cols, x):
 # --------------------------------------------------------------------------
 
 
+# rows of a streaming quadratic batch drawn and summed at a time; a batch of
+# any size then holds O(_STREAM_CHUNK * d) memory
+_STREAM_CHUNK = 1024
+
+
 class _LinBatch(NamedTuple):
-    lin: np.ndarray  # (size, d)
+    lin: np.ndarray  # (d,): the column mean of the batch's linear terms
 
 
 class _RowBatch(NamedTuple):
@@ -323,16 +339,39 @@ class StreamingQuadratic(StreamingObjective):
         object.__setattr__(self, "lin_mean", lin_mean)
 
     def draw_batch(self, rng, size):
+        """The batch as its one equivalent component: with one shared
+        curvature, the mean of f(x; b_i) is x^T A x / 2 + mean(b)^T x.
+
+        The (size, d) linear terms are drawn ``_STREAM_CHUNK`` rows at a time
+        into one buffer, in the order of a single (size, d) draw. Row 0 of
+        the buffer carries the running column sum, so ``add.reduce`` over
+        axis 0 adds the rows in the order it does over the whole array, and
+        sum / size is bitwise ``lin.mean(axis=0)`` at d >= 2 (numpy sums a
+        lone column pairwise, so at d = 1 the chunks round differently). A
+        block at least 2 wide sums its columns in that same order; a width-1
+        block's column, reduced on its own, was summed pairwise.
+        """
         if size < 1:
             raise ValueError("batch size must be positive")
-        return _LinBatch(self.lin_mean + self.lin_scale * rng.standard_normal((size, self.dim)))
+        buf = np.empty((min(size, _STREAM_CHUNK), self.dim))
+        start, left = 0, size
+        while left:
+            rows = buf[start : start + min(len(buf) - start, left)]
+            rng.standard_normal(out=rows)
+            # in place, the same bits as lin_mean + lin_scale * z
+            rows *= self.lin_scale
+            rows += self.lin_mean
+            left -= len(rows)
+            buf[0] = np.add.reduce(buf[: start + len(rows)], axis=0)
+            start = 1
+        return _LinBatch(buf[0] / size)
 
     def batch_value(self, batch, x):
-        return float(0.5 * x @ (self.quad @ x) + batch.lin.mean(axis=0) @ x)
+        return float(0.5 * x @ (self.quad @ x) + batch.lin @ x)
 
     def batch_block_grad(self, batch, j, x):
         cols = self.partition.slices[j]
-        return self.quad[cols] @ x + batch.lin[:, cols].mean(axis=0)
+        return self.quad[cols] @ x + batch.lin[cols]
 
     # population quantities, exact for this family
     def population_grad(self, x):
@@ -360,13 +399,17 @@ class StreamingClassification(StreamingObjective):
     def draw_batch(self, rng, size):
         if size < 1:
             raise ValueError("batch size must be positive")
-        rows = rng.standard_normal((size, self.dim)) / math.sqrt(self.dim)
+        rows = rng.standard_normal((size, self.dim))
+        rows /= math.sqrt(self.dim)
         noise = rng.standard_normal(size)
         labels = np.where(rows @ self.plant + self.margin * noise >= 0, 1.0, -1.0)
         return _RowBatch(rows, labels)
 
     def batch_value(self, batch, x):
         return _sigmoid_value(batch.rows, batch.labels, x)
+
+    def batch_full_grad(self, batch, x):
+        return _sigmoid_grad(batch.rows, batch.labels, self.partition.slices, x)
 
     def batch_block_grad(self, batch, j, x):
         return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)

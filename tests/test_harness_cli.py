@@ -13,6 +13,7 @@ from ccdlab.harness import (
     run_seed,
     sweep,
 )
+from ccdlab.problems import pl_constant
 
 VR_CHECKED = """
 problem.family = quadratic
@@ -296,6 +297,28 @@ def test_pool_resolves_once(tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert len(result.trace_paths) == 4
     assert log.read_text().split() == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("check, algorithm", [
+    ("vr-pl-rate", "algorithm.name = vrccd\nalgorithm.schedule = finite_sum\n"),
+    ("pl-envelope", "algorithm.name = pccd\n"),
+], ids=["vr-pl-rate", "pl-envelope"])
+def test_pl_constant_computed_once_per_experiment(tmp_path, monkeypatch, check, algorithm):
+    # resolve computes the PL constant; the step size and the check read it
+    calls = []
+
+    def counting_pl_constant(prob, metric):
+        calls.append(prob)
+        return pl_constant(prob, metric)
+
+    monkeypatch.setattr(harness.problems, "pl_constant", counting_pl_constant)
+    cfg = parse_config(
+        "problem.n = 16\nproblem.d = 8\nproblem.m = 4\nalgorithm.K = 10\n"
+        f"{algorithm}seeds.count = 2\ndiagnostics.checks = {check}\n"
+    )
+    result = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert {r.name for r in result.reports} == {check}
+    assert len(calls) == 1
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

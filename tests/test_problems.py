@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccdlab import problems
 from ccdlab.algorithms import RunConfig, prox_gd_run
 from ccdlab.blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
 from ccdlab.problems import (
@@ -198,10 +199,69 @@ def test_streaming_quadratic_contracts():
     assert np.allclose(approx, prob.population_grad(x), atol=0.05)
     metric = exact_quadratic_metric(prob)
     exact = prob.sigma_sq_exact(metric)
-    # the component gradients differ only in their linear terms
-    dev = big.lin - big.lin.mean(axis=0)
-    sampled = float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1)))
+    # the component gradients differ only in their linear terms, so a batch
+    # mean of size b deviates from the population gradient by sigma^2 / b
+    size = 8
+    dev = np.array([prob.draw_batch(rng, size).lin - prob.lin_mean for _ in range(2500)])
+    sampled = float(np.mean(np.sum(dev * dev * metric.inv_entries, axis=1))) * size
     assert sampled == pytest.approx(exact, rel=0.1)
+
+
+# every block at least 2 wide: such a block's column mean rounds as the
+# whole batch's does
+CHUNK_PARTS = [BlockPartition.even(2, 1), BlockPartition.even(3, 1),
+               BlockPartition.even(8, 4), BlockPartition.even(64, 4)]
+
+
+@pytest.mark.parametrize("part", CHUNK_PARTS, ids=lambda p: f"d{p.dim}")
+def test_streaming_quadratic_chunked_mean_is_bitwise_the_batch_mean(part):
+    d, chunk = part.dim, problems._STREAM_CHUNK
+    prob = generate_streaming_quadratic(59, d=d, partition=part, lin_scale=0.7)
+    x = np.random.default_rng(61).standard_normal(d)
+    for size in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 100_000):
+        ours, plain = np.random.default_rng(size), np.random.default_rng(size)
+        batch = prob.draw_batch(ours, size)
+        lin = prob.lin_mean + prob.lin_scale * plain.standard_normal((size, d))
+        assert np.array_equal(batch.lin, np.add.reduce(lin, axis=0) / size)
+        # the values and block gradients of the whole (size, d) batch
+        assert prob.batch_value(batch, x) == float(
+            0.5 * x @ (prob.quad @ x) + lin.mean(axis=0) @ x
+        )
+        for j, cols in enumerate(part.slices):
+            assert np.array_equal(
+                prob.batch_block_grad(batch, j, x), prob.quad[cols] @ x + lin[:, cols].mean(axis=0)
+            )
+        # both generators stand at the same point of the stream
+        assert ours.standard_normal() == plain.standard_normal()
+
+
+def test_streaming_quadratic_width_one_block_sums_sequentially():
+    # a width-1 block reads its column of the batch's column sum, which adds
+    # the rows one after another (a lone column would be summed pairwise)
+    part = BlockPartition((1, 2))
+    prob = generate_streaming_quadratic(67, d=3, partition=part)
+    size = 3 * problems._STREAM_CHUNK + 5
+    x = np.random.default_rng(71).standard_normal(3)
+    batch = prob.draw_batch(np.random.default_rng(73), size)
+    lin = prob.lin_mean + prob.lin_scale * np.random.default_rng(73).standard_normal((size, 3))
+    total = 0.0
+    for value in lin[:, 0].tolist():
+        total += value
+    assert np.array_equal(prob.batch_block_grad(batch, 0, x), prob.quad[:1] @ x + total / size)
+
+
+def test_sigmoid_full_gradients_slice_into_block_gradients_bitwise():
+    part = BlockPartition((1, 2, 5))
+    rng = np.random.default_rng(79)
+    finite = generate_classification(83, n=40, d=8, partition=part)
+    stream = generate_streaming_classification(89, d=8, partition=part)
+    batch = stream.draw_batch(rng, 64)
+    for _ in range(3):
+        x = rng.standard_normal(8)
+        full, batch_full = finite.full_grad(x), stream.batch_full_grad(batch, x)
+        for j, cols in enumerate(part.slices):
+            assert np.array_equal(full[cols], finite.block_grad(j, x))
+            assert np.array_equal(batch_full[cols], stream.batch_block_grad(batch, j, x))
 
 
 def test_streaming_classification_batches():
