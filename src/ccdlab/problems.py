@@ -339,17 +339,16 @@ class StreamingQuadratic(StreamingObjective):
         object.__setattr__(self, "lin_mean", lin_mean)
 
     def draw_batch(self, rng, size):
-        """The batch as its one equivalent component: with one shared
-        curvature, the mean of f(x; b_i) is x^T A x / 2 + mean(b)^T x.
+        """The batch as its one equivalent component, the column mean of its
+        linear terms: with one shared curvature, the mean of f(x; b_i) is
+        x^T A x / 2 + mean(b)^T x.
 
-        The (size, d) linear terms are drawn ``_STREAM_CHUNK`` rows at a time
-        into one buffer, in the order of a single (size, d) draw. Row 0 of
-        the buffer carries the running column sum, so ``add.reduce`` over
-        axis 0 adds the rows in the order it does over the whole array, and
-        sum / size is bitwise ``lin.mean(axis=0)`` at d >= 2 (numpy sums a
-        lone column pairwise, so at d = 1 the chunks round differently). A
-        block at least 2 wide sums its columns in that same order; a width-1
-        block's column, reduced on its own, was summed pairwise.
+        The terms are drawn ``_STREAM_CHUNK`` rows at a time, in the order of
+        one (size, d) draw. Row 0 of the buffer carries the running column
+        sum, so at d >= 2 ``add.reduce`` adds the rows in the order it does
+        over the whole array: sum / size is bitwise ``lin.mean(axis=0)``, and
+        so is each block at least 2 wide. A lone column (d = 1, or a width-1
+        block) was summed pairwise and now differs by a few ulps.
         """
         if size < 1:
             raise ValueError("batch size must be positive")
