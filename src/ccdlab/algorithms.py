@@ -163,10 +163,17 @@ class RunConfig:
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
 
 
-def _stationarity(grad, residuals, slices, inv_blocks) -> float:
+def _stationarity(grad, residuals, inv, runs) -> float:
+    """The sum over blocks of ``weighted_norm_sq(grad_j + r_j, inv_j)``, bit
+    for bit: per run of equal-size blocks one stacked matmul makes each
+    block's dot as ``np.dot`` does, and the dots are added left to right."""
+    v = grad + np.concatenate(residuals)
+    sq = v * v
     total = 0.0
-    for cols, r, inv in zip(slices, residuals, inv_blocks):
-        total += weighted_norm_sq(grad[cols] + r, inv)
+    for s, e, c, w in runs:
+        dots = np.matmul(inv[s:e].reshape(c, 1, w), sq[s:e].reshape(c, w, 1))
+        for dot in dots.reshape(-1).tolist():
+            total += dot
     return total
 
 
@@ -302,7 +309,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         u_k = 0.0 if record_u else None
         mid_k = 0.0 if record_u and cyclic else None
         residuals = []
-        inv_used = []
+        inv_used = []  # backtracking's inverse metric blocks, for s_k
         for u, (j_u, cols_u, blocks) in enumerate(units):
             size = cols_u.stop - cols_u.start
             if not recursive:
@@ -340,6 +347,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                     )
                     lam = np.full(center.shape, scales[j])
                     inv = 1.0 / lam
+                    inv_used.append(inv)
                 else:
                     lam, inv = lam_blocks[j], inv_blocks[j]
                     z = reg.prox(j, center, g_j, cfg.eta, lam)
@@ -347,15 +355,18 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                 if mid_k is not None:
                     mid_k += weighted_norm_sq(grad_mid + r_j, inv)
                 residuals.append(r_j)
-                inv_used.append(inv)
                 v_k += weighted_norm_sq(z - center, lam)
                 x[cols] = z
 
         f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        s_k = None if grad_end is None else _stationarity(grad_end, residuals, slices, inv_used)
-        if f_k is not None and not np.isfinite(f_k):
+        if grad_end is None:
+            s_k = None
+        else:
+            inv_k = np.concatenate(inv_used) if backtracking else cfg.metric.inv_entries
+            s_k = _stationarity(grad_end, residuals, inv_k, part.runs)
+        if f_k is not None and not math.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
-        if f_k is None and not np.isfinite(v_k):
+        if f_k is None and not math.isfinite(v_k):
             raise NonFiniteObjectiveError(k, v_k, "objective value not recorded; squared step v_k =")
         if k_out is None and v_k < best_v:
             best_v = v_k

@@ -67,6 +67,22 @@ class BlockPartition:
     def block_slice(self, j: int) -> slice:
         return self.slices[self.check_block(j)]
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """One ``(start, stop, count, size)`` per maximal run of consecutive
+        equal-size blocks: coordinates ``start:stop`` hold ``count`` blocks of
+        ``size`` each, so whole-vector diagnostics reshape a run to
+        ``(count, size)`` and make one stacked call per run. An even
+        partition has at most 2 runs."""
+        out = []
+        for start, size in zip(self.offsets, self.block_sizes):
+            if out and out[-1][3] == size:
+                s, _, c, _ = out[-1]
+                out[-1] = (s, start + size, c + 1, size)
+            else:
+                out.append((start, start + size, 1, size))
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalMetric:

@@ -6,10 +6,12 @@ strongly convex) and sigmoid classification losses (smooth, nonconvex,
 bounded below, with an analytic curvature bound). Streaming counterparts
 draw i.i.d. components from the same families.
 
-Gradient evaluation is routed through a single per-family kernel that takes
-an explicit coordinate slice, so full-vector and single-block paths execute
-identical arithmetic; algorithm equivalences that promise bitwise-equal
-trajectories rely on this.
+Block gradients go through one per-family kernel that takes an explicit
+coordinate slice. Full-vector gradients are assembled so that each block's
+slice stays bitwise equal to that kernel's output: the quadratic family makes
+one stacked matmul per run of equal-size blocks, which calls the same
+per-slice product the block kernel does. Algorithm equivalences that promise
+bitwise-equal trajectories rely on this.
 """
 
 from __future__ import annotations
@@ -48,21 +50,18 @@ class _Objective:
 
 
 class FiniteSumObjective(_Objective):
-    """Shared finite-sum plumbing. Each family implements ``_rows_grad``,
-    ``_batch_rows_grad``, ``value``, ``component_value``, and the stacks of
-    per-component gradients ``component_block_grads`` (one block) and
-    ``component_block_grads_full``."""
+    """Shared finite-sum plumbing. Each family implements ``full_grad``,
+    ``_rows_grad``, ``_batch_rows_grad``, ``value``, ``component_value``, and
+    the stacks of per-component gradients ``component_block_grads`` (one
+    block) and ``component_block_grads_full``. The j-th slice of
+    ``full_grad(x)`` is bit-identical to ``block_grad(j, x)``; every
+    equivalence contract leans on this."""
 
     n: int
 
     @property
     def is_finite(self) -> bool:
         return True
-
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        # assembled block by block so the j-th slice is bit-identical to
-        # block_grad(j, x); every equivalence contract leans on this
-        return np.concatenate([self._rows_grad(cols, x) for cols in self.partition.slices])
 
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
         return self._rows_grad(self.partition.slices[j], x)
@@ -73,18 +72,22 @@ class FiniteSumObjective(_Objective):
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
 
+    # a full batch without replacement is the exact average
     def batch_full_grad(self, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
+        idx = np.asarray(batch)
+        if idx.shape[0] == self.n:
+            return self.full_grad(x)
+        return self._batch_full_grad(idx, x)
+
+    def _batch_full_grad(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.concatenate(
-            [self._batch_dispatch(batch, cols, x) for cols in self.partition.slices]
+            [self._batch_rows_grad(idx, cols, x) for cols in self.partition.slices]
         )
 
     def batch_block_grad(self, batch: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
-        return self._batch_dispatch(batch, self.partition.slices[j], x)
-
-    def _batch_dispatch(self, idx: np.ndarray, cols: slice, x: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
+        idx = np.asarray(batch)
+        cols = self.partition.slices[j]
         if idx.shape[0] == self.n:
-            # full batch without replacement is the exact average
             return self._rows_grad(cols, x)
         return self._batch_rows_grad(idx, cols, x)
 
@@ -137,6 +140,20 @@ class QuadraticFiniteSum(FiniteSumObjective):
 
     def component_value(self, i, x):
         return float(0.5 * x @ (self.quad[i] @ x) + self.lin[i] @ x + self.const[i])
+
+    @cached_property
+    def _mean_quad_runs(self) -> tuple[np.ndarray, ...]:
+        # per run of equal-size blocks, the (count, size, d) view of its rows
+        d = self.dim
+        return tuple(self.mean_quad[s:e].reshape(c, w, d) for s, e, c, w in self.partition.runs)
+
+    def full_grad(self, x):
+        # the stacked matmul makes the 2-D product's call once per block, so
+        # each slice stays bitwise block_grad(j, x)
+        parts = [(q @ x).reshape(-1) for q in self._mean_quad_runs]
+        g = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        g += self.mean_lin
+        return g
 
     def _rows_grad(self, cols, x):
         return self.mean_quad[cols] @ x + self.mean_lin[cols]
@@ -227,6 +244,9 @@ class SigmoidClassification(FiniteSumObjective):
 
     def _batch_rows_grad(self, idx, cols, x):
         return _sigmoid_rows_grad(self.rows[idx], self.labels[idx], cols, x)
+
+    def _batch_full_grad(self, idx, x):
+        return _sigmoid_grad(self.rows[idx], self.labels[idx], self.partition.slices, x)
 
     def component_block_grads(self, j, x):
         cols = self.partition.block_slice(j)

@@ -11,6 +11,7 @@ raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,14 @@ from .blocks import BlockPartition
 
 
 class Regularizer:
-    """Interface: block value and block prox under a diagonal metric."""
+    """Interface: block value, whole-vector value and block prox under a
+    diagonal metric. ``value`` is the block values added left to right from
+    0.0, +inf if any block is infeasible, computed in one pass."""
 
     def block_value(self, j: int, xj: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def value(self, x: np.ndarray, partition: BlockPartition) -> float:
         raise NotImplementedError
 
     def prox(
@@ -35,6 +41,9 @@ class Zero(Regularizer):
     """No regularization; the prox is a plain metric gradient step."""
 
     def block_value(self, j, xj):
+        return 0.0
+
+    def value(self, x, partition):
         return 0.0
 
     def prox(self, j, center, linear, eta, lam):
@@ -53,6 +62,19 @@ class L1(Regularizer):
 
     def block_value(self, j, xj):
         return self.weight * float(np.sum(np.abs(xj)))
+
+    def value(self, x, partition):
+        # add.reduce along the rows of a run's (count, size) view sums each
+        # block as np.sum does its 1-D slice, bit for bit
+        a = np.abs(x)
+        total = 0.0
+        for s, e, c, w in partition.runs:
+            for block_sum in np.add.reduce(a[s:e].reshape(c, w), axis=1).tolist():
+                v = self.weight * block_sum
+                if not math.isfinite(v):
+                    return math.inf
+                total += v
+        return total
 
     def prox(self, j, center, linear, eta, lam):
         t = center - eta * linear / lam
@@ -73,6 +95,12 @@ class Box(Regularizer):
 
     def block_value(self, j, xj):
         if np.any(xj < self.lo) or np.any(xj > self.hi):
+            return float("inf")
+        return 0.0
+
+    def value(self, x, partition):
+        # the vector is in the box exactly when every block is
+        if np.any(x < self.lo) or np.any(x > self.hi):
             return float("inf")
         return 0.0
 
@@ -107,10 +135,4 @@ def metric_prox(
 
 def total_value(reg: Regularizer, x: np.ndarray, partition: BlockPartition) -> float:
     """r(x) summed over blocks; +inf if any block is infeasible."""
-    total = 0.0
-    for j, cols in enumerate(partition.slices):
-        v = reg.block_value(j, x[cols])
-        if not np.isfinite(v):
-            return float("inf")
-        total += v
-    return total
+    return reg.value(x, partition)

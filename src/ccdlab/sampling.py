@@ -50,20 +50,23 @@ class RngBundle:
 def draw_minibatch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
     """b distinct indices from range(n), uniform over size-b subsets.
 
-    Partial Fisher-Yates shuffle: only the first b slots are settled. The
-    full batch b == n is returned in natural order without consuming
-    randomness.
+    Partial Fisher-Yates shuffle: only the first b slots are settled, and
+    only the slots a swap has touched are stored, in a dict. The full batch
+    b == n is returned in natural order without consuming randomness.
     """
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    idx = np.arange(n)
     if b == n:
-        return idx
-    offsets = rng.integers(np.arange(n, n - b, -1))
-    for t in range(b):
-        s = t + int(offsets[t])
-        idx[t], idx[s] = idx[s], idx[t]
-    return idx[:b].copy()
+        return np.arange(n)
+    offsets = rng.integers(np.arange(n, n - b, -1)).tolist()
+    moved = {}  # slot -> the index it now holds, for the slots a swap touched
+    out = []
+    for t, off in enumerate(offsets):
+        s = t + off
+        # swap slots t and s; slot t is settled, slot s keeps slot t's index
+        out.append(moved.get(s, s))
+        moved[s] = moved.get(t, t)
+    return np.array(out)
 
 
 def bernoulli_switch(rng: np.random.Generator, p: float) -> bool:

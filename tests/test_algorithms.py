@@ -4,12 +4,13 @@ import pytest
 from ccdlab.algorithms import (
     NonFiniteObjectiveError,
     RunConfig,
+    _stationarity,
     page_run,
     pccd_run,
     prox_gd_run,
     vrccd_run,
 )
-from ccdlab.blocks import BlockPartition, DiagonalMetric
+from ccdlab.blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
 from ccdlab.problems import (
     QuadraticFiniteSum,
     exact_quadratic_metric,
@@ -68,6 +69,31 @@ def test_stationarity_matches_gradient_norm_for_zero_reg():
     for i in (1, 2, 3):
         g = prob.full_grad(trace.iterates[i])
         assert trace.stat_sq[i] == pytest.approx(float(g @ g), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        BlockPartition((1, 2, 5)),
+        BlockPartition((3, 3, 2, 2, 1)),
+        BlockPartition.even(64, 4),
+        BlockPartition.even(7, 3),
+        BlockPartition.even(5, 5),
+    ],
+    ids=lambda p: str(p.block_sizes),
+)
+def test_stationarity_is_the_per_block_sum_bitwise(part):
+    """s_k from stacked dots per run of equal-size blocks equals the sum of
+    per-block ``weighted_norm_sq`` calls, added left to right."""
+    rng = np.random.default_rng(part.dim + 1)
+    for _ in range(5):
+        grad = rng.standard_normal(part.dim) * rng.uniform(0.01, 100.0)
+        residuals = [rng.standard_normal(w) * rng.uniform(0.01, 100.0) for w in part.block_sizes]
+        inv = rng.uniform(0.05, 20.0, part.dim)
+        want = 0.0
+        for cols, r in zip(part.slices, residuals):
+            want += weighted_norm_sq(grad[cols] + r, inv[cols])
+        assert _stationarity(grad, residuals, inv, part.runs) == want
 
 
 def test_scalar_l1_step_and_measure():

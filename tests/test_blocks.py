@@ -26,6 +26,21 @@ def test_partition_even_split():
         BlockPartition.even(3, 4)
 
 
+@pytest.mark.parametrize(
+    "part, runs",
+    [
+        (BlockPartition((1, 2, 5)), ((0, 1, 1, 1), (1, 3, 1, 2), (3, 8, 1, 5))),
+        (BlockPartition((3, 3, 2, 2, 1)), ((0, 6, 2, 3), (6, 10, 2, 2), (10, 11, 1, 1))),
+        (BlockPartition.even(64, 4), ((0, 64, 4, 16),)),
+        (BlockPartition.even(7, 3), ((0, 3, 1, 3), (3, 7, 2, 2))),
+        (BlockPartition.even(5, 5), ((0, 5, 5, 1),)),
+        (BlockPartition((2, 3, 2)), ((0, 2, 1, 2), (2, 5, 1, 3), (5, 7, 1, 2))),
+    ],
+)
+def test_partition_runs_of_equal_size_blocks(part, runs):
+    assert part.runs == runs
+
+
 def test_metric_validation():
     part = BlockPartition((2,))
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """The cycle engine reads the block plan it builds before cycle 1: neither
 the range-checked ``BlockPartition.block_slice`` nor the validated
 ``regularizers.metric_prox`` runs inside the cycle loop. A recursive
-correction gathers its batch rows once for both of its points."""
+correction gathers its batch rows once for both of its points. The trace
+diagnostics take whole-vector calls: no per-block gradient or regularizer
+value beyond the block steps'."""
 
 from collections import Counter
 
@@ -9,11 +11,11 @@ import numpy as np
 import pytest
 
 from ccdlab import algorithms, regularizers
-from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, RunConfig, vrccd_run
+from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, RunConfig, pccd_run, vrccd_run
 from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
-from ccdlab.problems import exact_quadratic_metric, generate_quadratic
+from ccdlab.problems import QuadraticFiniteSum, exact_quadratic_metric, generate_quadratic
 from ccdlab.regularizers import L1
 from ccdlab.sampling import RngBundle
 
@@ -117,3 +119,30 @@ def test_correction_gathers_batch_rows_once(sharing, monkeypatch):
     assert 0 < corrections < per_switch * len(switches)
     assert _GatherCounting.gathers == corrections
     assert trace.obj == reference.obj and trace.step_sq == reference.step_sq
+
+
+@pytest.mark.parametrize("part", [BlockPartition.even(16, 4), BlockPartition((3, 3, 2, 2, 1))],
+                         ids=lambda p: str(p.block_sizes))
+def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(QuadraticFiniteSum, "_rows_grad")
+    count(L1, "block_value")
+    prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
+    metric = exact_quadratic_metric(prob)
+    m = part.num_blocks
+    for cycles in (3, 17):
+        calls.clear()
+        cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric)
+        pccd_run(prob, L1(0.1), cfg)
+        # one block gradient per block step; F(x_k) and s_k add none
+        assert calls == Counter({"_rows_grad": m * cycles})

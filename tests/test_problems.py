@@ -365,3 +365,51 @@ def test_batch_gradient_sum_rounds_as_mean():
         for j, cols in enumerate(PART.slices):
             g = prob.quad[idx, cols, :] @ x + prob.lin[idx, cols]
             assert np.array_equal(prob.batch_block_grad(idx, j, x), g.mean(axis=0))
+
+
+CONTRACT_PARTS = [
+    BlockPartition((1, 2, 5)),
+    BlockPartition((3, 3, 2, 2, 1)),
+    BlockPartition.even(64, 4),
+    BlockPartition.even(7, 3),
+    BlockPartition.even(5, 5),
+]
+
+
+@pytest.mark.parametrize("part", CONTRACT_PARTS, ids=lambda p: str(p.block_sizes))
+def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
+    """``full_grad`` makes one stacked matmul per run of equal-size blocks;
+    every slice must still be the block kernel's output, bit for bit."""
+    d = part.dim
+    rng = np.random.default_rng(d)
+    for convex in (True, False):
+        prob = generate_quadratic(d + 3, n=5, d=d, partition=part, convex=convex)
+        full_idx = np.arange(prob.n)
+        for _ in range(3):
+            x = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
+            full = prob.full_grad(x)
+            assert np.array_equal(prob.batch_full_grad(full_idx, x), full)
+            for j, cols in enumerate(part.slices):
+                assert np.array_equal(full[cols], prob.block_grad(j, x))
+
+
+def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
+    part = BlockPartition((3, 3, 2, 2, 1))
+    prob = generate_classification(97, n=24, d=part.dim, partition=part)
+    rng = np.random.default_rng(101)
+    calls = []
+    coeffs = problems._sigmoid_coeffs
+
+    def counting(*args):
+        calls.append(1)
+        return coeffs(*args)
+
+    monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
+    for size in (1, 8, prob.n - 1, prob.n):
+        batch = prob.draw_batch(rng, size)
+        x = rng.standard_normal(part.dim)
+        calls.clear()
+        full = prob.batch_full_grad(batch, x)
+        assert len(calls) == 1
+        for j, cols in enumerate(part.slices):
+            assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))

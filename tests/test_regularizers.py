@@ -52,6 +52,47 @@ def test_extended_values():
     assert total_value(L1(2.0), x, part) == pytest.approx(7.0)
 
 
+def _block_loop_total(reg, x, part):
+    """r(x) as the per-block loop computed it: block values added left to
+    right from 0.0, +inf at the first non-finite one."""
+    total = 0.0
+    for j, cols in enumerate(part.slices):
+        v = reg.block_value(j, x[cols])
+        if not np.isfinite(v):
+            return float("inf")
+        total += v
+    return total
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        BlockPartition((1, 2, 5)),
+        BlockPartition((3, 3, 2, 2, 1)),
+        BlockPartition.even(64, 4),
+        BlockPartition.even(7, 3),
+        BlockPartition.even(5, 5),
+    ],
+    ids=lambda p: str(p.block_sizes),
+)
+def test_total_value_is_the_block_loop_bitwise(part):
+    rng = np.random.default_rng(part.dim)
+    regs = [Zero(), L1(0.1), L1(2.7), L1(0.0), Box(-1.0, 1.5)]
+    points = [rng.standard_normal(part.dim) * scale for scale in (1e-3, 0.5, 1.0, 40.0)]
+    points.append(rng.uniform(-0.9, 1.4, part.dim))  # inside the box
+    far = rng.standard_normal(part.dim)
+    far[-1] = np.inf
+    points.append(far)
+    for x in points:
+        for reg in regs:
+            assert total_value(reg, x, part) == _block_loop_total(reg, x, part), (reg, x)
+    inside, outside = points[-2], points[-2].copy()
+    outside[0] = -1.5
+    assert total_value(Box(-1.0, 1.5), inside, part) == 0.0
+    assert total_value(Box(-1.0, 1.5), outside, part) == np.inf
+    assert total_value(L1(0.0), far, part) == np.inf  # 0 * inf, as the loop has it
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.sampled_from(["zero", "l1", "box"]),

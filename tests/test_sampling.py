@@ -51,6 +51,30 @@ def test_minibatch_determinism_across_runs():
     assert seqs[0] == seqs[1]
 
 
+def _swap_loop_minibatch(rng, n, b):
+    """The array-swap partial Fisher-Yates that ``draw_minibatch`` replaced,
+    kept as its oracle."""
+    idx = np.arange(n)
+    if b == n:
+        return idx
+    offsets = rng.integers(np.arange(n, n - b, -1))
+    for t in range(b):
+        s = t + int(offsets[t])
+        idx[t], idx[s] = idx[s], idx[t]
+    return idx[:b].copy()
+
+
+@pytest.mark.parametrize("n, b", [(1, 1), (2, 1), (9, 1), (9, 8), (9, 9), (256, 16), (256, 255)])
+def test_minibatch_is_the_swap_loop_bitwise(n, b):
+    for seed in range(60):
+        rng, ref = stream(seed, "batch"), stream(seed, "batch")
+        for _ in range(3):
+            got, want = draw_minibatch(rng, n, b), _swap_loop_minibatch(ref, n, b)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the stream is left where the swap loop leaves it
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
 def test_single_draw_uniformity_chi_square():
     rng = stream(2024, "batch")
     n, draws = 8, 100_000
