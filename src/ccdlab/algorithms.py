@@ -21,9 +21,13 @@ maps each algorithm name to its entry point and the settings it fixes.
 
 * **Update order.** The cyclic order estimates block j's gradient at the
   intermediate point just before block j is updated. The simultaneous order
-  estimates the whole gradient once per cycle. Either estimate then feeds
-  the same in-place per-block prox loop, since block j's prox reads only
-  block j's coordinates.
+  estimates the whole gradient once per cycle. Each estimate unit (a block,
+  or the whole vector) then makes one prox call from x_{k-1} over its own
+  coordinates and writes them in place; every regularizer here is
+  coordinate-wise, so one whole-vector call equals the per-block calls. The
+  prox residuals and the per-cycle sums over them (v_k, s_k and the
+  intermediate-gradient residual) are computed once the cycle's last unit
+  has stepped.
 * **Gradient estimator.** Exact without an ``RngBundle``; with one, the
   recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
   per estimate (per block, or one for the whole vector). Each estimate
@@ -163,15 +167,14 @@ class RunConfig:
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
 
 
-def _stationarity(grad, residuals, inv, runs) -> float:
-    """The sum over blocks of ``weighted_norm_sq(grad_j + r_j, inv_j)``, bit
-    for bit: per run of equal-size blocks one stacked matmul makes each
-    block's dot as ``np.dot`` does, and the dots are added left to right."""
-    v = grad + np.concatenate(residuals)
+def _block_norms_sum(v, weights, runs) -> float:
+    """The sum over blocks of ``weighted_norm_sq(v_j, weights_j)``, bit for
+    bit: per run of equal-size blocks one stacked matmul makes each block's
+    dot as ``np.dot`` does, and the dots are added left to right."""
     sq = v * v
     total = 0.0
     for s, e, c, w in runs:
-        dots = np.matmul(inv[s:e].reshape(c, 1, w), sq[s:e].reshape(c, w, 1))
+        dots = np.matmul(weights[s:e].reshape(c, 1, w), sq[s:e].reshape(c, w, 1))
         for dot in dots.reshape(-1).tolist():
             total += dot
     return total
@@ -220,6 +223,8 @@ def _grad(prob, j, x, batch=None):
     return prob.batch_full_grad(batch, x) if j is None else prob.batch_block_grad(batch, j, x)
 
 
+# a diverging run is reported by the F and v_k checks, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     """The cycle engine. ``cyclic`` picks the update order; with ``rngs`` the
     gradient estimator is the recursive one with cfg's p, b, b' and sample
@@ -255,20 +260,18 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             f"the problem partition {part.block_sizes}"
         )
 
-    # the block plan, built once; an estimate unit is (block or None, its
-    # coordinates, the blocks its estimate updates)
-    slices = part.slices
+    # the block plan, built once: an estimate unit is (block or None, its
+    # coordinates), and its prox takes the metric over those coordinates
+    if cyclic:
+        units = list(enumerate(part.slices))
+    else:
+        units = [(None, slice(0, d))]
     if backtracking:
         scales = np.full(m, _BACKTRACK_INIT)
+        unit_lams = unit_invs = None
     else:
-        lam_blocks = [cfg.metric.block(j) for j in range(m)]
-        inv_blocks = [1.0 / lam for lam in lam_blocks]
-    if cyclic:
-        units = [(j, slices[j], (j,)) for j in range(m)]
-        unit_invs = None if backtracking else inv_blocks
-    else:
-        units = [(None, slice(0, d), range(m))]
-        unit_invs = [cfg.metric.inv_entries]
+        unit_lams = [cfg.metric.entries[cols] for _, cols in units]
+        unit_invs = [1.0 / lam for lam in unit_lams]
 
     k_out = None
     trace = RunTrace(seed=None if rngs is None else rngs.seed)
@@ -289,29 +292,31 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     u0 = 0.0 if record_u and (anchored or not recursive) else None
     if anchored:
         g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
-        anchors = [np.array(g_init[cols]) for _, cols, _ in units]
+        anchors = [np.array(g_init[cols]) for _, cols in units]
         work = cfg.b * d
         if record_u:
-            for (j_u, _, _), anchor, inv in zip(units, anchors, unit_invs):
+            for (j_u, _), anchor, inv in zip(units, anchors, unit_invs):
                 u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
     f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
         row_sink(trace)
 
+    # per cycle, each unit only estimates g, takes its prox step from x_{k-1}
+    # and writes its coordinates: a block is not written before its own
+    # step, so x_prev[cols] is its center in either order. The residuals and
+    # the per-cycle sums over them are taken once the cycle ends.
+    est = np.empty(d)  # every unit's g
+    mids = np.empty(d) if record_u and cyclic else None  # exact intermediate gradients
     x_prev = x.copy()
     x_prev2 = x.copy()
     best_v, best_x = math.inf, x.copy()
     x_hat = None
     for k in range(1, cfg.cycles + 1):
         t_iter = time.perf_counter_ns()
-        v_k = 0.0
         u_k = 0.0 if record_u else None
-        mid_k = 0.0 if record_u and cyclic else None
-        residuals = []
-        inv_used = []  # backtracking's inverse metric blocks, for s_k
-        for u, (j_u, cols_u, blocks) in enumerate(units):
-            size = cols_u.stop - cols_u.start
+        for u, (j_u, cols) in enumerate(units):
+            size = cols.stop - cols.start
             if not recursive:
                 g = _grad(prob, j_u, x)
                 work += prob.n * size
@@ -324,8 +329,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                     work += cfg.b * size
                 else:
                     # the matching point of the previous cycle
-                    off = cols_u.start
-                    old = np.concatenate((x_prev[:off], x_prev2[off:]))
+                    old = np.concatenate((x_prev[:cols.start], x_prev2[cols.start:]))
                     if j_u is None:
                         g_x = prob.batch_full_grad(batch, x)
                         g_old = prob.batch_full_grad(batch, old)
@@ -337,33 +341,26 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             if record_u:
                 grad_mid = _grad(prob, j_u, x)
                 u_k += weighted_norm_sq(g - grad_mid, unit_invs[u])
-            for j in blocks:
-                cols = slices[j]
-                g_j = g if cyclic else g[cols]
-                center = x[cols].copy()
-                if backtracking:
-                    scales[j], z = _accept_scale(
-                        prob, reg, j, cols, x, g_j, center, scales[j], cfg.eta
-                    )
-                    lam = np.full(center.shape, scales[j])
-                    inv = 1.0 / lam
-                    inv_used.append(inv)
-                else:
-                    lam, inv = lam_blocks[j], inv_blocks[j]
-                    z = reg.prox(j, center, g_j, cfg.eta, lam)
-                r_j = lam * (center - z) / cfg.eta - g_j
-                if mid_k is not None:
-                    mid_k += weighted_norm_sq(grad_mid + r_j, inv)
-                residuals.append(r_j)
-                v_k += weighted_norm_sq(z - center, lam)
-                x[cols] = z
+                if mids is not None:
+                    mids[cols] = grad_mid
+            est[cols] = g
+            if backtracking:
+                scales[j_u], x[cols] = _accept_scale(
+                    prob, reg, j_u, cols, x, g, x_prev[cols], scales[j_u], cfg.eta
+                )
+            else:
+                x[cols] = reg.prox(j_u, x_prev[cols], g, cfg.eta, unit_lams[u])
 
-        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        if grad_end is None:
-            s_k = None
+        if backtracking:
+            lam_k = np.repeat(scales, part.block_sizes)
+            inv_k = 1.0 / lam_k
         else:
-            inv_k = np.concatenate(inv_used) if backtracking else cfg.metric.inv_entries
-            s_k = _stationarity(grad_end, residuals, inv_k, part.runs)
+            lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
+        resid = lam_k * (x_prev - x) / cfg.eta - est
+        v_k = _block_norms_sum(x - x_prev, lam_k, part.runs)
+        mid_k = None if mids is None else _block_norms_sum(mids + resid, inv_k, part.runs)
+        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
+        s_k = None if grad_end is None else _block_norms_sum(grad_end + resid, inv_k, part.runs)
         if f_k is not None and not math.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
         if f_k is None and not math.isfinite(v_k):
@@ -375,9 +372,8 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             x_hat = x.copy()
         if cfg.keep_iterates:
             trace.iterates.append(x.copy())
-        if recursive:
-            x_prev2 = x_prev
-            x_prev = x.copy()
+        x_prev2 = x_prev
+        x_prev = x.copy()
         trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
         if row_sink is not None:
             row_sink(trace)

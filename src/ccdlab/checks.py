@@ -49,8 +49,8 @@ class BoundRow:
 class BoundReport:
     """Outcome of one bound check over one run family.
 
-    ``rows`` is stored as a tuple, so the per-row verdicts, computed at the
-    first read, hold for the life of the report.
+    ``rows`` is stored as a tuple, so the per-row verdicts and the worst row,
+    computed together at the first read, hold for the life of the report.
     """
 
     name: str
@@ -70,13 +70,21 @@ class BoundReport:
         (NaN, from a NaN side or inf - inf, never does)."""
         return row.slack + _REL_TOL * max(1.0, abs(row.rhs))
 
-    def row_passed(self, row: BoundRow) -> bool:
-        return self._margin(row) >= 0.0
-
     @cached_property
+    def _judged(self) -> tuple[tuple[bool, ...], BoundRow | None]:
+        """(whether each row holds, the worst row), from one ``_margin`` call
+        per row; the margins themselves are not kept."""
+        if not self.rows:
+            return (), None
+        margins = [self._margin(r) for r in self.rows]
+        # a NaN margin ranks lowest, so a NaN row is never hidden behind a passing one
+        ranks = [-math.inf if math.isnan(mg) else mg for mg in margins]
+        return tuple(mg >= 0.0 for mg in margins), self.rows[ranks.index(min(ranks))]
+
+    @property
     def verdicts(self) -> tuple[bool, ...]:
-        """``row_passed`` of each row, in row order."""
-        return tuple(self.row_passed(r) for r in self.rows)
+        """Whether each row holds, in row order."""
+        return self._judged[0]
 
     @property
     def passed(self) -> bool:
@@ -84,10 +92,7 @@ class BoundReport:
 
     @property
     def worst(self) -> BoundRow | None:
-        if not self.rows:
-            return None
-        # a NaN margin ranks lowest, so a NaN row is never hidden behind a passing one
-        return min(self.rows, key=lambda r: -math.inf if math.isnan(m := self._margin(r)) else m)
+        return self._judged[1]
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

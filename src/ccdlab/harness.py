@@ -301,7 +301,7 @@ def write_report(reports: list[checks.BoundReport], path_base: Path) -> tuple[Pa
     lines = ["bound_name,k,lhs,rhs,slack,verdict"]
     for rep in reports:
         for name, k, lhs, rhs, slack, verdict in rep.csv_rows():
-            lines.append(f"{name},{k},{_fmt(float(lhs))},{_fmt(float(rhs))},{_fmt(float(slack))},{verdict}")
+            lines.append(f"{name},{k},{lhs:.17g},{rhs:.17g},{slack:.17g},{verdict}")
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     txt_path.write_text("".join(rep.summary() + "\n" for rep in reports), encoding="utf-8")
     return csv_path, txt_path

@@ -22,7 +22,10 @@ from .blocks import BlockPartition
 class Regularizer:
     """Interface: block value, whole-vector value and block prox under a
     diagonal metric. ``value`` is the block values added left to right from
-    0.0, +inf if any block is infeasible, computed in one pass."""
+    0.0, +inf if any block is infeasible, computed in one pass. ``prox`` takes
+    j = None for a whole-vector unit; every regularizer here is
+    coordinate-wise, so that call equals the concatenated per-block calls,
+    bit for bit."""
 
     def block_value(self, j: int, xj: np.ndarray) -> float:
         raise NotImplementedError
@@ -31,7 +34,7 @@ class Regularizer:
         raise NotImplementedError
 
     def prox(
-        self, j: int, center: np.ndarray, linear: np.ndarray, eta: float, lam: np.ndarray
+        self, j: int | None, center: np.ndarray, linear: np.ndarray, eta: float, lam: np.ndarray
     ) -> np.ndarray:
         raise NotImplementedError
 

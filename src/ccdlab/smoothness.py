@@ -40,26 +40,28 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> f
     d = M.shape[0]
     if d == 0:
         return 0.0
-    v = np.ones(d) / math.sqrt(d)
+    # w is M @ v for the current direction v: the Rayleigh quotient's product
+    # is the next step's, and ||w|| is computed as np.linalg.norm does
+    w = M @ (np.ones(d) / math.sqrt(d))
     est = 0.0
     perturbed = False
     for it in range(max_iter):
-        w = M @ v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(float(w @ w))
         if nw == 0.0:
             if perturbed:
                 return 0.0
             # ones-vector may sit in the kernel; retry once off a fixed seed
             v = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(d)
             v /= np.linalg.norm(v)
+            w = M @ v
             perturbed = True
             continue
-        v_new = w / nw
-        new_est = float(v_new @ (M @ v_new))
+        v = w / nw
+        w = M @ v
+        new_est = float(v @ w)
         if it > 0 and abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
             return new_est
         est = new_est
-        v = v_new
     return float(np.linalg.eigvalsh(M)[-1])
 
 

@@ -4,7 +4,7 @@ import pytest
 from ccdlab.algorithms import (
     NonFiniteObjectiveError,
     RunConfig,
-    _stationarity,
+    _block_norms_sum,
     page_run,
     pccd_run,
     prox_gd_run,
@@ -82,18 +82,18 @@ def test_stationarity_matches_gradient_norm_for_zero_reg():
     ],
     ids=lambda p: str(p.block_sizes),
 )
-def test_stationarity_is_the_per_block_sum_bitwise(part):
-    """s_k from stacked dots per run of equal-size blocks equals the sum of
+def test_block_norms_sum_is_the_per_block_sum_bitwise(part):
+    """v_k, s_k and the intermediate residual take every block's dot from one
+    stacked matmul per run of equal-size blocks; the total equals the sum of
     per-block ``weighted_norm_sq`` calls, added left to right."""
     rng = np.random.default_rng(part.dim + 1)
     for _ in range(5):
-        grad = rng.standard_normal(part.dim) * rng.uniform(0.01, 100.0)
-        residuals = [rng.standard_normal(w) * rng.uniform(0.01, 100.0) for w in part.block_sizes]
-        inv = rng.uniform(0.05, 20.0, part.dim)
+        v = rng.standard_normal(part.dim) * rng.uniform(0.01, 100.0)
+        weights = rng.uniform(0.05, 20.0, part.dim)
         want = 0.0
-        for cols, r in zip(part.slices, residuals):
-            want += weighted_norm_sq(grad[cols] + r, inv[cols])
-        assert _stationarity(grad, residuals, inv, part.runs) == want
+        for cols in part.slices:
+            want += weighted_norm_sq(v[cols], weights[cols])
+        assert _block_norms_sum(v, weights, part.runs) == want
 
 
 def test_scalar_l1_step_and_measure():

@@ -302,3 +302,62 @@ def test_passed_iff_worst_margin_is_nonnegative(sides):
         elif math.isfinite(row.lhs) and math.isfinite(row.rhs):
             # the 1e-9-relative allowance of the rule this margin replaced
             assert ok == (row.slack >= -1e-9 * max(1.0, abs(row.rhs)))
+
+
+def _old_worst(rows):
+    # the worst-row rule that computed every margin a second time
+    return min(rows, key=lambda r: -math.inf if math.isnan(m := BoundReport._margin(r)) else m)
+
+
+@given(st.lists(st.tuples(_SIDES, _SIDES), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_one_margin_pass_keeps_verdicts_and_worst(sides):
+    rows = [BoundRow(k, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)]
+    rep = BoundReport("demo", "hard", rows)
+    assert rep.verdicts == tuple(BoundReport._margin(r) >= 0.0 for r in rows)
+    assert rep.worst is (_old_worst(rows) if rows else None)
+
+
+def test_each_margin_is_computed_once(monkeypatch):
+    calls = []
+    margin = BoundReport._margin
+
+    def counting(row):
+        calls.append(row)
+        return margin(row)
+
+    monkeypatch.setattr(BoundReport, "_margin", staticmethod(counting))
+    rows = [
+        BoundRow(1, 1.0, 2.0),  # passes
+        BoundRow(2, 3.0, 1.0),  # fails
+        BoundRow(3, math.nan, 1.0),  # NaN: fails and ranks worst
+        BoundRow(4, math.inf, math.inf),  # inf - inf is NaN: fails
+        BoundRow(5, -math.inf, 0.0),  # passes by an infinite margin
+        BoundRow(None, 1.0, 1.0 - 5e-10),  # inside the allowance
+    ]
+    rep = BoundReport("demo", "hard", rows)
+    assert rep.verdicts == (True, False, False, False, True, True)
+    assert not rep.passed
+    assert rep.worst is rows[2]
+    rep.summary()
+    list(rep.csv_rows())
+    assert calls == rows
+
+
+def test_report_csv_formats_each_side_as_a_float(tmp_path):
+    from ccdlab.harness import _fmt, write_report
+
+    rows = [
+        BoundRow(1, np.float64(0.1), 2),
+        BoundRow(2, -0.0, np.int64(7)),
+        BoundRow(None, math.nan, math.inf),
+        BoundRow(4, 1e300, -math.inf),
+    ]
+    csv_path, _ = write_report([BoundReport("demo", "hard", rows)], tmp_path / "report")
+    lines = csv_path.read_text().splitlines()[1:]
+    want = [
+        f"demo,{'' if r.k is None else r.k},{_fmt(float(r.lhs))},{_fmt(float(r.rhs))},"
+        f"{_fmt(float(r.slack))},{'pass' if ok else 'fail'}"
+        for r, ok in zip(rows, BoundReport("demo", "hard", rows).verdicts)
+    ]
+    assert lines == want

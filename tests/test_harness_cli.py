@@ -1,4 +1,8 @@
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,21 @@ def test_cli_sweep_exits_3_when_one_value_diverges(tmp_path, capsys):
     assert code == 3
     assert "ccdlab: error: algorithm.eta = 50: objective value inf at iteration" in err
     assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_cli_run_that_diverges_prints_only_its_error_line(tmp_path):
+    """The engine's F check reports the divergence; numpy's overflow
+    warnings on the way there stay silent."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(DIVERGING_PCCD + "algorithm.eta = 50\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    script = "import sys; from ccdlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 3
+    assert re.fullmatch(r"ccdlab: error: objective value inf at iteration \d+\n", done.stderr)
 
 
 # kappa close to 1: the top eigenvalues of the coupling sum nearly tie, and

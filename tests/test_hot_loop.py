@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from ccdlab import algorithms, regularizers
-from ccdlab.algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE, RunConfig, pccd_run, vrccd_run
+from ccdlab.algorithms import (
+    FRESH_PER_BLOCK,
+    SHARED_PER_CYCLE,
+    RunConfig,
+    pccd_run,
+    prox_gd_run,
+    vrccd_run,
+)
 from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
@@ -146,3 +153,36 @@ def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
         pccd_run(prob, L1(0.1), cfg)
         # one block gradient per block step; F(x_k) and s_k add none
         assert calls == Counter({"_rows_grad": m * cycles})
+
+
+@pytest.mark.parametrize("run, units_per_cycle", [(pccd_run, "m"), (prox_gd_run, 1)],
+                         ids=["pccd", "prox_gd"])
+def test_one_prox_call_per_estimate_unit(run, units_per_cycle, monkeypatch):
+    calls = Counter()
+    prox = L1.prox
+    norm = algorithms.weighted_norm_sq
+
+    def counting_prox(self, *args):
+        calls["prox"] += 1
+        return prox(self, *args)
+
+    def counting_norm(*args):
+        calls["weighted_norm_sq"] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(L1, "prox", counting_prox)
+    monkeypatch.setattr(algorithms, "weighted_norm_sq", counting_norm)
+    part = BlockPartition((3, 3, 2, 2, 1))
+    m = part.num_blocks
+    prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
+    metric = exact_quadratic_metric(prob)
+    per_cycle = m if units_per_cycle == "m" else units_per_cycle
+    for cycles in (3, 11):
+        for record_u in (False, True):
+            calls.clear()
+            cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric, eta=0.5,
+                            record_u=record_u)
+            run(prob, L1(0.1), cfg)
+            # with record_u on, the anchor error u_k is the one per-unit norm
+            norms = per_cycle * cycles if record_u else 0
+            assert calls == Counter({"prox": per_cycle * cycles, "weighted_norm_sq": norms})

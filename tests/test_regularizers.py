@@ -93,6 +93,47 @@ def test_total_value_is_the_block_loop_bitwise(part):
     assert total_value(L1(0.0), far, part) == np.inf  # 0 * inf, as the loop has it
 
 
+@pytest.mark.parametrize(
+    "part",
+    [
+        BlockPartition((1, 2, 5)),
+        BlockPartition((3, 3, 2, 2, 1)),
+        BlockPartition.even(64, 4),
+        BlockPartition.even(7, 3),
+        BlockPartition.even(5, 5),
+    ],
+    ids=lambda p: str(p.block_sizes),
+)
+def test_whole_vector_prox_is_the_block_calls_bitwise(part):
+    """A simultaneous step makes one prox call with j = None over the whole
+    vector; every regularizer is coordinate-wise, so it equals the
+    concatenated per-block calls, signed zeros included."""
+    rng = np.random.default_rng(part.dim + 7)
+    d = part.dim
+    regs = [Zero(), L1(0.1), L1(2.7), L1(0.0), Box(-1.0, 1.5)]
+    # at eta = 1 the metric step lands near t: inside the L1 threshold on
+    # either side of 0 (so at -0.0 and +0.0), beyond it, outside the box on
+    # either side and inside it
+    t = np.resize([-0.01, 0.01, 3.0, -3.0, 0.7, -0.0, 0.0], d)
+    for scale in (1e-3, 0.5, 40.0):
+        lam = rng.uniform(0.05, 5.0, d)
+        linear = rng.standard_normal(d) * scale
+        linear[::4] = -0.0
+        center = t + linear / lam
+        for eta in (0.3, 1.0, 2.5):
+            for reg in regs:
+                whole = reg.prox(None, center, linear, eta, lam)
+                blocks = np.concatenate(
+                    [reg.prox(j, center[c], linear[c], eta, lam[c]) for j, c in enumerate(part.slices)]
+                )
+                assert whole.tobytes() == blocks.tobytes(), (reg, scale, eta)
+        l1 = L1(0.1).prox(None, center, linear, 1.0, lam)
+        box = Box(-1.0, 1.5).prox(None, center, linear, 1.0, lam)
+        assert l1[0] == 0.0 and np.signbit(l1[0])
+        assert l1[1] == 0.0 and not np.signbit(l1[1]) and l1[2] > 0.0
+        assert box[2] == 1.5 and box[3] == -1.0 and -1.0 < box[4] < 1.5
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.sampled_from(["zero", "l1", "box"]),

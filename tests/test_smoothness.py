@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_harness_cli import NEAR_TIED
 
-from ccdlab.blocks import BlockPartition, DiagonalMetric
+from ccdlab import smoothness
+from ccdlab.blocks import BlockPartition, DiagonalMetric, symmetrize
+from ccdlab.config import parse_config
+from ccdlab.harness import resolve
 from ccdlab.sampling import variance_factor
 from ccdlab.smoothness import (
     SmoothnessProfile,
@@ -33,6 +37,82 @@ def test_spectral_norm_iteration_cap_falls_back_to_eigvalsh():
     # two nearly tied eigenvalues force slow convergence
     mat = np.diag([1.0, 1.0 - 1e-12])
     assert spectral_norm(mat, tol=0.0, max_iter=3) == float(np.linalg.eigvalsh(mat)[-1])
+
+
+def _two_product_power_iteration(M, tol=1e-10, max_iter=10000):
+    """The oracle: ``spectral_norm`` as it was when each step computed
+    ``M @ v`` and ``M @ v_new`` and took ``np.linalg.norm(w)``. Returns the
+    value and whether it fell back to ``eigvalsh``."""
+    M = symmetrize(M)
+    d = M.shape[0]
+    if d == 0:
+        return 0.0, False
+    v = np.ones(d) / math.sqrt(d)
+    est = 0.0
+    perturbed = False
+    for it in range(max_iter):
+        w = M @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            if perturbed:
+                return 0.0, False
+            v = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(d)
+            v /= np.linalg.norm(v)
+            perturbed = True
+            continue
+        v_new = w / nw
+        new_est = float(v_new @ (M @ v_new))
+        if it > 0 and abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
+            return new_est, False
+        est = new_est
+        v = v_new
+    return float(np.linalg.eigvalsh(M)[-1]), True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_spectral_norm_matches_two_product_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 48))
+    g = rng.standard_normal((d, int(rng.integers(1, d + 1)))) * rng.uniform(1e-3, 1e3)
+    mat = g @ g.T
+    for tol in (1e-10, 1e-14, 0.0):
+        for max_iter in (1, 2, 50, 10000):
+            want, _ = _two_product_power_iteration(mat, tol, max_iter)
+            assert spectral_norm(mat, tol, max_iter) == want
+
+
+def test_spectral_norm_matches_two_product_loop_on_edge_cases():
+    # the zero matrix ends in the perturbation branch's second zero norm
+    assert spectral_norm(np.zeros((3, 3))) == _two_product_power_iteration(np.zeros((3, 3)))[0] == 0.0
+    # the ones direction lies exactly in the kernel of the centering matrix,
+    # so the first norm is 0 and the iteration restarts off the fixed seed
+    centering = np.eye(4) - 0.25
+    assert not np.any(centering @ (np.ones(4) / 2.0))
+    want, fell_back = _two_product_power_iteration(centering)
+    assert spectral_norm(centering) == want and not fell_back
+    assert want == pytest.approx(1.0, rel=1e-9)
+    assert spectral_norm(np.ones((1, 1))) == _two_product_power_iteration(np.ones((1, 1)))[0]
+
+
+def test_spectral_norm_matches_two_product_loop_on_near_tied_couplings(monkeypatch):
+    """The coupling sums of the near-tied CLI config, whose power iteration
+    hits its cap and falls back to the dense eigendecomposition."""
+    seen = []
+    norm = smoothness.spectral_norm
+
+    def recording(M, *args, **kwargs):
+        seen.append(np.array(M))
+        return norm(M, *args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "spectral_norm", recording)
+    resolve(parse_config(NEAR_TIED))
+    assert len(seen) == 2
+    fallbacks = 0
+    for mat in seen:
+        want, fell_back = _two_product_power_iteration(mat)
+        assert norm(mat) == want
+        fallbacks += fell_back
+    assert fallbacks >= 1
 
 
 def test_masked_constants_singleton_ladder():
