@@ -165,6 +165,8 @@ class RunConfig:
             raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
         if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
+        if self.record_u and self.metric is None:
+            raise ValueError("record_u needs a metric: a backtracking run has no fixed one")
 
 
 def _block_norms_sum(v, weights, runs) -> float:

@@ -9,8 +9,8 @@ are Monte Carlo: the seed mean must stay below the bound plus a one-sided
 the harness escalates to 4x seeds before the final verdict.
 
 Every report records per-row (k, lhs, rhs, slack) plus conditionality tags
-(e.g. supplied smoothness constants, estimated variance constants) so a CSV
-line can reconstruct the exact claim that was tested.
+(e.g. a supplied or start-point variance constant, a best-observed reference
+minimum) so a CSV line can reconstruct the exact claim that was tested.
 """
 
 from __future__ import annotations

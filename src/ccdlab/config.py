@@ -66,8 +66,8 @@ class CheckSpec:
 
     algorithms: tuple[str, ...]
     record_u: bool = False  # anchor-error diagnostics in the trace
-    coupling: bool = False  # coupling constants, computed or supplied
-    sigma_sq: bool = False  # a known gradient-noise constant sigma^2
+    coupling: bool = False  # coupling constants, which a backtracking metric lacks
+    sigma_sq: bool = False  # the gradient-noise constant sigma^2
     convex_quadratic: bool = False  # known mu and gap: convex quadratic, reg = zero
     best_seen_reference: bool = False
     fresh_batches: bool = False
@@ -148,8 +148,6 @@ class AlgorithmSpec:
 class LambdaSpec:
     mode: str | None = None  # default chosen per family/algorithm
     values: tuple | None = None  # per-block scales for mode "explicit"
-    lip_trailing: float | None = None
-    lip_leading: float | None = None
 
 
 @dataclass
@@ -350,8 +348,6 @@ KEYS = MappingProxyType({
     "algorithm.eta_override": Key(_parse_bool, algorithms=STOCHASTIC),
     "lambda.mode": Key(_choice(LAMBDA_MODES)),
     "lambda.values": Key(_parse_values),
-    "lambda.lip_trailing": Key(_parse_float, least=0, kinds=SIGMOID_KINDS),
-    "lambda.lip_leading": Key(_parse_float, least=0, kinds=SIGMOID_KINDS),
     "seeds.base": Key(_parse_int, least=0),
     "seeds.count": Key(_parse_int, least=1),
     "diagnostics.record_u": Key(_parse_bool, kinds=FINITE_KINDS, algorithms=STOCHASTIC),
@@ -443,11 +439,6 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         "lambda.values": (cfg.lam.mode != "explicit", "only lambda.mode = explicit reads it"),
         "output.report_path": (not checks, "no check is requested"),
     }
-    unread_when["lambda.lip_trailing"] = unread_when["lambda.lip_leading"] = (
-        not (needs_coupling(cfg) and coupling_known(cfg)),
-        "supplied constants are read as a pair, under a metric that does not backtrack, "
-        "when the step size or a requested check needs them",
-    )
     for key, row in KEYS.items():
         value = _value(cfg, key)
         if value == _value(_DEFAULT, key):
@@ -519,12 +510,9 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         )
     if mode == "sigmoid_bound" and p_spec.family != "sigmoid":
         errs.append((_line(key_lines, "lambda.mode"), "sigmoid_bound needs the sigmoid family"))
-    if a.eta == "auto" and method.stochastic and not coupling_known(cfg):
-        errs.append((_line(key_lines, "algorithm.eta"), f"eta = auto needs {_COUPLING}"))
 
     # every requested check the config cannot feed, read off CHECKS
     line = _line(key_lines, "diagnostics.checks")
-    sigma_known = p_spec.sigma_sq is not None or kind != "streaming sigmoid"
     objective_recorded = not streaming or cfg.diagnostics.s_surrogate_samples > 0
     convex_zero = kind == "quadratic" and p_spec.convex and p_spec.reg[0] == "zero"
     for name in checks:
@@ -534,8 +522,10 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
             continue
         unmet = [
             (spec.record_u and not cfg.diagnostics.record_u, "diagnostics.record_u"),
-            (spec.coupling and not coupling_known(cfg), _COUPLING),
-            (spec.sigma_sq and not sigma_known, "problem.sigma_sq on a streaming sigmoid problem"),
+            (
+                spec.coupling and lambda_mode(cfg) == "backtracking",
+                "coupling constants, which a backtracking metric does not give",
+            ),
             (
                 spec.best_seen_reference and not objective_recorded,
                 "diagnostics.s_surrogate_samples > 0 to record F on a streaming problem",
@@ -547,12 +537,6 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         ]
         errs.extend((line, f"check {name} needs {what}") for bad, what in unmet if bad)
     return errs
-
-
-_COUPLING = (
-    "coupling constants: a quadratic family, or lambda.lip_trailing and lambda.lip_leading "
-    "under a non-backtracking metric"
-)
 
 
 def estimator_settings(cfg: ExperimentConfig) -> tuple[float | None, int | None, int | None, str]:
@@ -596,15 +580,6 @@ def problem_kind(cfg: ExperimentConfig) -> str:
     """One of ``KINDS``."""
     p_spec = cfg.problem
     return f"streaming {p_spec.streaming_family}" if p_spec.family == "streaming" else p_spec.family
-
-
-def coupling_known(cfg: ExperimentConfig) -> bool:
-    """Whether the run has coupling constants: computed exactly for the
-    quadratic families, or supplied as lambda.lip_trailing and
-    lambda.lip_leading; a backtracking metric has none."""
-    supplied = cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None
-    quadratic = problem_kind(cfg) in QUADRATIC_KINDS
-    return lambda_mode(cfg) != "backtracking" and (quadratic or supplied)
 
 
 def needs_coupling(cfg: ExperimentConfig) -> bool:

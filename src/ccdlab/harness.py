@@ -119,19 +119,6 @@ def build_metric(cfg: ExperimentConfig, prob) -> DiagonalMetric | None:
     raise ValueError(f"unknown lambda mode {mode!r}")
 
 
-def build_profile(cfg: ExperimentConfig, prob, metric) -> SmoothnessProfile | None:
-    """Coupling-constant profile: computed exactly for quadratic families,
-    taken from config for anything else, None when unavailable."""
-    if metric is None:
-        return None
-    if isinstance(prob, (problems.QuadraticFiniteSum, problems.StreamingQuadratic)):
-        q_list = problems.exact_coupling_matrices(prob, metric)
-        return SmoothnessProfile.from_coupling_matrices(metric, q_list)
-    if cfg.lam.lip_trailing is not None and cfg.lam.lip_leading is not None:
-        return SmoothnessProfile.from_constants(cfg.lam.lip_trailing, cfg.lam.lip_leading)
-    return None
-
-
 @dataclass
 class Resolved:
     """Everything one seed run needs, with every derived value made explicit."""
@@ -147,6 +134,8 @@ class Resolved:
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
+        # the deleted lambda.lip_* keys stay, empty, until the header re-record of ROADMAP item 8
+        out["lambda.lip_leading"] = out["lambda.lip_trailing"] = None
         run = self.run
         out.update(
             {
@@ -175,33 +164,30 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     prob = build_problem(cfg, cfg.seeds.base)
     reg = build_regularizer(cfg.problem.reg)
     metric = build_metric(cfg, prob)
-    profile = build_profile(cfg, prob, metric) if needs_coupling(cfg) else None
+    profile = None
+    if needs_coupling(cfg):  # validate has rejected a backtracking metric here
+        q_list = problems.exact_coupling_matrices(prob, metric)
+        profile = SmoothnessProfile.from_coupling_matrices(metric, q_list)
     x0 = initial_point(cfg, prob)
     a = cfg.algorithm
-    name = a.name
-    method = METHODS[name]
+    method = METHODS[a.name]
     conditional: list[str] = []
-    if profile is not None and profile.supplied:
-        conditional.append("supplied coupling constants")
 
     p, b, b_prime, sharing = estimator_settings(cfg)
     mu = None
     if any(CHECKS[name].convex_quadratic for name in cfg.diagnostics.checks):
         mu = problems.pl_constant(prob, metric)
     eta_bound = None
-    if method.stochastic and profile is not None:
+    if method.stochastic:
         # the gradient-dominance rate needs its own (smaller) admissible eta;
         # vr-pl-rate is the one convex_quadratic check of a stochastic method
         eta_bound = smoothness.step_size(profile, p, b, b_prime, prob.n, mu)
-    if a.eta == "auto":
-        if not method.stochastic:
-            eta = a.eta_scale  # unit step by default
-        elif eta_bound is not None:
-            eta = eta_bound * a.eta_scale
-        else:
-            raise ConfigError([(0, f"eta = auto is not resolvable for {name} on this problem")])
-    else:
+    if a.eta != "auto":
         eta = float(a.eta) * a.eta_scale
+    elif method.stochastic:
+        eta = eta_bound * a.eta_scale
+    else:
+        eta = a.eta_scale  # unit step by default
     if eta_bound is not None and eta > eta_bound * (1 + 1e-12):
         if not a.eta_override:
             raise ConfigError(
@@ -369,14 +355,16 @@ class _CheckInputs:
 
     @cached_property
     def sigma(self) -> tuple[float, tuple[str, ...]]:
-        """(sigma^2, its conditional tags): supplied, exact for the streaming
-        quadratic, else computed at the start point (exact, and untagged,
-        when the components share one curvature)."""
+        """(sigma^2, its conditional tags): supplied; the instance's bound
+        over every x, for the sigmoid families and the streaming quadratic;
+        else computed at the start point (exact, and untagged, when the
+        components share one curvature)."""
         res, prob = self.res, self.prob
         if res.cfg.problem.sigma_sq is not None:
             return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
-        if isinstance(prob, problems.StreamingQuadratic):
-            return prob.sigma_sq_exact(res.run.metric), ()
+        bound = getattr(prob, "sigma_sq_bound", None)
+        if bound is not None:
+            return bound(res.run.metric), ()
         value = problems.estimate_sigma_sq(prob, res.run.metric, res.run.x0)
         if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
             return value, ()

@@ -3,8 +3,9 @@
 Two finite-sum families cover the assumption landscape: quadratics (exact
 smoothness metrics, exact coupling matrices, closed-form minimizers when
 strongly convex) and sigmoid classification losses (smooth, nonconvex,
-bounded below, with an analytic curvature bound). Streaming counterparts
-draw i.i.d. components from the same families.
+bounded below, with an analytic curvature bound that gives their coupling
+matrices and a bound on sigma^2 over every x). Streaming counterparts draw
+i.i.d. components from the same families.
 
 Block gradients go through one per-family kernel that takes an explicit
 coordinate slice. Full-vector gradients are assembled so that each block's
@@ -255,6 +256,12 @@ class SigmoidClassification(FiniteSumObjective):
     def component_block_grads_full(self, x):
         return _sigmoid_component_grads(self.rows, self.labels, slice(0, self.dim), x)
 
+    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
+        """A bound on sigma^2 over every x: component i's gradient is a_i
+        times a coefficient at most 1/4 in size, and a variance is at most
+        the mean square, mean_i ||a_i||^2_{Lam^-1} / 16."""
+        return float(np.mean(self.rows**2 @ metric.inv_entries) / 16.0)
+
 
 @cache
 def _expit():
@@ -396,7 +403,8 @@ class StreamingQuadratic(StreamingObjective):
     def population_grad(self, x):
         return self.quad @ x + self.lin_mean
 
-    def sigma_sq_exact(self, metric: DiagonalMetric) -> float:
+    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
+        """sigma^2, exact: the component gradients differ only in b."""
         return float(self.lin_scale**2 * np.sum(metric.inv_entries))
 
 
@@ -432,6 +440,11 @@ class StreamingClassification(StreamingObjective):
 
     def batch_block_grad(self, batch, j, x):
         return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)
+
+    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
+        """The finite-sum bound in expectation over rows a ~ N(0, I/d):
+        E ||a||^2_{Lam^-1} / 16 = tr(Lam^-1) / (16 d)."""
+        return float(np.sum(metric.inv_entries) / (16.0 * self.dim))
 
 
 # --------------------------------------------------------------------------
@@ -577,15 +590,24 @@ def sigmoid_metric(prob: SigmoidClassification) -> DiagonalMetric:
 
 
 def exact_coupling_matrix(prob, j: int, metric: DiagonalMetric) -> np.ndarray:
-    """Coupling matrix for block j: the mean of A_i[block rows]^T Lam_j^-1
-    A_i[block rows], which turns the expected block-gradient deviation into a
-    quadratic form with equality for quadratic components.
+    """Coupling matrix Q_j for block j: the mean block-gradient deviation
+    E ||grad_j f_i(x) - grad_j f_i(y)||^2_{Lam_j^-1} is at most
+    (x - y)^T Q_j (x - y).
 
-    With distinct components the einsum runs on a contiguous copy of the
-    block rows, the (n, d_j, d) slab: on the strided view it is about 2.5x
-    slower, and the copy leaves every bit of the result as it was.
-    ``exact_metric_scales`` keeps its strided (n, d_j, d_j) einsum, because
-    there a contiguous copy does change the rounding.
+    For quadratics Q_j is the mean of A_i[block rows]^T Lam_j^-1
+    A_i[block rows], with equality. With distinct components the einsum runs
+    on a contiguous copy of the block rows, the (n, d_j, d) slab: on the
+    strided view it is about 2.5x slower, and the copy leaves every bit of
+    the result as it was. ``exact_metric_scales`` keeps its strided
+    (n, d_j, d_j) einsum, because there a contiguous copy does change the
+    rounding.
+
+    For the sigmoid loss, grad_j f_i(x) - grad_j f_i(y) is a_i[j] times a
+    coefficient difference at most C |a_i^T (x - y)|, with C =
+    ``SIGMOID_CURVATURE_BOUND``, so Q_j = (C^2 / n) sum_i
+    ||a_i[j]||^2_{Lam_j^-1} a_i a_i^T. Over rows a ~ N(0, I/d) its
+    expectation is (C^2 / d^2) (tr(Lam_j^-1) I + 2 Lam_j^-1 on block j's
+    diagonal).
     """
     cols = prob.partition.block_slice(j)
     inv = 1.0 / metric.block(j)
@@ -599,8 +621,15 @@ def exact_coupling_matrix(prob, j: int, metric: DiagonalMetric) -> np.ndarray:
         else:
             slab = np.ascontiguousarray(prob.quad[:, cols, :])
             out = np.einsum("nrd,nre->de", slab * inv[None, :, None], slab) / prob.n
+    elif isinstance(prob, SigmoidClassification):
+        weights = prob.rows[:, cols] ** 2 @ inv * (SIGMOID_CURVATURE_BOUND**2 / prob.n)
+        out = prob.rows.T @ (weights[:, None] * prob.rows)
+    elif isinstance(prob, StreamingClassification):
+        diag = np.full(prob.dim, np.sum(inv))
+        diag[cols] += 2.0 * inv
+        out = np.diag(diag * (SIGMOID_CURVATURE_BOUND**2 / prob.dim**2))
     else:
-        raise TypeError(f"exact coupling matrices need a quadratic family, got {type(prob)!r}")
+        raise TypeError(f"no coupling matrices for {type(prob)!r}")
     return 0.5 * (out + out.T)
 
 

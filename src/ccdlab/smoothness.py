@@ -90,15 +90,10 @@ def masked_smoothness_constants(
 
 @dataclass(frozen=True, eq=False)
 class SmoothnessProfile:
-    """The two aggregate coupling constants of a metric.
-
-    ``supplied`` marks constants that were configured rather than computed
-    from coupling matrices; bound checks built on them are conditional.
-    """
+    """The two aggregate coupling constants of a metric."""
 
     lip_trailing: float
     lip_leading: float
-    supplied: bool = False
 
     def __post_init__(self):
         if self.lip_trailing < 0 or self.lip_leading < 0:
@@ -110,14 +105,6 @@ class SmoothnessProfile:
     ) -> "SmoothnessProfile":
         lt, ll = masked_smoothness_constants(q_list, metric)
         return cls(lip_trailing=lt, lip_leading=ll)
-
-    @classmethod
-    def from_constants(cls, lip_trailing: float, lip_leading: float) -> "SmoothnessProfile":
-        return cls(
-            lip_trailing=float(lip_trailing),
-            lip_leading=float(lip_leading),
-            supplied=True,
-        )
 
 
 def admissible_eta(c0: float) -> float:

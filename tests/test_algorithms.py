@@ -285,6 +285,7 @@ def test_sgd_runs_and_counts_work():
         {"b": 0},
         {"b_prime": 2},
         {"sample_sharing": "per_run"},
+        {"record_u": True},  # u_k is measured in the metric, which backtracking lacks
     ],
 )
 def test_run_parameters_checked_when_config_is_built(bad):

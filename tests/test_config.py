@@ -141,18 +141,14 @@ _UNREAD_BY_EXACT = (
         ("vrccd-schedule", "algorithm.bprime = 9"),
         ("vrccd-schedule", "algorithm.bprime = 40"),
         ("vrccd", "problem.sigma_sq = -5"),
-        ("pccd", "lambda.lip_trailing = -0.5"),
-        ("pccd", "lambda.lip_leading = -0.5"),
         # keys the problem kind, or another key's value, leaves unread
         ("pccd", "lambda.values = 1, 2"),
-        ("pccd", "lambda.lip_trailing = 5"),
         ("pccd", "problem.margin = 1"),
         ("pccd", "problem.streaming_family = sigmoid"),
         ("pccd", "output.report_path = elsewhere"),
         ("pccd", "algorithm.eta_override = true"),
         ("sigmoid-pccd", "problem.condition_number = 50"),
         ("sigmoid-pccd", "problem.convex = false"),
-        ("sigmoid-pccd", "lambda.lip_trailing = 1"),
         ("vrccd", "diagnostics.s_surrogate_samples = 64"),
         ("vrccd", "problem.sigma_sq = 0.5"),
         # out of its key's bound
@@ -209,8 +205,7 @@ def test_estimator_settings_resolve(name, setting):
     assert (run.p, run.b, run.b_prime, run.sample_sharing) == want
 
 
-def test_eta_auto_needs_constants_for_sigmoid():
-    base = """
+_SIGMOID_VRCCD = """
 problem.family = sigmoid
 algorithm.name = vrccd
 algorithm.p = 0.5
@@ -218,17 +213,28 @@ algorithm.b = 8
 algorithm.bprime = 2
 lambda.mode = sigmoid_bound
 """
-    with pytest.raises(ConfigError) as err:
-        parse_config(base)
-    assert any("eta = auto" in msg for _, msg in err.value.errors)
-    cfg = parse_config(base + "lambda.lip_trailing = 2.0\nlambda.lip_leading = 0.5\n")
-    res = resolve(cfg)
-    assert res.profile is not None and res.profile.supplied
-    assert "supplied coupling constants" in res.conditional
-    # sgd derives its step from the same constants
-    with pytest.raises(ConfigError) as err:
-        parse_config("problem.family = sigmoid\nalgorithm.name = sgd\nalgorithm.b = 8\n")
-    assert [ln for ln, msg in err.value.errors if "eta = auto" in msg] == [0]
+
+
+def test_eta_auto_resolves_from_computed_constants_for_sigmoid():
+    res = resolve(parse_config(_SIGMOID_VRCCD))
+    assert res.profile is not None
+    assert res.run.eta == res.eta_bound and res.conditional == ()
+    # page and sgd derive their step from the same computed constants
+    for name, keys in (("page", "algorithm.p = 0.5\n"), ("sgd", "")):
+        text = f"problem.family = sigmoid\nalgorithm.name = {name}\nalgorithm.b = 8\n{keys}"
+        res = resolve(parse_config(text))
+        assert res.run.eta == res.eta_bound > 0
+
+
+@pytest.mark.parametrize("key", ["lambda.lip_trailing", "lambda.lip_leading"])
+def test_supplied_coupling_keys_are_unknown(key, tmp_path, capsys):
+    text = _SIGMOID_VRCCD.lstrip() + f"{key} = 0.5\n"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    code = main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"line {len(text.splitlines())}: unknown key '{key}'" in err
 
 
 def test_check_compatibility_rules():
@@ -287,6 +293,14 @@ diagnostics.s_surrogate_samples = 64
         (6, "check vr-rate needs diagnostics.s_surrogate_samples > 0 to record F on a "
             "streaming problem")
     ]
+    # a streaming sigmoid run computes its coupling constants and sigma^2
+    # bound from the loss, so vr-rate needs neither supplied
+    res = resolve(parse_config(
+        "problem.family = streaming\nproblem.streaming_family = sigmoid\nalgorithm.name = vrccd\n"
+        "algorithm.p = 0.5\nalgorithm.b = 8\nlambda.mode = explicit\nlambda.values = 2, 2, 2, 2\n"
+        "diagnostics.checks = vr-rate"
+    ))
+    assert res.profile is not None and res.run.eta == res.eta_bound
 
 
 def test_backtracking_reserved_for_cyclic_runs():

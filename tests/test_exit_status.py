@@ -2,8 +2,8 @@
 exits 0, 1, 2 or 3, never in a traceback, exit 3 always says why on stderr,
 and exit 1 always comes with a failed Monte Carlo report line. The draws
 cover every family and algorithm, the finite-sum schedule, explicit step
-sizes, supplied coupling constants and several seeds, and include invalid
-combinations on purpose."""
+sizes, explicit metrics and several seeds, and include invalid combinations
+on purpose."""
 
 import contextlib
 import io
@@ -49,10 +49,6 @@ def experiment_configs(draw):
     if sigmoid and name != "pccd" and draw(st.booleans()):
         fields["lambda.mode"] = "explicit"
         fields["lambda.values"] = ", ".join(["2"] * fields["problem.m"])
-    if sigmoid and name in STOCHASTIC and draw(st.booleans()):
-        # supplied coupling constants, which the step-size bound reads
-        fields["lambda.lip_trailing"] = 1
-        fields["lambda.lip_leading"] = 0.5
     if name in STOCHASTIC:
         if not streaming and draw(st.booleans()):
             fields["algorithm.schedule"] = "finite_sum"
@@ -91,8 +87,8 @@ def experiment_configs(draw):
 
 
 # two runs the search rarely reaches: a short run whose work count misses
-# its 2% band (exit 1), and streaming sigmoid under an explicit metric with
-# supplied constants
+# its 2% band (exit 1), and vr-rate on streaming sigmoid under an explicit
+# metric, with the step size and sigma^2 computed from the loss
 MONTE_CARLO_MISS = """\
 problem.n = 16
 problem.d = 4
@@ -113,14 +109,10 @@ problem.m = 2
 problem.streaming_family = sigmoid
 algorithm.name = vrccd
 algorithm.K = 3
-algorithm.eta = 0.3
 algorithm.p = 0.5
 algorithm.b = 8
 lambda.mode = explicit
 lambda.values = 2, 2
-lambda.lip_trailing = 1
-lambda.lip_leading = 0.5
-problem.sigma_sq = 1
 seeds.count = 2
 diagnostics.s_surrogate_samples = 64
 diagnostics.checks = vr-rate

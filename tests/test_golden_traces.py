@@ -15,6 +15,9 @@ under, and the test skips, saying why, on any other signature.
 Re-record (only when a change of output is intended):
 
     PYTHONPATH=src python tests/test_golden_traces.py --record
+
+It prints, for each entry, whether its outcome changed against the stored
+record (or is new, or was removed).
 """
 
 from __future__ import annotations
@@ -285,6 +288,7 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
+    stored = json.loads(RECORD.read_text(encoding="utf-8"))["outcomes"]
     with tempfile.TemporaryDirectory() as tmp:
         outcomes = {name: outcome(name, Path(tmp) / name) for name in sorted(CONFIGS)}
     RECORD.write_text(
@@ -292,4 +296,8 @@ if __name__ == "__main__":
         encoding="utf-8",
     )
     for name, got in outcomes.items():
-        print(f"{name}: exit {got['exit_code']}, {len(got['digests'])} files")
+        moved = "new" if name not in stored else (
+            "unchanged" if stored[name] == got else "changed")
+        print(f"{name}: exit {got['exit_code']}, {len(got['digests'])} files, {moved}")
+    for name in sorted(set(stored) - set(outcomes)):
+        print(f"{name}: removed")

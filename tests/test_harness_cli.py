@@ -262,7 +262,7 @@ def test_sweep_rejects_non_integral_value_on_integer_axis(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
-SIGMOID_SUPPLIED = """
+SIGMOID_VRCCD = """
 problem.family = sigmoid
 problem.n = 16
 problem.d = 8
@@ -272,21 +272,19 @@ algorithm.K = 5
 algorithm.p = 0.5
 algorithm.b = 8
 lambda.mode = sigmoid_bound
-lambda.lip_trailing = 2.0
-lambda.lip_leading = 0.5
 seeds.count = 2
 """
 
 
 def test_sweep_takes_every_numeric_config_field(tmp_path):
-    # the supplied coupling constants are plain numbers, so they sweep too;
-    # a sigmoid run reads them for its step-size bound
-    path = sweep(parse_config(SIGMOID_SUPPLIED), "lambda.lip_trailing", [1.0, 2.0], out_dir=tmp_path)
+    # a float field sweeps too; eta = auto scales the step-size bound that
+    # the sigmoid run computes from its coupling constants
+    path = sweep(parse_config(SIGMOID_VRCCD), "algorithm.eta_scale", [0.5, 1.0], out_dir=tmp_path)
     rows = [ln.split(",") for ln in path.read_text().splitlines()
-            if ln.startswith("lambda.lip_trailing,")]
+            if ln.startswith("algorithm.eta_scale,")]
     assert len(rows) == 4  # 2 values x 2 seeds
     final_f = {(value, seed): f for _, value, seed, f, _, _ in rows}
-    assert all(final_f["1", seed] != final_f["2", seed] for _, _, seed, *_ in rows)
+    assert all(final_f["0.5", seed] != final_f["1", seed] for _, _, seed, *_ in rows)
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -435,6 +433,32 @@ diagnostics.checks = step-telescope, stationarity-rate, cyclic-descent
     assert all("best-observed" in " ".join(r.conditional) for r in by_name["stationarity-rate"])
     assert not any(r.advisory for r in by_name["cyclic-descent"])
     assert all(r.passed for r in by_name["cyclic-descent"])
+
+
+_SIGMOID = """\
+problem.family = sigmoid
+problem.n = 16
+problem.d = 8
+problem.m = 4
+algorithm.K = 15
+seeds.base = 7
+"""
+
+
+@pytest.mark.parametrize("run", [
+    "algorithm.name = pccd\nlambda.mode = sigmoid_bound\n"
+    "diagnostics.checks = grad-vs-step, stationarity-rate\n",
+    "algorithm.name = vrccd\nalgorithm.p = 0.3\nalgorithm.b = 8\nseeds.count = 4\n"
+    "diagnostics.record_u = true\ndiagnostics.checks = vr-grad-vs-step, vr-potential, vr-rate\n",
+])
+def test_sigmoid_verdicts_rest_on_no_supplied_or_start_point_premise(run, tmp_path):
+    # the coupling constants and sigma^2 come from the loss; only the
+    # missing certified minimum leaves a tag
+    result = run_experiment(parse_config(_SIGMOID + run), out_dir=tmp_path)
+    assert result.exit_code == 0
+    tags = {tag for rep in result.reports for tag in rep.conditional}
+    assert tags <= {"best-observed objective as reference"}
+    assert all(not rep.conditional for rep in result.reports if "grad-vs-step" in rep.name)
 
 
 def test_streaming_sigmoid_without_explicit_metric_exits_3(tmp_path, capsys):

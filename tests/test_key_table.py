@@ -2,11 +2,12 @@
 
 Exhaustive over ``config.KEYS`` and seven tiny base configs, which cover
 every problem kind, exact and recursive gradients, the finite-sum schedule
-and supplied coupling constants: each key takes one alternative value that
-passes its own parser and bound. The changed config must either be rejected
-on that key's line, or change the outcome: the exit code, the output paths,
-a trace body (the rows under the ``#`` header, which echoes every key) or a
-report byte. Every key must also be accepted, and take effect, on some base.
+and the step size from the sigmoid coupling constants: each key takes one
+alternative value that passes its own parser and bound. The changed config
+must either be rejected on that key's line, or change the outcome: the exit
+code, the output paths, a trace body (the rows under the ``#`` header, which
+echoes every key) or a report byte. Every key must also be accepted, and
+take effect, on some base.
 """
 
 import tempfile
@@ -33,9 +34,9 @@ BASES = {
         "diagnostics.checks": "cyclic-descent",
     },
     "sigmoid pccd": {"problem.family": "sigmoid", **_TINY, "algorithm.name": "pccd"},
-    "sigmoid vrccd supplied constants": {
+    "sigmoid vrccd": {
         "problem.family": "sigmoid", **_TINY, **_VRCCD, "lambda.mode": "sigmoid_bound",
-        "lambda.lip_trailing": "1", "lambda.lip_leading": "0.5", "diagnostics.checks": "vr-rate",
+        "diagnostics.checks": "vr-rate",
     },
     "streaming quadratic vrccd": {**_STREAM, **_VRCCD, "diagnostics.s_surrogate_samples": "64"},
     "streaming sigmoid vrccd": {
@@ -70,8 +71,6 @@ ALTERNATIVES = {
     "algorithm.eta_override": ["true"],
     "lambda.mode": ["sigmoid_bound", "explicit"],
     "lambda.values": ["3, 3"],
-    "lambda.lip_trailing": ["2"],
-    "lambda.lip_leading": ["2"],
     "seeds.base": ["1"],
     "seeds.count": ["2"],
     "diagnostics.record_u": ["true"],

@@ -5,7 +5,9 @@ from ccdlab import problems
 from ccdlab.algorithms import RunConfig, prox_gd_run
 from ccdlab.blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
 from ccdlab.problems import (
+    SIGMOID_CURVATURE_BOUND,
     QuadraticFiniteSum,
+    SigmoidClassification,
     estimate_sigma_sq,
     exact_coupling_matrix,
     exact_metric_scales,
@@ -18,6 +20,7 @@ from ccdlab.problems import (
     sigmoid_metric,
 )
 from ccdlab.regularizers import Zero
+from ccdlab.smoothness import SmoothnessProfile
 
 PART = BlockPartition.even(8, 3)
 
@@ -125,6 +128,69 @@ def test_expected_block_deviation_equals_coupling_form(n):
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, d, m", [(16, 8, 4), (64, 12, 3)])
+def test_sigmoid_block_deviation_is_at_most_the_coupling_form(n, d, m):
+    # the <= form of the quadratic equality above, on random pairs, close
+    # pairs and far-apart pairs
+    part = BlockPartition.even(d, m)
+    prob = generate_classification(53 + n, n=n, d=d, partition=part)
+    metric = sigmoid_metric(prob)
+    rng = np.random.default_rng(13)
+    for j in range(m):
+        qj = exact_coupling_matrix(prob, j, metric)
+        inv = 1.0 / metric.block(j)
+        for step in (1e-3, 1.0, 10.0):
+            for _ in range(30):
+                x = rng.standard_normal(d)
+                y = x + step * rng.standard_normal(d)
+                devs = prob.component_block_grads(j, x) - prob.component_block_grads(j, y)
+                lhs = float(np.mean(devs * devs @ inv))
+                assert lhs <= float((x - y) @ qj @ (x - y)) * (1 + 1e-12)
+
+
+def test_streaming_sigmoid_coupling_closed_form_matches_monte_carlo():
+    # the mean of (C^2 ||a[j]||^2_{Lam_j^-1}) a a^T over 2e5 fixed-seed rows;
+    # over five seeds the largest entry error was 1.5 % of the largest entry
+    part = BlockPartition((2, 4))
+    prob = generate_streaming_classification(59, d=6, partition=part)
+    metric = DiagonalMetric.from_block_scales(part, [2.0, 0.5])
+    rows = prob.draw_batch(np.random.default_rng(3), 200_000).rows
+    for j, cols in enumerate(part.slices):
+        weights = rows[:, cols] ** 2 @ (1.0 / metric.block(j)) * SIGMOID_CURVATURE_BOUND**2
+        sampled = rows.T @ (weights[:, None] * rows) / len(rows)
+        q = exact_coupling_matrix(prob, j, metric)
+        assert np.max(np.abs(sampled - q)) <= 0.03 * np.max(q)
+
+
+def test_sigmoid_sigma_sq_bounds_hold_at_every_point():
+    part = BlockPartition.even(8, 4)
+    rng = np.random.default_rng(17)
+    points = [np.zeros(8)] + [s * rng.standard_normal(8) for s in (1.0, 10.0, 1e3) for _ in range(5)]
+    finite = generate_classification(61, n=32, d=8, partition=part)
+    metric = sigmoid_metric(finite)
+    bound = finite.sigma_sq_bound(metric)
+    assert all(estimate_sigma_sq(finite, metric, x) <= bound for x in points)
+    # a stream's variance, by Monte Carlo: 1e5 drawn rows enumerated as a
+    # finite sum; at x = 0, the closest point, it is 0.92 of the bound
+    stream = generate_streaming_classification(67, d=8, partition=part)
+    metric = DiagonalMetric.from_block_scales(part, [2.0, 1.0, 0.5, 3.0])
+    batch = stream.draw_batch(np.random.default_rng(19), 100_000)
+    sample = SigmoidClassification(batch.rows, batch.labels, part)
+    bound = stream.sigma_sq_bound(metric)
+    assert all(estimate_sigma_sq(sample, metric, x) <= bound for x in points)
+
+
+def test_sigmoid_coupling_constants_of_the_golden_instance():
+    # the pccd-sigmoid-computed-constants golden config's instance
+    part = BlockPartition.even(8, 4)
+    prob = generate_classification(7, n=16, d=8, partition=part)
+    metric = sigmoid_metric(prob)
+    q_list = problems.exact_coupling_matrices(prob, metric)
+    profile = SmoothnessProfile.from_coupling_matrices(metric, q_list)
+    assert profile.lip_trailing == pytest.approx(0.470, abs=1e-3)
+    assert profile.lip_leading == pytest.approx(0.267, abs=1e-3)
+
+
 def test_block_smoothness_global_inequality():
     # with the calibrated metric, gradients of points differing in one block
     # are non-expansive in the paired norms; same for the sigmoid bound
@@ -198,7 +264,7 @@ def test_streaming_quadratic_contracts():
     approx = prob.batch_full_grad(big, x)
     assert np.allclose(approx, prob.population_grad(x), atol=0.05)
     metric = exact_quadratic_metric(prob)
-    exact = prob.sigma_sq_exact(metric)
+    exact = prob.sigma_sq_bound(metric)
     # the component gradients differ only in their linear terms, so a batch
     # mean of size b deviates from the population gradient by sigma^2 / b
     size = 8

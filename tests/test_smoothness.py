@@ -185,10 +185,6 @@ def test_admissible_eta_inequality_holds_in_floats(c0):
     assert c0 * eta * eta + eta - 1.0 <= 0.0
 
 
-def _profile(lt, ll):
-    return SmoothnessProfile.from_constants(lt, ll)
-
-
 def _c0(lt, ll, p, b, b_prime, n, pl=False):
     # the curvature coefficients of the step_size docstring
     mix = p * variance_factor(n, b) + (1 - p) / b_prime
@@ -206,12 +202,12 @@ def test_step_size_finite_sum_schedule_coefficient():
     assert (b, b_prime) == (16, 4)
     c0 = _c0(lt, ll, p, b, b_prime, n)
     assert c0 == pytest.approx(3 * lt + 2 * ll, rel=1e-12)
-    assert step_size(_profile(lt, ll), p, b, b_prime, n) == admissible_eta(c0)
+    assert step_size(SmoothnessProfile(lt, ll), p, b, b_prime, n) == admissible_eta(c0)
 
 
 def test_step_size_pl_form():
     # a given mu selects the PL form: its own c0, capped at p / (mu (1-p))
-    profile = _profile(2.0, 1.0)
+    profile = SmoothnessProfile(2.0, 1.0)
     c0 = _c0(2.0, 1.0, 0.25, 8, 2, 16, pl=True)
     assert c0 != _c0(2.0, 1.0, 0.25, 8, 2, 16)
     assert step_size(profile, p=0.25, b=8, b_prime=2, n=16, mu=0.5) == admissible_eta(c0)
@@ -226,7 +222,7 @@ def test_step_size_pl_form():
 
 
 def test_step_size_validation():
-    profile = _profile(1.0, 0.5)
+    profile = SmoothnessProfile(1.0, 0.5)
     with pytest.raises(ValueError):
         step_size(profile, p=0.0, b=4, b_prime=2, n=8)
     with pytest.raises(ValueError):
