@@ -3,14 +3,15 @@
 Every algorithm name gets one ``run_experiment`` config, plus backtracking
 pccd on a sigmoid problem, vrccd with anchor diagnostics under a box, a
 streaming run with a surrogate, and one config for each check input the
-others leave out: the gradient-dominance checks, supplied coupling
-constants with a best-observed reference, shared-batch sampling, the
-deterministic (p = 1, b = n) and pathwise forms, a supplied ``sigma_sq``
-and the exact streaming ``sigma_sq``. The test hashes every trace and report file
-and compares the SHA-256 digests, and the exit code, with the stored record
-in ``golden_traces.json``. Float results depend on the numpy build and the
-BLAS kernels, so the record carries the numerics signature it was taken
-under, and the test skips, saying why, on any other signature.
+others leave out: the gradient-dominance checks, the sigmoid coupling
+constants computed from the loss with a best-observed reference,
+shared-batch sampling, the deterministic (p = 1, b = n) and pathwise forms,
+a supplied ``sigma_sq`` and the exact streaming ``sigma_sq``. The test
+hashes every trace and report file and compares the SHA-256 digests, and the
+exit code, with the stored record in ``golden_traces.json``. Float results
+depend on the numpy build and the BLAS kernels, so the record carries the
+numerics signature it was taken under, and the test skips, saying why, on
+any other signature.
 
 Re-record (only when a change of output is intended):
 
@@ -133,7 +134,7 @@ algorithm.name = pccd
 algorithm.K = 20
 diagnostics.checks = pl-envelope, stationarity-rate
 """,
-    "pccd-sigmoid-supplied-constants": """\
+    "pccd-sigmoid-computed-constants": """\
 problem.family = sigmoid
 problem.n = 16
 problem.d = 8
@@ -141,8 +142,6 @@ problem.m = 4
 algorithm.name = pccd
 algorithm.K = 15
 lambda.mode = sigmoid_bound
-lambda.lip_trailing = 2.0
-lambda.lip_leading = 0.5
 seeds.base = 7
 diagnostics.checks = grad-vs-step, stationarity-rate, step-telescope
 output.trace_path = traces
