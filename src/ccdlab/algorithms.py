@@ -4,13 +4,14 @@ common per-cycle trace.
 
 Every method takes the same block prox step under the run's diagonal
 metric, and every entry point takes one :class:`RunConfig` (the randomized
-ones also an ``RngBundle``). The methods differ in two choices only, and
-the engine rejects, before cycle 1, a config that lacks a field it needs:
+ones also an ``RngBundle``). The methods differ in two choices only. A
+``RunConfig`` without a metric is rejected when built, and the engine
+rejects, before cycle 1, a config that lacks another field it needs:
 
 ================  ============  ==================  ====================
 entry point       update order  gradient estimator  RunConfig fields
 ================  ============  ==================  ====================
-``pccd_run``      cyclic        exact               metric or None
+``pccd_run``      cyclic        exact               metric
 ``prox_gd_run``   simultaneous  exact               metric
 ``vrccd_run``     cyclic        recursive           p, b, b', metric
 ``page_run``      simultaneous  recursive           p, b, b', metric
@@ -76,11 +77,6 @@ from .sampling import RngBundle, bernoulli_switch
 FRESH_PER_BLOCK = "fresh_per_block"
 SHARED_PER_CYCLE = "shared_per_cycle"
 
-# every backtracked block scale is _BACKTRACK_INIT * _BACKTRACK_GROWTH^t
-_BACKTRACK_INIT = 1.0
-_BACKTRACK_GROWTH = 2.0
-
-
 class NonFiniteObjectiveError(RuntimeError):
     """Objective became non-finite during a run (or, where no objective value
     is recorded, the squared step v_k); carries the iteration."""
@@ -135,13 +131,12 @@ class RunTrace:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """One run's parameters, checked once when built. ``metric = None``
-    calibrates the metric by backtracking (cyclic exact runs only); p, b and
-    b' are None for the exact methods."""
+    """One run's parameters, checked once when built. Every run takes a
+    fixed diagonal metric; p, b and b' are None for the exact methods."""
 
     cycles: int
     x0: np.ndarray
-    metric: DiagonalMetric | None = None
+    metric: DiagonalMetric
     eta: float = 1.0
     p: float | None = None
     b: int | None = None
@@ -165,8 +160,8 @@ class RunConfig:
             raise ValueError(f"need 1 <= b' <= b, got b'={self.b_prime}, b={self.b}")
         if self.sample_sharing not in (FRESH_PER_BLOCK, SHARED_PER_CYCLE):
             raise ValueError(f"unknown sample_sharing {self.sample_sharing!r}")
-        if self.record_u and self.metric is None:
-            raise ValueError("record_u needs a metric: a backtracking run has no fixed one")
+        if self.metric is None:
+            raise ValueError("a run needs a metric")
 
 
 def _block_norms_sum(v, weights, runs) -> float:
@@ -232,17 +227,13 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     gradient estimator is the recursive one with cfg's p, b, b' and sample
     sharing, without it exact gradients."""
     part = prob.partition
-    m, d = part.num_blocks, part.dim
+    d = part.dim
     finite = prob.is_finite
     record_u = cfg.record_u
-    backtracking = cfg.metric is None
     recursive = rngs is not None
     if not (recursive or finite):
         raise ValueError("exact gradients need a finite sum")
-    needed = ["p", "b", "b_prime"] if recursive else []
-    if recursive or not cyclic:  # backtracking is wired into the cyclic exact order only
-        needed.append("metric")
-    missing = [name for name in needed if getattr(cfg, name) is None]
+    missing = [name for name in ("p", "b", "b_prime") if recursive and getattr(cfg, name) is None]
     if missing:
         raise ValueError(f"this run needs {', '.join(missing)} in its run config")
     shared = cfg.sample_sharing == SHARED_PER_CYCLE
@@ -253,10 +244,10 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     x = np.array(cfg.x0, dtype=float)
     if x.shape != (d,):
         raise ValueError("x0 does not match the problem dimension")
-    # with eta > 0 (the config) and positive metric entries (DiagonalMetric
-    # or the backtracking scales), matching partitions are all the per-step
-    # prox needs: every block's center, gradient and metric block share a shape
-    if not backtracking and cfg.metric.partition != part:
+    # with eta > 0 (the config) and positive metric entries (DiagonalMetric),
+    # matching partitions are all the per-step prox needs: every block's
+    # center, gradient and metric block share a shape
+    if cfg.metric.partition != part:
         raise ValueError(
             f"metric partition {cfg.metric.partition.block_sizes} does not match "
             f"the problem partition {part.block_sizes}"
@@ -268,12 +259,9 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         units = list(enumerate(part.slices))
     else:
         units = [(None, slice(0, d))]
-    if backtracking:
-        scales = np.full(m, _BACKTRACK_INIT)
-        unit_lams = unit_invs = None
-    else:
-        unit_lams = [cfg.metric.entries[cols] for _, cols in units]
-        unit_invs = [1.0 / lam for lam in unit_lams]
+    unit_lams = [cfg.metric.entries[cols] for _, cols in units]
+    unit_invs = [1.0 / lam for lam in unit_lams]
+    lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
 
     k_out = None
     trace = RunTrace(seed=None if rngs is None else rngs.seed)
@@ -346,18 +334,8 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                 if mids is not None:
                     mids[cols] = grad_mid
             est[cols] = g
-            if backtracking:
-                scales[j_u], x[cols] = _accept_scale(
-                    prob, reg, j_u, cols, x, g, x_prev[cols], scales[j_u], cfg.eta
-                )
-            else:
-                x[cols] = reg.prox(j_u, x_prev[cols], g, cfg.eta, unit_lams[u])
+            x[cols] = reg.prox(j_u, x_prev[cols], g, cfg.eta, unit_lams[u])
 
-        if backtracking:
-            lam_k = np.repeat(scales, part.block_sizes)
-            inv_k = 1.0 / lam_k
-        else:
-            lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
         resid = lam_k * (x_prev - x) / cfg.eta - est
         v_k = _block_norms_sum(x - x_prev, lam_k, part.runs)
         mid_k = None if mids is None else _block_norms_sum(mids + resid, inv_k, part.runs)
@@ -382,25 +360,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
             break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    if backtracking:
-        trace.meta["backtracked_scales"] = [float(s) for s in scales]
     return (best_x if k_out is None else x_hat), trace
-
-
-def _accept_scale(prob, reg, j, cols, x, g, center, scale, eta, max_growths=200):
-    """Backtracking acceptance loop with precomputed block gradient."""
-    base = prob.value(x)
-    trial = np.array(x, dtype=float)
-    for _ in range(max_growths + 1):
-        lam = np.full(center.shape, scale)
-        z = reg.prox(j, center, g, eta, lam)
-        step = z - center
-        trial[cols] = z
-        rhs = base + float(g @ step) + 0.5 * scale * float(step @ step)
-        if prob.value(trial) <= rhs + 1e-12 * max(1.0, abs(rhs)):
-            return scale, z
-        scale *= _BACKTRACK_GROWTH
-    raise RuntimeError(f"backtracking exceeded {max_growths} growth steps on block {j}")
 
 
 def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):

@@ -29,10 +29,6 @@ class Method:
     bprime_is_b: bool = False
     sample_sharing: str | None = None
 
-    @property
-    def backtracks(self) -> bool:  # the engine backtracks in the cyclic exact order only
-        return self.cyclic and not self.stochastic
-
 
 METHODS = MappingProxyType({
     "pccd": Method("pccd_run", cyclic=True, stochastic=False),
@@ -66,7 +62,7 @@ class CheckSpec:
 
     algorithms: tuple[str, ...]
     record_u: bool = False  # anchor-error diagnostics in the trace
-    coupling: bool = False  # coupling constants, which a backtracking metric lacks
+    coupling: bool = False  # the coupling constants of the run's metric
     sigma_sq: bool = False  # the gradient-noise constant sigma^2
     convex_quadratic: bool = False  # known mu and gap: convex quadratic, reg = zero
     best_seen_reference: bool = False
@@ -102,7 +98,6 @@ QUADRATIC_KINDS = KINDS[0::2]
 SIGMOID_KINDS = KINDS[1::2]
 FINITE_KINDS = KINDS[:2]
 STREAMING_KINDS = KINDS[2:]
-LAMBDA_MODES = ("exact_quadratic", "backtracking", "explicit", "sigmoid_bound")
 SCHEDULES = ("finite_sum",)
 
 
@@ -146,8 +141,7 @@ class AlgorithmSpec:
 
 @dataclass
 class LambdaSpec:
-    mode: str | None = None  # default chosen per family/algorithm
-    values: tuple | None = None  # per-block scales for mode "explicit"
+    values: tuple | None = None  # per-block scales; set, they are the run's metric
 
 
 @dataclass
@@ -346,7 +340,6 @@ KEYS = MappingProxyType({
     "algorithm.schedule": Key(_choice(SCHEDULES), kinds=FINITE_KINDS, algorithms=STOCHASTIC),
     # a permission: it changes a run only when eta exceeds the admissible bound
     "algorithm.eta_override": Key(_parse_bool, algorithms=STOCHASTIC),
-    "lambda.mode": Key(_choice(LAMBDA_MODES)),
     "lambda.values": Key(_parse_values),
     "seeds.base": Key(_parse_int, least=0),
     "seeds.count": Key(_parse_int, least=1),
@@ -436,7 +429,6 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         ),
         "algorithm.p": (a.schedule is not None, "the schedule sets p"),
         "algorithm.b": (a.schedule is not None, "the schedule sets b"),
-        "lambda.values": (cfg.lam.mode != "explicit", "only lambda.mode = explicit reads it"),
         "output.report_path": (not checks, "no check is requested"),
     }
     for key, row in KEYS.items():
@@ -481,35 +473,15 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
             (_line(key_lines, "algorithm.name"), f"{a.name} needs exact gradients (finite n)")
         )
 
-    mode = cfg.lam.mode
-    if mode == "explicit" and cfg.lam.values is None:
-        errs.append((_line(key_lines, "lambda.mode"), "explicit mode needs lambda.values"))
-    if mode == "explicit" and cfg.lam.values is not None and len(cfg.lam.values) != p_spec.m:
+    if cfg.lam.values is not None and len(cfg.lam.values) != p_spec.m:
         errs.append((_line(key_lines, "lambda.values"), "need one scale per block"))
-    if mode == "backtracking" and not method.backtracks:
+    if kind == "streaming sigmoid" and cfg.lam.values is None:
         errs.append(
             (
-                _line(key_lines, "lambda.mode"),
-                "backtracking calibration is only wired into pccd; give an exact or "
-                "explicit metric for stochastic runs",
+                _line(key_lines, "problem.streaming_family"),
+                "a streaming sigmoid problem has no exact_quadratic metric; set lambda.values",
             )
         )
-    if mode == "exact_quadratic" and p_spec.family == "sigmoid":
-        errs.append(
-            (_line(key_lines, "lambda.mode"), "exact_quadratic needs a quadratic family")
-        )
-    if lambda_mode(cfg) == "exact_quadratic" and kind == "streaming sigmoid":
-        # sigmoid_bound and backtracking are rejected above, so explicit is left
-        where = "lambda.mode" if mode is not None else "problem.streaming_family"
-        errs.append(
-            (
-                _line(key_lines, where),
-                "a streaming sigmoid problem has no exact_quadratic metric; "
-                "set lambda.mode = explicit",
-            )
-        )
-    if mode == "sigmoid_bound" and p_spec.family != "sigmoid":
-        errs.append((_line(key_lines, "lambda.mode"), "sigmoid_bound needs the sigmoid family"))
 
     # every requested check the config cannot feed, read off CHECKS
     line = _line(key_lines, "diagnostics.checks")
@@ -522,10 +494,6 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
             continue
         unmet = [
             (spec.record_u and not cfg.diagnostics.record_u, "diagnostics.record_u"),
-            (
-                spec.coupling and lambda_mode(cfg) == "backtracking",
-                "coupling constants, which a backtracking metric does not give",
-            ),
             (
                 spec.best_seen_reference and not objective_recorded,
                 "diagnostics.s_surrogate_samples > 0 to record F on a streaming problem",
@@ -567,13 +535,11 @@ def estimator_settings(cfg: ExperimentConfig) -> tuple[float | None, int | None,
 
 
 def lambda_mode(cfg: ExperimentConfig) -> str:
-    """``lambda.mode``, or its default: backtracking for pccd on the sigmoid
-    family, the sigmoid bound for other sigmoid runs, else exact_quadratic."""
-    if cfg.lam.mode is not None:
-        return cfg.lam.mode
-    if cfg.problem.family == "sigmoid":
-        return "backtracking" if METHODS[cfg.algorithm.name].backtracks else "sigmoid_bound"
-    return "exact_quadratic"
+    """Which metric the run takes: explicit when ``lambda.values`` is set,
+    else sigmoid_bound on the sigmoid family and exact_quadratic elsewhere."""
+    if cfg.lam.values is not None:
+        return "explicit"
+    return "sigmoid_bound" if cfg.problem.family == "sigmoid" else "exact_quadratic"
 
 
 def problem_kind(cfg: ExperimentConfig) -> str:

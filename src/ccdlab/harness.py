@@ -105,18 +105,15 @@ def initial_point(cfg: ExperimentConfig, prob) -> np.ndarray:
     return x0
 
 
-def build_metric(cfg: ExperimentConfig, prob) -> DiagonalMetric | None:
-    """The metric of ``lambda_mode(cfg)``; None in backtracking mode."""
+def build_metric(cfg: ExperimentConfig, prob) -> DiagonalMetric:
+    """The metric of ``lambda_mode(cfg)``: the ``lambda.values`` block
+    scales, the sigmoid bound, or the exact quadratic metric."""
     mode = lambda_mode(cfg)
-    if mode == "backtracking":
-        return None
     if mode == "explicit":
         return DiagonalMetric.from_block_scales(prob.partition, cfg.lam.values)
     if mode == "sigmoid_bound":
         return problems.sigmoid_metric(prob)
-    if mode == "exact_quadratic":
-        return problems.exact_quadratic_metric(prob)
-    raise ValueError(f"unknown lambda mode {mode!r}")
+    return problems.exact_quadratic_metric(prob)
 
 
 @dataclass
@@ -134,8 +131,9 @@ class Resolved:
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
-        # the deleted lambda.lip_* keys stay, empty, until the header re-record of ROADMAP item 8
-        out["lambda.lip_leading"] = out["lambda.lip_trailing"] = None
+        # the deleted lambda.mode and lambda.lip_* keys stay, empty, until
+        # the header re-record of ROADMAP item 8
+        out["lambda.mode"] = out["lambda.lip_leading"] = out["lambda.lip_trailing"] = None
         run = self.run
         out.update(
             {
@@ -165,7 +163,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     reg = build_regularizer(cfg.problem.reg)
     metric = build_metric(cfg, prob)
     profile = None
-    if needs_coupling(cfg):  # validate has rejected a backtracking metric here
+    if needs_coupling(cfg):
         q_list = problems.exact_coupling_matrices(prob, metric)
         profile = SmoothnessProfile.from_coupling_matrices(metric, q_list)
     x0 = initial_point(cfg, prob)
@@ -302,14 +300,14 @@ def reference_minimum(res: Resolved) -> tuple[float, str]:
     """F(x*) for the resolved instance: closed form when the regularizer is
     zero and the quadratic strongly convex; otherwise a high-precision cyclic
     solve (machine-level stationarity), which upper-bounds the true minimum
-    by a negligible amount; otherwise the best objective seen (advisory)."""
+    by a negligible amount; otherwise the best objective seen (advisory).
+    F* belongs to the instance, so the solve takes the instance's exact
+    quadratic metric, not the run's, which may diverge."""
     prob, reg = res.prob, res.reg
     if isinstance(prob, problems.QuadraticFiniteSum) and prob.is_strongly_convex:
         if isinstance(reg, Zero):
             return prob.f_star, "closed_form"
-        metric = res.run.metric
-        if metric is None:
-            metric = problems.exact_quadratic_metric(prob)
+        metric = problems.exact_quadratic_metric(prob)
         pcfg = algorithms.RunConfig(cycles=30_000, x0=res.run.x0, metric=metric, stop_step_sq=1e-28)
         _, trace = algorithms.pccd_run(prob, reg, pcfg)
         return float(min(trace.obj)), "high_precision_run"

@@ -121,7 +121,7 @@ def suite_cyclic_descent() -> SuiteResult:
         m_raw = m_choices[idx % 4]
         m = d if m_raw is None else min(m_raw, d)
         if kind == "sigmoid":
-            # the default pccd metric on the sigmoid family is backtracking
+            # with no lambda.values, a sigmoid run takes the sigmoid_bound metric
             problem = ProblemSpec(family="sigmoid", n=16, d=d, m=m)
         else:
             convex = kind == "convex"

@@ -126,16 +126,6 @@ def test_nonfinite_objective_reports_iteration():
     assert err.value.iteration >= 1
 
 
-def test_backtracking_run_descends():
-    prob = _convex(113)
-    x0 = np.random.default_rng(5).standard_normal(8)
-    _, trace = pccd_run(prob, Zero(), RunConfig(cycles=20, x0=x0, metric=None))
-    obj = trace.array("obj")
-    steps = trace.array("step_sq", skip_first=True)
-    assert np.all(np.diff(obj) <= 1e-12)
-    assert np.all(obj[1:] <= obj[:-1] - 0.5 * steps + 1e-9 * np.maximum(1, np.abs(obj[:-1])))
-
-
 def test_vrccd_exact_anchors_have_zero_error():
     prob = _convex(127, n=10)
     metric = exact_quadratic_metric(prob)
@@ -285,20 +275,19 @@ def test_sgd_runs_and_counts_work():
         {"b": 0},
         {"b_prime": 2},
         {"sample_sharing": "per_run"},
-        {"record_u": True},  # u_k is measured in the metric, which backtracking lacks
+        {"metric": None},  # every run takes a fixed metric
+        {"metric": None, "p": 0.5, "b": 4, "b_prime": 2},
     ],
 )
 def test_run_parameters_checked_when_config_is_built(bad):
     with pytest.raises(ValueError):
-        RunConfig(**{"cycles": 3, "x0": np.zeros(8), "metric": None, **bad})
+        RunConfig(**{"cycles": 3, "x0": np.zeros(8), "metric": DiagonalMetric.identity(PART), **bad})
 
 
 @pytest.mark.parametrize(
     "entry, fields, missing",
     [
-        (prox_gd_run, {"metric": None}, "metric"),
         (vrccd_run, {"b": 4, "b_prime": 2}, "p"),
-        (vrccd_run, {"p": 0.5, "b": 4, "b_prime": 2, "metric": None}, "metric"),
         (page_run, {"p": 0.5}, "b, b_prime"),
     ],
 )

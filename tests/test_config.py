@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ccdlab.cli import main
-from ccdlab.config import STOCHASTIC, ConfigError, config_to_dict, parse_config
+from ccdlab.config import STOCHASTIC, ConfigError, config_to_dict, lambda_mode, parse_config
 from ccdlab.harness import resolve
 
 MINIMAL_PCCD = """
@@ -142,7 +142,7 @@ _UNREAD_BY_EXACT = (
         ("vrccd-schedule", "algorithm.bprime = 40"),
         ("vrccd", "problem.sigma_sq = -5"),
         # keys the problem kind, or another key's value, leaves unread
-        ("pccd", "lambda.values = 1, 2"),
+        ("pccd", "lambda.values = 1, 2, 3"),  # one scale per block of m = 2
         ("pccd", "problem.margin = 1"),
         ("pccd", "problem.streaming_family = sigmoid"),
         ("pccd", "output.report_path = elsewhere"),
@@ -211,7 +211,6 @@ algorithm.name = vrccd
 algorithm.p = 0.5
 algorithm.b = 8
 algorithm.bprime = 2
-lambda.mode = sigmoid_bound
 """
 
 
@@ -256,12 +255,12 @@ def test_check_compatibility_rules():
             "algorithm.K = 2000\nseeds.count = 4\ndiagnostics.checks = vr-rate"
         )
     assert err.value.errors == [(7, "check vr-rate does not apply to pccd")]
-    with pytest.raises(ConfigError) as err:
-        parse_config(
-            "problem.family = sigmoid\nalgorithm.name = pccd\ndiagnostics.checks = grad-vs-step"
-        )
-    assert [ln for ln, _ in err.value.errors] == [3]
-    assert "needs coupling constants" in err.value.errors[0][1]
+    # sigmoid pccd takes the sigmoid_bound metric, whose coupling constants
+    # the checks read
+    res = resolve(parse_config(
+        "problem.family = sigmoid\nalgorithm.name = pccd\ndiagnostics.checks = grad-vs-step"
+    ))
+    assert res.profile is not None
 
 
 def test_streaming_constraints():
@@ -297,18 +296,30 @@ diagnostics.s_surrogate_samples = 64
     # bound from the loss, so vr-rate needs neither supplied
     res = resolve(parse_config(
         "problem.family = streaming\nproblem.streaming_family = sigmoid\nalgorithm.name = vrccd\n"
-        "algorithm.p = 0.5\nalgorithm.b = 8\nlambda.mode = explicit\nlambda.values = 2, 2, 2, 2\n"
+        "algorithm.p = 0.5\nalgorithm.b = 8\nlambda.values = 2, 2, 2, 2\n"
         "diagnostics.checks = vr-rate"
     ))
     assert res.profile is not None and res.run.eta == res.eta_bound
 
 
-def test_backtracking_reserved_for_cyclic_runs():
-    with pytest.raises(ConfigError):
-        parse_config(
-            "problem.family = quadratic\nalgorithm.name = vrccd\nalgorithm.p = 0.5\n"
-            "algorithm.b = 8\nlambda.mode = backtracking"
-        )
+@pytest.mark.parametrize(
+    "mode", ["backtracking", "explicit", "sigmoid_bound", "exact_quadratic"]
+)
+def test_lambda_mode_is_an_unknown_key(mode):
+    # the metric follows from the family and lambda.values
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"problem.family = sigmoid\nalgorithm.name = pccd\nlambda.mode = {mode}")
+    assert err.value.errors == [(3, "unknown key 'lambda.mode'")]
+
+
+def test_lambda_mode_follows_from_family_and_values():
+    assert lambda_mode(parse_config("problem.family = sigmoid")) == "sigmoid_bound"
+    assert lambda_mode(parse_config("problem.family = quadratic")) == "exact_quadratic"
+    for family in ("quadratic", "sigmoid"):
+        text = f"problem.family = {family}\nproblem.m = 2\nlambda.values = 1, 2\n"
+        res = resolve(parse_config(text))
+        assert res.echo()["resolved.lambda_mode"] == "explicit"
+        assert list(res.run.metric.entries) == [1.0] * 8 + [2.0] * 8
 
 
 def test_eta_bound_enforcement():

@@ -46,8 +46,7 @@ def experiment_configs(draw):
         fields["diagnostics.s_surrogate_samples"] = draw(st.sampled_from([0, 64]))
     if not sigmoid:  # only the quadratic kinds read the condition number
         fields["problem.condition_number"] = draw(st.sampled_from([1, 1.01, 2, 10, 1000]))
-    if sigmoid and name != "pccd" and draw(st.booleans()):
-        fields["lambda.mode"] = "explicit"
+    if sigmoid and draw(st.booleans()):
         fields["lambda.values"] = ", ".join(["2"] * fields["problem.m"])
     if name in STOCHASTIC:
         if not streaming and draw(st.booleans()):
@@ -111,7 +110,6 @@ algorithm.name = vrccd
 algorithm.K = 3
 algorithm.p = 0.5
 algorithm.b = 8
-lambda.mode = explicit
 lambda.values = 2, 2
 seeds.count = 2
 diagnostics.s_surrogate_samples = 64

@@ -271,7 +271,6 @@ algorithm.name = vrccd
 algorithm.K = 5
 algorithm.p = 0.5
 algorithm.b = 8
-lambda.mode = sigmoid_bound
 seeds.count = 2
 """
 
@@ -446,8 +445,7 @@ seeds.base = 7
 
 
 @pytest.mark.parametrize("run", [
-    "algorithm.name = pccd\nlambda.mode = sigmoid_bound\n"
-    "diagnostics.checks = grad-vs-step, stationarity-rate\n",
+    "algorithm.name = pccd\ndiagnostics.checks = grad-vs-step, stationarity-rate\n",
     "algorithm.name = vrccd\nalgorithm.p = 0.3\nalgorithm.b = 8\nseeds.count = 4\n"
     "diagnostics.record_u = true\ndiagnostics.checks = vr-grad-vs-step, vr-potential, vr-rate\n",
 ])
@@ -461,8 +459,48 @@ def test_sigmoid_verdicts_rest_on_no_supplied_or_start_point_premise(run, tmp_pa
     assert all(not rep.conditional for rep in result.reports if "grad-vs-step" in rep.name)
 
 
+def test_fixed_sigmoid_metric_is_load_bearing(tmp_path):
+    """Negative control: on the golden sigmoid instance, cyclic-descent
+    passes under the sigmoid_bound block scales (0.0531, 0.0841, 0.0510,
+    0.0631) and fails hard at 0.05 times them. The measured critical factor
+    is about 0.0566: 0.06 times the scales passes, 0.055 times fails."""
+    text = _SIGMOID + "algorithm.name = pccd\ndiagnostics.checks = cyclic-descent\n"
+    res = resolve(parse_config(text))
+    scales = [float(res.run.metric.entries[cols.start]) for cols in res.prob.partition.slices]
+    for factor, code in ((1.0, 0), (0.05, 2)):
+        values = ", ".join(repr(factor * scale) for scale in scales)
+        cfg = parse_config(text + f"lambda.values = {values}\n")
+        assert run_experiment(cfg, out_dir=tmp_path / str(factor)).exit_code == code
+
+
+# lambda.values far below the curvature: the run diverges
+SMALL_METRIC_L1 = """
+problem.family = quadratic
+problem.n = 8
+problem.d = 8
+problem.m = 2
+problem.reg = l1(0.1)
+algorithm.name = pccd
+algorithm.K = 20
+lambda.values = 0.01, 0.01
+diagnostics.checks = step-telescope
+"""
+
+
+def test_reference_solve_takes_the_instance_metric(tmp_path, capsys):
+    # F* belongs to the instance: its high-precision solve converges under
+    # the exact metric although the run's metric diverges
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_METRIC_L1)
+    argv = ["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(argv) == 2
+    assert "FAIL step-telescope (hard" in capsys.readouterr().out
+    assert (tmp_path / "out" / "report.txt").exists()
+
+
 def test_streaming_sigmoid_without_explicit_metric_exits_3(tmp_path, capsys):
-    # the default lambda.mode, exact_quadratic, has no metric for this family
+    # without lambda.values the metric would be exact_quadratic, which this
+    # family lacks
     text = """
 problem.family = streaming
 problem.streaming_family = sigmoid
@@ -477,11 +515,12 @@ diagnostics.s_surrogate_samples = 64
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(text)
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]) == 3
-    assert "line 3: a streaming sigmoid problem has no exact_quadratic metric" in (
-        capsys.readouterr().err
+    assert (
+        "line 3: a streaming sigmoid problem has no exact_quadratic metric; set lambda.values"
+        in capsys.readouterr().err
     )
     assert not (tmp_path / "out").exists()
-    cfg_path.write_text(text + "lambda.mode = explicit\nlambda.values = 1, 1\n")
+    cfg_path.write_text(text + "lambda.values = 1, 1\n")
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "ok"), "--jobs", "1"]) == 0
 
 

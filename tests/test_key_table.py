@@ -35,13 +35,12 @@ BASES = {
     },
     "sigmoid pccd": {"problem.family": "sigmoid", **_TINY, "algorithm.name": "pccd"},
     "sigmoid vrccd": {
-        "problem.family": "sigmoid", **_TINY, **_VRCCD, "lambda.mode": "sigmoid_bound",
-        "diagnostics.checks": "vr-rate",
+        "problem.family": "sigmoid", **_TINY, **_VRCCD, "diagnostics.checks": "vr-rate",
     },
     "streaming quadratic vrccd": {**_STREAM, **_VRCCD, "diagnostics.s_surrogate_samples": "64"},
     "streaming sigmoid vrccd": {
         **_STREAM, "problem.streaming_family": "sigmoid", **_VRCCD, "algorithm.eta": "0.05",
-        "lambda.mode": "explicit", "lambda.values": "2, 2",
+        "lambda.values": "2, 2",
         "diagnostics.s_surrogate_samples": "64",
     },
 }
@@ -69,7 +68,6 @@ ALTERNATIVES = {
     "algorithm.sample_sharing": ["shared_per_cycle"],
     "algorithm.schedule": ["finite_sum"],
     "algorithm.eta_override": ["true"],
-    "lambda.mode": ["sigmoid_bound", "explicit"],
     "lambda.values": ["3, 3"],
     "seeds.base": ["1"],
     "seeds.count": ["2"],
@@ -84,7 +82,7 @@ ALTERNATIVES = {
 # them may be rejected on the line of a key it leaves unread or inconsistent
 DECIDERS = {
     "problem.family", "problem.streaming_family", "problem.m", "algorithm.name",
-    "algorithm.schedule", "lambda.mode", "diagnostics.checks",
+    "algorithm.schedule", "diagnostics.checks",
 }
 # a permission, read only when eta exceeds the admissible bound: it may be
 # accepted without effect, and is tested on a base whose eta does
