@@ -77,6 +77,7 @@ from .sampling import RngBundle, bernoulli_switch
 FRESH_PER_BLOCK = "fresh_per_block"
 SHARED_PER_CYCLE = "shared_per_cycle"
 
+
 class NonFiniteObjectiveError(RuntimeError):
     """Objective became non-finite during a run (or, where no objective value
     is recorded, the squared step v_k); carries the iteration."""

@@ -302,9 +302,7 @@ diagnostics.s_surrogate_samples = 64
     assert res.profile is not None and res.run.eta == res.eta_bound
 
 
-@pytest.mark.parametrize(
-    "mode", ["backtracking", "explicit", "sigmoid_bound", "exact_quadratic"]
-)
+@pytest.mark.parametrize("mode", ["backtracking", "sigmoid_bound"])
 def test_lambda_mode_is_an_unknown_key(mode):
     # the metric follows from the family and lambda.values
     with pytest.raises(ConfigError) as err:
