@@ -9,14 +9,12 @@ from .problems import (
     StreamingQuadratic,
     estimate_sigma_sq,
     exact_coupling_matrices,
-    exact_coupling_matrix,
     exact_quadratic_metric,
     generate_classification,
     generate_quadratic,
     generate_streaming_classification,
     generate_streaming_quadratic,
     pl_constant,
-    sigmoid_metric,
 )
 from .sampling import (
     RngBundle,

@@ -482,6 +482,9 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
                 "a streaming sigmoid problem has no exact_quadratic metric; set lambda.values",
             )
         )
+    if kind == "quadratic" and not p_spec.convex and p_spec.reg[0] != "box":
+        where = _line(key_lines, "problem.convex")
+        errs.append((where, "a nonconvex quadratic is bounded below only on a box: set problem.reg"))
 
     # every requested check the config cannot feed, read off CHECKS
     line = _line(key_lines, "diagnostics.checks")
@@ -532,14 +535,6 @@ def estimator_settings(cfg: ExperimentConfig) -> tuple[float | None, int | None,
     elif b_prime is None and b is not None:
         b_prime = max(1, round(math.sqrt(b)))
     return p, b, b_prime, method.sample_sharing or a.sample_sharing or "fresh_per_block"
-
-
-def lambda_mode(cfg: ExperimentConfig) -> str:
-    """Which metric the run takes: explicit when ``lambda.values`` is set,
-    else sigmoid_bound on the sigmoid family and exact_quadratic elsewhere."""
-    if cfg.lam.values is not None:
-        return "explicit"
-    return "sigmoid_bound" if cfg.problem.family == "sigmoid" else "exact_quadratic"
 
 
 def problem_kind(cfg: ExperimentConfig) -> str:

@@ -46,7 +46,6 @@ from .config import (
     ExperimentConfig,
     config_to_dict,
     estimator_settings,
-    lambda_mode,
     needs_coupling,
     numeric_type,
     validate,
@@ -105,17 +104,6 @@ def initial_point(cfg: ExperimentConfig, prob) -> np.ndarray:
     return x0
 
 
-def build_metric(cfg: ExperimentConfig, prob) -> DiagonalMetric:
-    """The metric of ``lambda_mode(cfg)``: the ``lambda.values`` block
-    scales, the sigmoid bound, or the exact quadratic metric."""
-    mode = lambda_mode(cfg)
-    if mode == "explicit":
-        return DiagonalMetric.from_block_scales(prob.partition, cfg.lam.values)
-    if mode == "sigmoid_bound":
-        return problems.sigmoid_metric(prob)
-    return problems.exact_quadratic_metric(prob)
-
-
 @dataclass
 class Resolved:
     """Everything one seed run needs, with every derived value made explicit."""
@@ -135,6 +123,7 @@ class Resolved:
         # the header re-record of ROADMAP item 8
         out["lambda.mode"] = out["lambda.lip_leading"] = out["lambda.lip_trailing"] = None
         run = self.run
+        metric_mode = "explicit" if self.cfg.lam.values is not None else self.prob.metric_mode
         out.update(
             {
                 "resolved.algorithm": self.cfg.algorithm.name,
@@ -145,7 +134,7 @@ class Resolved:
                 "resolved.b": run.b,
                 "resolved.bprime": run.b_prime,
                 "resolved.sample_sharing": run.sample_sharing,
-                "resolved.lambda_mode": lambda_mode(self.cfg),
+                "resolved.lambda_mode": metric_mode,
                 "resolved.instance_seed": self.cfg.seeds.base,
             }
         )
@@ -161,7 +150,10 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         raise ConfigError(errs)
     prob = build_problem(cfg, cfg.seeds.base)
     reg = build_regularizer(cfg.problem.reg)
-    metric = build_metric(cfg, prob)
+    if cfg.lam.values is not None:
+        metric = DiagonalMetric.from_block_scales(prob.partition, cfg.lam.values)
+    else:
+        metric = prob.metric()
     profile = None
     if needs_coupling(cfg):
         q_list = problems.exact_coupling_matrices(prob, metric)
@@ -353,20 +345,13 @@ class _CheckInputs:
 
     @cached_property
     def sigma(self) -> tuple[float, tuple[str, ...]]:
-        """(sigma^2, its conditional tags): supplied; the instance's bound
-        over every x, for the sigmoid families and the streaming quadratic;
-        else computed at the start point (exact, and untagged, when the
-        components share one curvature)."""
-        res, prob = self.res, self.prob
+        """(sigma^2, its conditional tags): supplied, or the instance's
+        ``sigma_sq``, tagged when it holds only at the start point."""
+        res = self.res
         if res.cfg.problem.sigma_sq is not None:
             return res.cfg.problem.sigma_sq, ("supplied sigma_sq",)
-        bound = getattr(prob, "sigma_sq_bound", None)
-        if bound is not None:
-            return bound(res.run.metric), ()
-        value = problems.estimate_sigma_sq(prob, res.run.metric, res.run.x0)
-        if isinstance(prob, problems.QuadraticFiniteSum) and prob.identical_components:
-            return value, ()
-        return value, ("sigma_sq estimated at the start point",)
+        value, everywhere = self.prob.sigma_sq(res.run.metric, res.run.x0)
+        return value, () if everywhere else ("sigma_sq estimated at the start point",)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
         return np.array(trace.obj) - self.prob.f_star

@@ -7,6 +7,10 @@ bounded below, with an analytic curvature bound that gives their coupling
 matrices and a bound on sigma^2 over every x). Streaming counterparts draw
 i.i.d. components from the same families.
 
+Each family states the premises of the analysis as its own methods:
+``metric()`` (the metric a run takes without ``lambda.values``, named by
+``metric_mode``), ``coupling_matrix(j, metric)`` and ``sigma_sq(metric, x0)``.
+
 Block gradients go through one per-family kernel that takes an explicit
 coordinate slice. Full-vector gradients are assembled so that each block's
 slice stays bitwise equal to that kernel's output: the quadratic family makes
@@ -38,10 +42,18 @@ class _Objective:
     """What finite-sum and streaming objectives share."""
 
     partition: BlockPartition
+    metric_mode: str | None  # what metric() computes; None when it computes none
 
     @property
     def dim(self) -> int:
         return self.partition.dim
+
+    def coupling_matrix(self, j: int, metric: DiagonalMetric) -> np.ndarray:
+        """Coupling matrix Q_j for block j: the mean block-gradient deviation
+        E ||grad_j f_i(x) - grad_j f_i(y)||^2_{Lam_j^-1} is at most
+        (x - y)^T Q_j (x - y)."""
+        out = self._coupling(self.partition.block_slice(j), 1.0 / metric.block(j))
+        return 0.5 * (out + out.T)
 
     def batch_block_grad_pair(self, batch, j: int, x: np.ndarray, old: np.ndarray):
         """Block j's batch gradients at ``x`` and at ``old``, bitwise equal to
@@ -183,6 +195,35 @@ class QuadraticFiniteSum(FiniteSumObjective):
     def component_block_grads_full(self, x):
         return self.quad @ x + self.lin
 
+    metric_mode = "exact_quadratic"
+
+    def metric(self) -> DiagonalMetric:
+        return exact_quadratic_metric(self)
+
+    def _curvature_sq(self, cols):
+        # the strided (n, d_j, d_j) einsum: a contiguous copy changes the rounding
+        if self.identical_components:
+            sub = self.quad[0, cols, cols]
+            return sub @ sub
+        subs = self.quad[:, cols, cols]
+        return np.einsum("nab,nbc->ac", subs, subs) / self.n
+
+    def _coupling(self, cols, inv):
+        """The mean of A_i[cols]^T Lam_j^-1 A_i[cols], with equality. With
+        distinct components the einsum runs on a contiguous copy of the block
+        rows, the (n, d_j, d) slab: on the strided view it is about 2.5x
+        slower, and the copy leaves every bit of the result as it was."""
+        if self.identical_components:
+            rows_mat = self.quad[0, cols]
+            return rows_mat.T @ (inv[:, None] * rows_mat)
+        slab = np.ascontiguousarray(self.quad[:, cols, :])
+        return np.einsum("nrd,nre->de", slab * inv[None, :, None], slab) / self.n
+
+    def sigma_sq(self, metric: DiagonalMetric, x0) -> tuple[float, bool]:
+        """sigma^2 at the start point, which holds at every x when the
+        components share one curvature."""
+        return estimate_sigma_sq(self, metric, x0), self.identical_components
+
     # strongly convex extras ------------------------------------------------
     @cached_property
     def is_strongly_convex(self) -> bool:
@@ -256,11 +297,28 @@ class SigmoidClassification(FiniteSumObjective):
     def component_block_grads_full(self, x):
         return _sigmoid_component_grads(self.rows, self.labels, slice(0, self.dim), x)
 
-    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
+    metric_mode = "sigmoid_bound"
+
+    def metric(self) -> DiagonalMetric:
+        """Analytic per-block scales: the global curvature bound of the
+        scalar loss times the worst squared block row norm."""
+        worst = [np.max(np.sum(self.rows[:, cols] ** 2, axis=1)) for cols in self.partition.slices]
+        scales = [max(SIGMOID_CURVATURE_BOUND * float(w), 1e-12) for w in worst]
+        return DiagonalMetric.from_block_scales(self.partition, scales)
+
+    def _coupling(self, cols, inv):
+        """grad_j f_i(x) - grad_j f_i(y) is a_i[j] times a coefficient
+        difference at most C |a_i^T (x - y)|, with C =
+        ``SIGMOID_CURVATURE_BOUND``, so Q_j = (C^2 / n) sum_i
+        ||a_i[j]||^2_{Lam_j^-1} a_i a_i^T."""
+        weights = self.rows[:, cols] ** 2 @ inv * (SIGMOID_CURVATURE_BOUND**2 / self.n)
+        return self.rows.T @ (weights[:, None] * self.rows)
+
+    def sigma_sq(self, metric: DiagonalMetric, x0) -> tuple[float, bool]:
         """A bound on sigma^2 over every x: component i's gradient is a_i
         times a coefficient at most 1/4 in size, and a variance is at most
         the mean square, mean_i ||a_i||^2_{Lam^-1} / 16."""
-        return float(np.mean(self.rows**2 @ metric.inv_entries) / 16.0)
+        return float(np.mean(self.rows**2 @ metric.inv_entries) / 16.0), True
 
 
 @cache
@@ -403,9 +461,22 @@ class StreamingQuadratic(StreamingObjective):
     def population_grad(self, x):
         return self.quad @ x + self.lin_mean
 
-    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
-        """sigma^2, exact: the component gradients differ only in b."""
-        return float(self.lin_scale**2 * np.sum(metric.inv_entries))
+    metric_mode = "exact_quadratic"
+
+    def metric(self) -> DiagonalMetric:
+        return exact_quadratic_metric(self)
+
+    def _curvature_sq(self, cols):
+        sub = self.quad[cols, cols]
+        return sub @ sub
+
+    def _coupling(self, cols, inv):
+        rows_mat = self.quad[cols]
+        return rows_mat.T @ (inv[:, None] * rows_mat)
+
+    def sigma_sq(self, metric: DiagonalMetric, x0) -> tuple[float, bool]:
+        """sigma^2, exact at every x: the component gradients differ only in b."""
+        return float(self.lin_scale**2 * np.sum(metric.inv_entries)), True
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,10 +512,22 @@ class StreamingClassification(StreamingObjective):
     def batch_block_grad(self, batch, j, x):
         return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)
 
-    def sigma_sq_bound(self, metric: DiagonalMetric) -> float:
+    metric_mode = None
+
+    def metric(self) -> DiagonalMetric:
+        raise ValueError("a streaming sigmoid problem has no computed metric; set lambda.values")
+
+    def _coupling(self, cols, inv):
+        """The finite-sum Q_j in expectation over rows a ~ N(0, I/d):
+        (C^2 / d^2) (tr(Lam_j^-1) I + 2 Lam_j^-1 on block j's diagonal)."""
+        diag = np.full(self.dim, np.sum(inv))
+        diag[cols] += 2.0 * inv
+        return np.diag(diag * (SIGMOID_CURVATURE_BOUND**2 / self.dim**2))
+
+    def sigma_sq(self, metric: DiagonalMetric, x0) -> tuple[float, bool]:
         """The finite-sum bound in expectation over rows a ~ N(0, I/d):
-        E ||a||^2_{Lam^-1} / 16 = tr(Lam^-1) / (16 d)."""
-        return float(np.sum(metric.inv_entries) / (16.0 * self.dim))
+        E ||a||^2_{Lam^-1} / 16 = tr(Lam^-1) / (16 d), at every x."""
+        return float(np.sum(metric.inv_entries) / (16.0 * self.dim)), True
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +619,7 @@ def generate_streaming_classification(
 
 
 # --------------------------------------------------------------------------
-# smoothness calibration and exact coupling matrices
+# smoothness calibration and coupling matrices
 # --------------------------------------------------------------------------
 
 
@@ -550,19 +633,7 @@ def exact_metric_scales(prob) -> np.ndarray:
     """
     scales = np.empty(prob.partition.num_blocks)
     for j in range(prob.partition.num_blocks):
-        cols = prob.partition.block_slice(j)
-        if isinstance(prob, StreamingQuadratic):
-            sub = prob.quad[cols, cols]
-            msq = sub @ sub
-        elif isinstance(prob, QuadraticFiniteSum):
-            if prob.identical_components:
-                sub = prob.quad[0, cols, cols]
-                msq = sub @ sub
-            else:
-                subs = prob.quad[:, cols, cols]
-                msq = np.einsum("nab,nbc->ac", subs, subs) / prob.n
-        else:
-            raise TypeError(f"exact metric scales need a quadratic family, got {type(prob)!r}")
+        msq = prob._curvature_sq(prob.partition.block_slice(j))
         top = float(np.linalg.eigvalsh(msq)[-1])
         scales[j] = math.sqrt(max(top, 0.0)) * _SCALE_PAD
         if scales[j] <= 0:
@@ -570,71 +641,14 @@ def exact_metric_scales(prob) -> np.ndarray:
     return scales
 
 
+# a quadratic's metric() and the harness reach these two as module globals,
+# so that a profiler may rebind them here
 def exact_quadratic_metric(prob) -> DiagonalMetric:
     return DiagonalMetric.from_block_scales(prob.partition, exact_metric_scales(prob))
 
 
-def sigmoid_metric_scales(prob: SigmoidClassification) -> np.ndarray:
-    """Analytic per-block scales for the sigmoid family: the global curvature
-    bound of the scalar loss times the worst squared block row norm."""
-    scales = np.empty(prob.partition.num_blocks)
-    for j in range(prob.partition.num_blocks):
-        cols = prob.partition.block_slice(j)
-        worst = float(np.max(np.sum(prob.rows[:, cols] ** 2, axis=1)))
-        scales[j] = max(SIGMOID_CURVATURE_BOUND * worst, 1e-12)
-    return scales
-
-
-def sigmoid_metric(prob: SigmoidClassification) -> DiagonalMetric:
-    return DiagonalMetric.from_block_scales(prob.partition, sigmoid_metric_scales(prob))
-
-
-def exact_coupling_matrix(prob, j: int, metric: DiagonalMetric) -> np.ndarray:
-    """Coupling matrix Q_j for block j: the mean block-gradient deviation
-    E ||grad_j f_i(x) - grad_j f_i(y)||^2_{Lam_j^-1} is at most
-    (x - y)^T Q_j (x - y).
-
-    For quadratics Q_j is the mean of A_i[block rows]^T Lam_j^-1
-    A_i[block rows], with equality. With distinct components the einsum runs
-    on a contiguous copy of the block rows, the (n, d_j, d) slab: on the
-    strided view it is about 2.5x slower, and the copy leaves every bit of
-    the result as it was. ``exact_metric_scales`` keeps its strided
-    (n, d_j, d_j) einsum, because there a contiguous copy does change the
-    rounding.
-
-    For the sigmoid loss, grad_j f_i(x) - grad_j f_i(y) is a_i[j] times a
-    coefficient difference at most C |a_i^T (x - y)|, with C =
-    ``SIGMOID_CURVATURE_BOUND``, so Q_j = (C^2 / n) sum_i
-    ||a_i[j]||^2_{Lam_j^-1} a_i a_i^T. Over rows a ~ N(0, I/d) its
-    expectation is (C^2 / d^2) (tr(Lam_j^-1) I + 2 Lam_j^-1 on block j's
-    diagonal).
-    """
-    cols = prob.partition.block_slice(j)
-    inv = 1.0 / metric.block(j)
-    if isinstance(prob, StreamingQuadratic):
-        rows_mat = prob.quad[cols]
-        out = rows_mat.T @ (inv[:, None] * rows_mat)
-    elif isinstance(prob, QuadraticFiniteSum):
-        if prob.identical_components:
-            rows_mat = prob.quad[0, cols]
-            out = rows_mat.T @ (inv[:, None] * rows_mat)
-        else:
-            slab = np.ascontiguousarray(prob.quad[:, cols, :])
-            out = np.einsum("nrd,nre->de", slab * inv[None, :, None], slab) / prob.n
-    elif isinstance(prob, SigmoidClassification):
-        weights = prob.rows[:, cols] ** 2 @ inv * (SIGMOID_CURVATURE_BOUND**2 / prob.n)
-        out = prob.rows.T @ (weights[:, None] * prob.rows)
-    elif isinstance(prob, StreamingClassification):
-        diag = np.full(prob.dim, np.sum(inv))
-        diag[cols] += 2.0 * inv
-        out = np.diag(diag * (SIGMOID_CURVATURE_BOUND**2 / prob.dim**2))
-    else:
-        raise TypeError(f"no coupling matrices for {type(prob)!r}")
-    return 0.5 * (out + out.T)
-
-
 def exact_coupling_matrices(prob, metric: DiagonalMetric) -> list[np.ndarray]:
-    return [exact_coupling_matrix(prob, j, metric) for j in range(prob.partition.num_blocks)]
+    return [prob.coupling_matrix(j, metric) for j in range(prob.partition.num_blocks)]
 
 
 def pl_constant(prob: QuadraticFiniteSum, metric: DiagonalMetric) -> float:

@@ -86,10 +86,9 @@ def suite_batch_variance_identity() -> SuiteResult:
             prob = problems.generate_quadratic(
                 seed=900 + idx, n=n, d=d, partition=part, condition_number=4.0, convex=idx % 4 == 0
             )
-            metric = problems.exact_quadratic_metric(prob)
         else:
             prob = problems.generate_classification(seed=900 + idx, n=n, d=d, partition=part)
-            metric = problems.sigmoid_metric(prob)
+        metric = prob.metric()
         x = np.random.default_rng(7000 + idx).standard_normal(d)
         for b in range(1, n + 1):
             for j in range(m):

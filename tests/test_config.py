@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ccdlab.cli import main
-from ccdlab.config import STOCHASTIC, ConfigError, config_to_dict, lambda_mode, parse_config
+from ccdlab.config import STOCHASTIC, ConfigError, config_to_dict, parse_config
 from ccdlab.harness import resolve
 
 MINIMAL_PCCD = """
@@ -311,13 +311,39 @@ def test_lambda_mode_is_an_unknown_key(mode):
 
 
 def test_lambda_mode_follows_from_family_and_values():
-    assert lambda_mode(parse_config("problem.family = sigmoid")) == "sigmoid_bound"
-    assert lambda_mode(parse_config("problem.family = quadratic")) == "exact_quadratic"
+    stream = (
+        "problem.family = streaming\nalgorithm.name = vrccd\nalgorithm.p = 0.5\nalgorithm.b = 4\n"
+    )
+    for text, mode in (
+        ("problem.family = sigmoid", "sigmoid_bound"),
+        ("problem.family = quadratic", "exact_quadratic"),
+        (stream, "exact_quadratic"),
+        (stream + "problem.streaming_family = sigmoid\nlambda.values = 2, 2, 2, 2", "explicit"),
+    ):
+        assert resolve(parse_config(text)).echo()["resolved.lambda_mode"] == mode
     for family in ("quadratic", "sigmoid"):
         text = f"problem.family = {family}\nproblem.m = 2\nlambda.values = 1, 2\n"
         res = resolve(parse_config(text))
         assert res.echo()["resolved.lambda_mode"] == "explicit"
         assert list(res.run.metric.entries) == [1.0] * 8 + [2.0] * 8
+
+
+@pytest.mark.parametrize("reg, code", [("zero", 3), ("l1(0.1)", 3), ("box(-2, 2)", 0)])
+def test_nonconvex_quadratic_needs_a_box(reg, code, tmp_path, capsys):
+    # negative curvature makes the objective unbounded below, and a linear
+    # penalty does not bound it: only a box keeps the checks meaningful
+    text = (
+        "problem.family = quadratic\nproblem.n = 3\nproblem.d = 4\nproblem.m = 2\n"
+        f"problem.convex = false\nproblem.reg = {reg}\nalgorithm.name = pccd\n"
+        "algorithm.K = 30\ndiagnostics.checks = step-telescope\n"
+    )
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert re.findall(r"line (\d+):", err) == ["5"]
+        assert "only on a box" in err
 
 
 def test_eta_bound_enforcement():

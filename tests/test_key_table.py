@@ -1,7 +1,8 @@
 """Every accepted config key changes the run, or the config is rejected.
 
 Exhaustive over ``config.KEYS`` and seven tiny base configs, which cover
-every problem kind, exact and recursive gradients, the finite-sum schedule
+every problem kind (the pccd quadratic boxed, since a nonconvex quadratic
+needs a box), exact and recursive gradients, the finite-sum schedule
 and the step size from the sigmoid coupling constants: each key takes one
 alternative value that passes its own parser and bound. The changed config
 must either be rejected on that key's line, or change the outcome: the exit
@@ -29,9 +30,10 @@ BASES = {
         "problem.family": "quadratic", **_TINY, "algorithm.name": "vrccd",
         "algorithm.schedule": "finite_sum",
     },
+    # boxed, so that problem.convex = false is accepted and takes effect
     "quadratic pccd": {
-        "problem.family": "quadratic", **_TINY, "algorithm.name": "pccd",
-        "diagnostics.checks": "cyclic-descent",
+        "problem.family": "quadratic", **_TINY, "problem.reg": "box(-2, 2)",
+        "algorithm.name": "pccd", "diagnostics.checks": "cyclic-descent",
     },
     "sigmoid pccd": {"problem.family": "sigmoid", **_TINY, "algorithm.name": "pccd"},
     "sigmoid vrccd": {

@@ -8,8 +8,8 @@ from ccdlab.problems import (
     SIGMOID_CURVATURE_BOUND,
     QuadraticFiniteSum,
     SigmoidClassification,
+    StreamingQuadratic,
     estimate_sigma_sq,
-    exact_coupling_matrix,
     exact_metric_scales,
     exact_quadratic_metric,
     generate_classification,
@@ -17,7 +17,6 @@ from ccdlab.problems import (
     generate_streaming_classification,
     generate_streaming_quadratic,
     pl_constant,
-    sigmoid_metric,
 )
 from ccdlab.regularizers import Zero
 from ccdlab.smoothness import SmoothnessProfile
@@ -104,12 +103,12 @@ def test_exact_coupling_projector_example():
     quad = np.eye(d)[None, :, :]
     prob = QuadraticFiniteSum(quad, np.zeros((1, d)), np.zeros(1), part)
     metric = DiagonalMetric.identity(part)
-    q0 = exact_coupling_matrix(prob, 0, metric)
+    q0 = prob.coupling_matrix(0, metric)
     want = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.allclose(q0, want, atol=1e-15)
     # zero curvature gives a zero coupling matrix
     prob0 = QuadraticFiniteSum(np.zeros((1, d, d)), np.zeros((1, d)), np.zeros(1), part)
-    assert np.all(exact_coupling_matrix(prob0, 1, metric) == 0.0)
+    assert np.all(prob0.coupling_matrix(1, metric) == 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -120,7 +119,7 @@ def test_expected_block_deviation_equals_coupling_form(n):
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     for j in range(2):
-        qj = exact_coupling_matrix(prob, j, metric)
+        qj = prob.coupling_matrix(j, metric)
         inv = 1.0 / metric.block(j)
         devs = prob.component_block_grads(j, x) - prob.component_block_grads(j, y)
         lhs = float(np.mean(np.sum(devs * devs * inv, axis=1)))
@@ -134,10 +133,10 @@ def test_sigmoid_block_deviation_is_at_most_the_coupling_form(n, d, m):
     # pairs and far-apart pairs
     part = BlockPartition.even(d, m)
     prob = generate_classification(53 + n, n=n, d=d, partition=part)
-    metric = sigmoid_metric(prob)
+    metric = prob.metric()
     rng = np.random.default_rng(13)
     for j in range(m):
-        qj = exact_coupling_matrix(prob, j, metric)
+        qj = prob.coupling_matrix(j, metric)
         inv = 1.0 / metric.block(j)
         for step in (1e-3, 1.0, 10.0):
             for _ in range(30):
@@ -158,7 +157,7 @@ def test_streaming_sigmoid_coupling_closed_form_matches_monte_carlo():
     for j, cols in enumerate(part.slices):
         weights = rows[:, cols] ** 2 @ (1.0 / metric.block(j)) * SIGMOID_CURVATURE_BOUND**2
         sampled = rows.T @ (weights[:, None] * rows) / len(rows)
-        q = exact_coupling_matrix(prob, j, metric)
+        q = prob.coupling_matrix(j, metric)
         assert np.max(np.abs(sampled - q)) <= 0.03 * np.max(q)
 
 
@@ -167,8 +166,8 @@ def test_sigmoid_sigma_sq_bounds_hold_at_every_point():
     rng = np.random.default_rng(17)
     points = [np.zeros(8)] + [s * rng.standard_normal(8) for s in (1.0, 10.0, 1e3) for _ in range(5)]
     finite = generate_classification(61, n=32, d=8, partition=part)
-    metric = sigmoid_metric(finite)
-    bound = finite.sigma_sq_bound(metric)
+    metric = finite.metric()
+    bound = finite.sigma_sq(metric, None)[0]
     assert all(estimate_sigma_sq(finite, metric, x) <= bound for x in points)
     # a stream's variance, by Monte Carlo: 1e5 drawn rows enumerated as a
     # finite sum; at x = 0, the closest point, it is 0.92 of the bound
@@ -176,7 +175,7 @@ def test_sigmoid_sigma_sq_bounds_hold_at_every_point():
     metric = DiagonalMetric.from_block_scales(part, [2.0, 1.0, 0.5, 3.0])
     batch = stream.draw_batch(np.random.default_rng(19), 100_000)
     sample = SigmoidClassification(batch.rows, batch.labels, part)
-    bound = stream.sigma_sq_bound(metric)
+    bound = stream.sigma_sq(metric, None)[0]
     assert all(estimate_sigma_sq(sample, metric, x) <= bound for x in points)
 
 
@@ -184,7 +183,7 @@ def test_sigmoid_coupling_constants_of_the_golden_instance():
     # the pccd-sigmoid-computed-constants golden config's instance
     part = BlockPartition.even(8, 4)
     prob = generate_classification(7, n=16, d=8, partition=part)
-    metric = sigmoid_metric(prob)
+    metric = prob.metric()
     q_list = problems.exact_coupling_matrices(prob, metric)
     profile = SmoothnessProfile.from_coupling_matrices(metric, q_list)
     assert profile.lip_trailing == pytest.approx(0.470, abs=1e-3)
@@ -197,7 +196,7 @@ def test_block_smoothness_global_inequality():
     part = BlockPartition.even(8, 3)
     quad = generate_quadratic(31, n=4, d=8, partition=part, convex=False)
     sig = generate_classification(37, n=12, d=8, partition=part)
-    for prob, metric in ((quad, exact_quadratic_metric(quad)), (sig, sigmoid_metric(sig))):
+    for prob, metric in ((quad, exact_quadratic_metric(quad)), (sig, sig.metric())):
         rng = np.random.default_rng(11)
         for _ in range(40):
             j = int(rng.integers(part.num_blocks))
@@ -264,7 +263,7 @@ def test_streaming_quadratic_contracts():
     approx = prob.batch_full_grad(big, x)
     assert np.allclose(approx, prob.population_grad(x), atol=0.05)
     metric = exact_quadratic_metric(prob)
-    exact = prob.sigma_sq_bound(metric)
+    exact = prob.sigma_sq(metric, None)[0]
     # the component gradients differ only in their linear terms, so a batch
     # mean of size b deviates from the population gradient by sigma^2 / b
     size = 8
@@ -351,11 +350,15 @@ UNEVEN = [
 
 
 def _strided_coupling(prob, j, metric):
-    """The coupling matrix as computed on the strided block-row view: the
-    oracle the contiguous slab must match bit for bit."""
+    """The coupling matrix as computed on the strided block-row view, and
+    for the streaming quadratic on its one curvature matrix: the oracle the
+    family's ``coupling_matrix`` must match bit for bit."""
     cols = prob.partition.block_slice(j)
     inv = 1.0 / metric.block(j)
-    if prob.identical_components:
+    if isinstance(prob, StreamingQuadratic):
+        rows_mat = prob.quad[cols]
+        out = rows_mat.T @ (inv[:, None] * rows_mat)
+    elif prob.identical_components:
         rows_mat = prob.quad[0, cols]
         out = rows_mat.T @ (inv[:, None] * rows_mat)
     else:
@@ -367,7 +370,10 @@ def _strided_coupling(prob, j, metric):
 def _strided_metric_scales(prob):
     scales = []
     for cols in prob.partition.slices:
-        if prob.identical_components:
+        if isinstance(prob, StreamingQuadratic):
+            sub = prob.quad[cols, cols]
+            msq = sub @ sub
+        elif prob.identical_components:
             sub = prob.quad[0, cols, cols]
             msq = sub @ sub
         else:
@@ -382,17 +388,23 @@ def _strided_metric_scales(prob):
 @pytest.mark.parametrize("n", [1, 2, 256])
 def test_coupling_matrices_match_the_strided_einsum_bitwise(part, n):
     d = part.dim
-    for seed, convex, identical in ((3, True, False), (4, False, False), (5, True, True)):
-        prob = generate_quadratic(
+    instances = [
+        (seed, generate_quadratic(
             seed, n=n, d=d, partition=part, convex=convex, identical_curvature=identical
-        )
+        ))
+        for seed, convex, identical in ((3, True, False), (4, False, False), (5, True, True))
+    ]
+    # a stream has no n: the streaming quadratic is checked once per partition
+    if n == 1:
+        instances.append((6, generate_streaming_quadratic(6, d=d, partition=part)))
+    for seed, prob in instances:
         assert np.array_equal(exact_metric_scales(prob), _strided_metric_scales(prob))
         # a metric that varies within blocks as well as across them
         entries = np.random.default_rng(seed).uniform(0.5, 4.0, size=d)
         for metric in (exact_quadratic_metric(prob), DiagonalMetric(entries, part)):
             for j in range(part.num_blocks):
                 assert np.array_equal(
-                    exact_coupling_matrix(prob, j, metric), _strided_coupling(prob, j, metric)
+                    prob.coupling_matrix(j, metric), _strided_coupling(prob, j, metric)
                 )
 
 
@@ -479,3 +491,51 @@ def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
         assert len(calls) == 1
         for j, cols in enumerate(part.slices):
             assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
+
+
+# -- the premises each family states about itself ---------------------------
+
+PREMISE_PART = BlockPartition((2, 3, 3))
+
+
+def _premise_instances():
+    """(instance, metric_mode, whether its sigma_sq holds at every x)."""
+    part = PREMISE_PART
+    return [
+        (generate_quadratic(71, n=5, d=8, partition=part), "exact_quadratic", False),
+        (
+            generate_quadratic(73, n=5, d=8, partition=part, identical_curvature=True),
+            "exact_quadratic",
+            True,
+        ),
+        (generate_classification(79, n=12, d=8, partition=part), "sigmoid_bound", True),
+        (generate_streaming_quadratic(83, d=8, partition=part), "exact_quadratic", True),
+        (generate_streaming_classification(89, d=8, partition=part), None, True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "index", range(5),
+    ids=["quadratic", "identical-quadratic", "sigmoid", "streaming-quadratic", "streaming-sigmoid"],
+)
+def test_each_family_states_its_premises(index):
+    prob, mode, everywhere = _premise_instances()[index]
+    d = prob.dim
+    assert prob.metric_mode == mode
+    if mode is None:
+        with pytest.raises(ValueError, match="lambda.values"):
+            prob.metric()
+        metric = DiagonalMetric.from_block_scales(PREMISE_PART, [2.0, 1.0, 0.5])
+    else:
+        metric = prob.metric()
+        assert isinstance(metric, DiagonalMetric) and metric.partition == PREMISE_PART
+        assert np.all(metric.entries > 0)
+    for j in range(PREMISE_PART.num_blocks):
+        q = prob.coupling_matrix(j, metric)
+        assert q.shape == (d, d)
+        assert np.array_equal(q, q.T)
+    x0 = np.random.default_rng(97).standard_normal(d)
+    value, holds = prob.sigma_sq(metric, x0)
+    assert holds == everywhere
+    assert isinstance(value, float) and value >= 0.0
+

@@ -74,3 +74,21 @@ def test_traced_entry_points_see_every_cycle(tmp_path, text, cycles):
         tracer.uninstall()
     assert result.exit_code == 0
     assert tracer.counts["algorithms.cycles"] == cycles
+
+
+def test_metric_and_coupling_matrices_record_coupling_spans(tmp_path):
+    # the tracer rebinds problems.exact_quadratic_metric and
+    # problems.exact_coupling_matrices; a vrccd resolve must reach both
+    # through the module, the metric by way of the quadratic's metric()
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        result = run_experiment(parse_config(VRCCD), out_dir=tmp_path, jobs=1)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    resolves = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.resolve"]
+    assert len(resolves) == 1
+    coupling = [span for span in tracer.spans if span[0] == "problems.coupling"]
+    assert len(coupling) == 2 and all(span[3] == resolves[0] for span in coupling)
