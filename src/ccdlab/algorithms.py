@@ -35,10 +35,14 @@ maps each algorithm name to its entry point and the settings it fixes.
   either refreshes the anchor from a size-b batch (probability p) or
   corrects it with a size-b' batch of gradient differences between the
   current point and the matching point of the previous cycle. That point is
-  rebuilt from the two stored full iterates, so memory stays O(d). The
-  switch and the batch are drawn fresh per estimate, or once per cycle and
-  shared by every block (``shared_per_cycle``). At p = 1 the estimator is
-  plain minibatch and no anchor batch is drawn.
+  rebuilt from the two stored full iterates, so memory stays O(d). Each
+  estimate has its own switch and batch, or one switch and batch per cycle
+  are shared by every block (``shared_per_cycle``). Neither depends on the
+  iterate, so after the anchor batch a run draws every switch in one call
+  and then every batch they call for, in the order per-estimate draws would
+  take them: a finite sum draws them all at once, a stream one at a time as
+  its estimates ask. At p = 1 the estimator is plain minibatch and no anchor
+  batch is drawn.
 
 Conventions shared by every run:
 
@@ -72,7 +76,9 @@ from .blocks import DiagonalMetric, weighted_norm_sq
 # metric_prox is not called here: the engine checks its inputs once per run.
 # perfbench/tracing.py still wraps ``algorithms.metric_prox``.
 from .regularizers import Regularizer, metric_prox, total_value
-from .sampling import RngBundle, bernoulli_switch
+# nor is bernoulli_switch, whose draws bernoulli_switches makes in one call;
+# perfbench/tracing.py still wraps ``algorithms.bernoulli_switch``.
+from .sampling import RngBundle, bernoulli_switch, bernoulli_switches
 
 FRESH_PER_BLOCK = "fresh_per_block"
 SHARED_PER_CYCLE = "shared_per_cycle"
@@ -288,6 +294,14 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         if record_u:
             for (j_u, _), anchor, inv in zip(units, anchors, unit_invs):
                 u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
+    # every estimate's switch, then the size-b (refresh) or size-b'
+    # (correction) batch each switch calls for, from the streams in the
+    # order that one switch and one batch per estimate would take them
+    if recursive:
+        count = cfg.cycles * (1 if shared else len(units))
+        refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
+        sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
+        draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
     f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
@@ -313,8 +327,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                 work += prob.n * size
             else:
                 if u == 0 or not shared:
-                    refresh = bernoulli_switch(rngs.switch, cfg.p)
-                    batch = prob.draw_batch(rngs.batch, cfg.b if refresh else cfg.b_prime)
+                    refresh, batch = next(draws)
                 if refresh:
                     g = _grad(prob, j_u, x, batch)
                     work += cfg.b * size

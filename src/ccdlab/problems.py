@@ -85,6 +85,10 @@ class FiniteSumObjective(_Objective):
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
 
+    def draw_batches(self, rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
+        """Consecutive ``draw_batch`` calls, one per size, drawn together."""
+        return sampling.draw_minibatches(rng, self.n, sizes)
+
     # a full batch without replacement is the exact average
     def batch_full_grad(self, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(batch)
@@ -389,6 +393,11 @@ class StreamingObjective(_Objective):
     @property
     def is_finite(self) -> bool:
         return False
+
+    def draw_batches(self, rng, sizes):
+        """Consecutive ``draw_batch`` calls, one per size, each made only
+        when its batch is asked for: a run never holds more than one."""
+        return (self.draw_batch(rng, size) for size in sizes)
 
     def batch_full_grad(self, batch, x) -> np.ndarray:
         return np.concatenate(

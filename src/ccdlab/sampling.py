@@ -48,25 +48,65 @@ class RngBundle:
 
 
 def draw_minibatch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
-    """b distinct indices from range(n), uniform over size-b subsets.
+    """b distinct indices from range(n), uniform over size-b subsets: the
+    one-batch case of :func:`draw_minibatches`. The full batch b == n is
+    returned in natural order without consuming randomness."""
+    return draw_minibatches(rng, n, [b])[0]
 
-    Partial Fisher-Yates shuffle: only the first b slots are settled, and
-    only the slots a swap has touched are stored, in a dict. The full batch
-    b == n is returned in natural order without consuming randomness.
+
+def draw_minibatches(rng: np.random.Generator, n: int, sizes: list[int]) -> list[np.ndarray]:
+    """One minibatch from range(n) per entry of ``sizes``, bitwise equal to
+    consecutive ``draw_minibatch(rng, n, b)`` calls, leaving ``rng`` where
+    they leave it.
+
+    Each batch of size b < n is a partial Fisher-Yates shuffle: step t swaps
+    slot t with slot t + offset_t, offset_t uniform below n - t, and settles
+    slot t. All batches' offsets come from one ``rng.integers`` call over
+    their concatenated bounds, and the swaps are settled together without a
+    loop over steps. Step t takes the index that its target slot holds just
+    before it: that is the index held by the latest earlier step of its batch
+    with the same target, just before that step swapped, or else the target
+    itself. So sorting the steps by (batch, target) links each step to its
+    predecessor, and pointer jumping follows each chain to the index it
+    started from. Memory is O(indices drawn), never O(batches * n).
     """
-    if not 1 <= b <= n:
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    if b == n:
-        return np.arange(n)
-    offsets = rng.integers(np.arange(n, n - b, -1)).tolist()
-    moved = {}  # slot -> the index it now holds, for the slots a swap touched
-    out = []
-    for t, off in enumerate(offsets):
-        s = t + off
-        # swap slots t and s; slot t is settled, slot s keeps slot t's index
-        out.append(moved.get(s, s))
-        moved[s] = moved.get(t, t)
-    return np.array(out)
+    for b in sizes:
+        if not 1 <= b <= n:
+            raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
+    drawn = [b for b in sizes if b < n]
+    pieces = iter(())
+    if drawn:
+        lengths = np.array(drawn)
+        ends = lengths.cumsum()
+        starts = ends - lengths
+        total = int(ends[-1])
+        step = np.arange(total)
+        t = step - starts.repeat(lengths)  # each step's slot in its batch
+        # slot s of the k-th drawn batch has the key k * n + s, so the
+        # batches' slots stay apart when the steps are sorted by target
+        own = t + np.arange(0, n * len(drawn), n).repeat(lengths)
+        offsets = rng.integers(n - t)
+        key = own + offsets  # the target's key
+        order = key.argsort(kind="stable")
+        sorted_key = key[order]
+        # prev: the latest earlier step with the same target, or -1
+        prev = np.full(total, -1)
+        same = sorted_key[1:] == sorted_key[:-1]
+        prev[order[1:][same]] = order[:-1][same]
+        # link: the latest earlier step that targeted this step's own slot,
+        # or the step itself; a step that swaps with itself is the last to
+        # target its own slot, so the search steps back past it
+        last = sorted_key.searchsorted(own, side="right") - 1 - (offsets == 0)
+        link = np.where(sorted_key[last] == own, order[last], step)
+        while True:
+            jumped = link[link]
+            if (jumped == link).all():
+                break
+            link = jumped
+        # t[link]: the index each step's slot held just before that step
+        out = np.where(prev >= 0, t[link][prev], t + offsets)
+        pieces = (out[a:e] for a, e in zip(starts.tolist(), ends.tolist()))
+    return [next(pieces) if b < n else np.arange(n) for b in sizes]
 
 
 def bernoulli_switch(rng: np.random.Generator, p: float) -> bool:
@@ -78,6 +118,15 @@ def bernoulli_switch(rng: np.random.Generator, p: float) -> bool:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
     return bool(rng.random() < p)
+
+
+def bernoulli_switches(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
+    """``count`` refresh switches, bitwise equal to consecutive
+    ``bernoulli_switch(rng, p)`` calls and leaving ``rng`` where they leave
+    it: one uniform draw each, made in one call."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
+    return rng.random(count) < p
 
 
 def variance_factor(n: float, b: int) -> float:

@@ -24,7 +24,7 @@ from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
 from ccdlab.problems import QuadraticFiniteSum, exact_quadratic_metric, generate_quadratic
 from ccdlab.regularizers import L1
-from ccdlab.sampling import RngBundle
+from ccdlab.sampling import RngBundle, bernoulli_switch
 
 PCCD_L1 = """\
 problem.family = quadratic
@@ -99,7 +99,7 @@ class _GatherCounting(np.ndarray):
 
 
 @pytest.mark.parametrize("sharing", [FRESH_PER_BLOCK, SHARED_PER_CYCLE])
-def test_correction_gathers_batch_rows_once(sharing, monkeypatch):
+def test_correction_gathers_batch_rows_once(sharing):
     n, d, m = 24, 12, 3
     prob = generate_quadratic(7, n=n, d=d, partition=BlockPartition.even(d, m))
     metric = exact_quadratic_metric(prob)
@@ -109,19 +109,15 @@ def test_correction_gathers_batch_rows_once(sharing, monkeypatch):
                       sample_sharing=sharing)
     _, reference = vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(3))
 
-    switches = []
-    switch = algorithms.bernoulli_switch
-
-    def recording_switch(rng, p):
-        switches.append(switch(rng, p))
-        return switches[-1]
-
-    monkeypatch.setattr(algorithms, "bernoulli_switch", recording_switch)
     object.__setattr__(prob, "quad", prob.quad.view(_GatherCounting))
     _GatherCounting.gathers = 0
     _, trace = vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(3))
 
+    # the run's switches, read back from a fresh copy of its switch stream:
+    # one per estimate, or one per cycle shared by the m blocks
     per_switch = m if sharing == SHARED_PER_CYCLE else 1
+    switch = RngBundle.from_seed(3).switch
+    switches = [bernoulli_switch(switch, cfg.p) for _ in range(cfg.cycles * m // per_switch)]
     corrections = per_switch * switches.count(False)
     assert 0 < corrections < per_switch * len(switches)
     assert _GatherCounting.gathers == corrections

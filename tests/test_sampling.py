@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from ccdlab.blocks import BlockPartition, DiagonalMetric
@@ -7,7 +9,9 @@ from ccdlab.problems import generate_quadratic
 from ccdlab.sampling import (
     RngBundle,
     bernoulli_switch,
+    bernoulli_switches,
     draw_minibatch,
+    draw_minibatches,
     stream,
     subset_variance_identity,
     variance_factor,
@@ -75,12 +79,59 @@ def test_minibatch_is_the_swap_loop_bitwise(n, b):
         assert rng.integers(2**62) == ref.integers(2**62)
 
 
+@st.composite
+def _bulk_cases(draw):
+    n = draw(st.integers(1, 300))
+    size = st.one_of(st.just(1), st.just(n), st.integers(1, n))
+    sizes = draw(st.lists(size, min_size=1, max_size=12))
+    return n, sizes, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bulk_cases())
+def test_bulk_minibatches_are_consecutive_draws_bitwise(case):
+    n, sizes, seed, spare_half_word = case
+    bulk, single, oracle = (np.random.default_rng(seed) for _ in range(3))
+    if spare_half_word:  # a bounded draw below 2**32 leaves half a 64-bit word spare
+        for rng in (bulk, single, oracle):
+            rng.integers(5)
+    got = draw_minibatches(bulk, n, sizes)
+    assert len(got) == len(sizes)
+    for b, batch in zip(sizes, got):
+        for want in (draw_minibatch(single, n, b), _swap_loop_minibatch(oracle, n, b)):
+            assert batch.dtype == want.dtype and np.array_equal(batch, want)
+    # each leaves the generator where the one-batch calls leave it
+    nxt = bulk.integers(2**62)
+    assert nxt == single.integers(2**62) and nxt == oracle.integers(2**62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([0.0, 0.3, 1.0]),
+       st.booleans())
+def test_bulk_switches_are_consecutive_switches_bitwise(seed, count, p, spare_half_word):
+    bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    if spare_half_word:
+        bulk.integers(5), single.integers(5)
+    got = bernoulli_switches(bulk, p, count)
+    assert got.tolist() == [bernoulli_switch(single, p) for _ in range(count)]
+    assert bulk.integers(2**62) == single.integers(2**62)
+    with pytest.raises(ValueError):
+        bernoulli_switches(bulk, 1.5, count)
+
+
+def test_bulk_minibatches_reject_a_size_outside_1_to_n():
+    for sizes in ([4, 6], [0], [3, -1]):
+        with pytest.raises(ValueError):
+            draw_minibatches(stream(1, "batch"), 5, sizes)
+    assert draw_minibatches(stream(1, "batch"), 5, []) == []
+
+
 def test_single_draw_uniformity_chi_square():
     rng = stream(2024, "batch")
     n, draws = 8, 100_000
-    counts = np.zeros(n)
-    for _ in range(draws):
-        counts[draw_minibatch(rng, n, 1)[0]] += 1
+    # the same indices as `draws` draw_minibatch(rng, n, 1) calls, bitwise
+    firsts = np.concatenate(draw_minibatches(rng, n, [1] * draws))
+    counts = np.bincount(firsts, minlength=n).astype(float)
     expected = draws / n
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     assert statistic < chi2.ppf(1 - 1e-3, df=n - 1)

@@ -92,3 +92,19 @@ def test_metric_and_coupling_matrices_record_coupling_spans(tmp_path):
     assert len(resolves) == 1
     coupling = [span for span in tracer.spans if span[0] == "problems.coupling"]
     assert len(coupling) == 2 and all(span[3] == resolves[0] for span in coupling)
+
+
+def test_anchor_draws_record_sampling_spans(tmp_path):
+    # the tracer rebinds sampling.draw_minibatch; a vrccd run with b < n
+    # draws its anchor batch through it, one call per seed
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        result = run_experiment(parse_config(VRCCD), out_dir=tmp_path, jobs=1)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    draws = [span for span in tracer.spans if span[0] == "sampling.draw"]
+    assert len(draws) >= 1
+    assert tracer.counts["sampling.indices_drawn"] == 4 * len(draws)
