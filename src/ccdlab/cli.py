@@ -43,7 +43,12 @@ def _jobs(tok: str) -> int:
 
 
 def _load_config(path: str, seed: int | None):
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError([(line, f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")])
     cfg = parse_config(text)
     if seed is not None:
         cfg = cfg.with_override("seeds.base", seed)

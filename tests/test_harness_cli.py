@@ -576,6 +576,21 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, line, argv, message):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "algorithm.eta_scale", "--values", "0.5,1"]],
+                         ids=["run", "sweep"])
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(DIVERGING_PCCD.encode() + b"# caf\xe9\n")
+    command, *rest = argv
+    code = main([command, str(cfg_path), *rest, "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+    err = capsys.readouterr().err
+    line = DIVERGING_PCCD.count("\n") + 1
+    assert code == 3
+    assert f"ccdlab: line {line}: {cfg_path} is not UTF-8 text" in err
+    assert "Traceback" not in err and "--values" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def test_bad_run_parameter_rejected_before_any_trace_file(tmp_path, capsys):
     # the run config is built and checked once, when the experiment resolves
     cfg = parse_config(VR_CHECKED).with_override("algorithm.eta", float("nan"))
