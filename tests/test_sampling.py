@@ -111,19 +111,20 @@ def test_bulk_minibatches_are_consecutive_draws_bitwise(case):
 def test_bulk_switches_are_consecutive_switches_bitwise(seed, count, p, spare_half_word):
     bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
     if spare_half_word:
-        bulk.integers(5), single.integers(5)
+        for rng in (bulk, single):
+            rng.integers(5)
     got = bernoulli_switches(bulk, p, count)
     assert got.tolist() == [bernoulli_switch(single, p) for _ in range(count)]
     assert bulk.integers(2**62) == single.integers(2**62)
-    with pytest.raises(ValueError):
-        bernoulli_switches(bulk, 1.5, count)
 
 
-def test_bulk_minibatches_reject_a_size_outside_1_to_n():
+def test_bulk_draws_reject_bad_arguments():
     for sizes in ([4, 6], [0], [3, -1]):
         with pytest.raises(ValueError):
             draw_minibatches(stream(1, "batch"), 5, sizes)
     assert draw_minibatches(stream(1, "batch"), 5, []) == []
+    with pytest.raises(ValueError):
+        bernoulli_switches(stream(1, "switch"), 1.5, 3)
 
 
 def test_single_draw_uniformity_chi_square():
