@@ -1,9 +1,11 @@
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccdlab import checks, harness
@@ -335,6 +337,52 @@ def test_pl_constant_computed_once_per_experiment(tmp_path, monkeypatch, check, 
     result = run_experiment(cfg, out_dir=tmp_path / "out")
     assert {r.name for r in result.reports} == {check}
     assert len(calls) == 1
+
+
+_SMALL = "problem.n = 8\nproblem.d = 6\nproblem.m = 3\n"
+_STREAM = (
+    "problem.family = streaming\nproblem.n = inf\nproblem.d = 6\nproblem.m = 3\n"
+    "algorithm.name = vrccd\nalgorithm.p = 0.5\nalgorithm.b = 4\n"
+)
+
+
+@pytest.mark.parametrize("text, provenance", [
+    (_SMALL, "closed_form"),
+    (_SMALL + "problem.reg = l1(0.1)\n", "high_precision_run"),
+    (_SMALL + "problem.reg = box(-0.5, 0.5)\n", "high_precision_run"),
+    (_SMALL + "problem.convex = false\nproblem.reg = box(-1, 1)\n", "unavailable"),
+    (_SMALL + "problem.family = sigmoid\n", "unavailable"),
+    (_STREAM, "unavailable"),
+    (_STREAM + "problem.streaming_family = sigmoid\nlambda.values = 2, 2, 2\n", "unavailable"),
+], ids=["quadratic-zero", "quadratic-l1", "quadratic-box", "nonconvex-box", "sigmoid",
+        "streaming-quadratic", "streaming-sigmoid"])
+def test_reference_minimum_by_family_and_regularizer(text, provenance):
+    # the closed form when the instance has one, the high-precision solve
+    # when it reaches F*, no reference otherwise
+    res = resolve(parse_config(text))
+    value, got = harness.reference_minimum(res)
+    assert got == provenance
+    if provenance == "closed_form":
+        assert value == res.prob.f_star
+    elif provenance == "high_precision_run":
+        start = res.prob.value(res.run.x0) + res.reg.value(res.run.x0, res.prob.partition)
+        assert value < start
+    else:
+        assert math.isnan(value)
+
+
+@pytest.mark.parametrize("check, algorithm", [
+    ("vr-pl-rate", "algorithm.name = vrccd\nalgorithm.schedule = finite_sum\n"),
+    ("pl-envelope", "algorithm.name = pccd\n"),
+], ids=["vr-pl-rate", "pl-envelope"])
+def test_pl_constant_is_the_smallest_metric_normalized_eigenvalue(check, algorithm):
+    res = resolve(parse_config(
+        f"problem.n = 16\nproblem.d = 8\nproblem.m = 4\n{algorithm}"
+        f"diagnostics.checks = {check}\n"
+    ))
+    inv_rt = 1.0 / res.run.metric.sqrt_entries
+    scaled = inv_rt[:, None] * res.prob.mean_quad * inv_rt[None, :]
+    assert res.mu == float(np.linalg.eigvalsh(scaled)[0])
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

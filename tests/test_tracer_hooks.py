@@ -30,6 +30,11 @@ algorithm.p = 0.5
 algorithm.b = 4
 seeds.count = 4
 """
+# both checks read the reference minimum, which l1 makes a high-precision solve
+PCCD_L1_REFERENCE = PCCD + """
+problem.reg = l1(0.1)
+diagnostics.checks = step-telescope, stationarity-rate
+"""
 # the names that fix an estimator setting run through the same entry point
 SCCD = """
 problem.n = 8
@@ -108,3 +113,24 @@ def test_anchor_draws_record_sampling_spans(tmp_path):
     draws = [span for span in tracer.spans if span[0] == "sampling.draw"]
     assert len(draws) >= 1
     assert tracer.counts["sampling.indices_drawn"] == 4 * len(draws)
+
+
+def test_reference_solve_records_its_metric_and_run_spans(tmp_path):
+    # the tracer rebinds harness.reference_minimum; its solve calibrates the
+    # instance's metric through problems.exact_quadratic_metric and runs
+    # through algorithms.pccd_run, so both spans nest under it
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        result = run_experiment(parse_config(PCCD_L1_REFERENCE), out_dir=tmp_path, jobs=1)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    spans = tracer.spans
+    checks_run = [i for i, span in enumerate(spans) if span[0] == "checks.run"]
+    reference = [i for i, span in enumerate(spans) if span[0] == "harness.reference_min"]
+    assert len(checks_run) == 1 and len(reference) == 1
+    assert spans[reference[0]][3] == checks_run[0]
+    children = sorted(span[0] for span in spans if span[3] == reference[0])
+    assert children == ["algorithms.run", "problems.coupling"]
