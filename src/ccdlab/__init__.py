@@ -14,7 +14,6 @@ from .problems import (
     generate_quadratic,
     generate_streaming_classification,
     generate_streaming_quadratic,
-    pl_constant,
 )
 from .sampling import (
     RngBundle,

@@ -106,14 +106,8 @@ class BoundReport:
 
     def csv_rows(self):
         for r, ok in zip(self.rows, self.verdicts):
-            yield (
-                self.name,
-                "" if r.k is None else r.k,
-                r.lhs,
-                r.rhs,
-                r.slack,
-                "pass" if ok else "fail",
-            )
+            k = "" if r.k is None else r.k
+            yield self.name, k, r.lhs, r.rhs, r.slack, "pass" if ok else "fail"
 
 
 def mean_with_allowance(values: np.ndarray) -> tuple[float, float]:

@@ -166,7 +166,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     p, b, b_prime, sharing = estimator_settings(cfg)
     mu = None
     if any(CHECKS[name].convex_quadratic for name in cfg.diagnostics.checks):
-        mu = problems.pl_constant(prob, metric)
+        mu = prob.pl_constant(metric)
     eta_bound = None
     if method.stochastic:
         # the gradient-dominance rate needs its own (smaller) admissible eta;
@@ -289,17 +289,18 @@ def write_report(reports: list[checks.BoundReport], path_base: Path) -> tuple[Pa
 
 
 def reference_minimum(res: Resolved) -> tuple[float, str]:
-    """F(x*) for the resolved instance: closed form when the regularizer is
-    zero and the quadratic strongly convex; otherwise a high-precision cyclic
-    solve (machine-level stationarity), which upper-bounds the true minimum
-    by a negligible amount; otherwise the best objective seen (advisory).
-    F* belongs to the instance, so the solve takes the instance's exact
-    quadratic metric, not the run's, which may diverge."""
+    """(F*, provenance) for the resolved instance and regularizer: the
+    family's closed form when it has one; else, when the family says it
+    reaches F*, a high-precision cyclic solve (machine-level stationarity),
+    which upper-bounds F* by a negligible amount; else NaN, "unavailable".
+    F* belongs to the instance, so the solve takes the family's own
+    ``metric()``, not the run's, which may diverge."""
     prob, reg = res.prob, res.reg
-    if isinstance(prob, problems.QuadraticFiniteSum) and prob.is_strongly_convex:
-        if isinstance(reg, Zero):
-            return prob.f_star, "closed_form"
-        metric = problems.exact_quadratic_metric(prob)
+    closed = prob.closed_form_minimum(reg)
+    if closed is not None:
+        return closed, "closed_form"
+    if prob.solve_reaches_minimum:
+        metric = prob.metric()
         pcfg = algorithms.RunConfig(cycles=30_000, x0=res.run.x0, metric=metric, stop_step_sq=1e-28)
         _, trace = algorithms.pccd_run(prob, reg, pcfg)
         return float(min(trace.obj)), "high_precision_run"
@@ -311,8 +312,7 @@ class _CheckInputs:
     call and only when a requested check reads it."""
 
     def __init__(self, res: Resolved, traces: list[algorithms.RunTrace]):
-        prob = res.prob
-        self.res, self.traces, self.prob = res, traces, prob
+        self.res, self.traces, self.prob = res, traces, res.prob
         run = res.run
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.lip = res.profile.lip_trailing if res.profile is not None else None
@@ -354,11 +354,11 @@ class _CheckInputs:
         return value, () if everywhere else ("sigma_sq estimated at the start point",)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
-        return np.array(trace.obj) - self.prob.f_star
+        return np.array(trace.obj) - self.reference[0]
 
     @property
     def final_gaps(self) -> np.ndarray:
-        return np.array([t.obj[-1] for t in self.traces]) - self.prob.f_star
+        return np.array([t.obj[-1] for t in self.traces]) - self.reference[0]
 
 
 # check name -> its reports, given the inputs and the conditional tags
@@ -571,21 +571,12 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=".", jobs: int = 1) 
             res, traces, _ = run_traces(cfg.with_override(axis, val), jobs=jobs)
         except RUN_ERRORS as exc:
             raise ValueError(f"{axis} = {_fmt(val)}: {exc}") from exc
-        for trace in traces:
-            rows.append(
-                (
-                    axis,
-                    val,
-                    trace.seed,
-                    trace.obj[-1],
-                    trace.stat_sq[-1],
-                    trace.work[-1],
-                )
-            )
+        rows.extend(
+            f"{axis},{_fmt(val)},{t.seed},{_fmt(t.obj[-1])},{_fmt(t.stat_sq[-1])},{t.work[-1]}"
+            for t in traces
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     lines = ["# ccdlab sweep", f"# axis = {axis}", "axis,value,seed,final_F,final_s,total_work"]
-    for r in rows:
-        lines.append(",".join([r[0], _fmt(r[1]), str(r[2]), _fmt(r[3]), _fmt(r[4]), str(r[5])]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
     return path

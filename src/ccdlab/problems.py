@@ -9,7 +9,10 @@ i.i.d. components from the same families.
 
 Each family states the premises of the analysis as its own methods:
 ``metric()`` (the metric a run takes without ``lambda.values``, named by
-``metric_mode``), ``coupling_matrix(j, metric)`` and ``sigma_sq(metric, x0)``.
+``metric_mode``), ``coupling_matrix(j, metric)`` and ``sigma_sq(metric, x0)``,
+and its reference values: ``closed_form_minimum(reg)`` (F*, or None),
+``solve_reaches_minimum`` (whether a high-precision solve in ``metric()``
+reaches F*) and ``pl_constant(metric)`` (the gradient-dominance mu, or None).
 
 Block gradients go through one per-family kernel that takes an explicit
 coordinate slice. Full-vector gradients are assembled so that each block's
@@ -29,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import BlockPartition, DiagonalMetric
+from .regularizers import Regularizer, Zero
 from . import sampling
 
 SIGMOID_CURVATURE_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
@@ -43,10 +47,19 @@ class _Objective:
 
     partition: BlockPartition
     metric_mode: str | None  # what metric() computes; None when it computes none
+    solve_reaches_minimum = False  # whether a high-precision solve reaches F*
 
     @property
     def dim(self) -> int:
         return self.partition.dim
+
+    def closed_form_minimum(self, reg: Regularizer) -> float | None:
+        """F* = min f + reg in closed form, or None."""
+        return None
+
+    def pl_constant(self, metric: DiagonalMetric) -> float | None:
+        """The gradient-dominance constant mu in ``metric``, or None."""
+        return None
 
     def coupling_matrix(self, j: int, metric: DiagonalMetric) -> np.ndarray:
         """Coupling matrix Q_j for block j: the mean block-gradient deviation
@@ -244,6 +257,21 @@ class QuadraticFiniteSum(FiniteSumObjective):
     @cached_property
     def f_star(self) -> float:
         return self.value(self.x_star)
+
+    def closed_form_minimum(self, reg: Regularizer) -> float | None:
+        return self.f_star if self.is_strongly_convex and isinstance(reg, Zero) else None
+
+    @property
+    def solve_reaches_minimum(self) -> bool:  # type: ignore[override]
+        return self.is_strongly_convex
+
+    def pl_constant(self, metric: DiagonalMetric) -> float:
+        """The smallest eigenvalue of the metric-normalized mean curvature."""
+        if not self.is_strongly_convex:
+            raise ValueError("gradient dominance constant needs a strongly convex instance")
+        inv_rt = 1.0 / metric.sqrt_entries
+        scaled = inv_rt[:, None] * self.mean_quad * inv_rt[None, :]
+        return float(np.linalg.eigvalsh(scaled)[0])
 
     def gap(self, x: np.ndarray) -> float:
         """f(x) - f(x*) evaluated as a quadratic form in x - x*: no cancellation."""
@@ -644,31 +672,18 @@ def exact_metric_scales(prob) -> np.ndarray:
     for j in range(prob.partition.num_blocks):
         msq = prob._curvature_sq(prob.partition.block_slice(j))
         top = float(np.linalg.eigvalsh(msq)[-1])
-        scales[j] = math.sqrt(max(top, 0.0)) * _SCALE_PAD
-        if scales[j] <= 0:
-            scales[j] = 1e-12
+        scales[j] = math.sqrt(max(top, 0.0)) * _SCALE_PAD or 1e-12
     return scales
 
 
-# a quadratic's metric() and the harness reach these two as module globals,
-# so that a profiler may rebind them here
+# a quadratic's metric() reaches the first and the harness the second as a
+# module global, so that a profiler may rebind them here
 def exact_quadratic_metric(prob) -> DiagonalMetric:
     return DiagonalMetric.from_block_scales(prob.partition, exact_metric_scales(prob))
 
 
 def exact_coupling_matrices(prob, metric: DiagonalMetric) -> list[np.ndarray]:
     return [prob.coupling_matrix(j, metric) for j in range(prob.partition.num_blocks)]
-
-
-def pl_constant(prob: QuadraticFiniteSum, metric: DiagonalMetric) -> float:
-    """Gradient-dominance constant of an unregularized strongly convex
-    quadratic under the given metric: the smallest eigenvalue of the
-    metric-normalized mean curvature."""
-    if not prob.is_strongly_convex:
-        raise ValueError("gradient dominance constant needs a strongly convex instance")
-    inv_rt = 1.0 / metric.sqrt_entries
-    scaled = inv_rt[:, None] * prob.mean_quad * inv_rt[None, :]
-    return float(np.linalg.eigvalsh(scaled)[0])
 
 
 def estimate_sigma_sq(prob: FiniteSumObjective, metric: DiagonalMetric, x) -> float:

@@ -25,7 +25,6 @@ from ccdlab.problems import (
     exact_coupling_matrices,
     exact_quadratic_metric,
     generate_quadratic,
-    pl_constant,
 )
 from ccdlab.regularizers import L1, Zero
 from ccdlab.sampling import RngBundle
@@ -134,7 +133,7 @@ def test_potential_collapses_to_objective_at_p_one():
 
 def test_vr_pl_rate_deterministic():
     prob, metric, profile = _setup(233, identical=True)
-    mu = pl_constant(prob, metric)
+    mu = prob.pl_constant(metric)
     eta = step_size(profile, 1.0, prob.n, prob.n, prob.n, mu=mu)
     x0 = np.random.default_rng(4).standard_normal(prob.dim)
     cfg = RunConfig(

@@ -19,7 +19,7 @@ from ccdlab.harness import (
     run_seed,
     sweep,
 )
-from ccdlab.problems import pl_constant
+from ccdlab.problems import QuadraticFiniteSum
 
 VR_CHECKED = """
 problem.family = quadratic
@@ -324,12 +324,13 @@ def test_pool_resolves_once(tmp_path, monkeypatch):
 def test_pl_constant_computed_once_per_experiment(tmp_path, monkeypatch, check, algorithm):
     # resolve computes the PL constant; the step size and the check read it
     calls = []
+    family_pl_constant = QuadraticFiniteSum.pl_constant
 
     def counting_pl_constant(prob, metric):
         calls.append(prob)
-        return pl_constant(prob, metric)
+        return family_pl_constant(prob, metric)
 
-    monkeypatch.setattr(harness.problems, "pl_constant", counting_pl_constant)
+    monkeypatch.setattr(QuadraticFiniteSum, "pl_constant", counting_pl_constant)
     cfg = parse_config(
         "problem.n = 16\nproblem.d = 8\nproblem.m = 4\nalgorithm.K = 10\n"
         f"{algorithm}seeds.count = 2\ndiagnostics.checks = {check}\n"

@@ -16,9 +16,8 @@ from ccdlab.problems import (
     generate_quadratic,
     generate_streaming_classification,
     generate_streaming_quadratic,
-    pl_constant,
 )
-from ccdlab.regularizers import Zero
+from ccdlab.regularizers import L1, Zero
 from ccdlab.smoothness import SmoothnessProfile
 
 PART = BlockPartition.even(8, 3)
@@ -240,7 +239,7 @@ def test_pl_constant_identity_case():
     eigs = np.array([0.5, 2.0, 4.0])
     quad = np.diag(eigs)[None, :, :]
     prob = QuadraticFiniteSum(quad, np.zeros((1, 3)), np.zeros(1), part)
-    assert pl_constant(prob, DiagonalMetric.identity(part)) == pytest.approx(0.5, rel=1e-12)
+    assert prob.pl_constant(DiagonalMetric.identity(part)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_gap_has_no_cancellation():
@@ -539,3 +538,28 @@ def test_each_family_states_its_premises(index):
     assert holds == everywhere
     assert isinstance(value, float) and value >= 0.0
 
+
+
+def test_reference_values_of_each_family():
+    # only a strongly convex quadratic states F* and mu; the other families
+    # take the defaults, and a nonconvex quadratic raises for mu
+    convex = generate_quadratic(44, n=3, d=8, partition=PART)
+    metric = exact_quadratic_metric(convex)
+    assert convex.closed_form_minimum(Zero()) == convex.f_star
+    assert convex.closed_form_minimum(L1(0.1)) is None
+    assert convex.solve_reaches_minimum
+    assert convex.pl_constant(metric) > 0
+    nonconvex = generate_quadratic(44, n=3, d=8, partition=PART, convex=False)
+    assert nonconvex.closed_form_minimum(Zero()) is None
+    assert not nonconvex.solve_reaches_minimum
+    with pytest.raises(ValueError, match="strongly convex"):
+        nonconvex.pl_constant(metric)
+    others = (
+        generate_classification(44, n=5, d=8, partition=PART),
+        generate_streaming_quadratic(44, d=8, partition=PART),
+        generate_streaming_classification(44, d=8, partition=PART),
+    )
+    for prob in others:
+        assert prob.closed_form_minimum(Zero()) is None
+        assert not prob.solve_reaches_minimum
+        assert prob.pl_constant(metric) is None
