@@ -498,27 +498,36 @@ PREMISE_PART = BlockPartition((2, 3, 3))
 
 
 def _premise_instances():
-    """(instance, metric_mode, whether its sigma_sq holds at every x)."""
+    """(instance, metric_mode, whether its sigma_sq holds at every x, whether
+    it states F* and mu: True, False, or "raises" for mu)."""
     part = PREMISE_PART
     return [
-        (generate_quadratic(71, n=5, d=8, partition=part), "exact_quadratic", False),
+        (generate_quadratic(71, n=5, d=8, partition=part), "exact_quadratic", False, True),
         (
             generate_quadratic(73, n=5, d=8, partition=part, identical_curvature=True),
             "exact_quadratic",
             True,
+            True,
         ),
-        (generate_classification(79, n=12, d=8, partition=part), "sigmoid_bound", True),
-        (generate_streaming_quadratic(83, d=8, partition=part), "exact_quadratic", True),
-        (generate_streaming_classification(89, d=8, partition=part), None, True),
+        (
+            generate_quadratic(75, n=5, d=8, partition=part, convex=False),
+            "exact_quadratic",
+            False,
+            "raises",
+        ),
+        (generate_classification(79, n=12, d=8, partition=part), "sigmoid_bound", True, False),
+        (generate_streaming_quadratic(83, d=8, partition=part), "exact_quadratic", True, False),
+        (generate_streaming_classification(89, d=8, partition=part), None, True, False),
     ]
 
 
 @pytest.mark.parametrize(
-    "index", range(5),
-    ids=["quadratic", "identical-quadratic", "sigmoid", "streaming-quadratic", "streaming-sigmoid"],
+    "index", range(6),
+    ids=["quadratic", "identical-quadratic", "nonconvex-quadratic", "sigmoid",
+         "streaming-quadratic", "streaming-sigmoid"],
 )
 def test_each_family_states_its_premises(index):
-    prob, mode, everywhere = _premise_instances()[index]
+    prob, mode, everywhere, reference = _premise_instances()[index]
     d = prob.dim
     assert prob.metric_mode == mode
     if mode is None:
@@ -537,29 +546,16 @@ def test_each_family_states_its_premises(index):
     value, holds = prob.sigma_sq(metric, x0)
     assert holds == everywhere
     assert isinstance(value, float) and value >= 0.0
-
-
-
-def test_reference_values_of_each_family():
-    # only a strongly convex quadratic states F* and mu; the other families
-    # take the defaults, and a nonconvex quadratic raises for mu
-    convex = generate_quadratic(44, n=3, d=8, partition=PART)
-    metric = exact_quadratic_metric(convex)
-    assert convex.closed_form_minimum(Zero()) == convex.f_star
-    assert convex.closed_form_minimum(L1(0.1)) is None
-    assert convex.solve_reaches_minimum
-    assert convex.pl_constant(metric) > 0
-    nonconvex = generate_quadratic(44, n=3, d=8, partition=PART, convex=False)
-    assert nonconvex.closed_form_minimum(Zero()) is None
-    assert not nonconvex.solve_reaches_minimum
-    with pytest.raises(ValueError, match="strongly convex"):
-        nonconvex.pl_constant(metric)
-    others = (
-        generate_classification(44, n=5, d=8, partition=PART),
-        generate_streaming_quadratic(44, d=8, partition=PART),
-        generate_streaming_classification(44, d=8, partition=PART),
-    )
-    for prob in others:
-        assert prob.closed_form_minimum(Zero()) is None
-        assert not prob.solve_reaches_minimum
+    # F* in closed form only without a regularizer; a solve reaches it with one
+    assert prob.solve_reaches_minimum == (reference is True)
+    assert prob.closed_form_minimum(L1(0.1)) is None
+    if reference is True:
+        assert prob.closed_form_minimum(Zero()) == prob.f_star
+        assert prob.pl_constant(metric) > 0.0
+        return
+    assert prob.closed_form_minimum(Zero()) is None
+    if reference == "raises":
+        with pytest.raises(ValueError, match="strongly convex"):
+            prob.pl_constant(metric)
+    else:
         assert prob.pl_constant(metric) is None
