@@ -6,7 +6,9 @@ config for each check input the others leave out: the gradient-dominance
 checks, pccd on a sigmoid problem under the sigmoid_bound metric and its
 coupling constants computed from the loss, with a best-observed reference,
 shared-batch sampling, the deterministic (p = 1, b = n) and pathwise forms,
-a supplied ``sigma_sq`` and the exact streaming ``sigma_sq``. The test
+a supplied ``sigma_sq`` and the exact streaming ``sigma_sq``. Three more
+run pccd, prox_gd and vrccd (shared batches, anchor errors) on an uneven
+partition, blocks (3, 3, 2, 2), whose equal-size blocks form two runs. The test
 hashes every trace and report file and compares the SHA-256 digests, and the
 exit code, with the stored record in ``golden_traces.json``. Float results
 depend on the numpy build and the BLAS kernels, so the record carries the
@@ -47,6 +49,9 @@ seeds.base = 5
 output.trace_path = traces
 output.report_path = report
 """
+
+# d = 10 over m = 4 blocks: sizes (3, 3, 2, 2), two runs of equal-size blocks
+_UNEVEN = _QUAD.replace("problem.d = 8", "problem.d = 10")
 
 CONFIGS = {
     "pccd": _QUAD + """\
@@ -116,6 +121,30 @@ algorithm.bprime = 3
 seeds.count = 2
 diagnostics.record_u = true
 diagnostics.checks = vr-descent, vr-grad-vs-step, vr-potential
+""",
+    "pccd-uneven": _UNEVEN + """\
+problem.reg = l1(0.1)
+algorithm.name = pccd
+algorithm.K = 20
+diagnostics.checks = cyclic-descent, step-telescope, grad-vs-step, stationarity-rate
+""",
+    "prox_gd-uneven-box": _UNEVEN + """\
+problem.reg = box(-0.5, 0.5)
+algorithm.name = prox_gd
+algorithm.K = 20
+diagnostics.checks = cyclic-descent, step-telescope
+""",
+    "vrccd-uneven-shared-record-u": _UNEVEN + """\
+problem.reg = zero
+algorithm.name = vrccd
+algorithm.K = 15
+algorithm.p = 0.3
+algorithm.b = 8
+algorithm.bprime = 3
+algorithm.sample_sharing = shared_per_cycle
+seeds.count = 2
+diagnostics.record_u = true
+diagnostics.checks = vr-descent, vr-grad-vs-step, vr-rate
 """,
     "pccd-pl-envelope": _QUAD + """\
 algorithm.name = pccd
