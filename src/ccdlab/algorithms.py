@@ -23,12 +23,13 @@ maps each algorithm name to its entry point and the settings it fixes.
 * **Update order.** The cyclic order estimates block j's gradient at the
   intermediate point just before block j is updated. The simultaneous order
   estimates the whole gradient once per cycle. Each estimate unit (a block,
-  or the whole vector) then makes one prox call from x_{k-1} over its own
+  or the whole vector) then takes one prox step from x_{k-1} over its own
   coordinates and writes them in place; every regularizer here is
-  coordinate-wise, so one whole-vector call equals the per-block calls. The
+  coordinate-wise, so one whole-vector step equals the per-block steps. The
   prox residuals and the per-cycle sums over them (v_k, s_k and the
   intermediate-gradient residual) are computed once the cycle's last unit
-  has stepped.
+  has stepped, all three from one stacked matmul per run of equal-size
+  blocks.
 * **Gradient estimator.** Exact without an ``RngBundle``; with one, the
   recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
   per estimate (per block, or one for the whole vector). Each estimate
@@ -43,6 +44,16 @@ maps each algorithm name to its entry point and the settings it fixes.
   take them: a finite sum draws them all at once, a stream one at a time as
   its estimates ask. At p = 1 the estimator is plain minibatch and no anchor
   batch is drawn.
+
+Before cycle 1 the engine builds a *step plan*, one entry per estimate unit:
+the family's exact-gradient kernel bound to the unit's rows
+(``block_kernel``), the regularizer's prox step bound to eta and the unit's
+metric block (``prox_step``, which computes L1's threshold once), and fixed
+views of x, of every unit's estimate and of two buffers that hold x_{k-1}
+and x_{k-2} in turn. A block step is then one kernel call writing the
+estimate in place and one prox step writing x in place. The public
+``block_grad`` and ``prox`` build the same kernel and step and call them
+once, so both paths round alike, bit for bit.
 
 Conventions shared by every run:
 
@@ -69,11 +80,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import DiagonalMetric, weighted_norm_sq
-# metric_prox is not called here: the engine checks its inputs once per run.
+# metric_prox is not called here, nor is Regularizer.prox: the engine checks
+# its inputs once per run and steps through each unit's bound prox_step.
 # perfbench/tracing.py still wraps ``algorithms.metric_prox``.
 from .regularizers import Regularizer, metric_prox, total_value
 # nor is bernoulli_switch, whose draws bernoulli_switches makes in one call;
@@ -171,17 +184,31 @@ class RunConfig:
             raise ValueError("a run needs a metric")
 
 
-def _block_norms_sum(v, weights, runs) -> float:
-    """The sum over blocks of ``weighted_norm_sq(v_j, weights_j)``, bit for
-    bit: per run of equal-size blocks one stacked matmul makes each block's
-    dot as ``np.dot`` does, and the dots are added left to right."""
-    sq = v * v
-    total = 0.0
-    for s, e, c, w in runs:
-        dots = np.matmul(weights[s:e].reshape(c, 1, w), sq[s:e].reshape(c, w, 1))
-        for dot in dots.reshape(-1).tolist():
-            total += dot
-    return total
+def _run_views(sq, weights, runs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per run of equal-size blocks, the stacked views that
+    ``_block_norms_sums`` multiplies: ``weights`` (q, d) as (q, c, 1, w) and
+    the squares ``sq`` (q, d) as (q, c, w, 1)."""
+    q = sq.shape[0]
+    return [(weights[:, s:e].reshape(q, c, 1, w), sq[:, s:e].reshape(q, c, w, 1))
+            for s, e, c, w in runs]
+
+
+def _block_norms_sums(run_views) -> list[float]:
+    """Per row r of the stacked squares, the sum over blocks of
+    ``weighted_norm_sq`` against row r of the weights, bit for bit: per run
+    of equal-size blocks one stacked matmul makes each block's dot as
+    ``np.dot`` does, and each row's dots are added left to right."""
+    totals = None
+    for w_run, sq_run in run_views:
+        rows = np.matmul(w_run, sq_run).reshape(len(w_run), -1).tolist()
+        if totals is None:
+            totals = [0.0] * len(rows)
+        for r, row in enumerate(rows):
+            total = totals[r]
+            for dot in row:
+                total += dot
+            totals[r] = total
+    return totals
 
 
 def _objective(prob, reg, x) -> float:
@@ -218,13 +245,27 @@ def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=N
     return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs, row_sink=row_sink)
 
 
-def _grad(prob, j, x, batch=None):
-    """Gradient of block j, or of the whole vector when j is None; exact
-    unless a batch is given. Whole-vector estimates go through the
-    problem's full-vector methods, so they round as those do."""
-    if batch is None:
-        return prob.full_grad(x) if j is None else prob.block_grad(j, x)
-    return prob.batch_full_grad(batch, x) if j is None else prob.batch_block_grad(batch, j, x)
+def _exact_kernel(prob, j):
+    """The exact gradient of block j bound to its rows, or of the whole
+    vector when j is None, as ``kernel(x, out)`` writing into ``out``."""
+    if j is not None:
+        return prob.block_kernel(j)
+    return lambda x, out: np.copyto(out, prob.full_grad(x))
+
+
+class _Unit(NamedTuple):
+    """One estimate unit of the step plan, built once per run."""
+
+    j: int | None  # its block, or None for the whole vector
+    cols: slice
+    size: int
+    kernel: object  # its exact gradient, bound to its rows; None if never read
+    step: object  # the prox step, bound to eta and its metric block
+    inv: np.ndarray  # its inverse metric block
+    x: np.ndarray  # views of x, est and mids over cols
+    est: np.ndarray
+    mid: np.ndarray | None
+    centers: tuple  # its views of the two rotating previous iterates
 
 
 # a diverging run is reported by the F and v_k checks, not by numpy warnings
@@ -260,15 +301,31 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             f"the problem partition {part.block_sizes}"
         )
 
-    # the block plan, built once: an estimate unit is (block or None, its
-    # coordinates), and its prox takes the metric over those coordinates
-    if cyclic:
-        units = list(enumerate(part.slices))
-    else:
-        units = [(None, slice(0, d))]
-    unit_lams = [cfg.metric.entries[cols] for _, cols in units]
-    unit_invs = [1.0 / lam for lam in unit_lams]
+    # the step plan, built once: per estimate unit (a block, or the whole
+    # vector), its exact-gradient kernel and prox step, bound to its rows and
+    # metric block, and fixed views of x, est (every unit's g), mids (exact
+    # intermediate gradients) and the two rotating buffers that hold x_{k-1}
+    # and x_{k-2} in turn
+    est = np.empty(d)
+    mids = np.empty(d) if record_u else None
+    prevs = (x.copy(), x.copy())
+    exact = not recursive or record_u
+    plan = [
+        _Unit(j, cols, cols.stop - cols.start,
+              _exact_kernel(prob, j) if exact else None,
+              reg.prox_step(cfg.eta, cfg.metric.entries[cols]),
+              cfg.metric.inv_entries[cols], x[cols], est[cols],
+              None if mids is None else mids[cols], (prevs[0][cols], prevs[1][cols]))
+        for j, cols in (enumerate(part.slices) if cyclic else [(None, slice(0, d))])
+    ]
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
+    eta = cfg.eta
+    scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
+    # the squares behind v_k, s_k and (cyclic, with record_u) the intermediate
+    # residual, one row each, and the weights of each row
+    diag_rows = 3 if record_u and cyclic else 2
+    sq = np.zeros((diag_rows, d))
+    sq_runs = _run_views(sq, np.stack([lam_k] + [inv_k] * (diag_rows - 1)), part.runs)
 
     k_out = None
     trace = RunTrace(seed=None if rngs is None else rngs.seed)
@@ -284,21 +341,23 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     # SGD), so no anchor batch is drawn, u_0 stays unrecorded, and the
     # streams line up with the SGD baseline under a shared seed
     work = 0
-    anchors = [None] * len(units)
+    exact_work = None if recursive else prob.n * d  # each cycle's, summed over its units
+    anchors = [None] * len(plan)
     anchored = recursive and cfg.p < 1.0
     u0 = 0.0 if record_u and (anchored or not recursive) else None
     if anchored:
         g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
-        anchors = [np.array(g_init[cols]) for _, cols in units]
+        anchors = [np.array(g_init[unit.cols]) for unit in plan]
         work = cfg.b * d
         if record_u:
-            for (j_u, _), anchor, inv in zip(units, anchors, unit_invs):
-                u0 += weighted_norm_sq(anchor - _grad(prob, j_u, x), inv)
+            for unit, anchor in zip(plan, anchors):
+                unit.kernel(x, unit.mid)
+                u0 += weighted_norm_sq(anchor - unit.mid, unit.inv)
     # every estimate's switch, then the size-b (refresh) or size-b'
     # (correction) batch each switch calls for, from the streams in the
     # order that one switch and one batch per estimate would take them
     if recursive:
-        count = cfg.cycles * (1 if shared else len(units))
+        count = cfg.cycles * (1 if shared else len(plan))
         refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
         sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
         draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
@@ -309,27 +368,31 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
 
     # per cycle, each unit only estimates g, takes its prox step from x_{k-1}
     # and writes its coordinates: a block is not written before its own
-    # step, so x_prev[cols] is its center in either order. The residuals and
-    # the per-cycle sums over them are taken once the cycle ends.
-    est = np.empty(d)  # every unit's g
-    mids = np.empty(d) if record_u and cyclic else None  # exact intermediate gradients
-    x_prev = x.copy()
-    x_prev2 = x.copy()
+    # step, so x_{k-1} over its coordinates is its center in either order.
+    # The residuals and the per-cycle sums over them are taken once the
+    # cycle ends.
     best_v, best_x = math.inf, x.copy()
     x_hat = None
     for k in range(1, cfg.cycles + 1):
         t_iter = time.perf_counter_ns()
         u_k = 0.0 if record_u else None
-        for u, (j_u, cols) in enumerate(units):
-            size = cols.stop - cols.start
+        cur = (k - 1) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
+        x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
+        if not recursive:
+            work += exact_work
+        for u, (j_u, cols, size, kernel, step, inv, x_u, est_u, mid_u, centers) in enumerate(plan):
             if not recursive:
-                g = _grad(prob, j_u, x)
-                work += prob.n * size
+                kernel(x, est_u)
             else:
                 if u == 0 or not shared:
                     refresh, batch = next(draws)
                 if refresh:
-                    g = _grad(prob, j_u, x, batch)
+                    # whole-vector estimates take the full-vector methods, so
+                    # they round as those do
+                    if j_u is None:
+                        g = prob.batch_full_grad(batch, x)
+                    else:
+                        g = prob.batch_block_grad(batch, j_u, x)
                     work += cfg.b * size
                 else:
                     # the matching point of the previous cycle
@@ -342,19 +405,27 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
                     g = anchors[u] + (g_x - g_old)
                     work += cfg.b_prime * size
                 anchors[u] = g
+                est_u[...] = g
             if record_u:
-                grad_mid = _grad(prob, j_u, x)
-                u_k += weighted_norm_sq(g - grad_mid, unit_invs[u])
-                if mids is not None:
-                    mids[cols] = grad_mid
-            est[cols] = g
-            x[cols] = reg.prox(j_u, x_prev[cols], g, cfg.eta, unit_lams[u])
+                kernel(x, mid_u)
+                u_k += weighted_norm_sq(est_u - mid_u, inv)
+            step(centers[cur], est_u, x_u)
 
-        resid = lam_k * (x_prev - x) / cfg.eta - est
-        v_k = _block_norms_sum(x - x_prev, lam_k, part.runs)
-        mid_k = None if mids is None else _block_norms_sum(mids + resid, inv_k, part.runs)
+        resid = lam_k * (x_prev - x)
+        if scaled:
+            resid /= eta
+        resid -= est
+        np.subtract(x, x_prev, out=sq[0])
         f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        s_k = None if grad_end is None else _block_norms_sum(grad_end + resid, inv_k, part.runs)
+        if grad_end is not None:
+            np.add(grad_end, resid, out=sq[1])
+        if diag_rows == 3:
+            np.add(mids, resid, out=sq[2])
+        np.multiply(sq, sq, out=sq)
+        sums = _block_norms_sums(sq_runs)
+        v_k = sums[0]
+        s_k = None if grad_end is None else sums[1]
+        mid_k = sums[2] if diag_rows == 3 else None
         if f_k is not None and not math.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
         if f_k is None and not math.isfinite(v_k):
@@ -366,8 +437,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             x_hat = x.copy()
         if cfg.keep_iterates:
             trace.iterates.append(x.copy())
-        x_prev2 = x_prev
-        x_prev = x.copy()
+        np.copyto(x_prev2, x)  # the next cycle's x_{k-1}
         trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
         if row_sink is not None:
             row_sink(trace)

@@ -31,7 +31,7 @@ import concurrent.futures
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -309,10 +309,12 @@ def reference_minimum(res: Resolved) -> tuple[float, str]:
 
 class _CheckInputs:
     """What the checks read, each computed at most once per ``run_checks``
-    call and only when a requested check reads it."""
+    call and only when a requested check reads it. ``reference`` returns the
+    reference minimum; by default it calls ``reference_minimum``."""
 
-    def __init__(self, res: Resolved, traces: list[algorithms.RunTrace]):
+    def __init__(self, res: Resolved, traces: list[algorithms.RunTrace], reference=None):
         self.res, self.traces, self.prob = res, traces, res.prob
+        self._reference = reference or (lambda: reference_minimum(res))
         run = res.run
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.lip = res.profile.lip_trailing if res.profile is not None else None
@@ -320,7 +322,7 @@ class _CheckInputs:
 
     @cached_property
     def reference(self) -> tuple[float, str]:
-        return reference_minimum(self.res)
+        return self._reference()
 
     @property
     def no_reference(self) -> bool:
@@ -392,14 +394,18 @@ _RUN_CHECK = {
 }
 
 
-def run_checks(res: Resolved, traces: list[algorithms.RunTrace]) -> list[checks.BoundReport]:
+def run_checks(
+    res: Resolved, traces: list[algorithms.RunTrace], reference=None
+) -> list[checks.BoundReport]:
     """The reports of every requested check, in the order requested.
 
     ``config.validate`` has already rejected each check the run cannot
     feed, so this only computes inputs; the conditional tags are the run's,
-    then the ones ``config.CHECKS`` implies for the check.
+    then the ones ``config.CHECKS`` implies for the check. ``reference``,
+    when given, returns the instance's reference minimum in place of a
+    ``reference_minimum`` call.
     """
-    inputs = _CheckInputs(res, traces)
+    inputs = _CheckInputs(res, traces, reference)
     shared = res.run.sample_sharing == algorithms.SHARED_PER_CYCLE
     reports: list[checks.BoundReport] = []
     for name in res.cfg.diagnostics.checks:
@@ -516,8 +522,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, [], None, None, [], [])
 
+    # F* belongs to the instance, which the escalation keeps: one solve serves both
+    reference = cache(lambda: reference_minimum(res))
     try:
-        reports = run_checks(res, traces)
+        reports = run_checks(res, traces, reference)
     except (ConfigError, ValueError) as exc:
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, trace_paths, None, None, [], traces)
@@ -532,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
             # only the seed count changes, so the instance is not resolved again
             cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=cfg.seeds.count * 4))
             res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=replace(res, cfg=cfg4))
-            reports = run_checks(res_esc, traces_esc)
+            reports = run_checks(res_esc, traces_esc, reference)
         except RUN_ERRORS as exc:
             print(f"ccdlab: error during escalation: {exc}", file=sys.stderr)
             return ExperimentResult(3, trace_paths, None, None, reports, traces)

@@ -14,12 +14,15 @@ and its reference values: ``closed_form_minimum(reg)`` (F*, or None),
 ``solve_reaches_minimum`` (whether a high-precision solve in ``metric()``
 reaches F*) and ``pl_constant(metric)`` (the gradient-dominance mu, or None).
 
-Block gradients go through one per-family kernel that takes an explicit
-coordinate slice. Full-vector gradients are assembled so that each block's
-slice stays bitwise equal to that kernel's output: the quadratic family makes
-one stacked matmul per run of equal-size blocks, which calls the same
-per-slice product the block kernel does. Algorithm equivalences that promise
-bitwise-equal trajectories rely on this.
+Exact block gradients go through one per-family kernel, ``block_kernel(j)``:
+block j's gradient as a function of x, bound once to the block's rows, that
+writes into a caller's buffer when given one. ``block_grad`` builds it and
+calls it once; the cycle engine builds one per block per run. Full-vector
+gradients are assembled so that each block's slice stays bitwise equal to
+that kernel's output: the quadratic family makes one stacked matmul per run
+of equal-size blocks, which calls the same per-slice product the block
+kernel does. Algorithm equivalences that promise bitwise-equal trajectories
+rely on this.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class _Objective:
 
 class FiniteSumObjective(_Objective):
     """Shared finite-sum plumbing. Each family implements ``full_grad``,
-    ``_rows_grad``, ``_batch_rows_grad``, ``value``, ``component_value``, and
+    ``_rows_kernel``, ``_batch_rows_grad``, ``value``, ``component_value``, and
     the stacks of per-component gradients ``component_block_grads`` (one
     block) and ``component_block_grads_full``. The j-th slice of
     ``full_grad(x)`` is bit-identical to ``block_grad(j, x)``; every
@@ -90,7 +93,12 @@ class FiniteSumObjective(_Objective):
         return True
 
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self._rows_grad(self.partition.slices[j], x)
+        return self.block_kernel(j)(x)
+
+    def block_kernel(self, j: int):
+        """Block j's exact gradient bound to the block's rows, as
+        ``kernel(x, out=None)``; with ``out`` it writes there."""
+        return self._rows_kernel(self.partition.slices[j])
 
     def component_block_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.component_block_grads(j, x)[i]
@@ -116,10 +124,9 @@ class FiniteSumObjective(_Objective):
 
     def batch_block_grad(self, batch: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(batch)
-        cols = self.partition.slices[j]
         if idx.shape[0] == self.n:
-            return self._rows_grad(cols, x)
-        return self._batch_rows_grad(idx, cols, x)
+            return self.block_grad(j, x)
+        return self._batch_rows_grad(idx, self.partition.slices[j], x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +192,15 @@ class QuadraticFiniteSum(FiniteSumObjective):
         g += self.mean_lin
         return g
 
-    def _rows_grad(self, cols, x):
-        return self.mean_quad[cols] @ x + self.mean_lin[cols]
+    def _rows_kernel(self, cols):
+        quad, lin = self.mean_quad[cols], self.mean_lin[cols]
+
+        def kernel(x, out=None):
+            out = np.matmul(quad, x, out=out)
+            out += lin
+            return out
+
+        return kernel
 
     def _batch_rows_grad(self, idx, cols, x):
         # add.reduce then divide by the count is what mean does, without
@@ -313,8 +327,11 @@ class SigmoidClassification(FiniteSumObjective):
     def full_grad(self, x):
         return _sigmoid_grad(self.rows, self.labels, self.partition.slices, x)
 
-    def _rows_grad(self, cols, x):
-        return _sigmoid_rows_grad(self.rows, self.labels, cols, x)
+    def _rows_kernel(self, cols):
+        def kernel(x, out=None):
+            return _sigmoid_rows_grad(self.rows, self.labels, cols, x, out)
+
+        return kernel
 
     def _batch_rows_grad(self, idx, cols, x):
         return _sigmoid_rows_grad(self.rows[idx], self.labels[idx], cols, x)
@@ -374,9 +391,9 @@ def _sigmoid_coeffs(rows, labels, x):
     return -expit(z) * expit(-z) * labels
 
 
-def _sigmoid_rows_grad(rows, labels, cols, x):
+def _sigmoid_rows_grad(rows, labels, cols, x, out=None):
     coeff = _sigmoid_coeffs(rows, labels, x)
-    return rows[:, cols].T @ coeff / rows.shape[0]
+    return np.divide(rows[:, cols].T @ coeff, rows.shape[0], out=out)
 
 
 def _sigmoid_grad(rows, labels, slices, x):

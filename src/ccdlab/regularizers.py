@@ -7,6 +7,13 @@ Each regularizer solves, per block,
 exactly. ``lam`` is the diagonal of the block metric. Values are
 extended-real: evaluating outside the domain returns +inf instead of
 raising.
+
+The prox map is built per estimate unit: ``prox_step(eta, lam)`` binds it to
+one unit's step size and metric block and computes once what does not depend
+on the point (L1's threshold; at eta = 1 the product eta * linear, exact, is
+skipped). ``prox`` is that step built and called once, so the cycle engine,
+which builds one step per unit per run, and a single ``prox`` call round
+alike, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ class Regularizer:
     0.0, +inf if any block is infeasible, computed in one pass. ``prox`` takes
     j = None for a whole-vector unit; every regularizer here is
     coordinate-wise, so that call equals the concatenated per-block calls,
-    bit for bit."""
+    bit for bit. A subclass implements ``prox_step``."""
 
     def block_value(self, j: int, xj: np.ndarray) -> float:
         raise NotImplementedError
@@ -36,6 +43,11 @@ class Regularizer:
     def prox(
         self, j: int | None, center: np.ndarray, linear: np.ndarray, eta: float, lam: np.ndarray
     ) -> np.ndarray:
+        return self.prox_step(eta, lam)(center, linear)
+
+    def prox_step(self, eta: float, lam: np.ndarray):
+        """The prox map bound to ``eta`` and the metric block ``lam``, as
+        ``step(center, linear, out=None)``; with ``out`` it writes there."""
         raise NotImplementedError
 
 
@@ -49,8 +61,13 @@ class Zero(Regularizer):
     def value(self, x, partition):
         return 0.0
 
-    def prox(self, j, center, linear, eta, lam):
-        return center - eta * linear / lam
+    def prox_step(self, eta, lam):
+        scaled = eta != 1.0
+
+        def step(center, linear, out=None):
+            return np.subtract(center, (eta * linear if scaled else linear) / lam, out=out)
+
+        return step
 
 
 @dataclass(frozen=True)
@@ -79,10 +96,15 @@ class L1(Regularizer):
                 total += v
         return total
 
-    def prox(self, j, center, linear, eta, lam):
-        t = center - eta * linear / lam
+    def prox_step(self, eta, lam):
         thr = eta * self.weight / lam
-        return np.sign(t) * np.maximum(np.abs(t) - thr, 0.0)
+        scaled = eta != 1.0
+
+        def step(center, linear, out=None):
+            t = center - (eta * linear if scaled else linear) / lam
+            return np.multiply(np.sign(t), np.maximum(np.abs(t) - thr, 0.0), out=out)
+
+        return step
 
 
 @dataclass(frozen=True)
@@ -107,8 +129,13 @@ class Box(Regularizer):
             return float("inf")
         return 0.0
 
-    def prox(self, j, center, linear, eta, lam):
-        return np.clip(center - eta * linear / lam, self.lo, self.hi)
+    def prox_step(self, eta, lam):
+        lo, hi, scaled = self.lo, self.hi, eta != 1.0
+
+        def step(center, linear, out=None):
+            return np.clip(center - (eta * linear if scaled else linear) / lam, lo, hi, out=out)
+
+        return step
 
 
 def metric_prox(
@@ -122,8 +149,8 @@ def metric_prox(
     """Validated block prox step (exact minimizer of the block subproblem).
 
     The public boundary for a single prox step. The cycle engine checks eta,
-    the metric and the block shapes once per run and calls ``reg.prox``
-    directly."""
+    the metric and the block shapes once per run and builds each unit's
+    ``reg.prox_step`` directly."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     center = np.asarray(center, dtype=float)

@@ -4,7 +4,8 @@ import pytest
 from ccdlab.algorithms import (
     NonFiniteObjectiveError,
     RunConfig,
-    _block_norms_sum,
+    _block_norms_sums,
+    _run_views,
     page_run,
     pccd_run,
     prox_gd_run,
@@ -84,16 +85,18 @@ def test_stationarity_matches_gradient_norm_for_zero_reg():
 )
 def test_block_norms_sum_is_the_per_block_sum_bitwise(part):
     """v_k, s_k and the intermediate residual take every block's dot from one
-    stacked matmul per run of equal-size blocks; the total equals the sum of
-    per-block ``weighted_norm_sq`` calls, added left to right."""
+    stacked matmul per run of equal-size blocks, over all three at once; each
+    total equals the sum of per-block ``weighted_norm_sq`` calls, added left
+    to right."""
     rng = np.random.default_rng(part.dim + 1)
-    for _ in range(5):
-        v = rng.standard_normal(part.dim) * rng.uniform(0.01, 100.0)
-        weights = rng.uniform(0.05, 20.0, part.dim)
-        want = 0.0
-        for cols in part.slices:
-            want += weighted_norm_sq(v[cols], weights[cols])
-        assert _block_norms_sum(v, weights, part.runs) == want
+    for rows in (1, 2, 3):
+        v = rng.standard_normal((rows, part.dim)) * rng.uniform(0.01, 100.0, (rows, 1))
+        weights = rng.uniform(0.05, 20.0, (rows, part.dim))
+        want = [0.0] * rows
+        for r in range(rows):
+            for cols in part.slices:
+                want[r] += weighted_norm_sq(v[r, cols], weights[r, cols])
+        assert _block_norms_sums(_run_views(v * v, weights, part.runs)) == want
 
 
 def test_scalar_l1_step_and_measure():

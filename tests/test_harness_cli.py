@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_initial_anchor_error_only_where_an_anchor_is_drawn(tmp_path, name, extr
 def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     cfg = parse_config(VR_CHECKED)
 
-    def hard_fail(res, traces):
+    def hard_fail(res, traces, reference=None):
         return [checks.BoundReport("demo", checks.HARD, [checks.BoundRow(1, 2.0, 1.0)])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", hard_fail)
@@ -122,7 +123,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
 
     calls = {"n": 0}
 
-    def soft_fail_then_pass(res, traces):
+    def soft_fail_then_pass(res, traces, reference=None):
         calls["n"] += 1
         lhs = 2.0 if calls["n"] == 1 else 0.5
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, lhs, 1.0)])]
@@ -139,11 +140,67 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     assert calls["n"] == 2  # escalation re-ran the evidence
     assert len(resolves) == 1  # on the instance resolved for the first stage
 
-    def soft_fail_always(res, traces):
+    def soft_fail_always(res, traces, reference=None):
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, 2.0, 1.0)])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", soft_fail_always)
     assert run_experiment(cfg, out_dir=tmp_path / "soft2").exit_code == 1
+
+
+VR_RATE_L1 = """
+problem.family = quadratic
+problem.n = 8
+problem.d = 4
+problem.m = 2
+problem.condition_number = 3
+problem.reg = l1(0.1)
+algorithm.name = vrccd
+algorithm.K = 10
+algorithm.p = 0.5
+algorithm.b = 4
+algorithm.bprime = 2
+seeds.base = 4
+seeds.count = 2
+diagnostics.checks = vr-rate
+output.trace_path = traces
+output.report_path = report
+"""
+
+
+def test_escalation_reuses_the_reference_minimum(tmp_path, monkeypatch):
+    # under l1 the reference is a high-precision solve; a vr-rate report that
+    # always fails (its rhs still carries delta0, so F*) forces the 4x
+    # escalation, which keeps the instance and so needs no second solve
+    vr_rate = checks.check_vr_rate
+
+    def failing_vr_rate(*args):
+        rep = vr_rate(*args)
+        rows = [checks.BoundRow(r.k, r.rhs + 1.0, r.rhs) for r in rep.rows]
+        return checks.BoundReport(rep.name, rep.kind, rows, rep.conditional, rep.low_power)
+
+    solves = []
+    solve = harness.reference_minimum
+
+    def counting_reference(res):
+        solves.append(res)
+        return solve(res)
+
+    monkeypatch.setattr(checks, "check_vr_rate", failing_vr_rate)
+    monkeypatch.setattr(harness, "reference_minimum", counting_reference)
+    cfg = parse_config(VR_RATE_L1)
+    result = run_experiment(cfg, out_dir=tmp_path / "run")
+    assert result.exit_code == 1
+    assert len(solves) == 1
+
+    # the escalated reports as a fresh check of the 4x seeds computes them
+    res = resolve(cfg)
+    assert solve(res)[1] == "high_precision_run"
+    cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=4 * cfg.seeds.count))
+    res4, traces4, _ = harness.run_traces(cfg4, res=replace(res, cfg=cfg4))
+    csv, txt = harness.write_report(harness.run_checks(res4, traces4), tmp_path / "fresh" / "report")
+    assert len(solves) == 2
+    assert result.report_csv.read_bytes() == csv.read_bytes()
+    assert result.report_txt.read_bytes() == txt.read_bytes()
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,9 +1,11 @@
-"""The cycle engine reads the block plan it builds before cycle 1: neither
+"""The cycle engine reads the step plan it builds before cycle 1: neither
 the range-checked ``BlockPartition.block_slice`` nor the validated
-``regularizers.metric_prox`` runs inside the cycle loop. A recursive
-correction gathers its batch rows once for both of its points. The trace
-diagnostics take whole-vector calls: no per-block gradient or regularizer
-value beyond the block steps'."""
+``regularizers.metric_prox`` runs inside the cycle loop, each block step
+makes one call to its bound gradient kernel and one to its bound prox step,
+and both are built once per unit per run. A recursive correction gathers its
+batch rows once for both of its points. The trace diagnostics take
+whole-vector calls: no per-block gradient or regularizer value beyond the
+block steps'."""
 
 from collections import Counter
 
@@ -124,22 +126,35 @@ def test_correction_gathers_batch_rows_once(sharing):
     assert trace.obj == reference.obj and trace.step_sq == reference.step_sq
 
 
+def _count_bound(monkeypatch, calls, owner, factory, name):
+    """Count the functions ``owner.factory`` builds and their calls."""
+    build = getattr(owner, factory)
+
+    def counting_build(*args, **kwargs):
+        calls[factory] += 1
+        bound = build(*args, **kwargs)
+
+        def counting(*a, **kw):
+            calls[name] += 1
+            return bound(*a, **kw)
+
+        return counting
+
+    monkeypatch.setattr(owner, factory, counting_build)
+
+
 @pytest.mark.parametrize("part", [BlockPartition.even(16, 4), BlockPartition((3, 3, 2, 2, 1))],
                          ids=lambda p: str(p.block_sizes))
 def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
     calls = Counter()
+    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "_rows_kernel", "kernel")
+    block_value = L1.block_value
 
-    def count(owner, name):
-        fn = getattr(owner, name)
+    def counting_value(*args):
+        calls["block_value"] += 1
+        return block_value(*args)
 
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-
-    count(QuadraticFiniteSum, "_rows_grad")
-    count(L1, "block_value")
+    monkeypatch.setattr(L1, "block_value", counting_value)
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
     m = part.num_blocks
@@ -147,14 +162,16 @@ def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
         calls.clear()
         cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric)
         pccd_run(prob, L1(0.1), cfg)
-        # one block gradient per block step; F(x_k) and s_k add none
-        assert calls == Counter({"_rows_grad": m * cycles})
+        # one kernel built per block per run (a block_grad call would build
+        # another) and one call to it per block step; F(x_k) and s_k add none
+        assert calls == Counter({"_rows_kernel": m, "kernel": m * cycles})
 
 
 @pytest.mark.parametrize("run, units_per_cycle", [(pccd_run, "m"), (prox_gd_run, 1)],
                          ids=["pccd", "prox_gd"])
 def test_one_prox_call_per_estimate_unit(run, units_per_cycle, monkeypatch):
     calls = Counter()
+    _count_bound(monkeypatch, calls, L1, "prox_step", "step")
     prox = L1.prox
     norm = algorithms.weighted_norm_sq
 
@@ -172,13 +189,18 @@ def test_one_prox_call_per_estimate_unit(run, units_per_cycle, monkeypatch):
     m = part.num_blocks
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
-    per_cycle = m if units_per_cycle == "m" else units_per_cycle
+    units = m if units_per_cycle == "m" else units_per_cycle
     for cycles in (3, 11):
         for record_u in (False, True):
             calls.clear()
             cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric, eta=0.5,
                             record_u=record_u)
             run(prob, L1(0.1), cfg)
-            # with record_u on, the anchor error u_k is the one per-unit norm
-            norms = per_cycle * cycles if record_u else 0
-            assert calls == Counter({"prox": per_cycle * cycles, "weighted_norm_sq": norms})
+            # the prox step, and with it L1's threshold eta * weight / lam, is
+            # built once per unit per run; the step runs once per unit per
+            # cycle and the public prox not at all. With record_u on, the
+            # anchor error u_k is the one per-unit norm.
+            norms = units * cycles if record_u else 0
+            assert calls == Counter(
+                {"prox_step": units, "step": units * cycles, "weighted_norm_sq": norms}
+            )

@@ -134,6 +134,33 @@ def test_whole_vector_prox_is_the_block_calls_bitwise(part):
         assert box[2] == 1.5 and box[3] == -1.0 and -1.0 < box[4] < 1.5
 
 
+def test_prox_step_is_the_closed_form_bitwise():
+    """A bound prox step, writing into a buffer or not, gives the closed-form
+    prox written out with its eta product, signed zeros included; at eta = 1
+    that product is exact, so the step skips it."""
+    rng = np.random.default_rng(11)
+    d = 7
+    t = np.array([-0.01, 0.01, 3.0, -3.0, 0.7, -0.0, 0.0])
+    for scale in (1e-3, 0.5, 40.0):
+        lam = rng.uniform(0.05, 5.0, d)
+        linear = rng.standard_normal(d) * scale
+        linear[::4] = -0.0
+        center = t + linear / lam
+        for eta in (0.3, 1.0, 2.5):
+            point = center - eta * linear / lam
+            want = {
+                Zero(): point,
+                L1(0.1): np.sign(point) * np.maximum(np.abs(point) - eta * 0.1 / lam, 0.0),
+                Box(-1.0, 1.5): np.clip(point, -1.0, 1.5),
+            }
+            for reg, ref in want.items():
+                step = reg.prox_step(eta, lam)
+                out = np.full(d, np.nan)
+                assert step(center, linear, out) is out
+                assert step(center, linear).tobytes() == ref.tobytes(), (reg, eta)
+                assert out.tobytes() == ref.tobytes(), (reg, eta)
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.sampled_from(["zero", "l1", "box"]),
