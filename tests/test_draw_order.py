@@ -5,8 +5,12 @@ the order the streams are read, and that calls the public ``block_grad``,
 ``full_grad`` and ``prox`` at each step, must give the same iterates bit
 for bit, signed zeros included: for the recursive runs and the exact pccd
 and prox_gd runs, on even and uneven partitions, under every regularizer.
-With b < n a refresh batch draws randomness too, so refresh (size b) and
-correction (size b') draws interleave on the batch stream."""
+With ``record_u`` on, the anchor-error column u_k must match too, bit for
+bit: the loop takes each estimate's ``weighted_norm_sq`` against the exact
+gradient at the point the estimate was made, per block in the cyclic order
+and over the whole vector in the simultaneous one, and adds them in step
+order. With b < n a refresh batch draws randomness too, so refresh (size b)
+and correction (size b') draws interleave on the batch stream."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from ccdlab.algorithms import (
     prox_gd_run,
     vrccd_run,
 )
-from ccdlab.blocks import BlockPartition
+from ccdlab.blocks import BlockPartition, weighted_norm_sq
 from ccdlab.problems import exact_quadratic_metric, generate_quadratic
 from ccdlab.regularizers import L1, Box, Zero
 
@@ -31,29 +35,40 @@ REGULARIZERS = {"zero": Zero(), "l1": L1(0.05), "box": Box(-0.3, 0.4)}
 from ccdlab.sampling import RngBundle, bernoulli_switch
 
 
-def _per_step_iterates(prob, reg, cfg, rngs, cyclic):
-    """x_0, ..., x_K of a run, with each switch and batch drawn when its
-    estimate is made; exact gradients when ``rngs`` is None."""
+def _per_step_run(prob, reg, cfg, rngs, cyclic):
+    """x_0, ..., x_K of a run and its u_0, ..., u_K (None unless recorded),
+    with each switch and batch drawn when its estimate is made; exact
+    gradients when ``rngs`` is None."""
     d = prob.partition.dim
+    inv = cfg.metric.inv_entries
     units = list(enumerate(prob.partition.slices)) if cyclic else [(None, slice(0, d))]
     shared = cfg.sample_sharing == SHARED_PER_CYCLE
 
     def grad(j, batch, point):
         return prob.batch_full_grad(batch, point) if j is None else prob.batch_block_grad(batch, j, point)
 
+    def exact(j, point):
+        return prob.full_grad(point) if j is None else prob.block_grad(j, point)
+
     x = np.array(cfg.x0, dtype=float)
     anchors = [None] * len(units)
+    # u_0: zero for exact gradients, unrecorded at p = 1 (no anchor batch)
+    u_k = 0.0 if cfg.record_u and (rngs is None or cfg.p < 1.0) else None
     if rngs is not None:
         rngs.output.integers(1, cfg.cycles + 1)  # the output index comes first, as in the engine
         if cfg.p < 1.0:
             g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
             anchors = [np.array(g_init[cols]) for _, cols in units]
-    iterates = [x.copy()]
+            if cfg.record_u:
+                for (j, cols), anchor in zip(units, anchors):
+                    u_k += weighted_norm_sq(anchor - exact(j, x), inv[cols])
+    iterates, us = [x.copy()], [u_k]
     x_prev, x_prev2 = x.copy(), x.copy()
     for _ in range(cfg.cycles):
+        u_k = 0.0 if cfg.record_u else None
         for u, (j, cols) in enumerate(units):
             if rngs is None:
-                g = prob.full_grad(x) if j is None else prob.block_grad(j, x)
+                g = exact(j, x)
             else:
                 if u == 0 or not shared:
                     refresh = bernoulli_switch(rngs.switch, cfg.p)
@@ -64,10 +79,17 @@ def _per_step_iterates(prob, reg, cfg, rngs, cyclic):
                     old = np.concatenate((x_prev[:cols.start], x_prev2[cols.start:]))
                     g = anchors[u] + (grad(j, batch, x) - grad(j, batch, old))
                 anchors[u] = g
+            if cfg.record_u:
+                u_k += weighted_norm_sq(g - exact(j, x), inv[cols])
             x[cols] = reg.prox(j, x_prev[cols], g, cfg.eta, cfg.metric.entries[cols])
         x_prev2, x_prev = x_prev, x.copy()
         iterates.append(x.copy())
-    return iterates
+        us.append(u_k)
+    return iterates, us
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
 
 
 @st.composite
@@ -89,6 +111,7 @@ def _configs(draw):
         sharing=draw(st.sampled_from([FRESH_PER_BLOCK, SHARED_PER_CYCLE])),
         entry=draw(st.sampled_from(sorted(ENTRIES))),
         reg=draw(st.sampled_from(sorted(REGULARIZERS))),
+        record_u=draw(st.booleans()),
     )
 
 
@@ -104,13 +127,14 @@ def test_engine_draws_match_a_per_step_loop_bitwise(c):
     sampling = dict(p=c["p"], b=c["b"], b_prime=c["b_prime"], sample_sharing=c["sharing"])
     cfg = RunConfig(cycles=c["cycles"], eta=c["eta"], x0=np.linspace(-1.0, 1.0, d),
                     metric=exact_quadratic_metric(prob), keep_iterates=True,
-                    **(sampling if recursive else {}))
+                    record_u=c["record_u"], **(sampling if recursive else {}))
     if recursive:
         _, trace = entry(prob, reg, cfg, RngBundle.from_seed(c["seed"]))
-        want = _per_step_iterates(prob, reg, cfg, RngBundle.from_seed(c["seed"]), cyclic)
+        want, want_u = _per_step_run(prob, reg, cfg, RngBundle.from_seed(c["seed"]), cyclic)
     else:
         _, trace = entry(prob, reg, cfg)
-        want = _per_step_iterates(prob, reg, cfg, None, cyclic)
+        want, want_u = _per_step_run(prob, reg, cfg, None, cyclic)
     assert len(trace.iterates) == len(want)
     for got, ref in zip(trace.iterates, want):
         assert got.tobytes() == ref.tobytes()
+    assert _bits(trace.est_err_sq) == _bits(want_u)
