@@ -20,40 +20,43 @@ entry point       update order  gradient estimator  RunConfig fields
 Minibatch proximal SGD is ``page_run`` at p = 1, b' = b. ``config.METHODS``
 maps each algorithm name to its entry point and the settings it fixes.
 
-* **Update order.** The cyclic order estimates block j's gradient at the
-  intermediate point just before block j is updated. The simultaneous order
-  estimates the whole gradient once per cycle. Each estimate unit (a block,
-  or the whole vector) then takes one prox step from x_{k-1} over its own
-  coordinates and writes them in place; every regularizer here is
-  coordinate-wise, so one whole-vector step equals the per-block steps. The
-  prox residuals and the per-cycle sums over them (v_k, s_k and the
-  intermediate-gradient residual) are computed once the cycle's last unit
-  has stepped, all three from one stacked matmul per run of equal-size
-  blocks.
+* **Update order.** Both orders step the blocks one after another, each
+  block estimating its gradient and taking one prox step from x_{k-1} over
+  its own coordinates. The cyclic order estimates block j's gradient at the
+  intermediate point just before block j is updated; the simultaneous order
+  estimates every block's at x_{k-1}, which gives the full-gradient methods
+  bit for bit (each slice of ``full_grad`` is ``block_kernel``'s, and every
+  regularizer here is coordinate-wise). The prox residuals and the
+  per-cycle sums over them (v_k, s_k, the intermediate-gradient residual
+  and the anchor error u_k) are computed once the cycle's last block has
+  stepped, all from one stacked matmul per run of equal-size blocks. Each
+  sum adds its blocks left to right, but the simultaneous order's u_k is one
+  sum over the whole vector, as the full-gradient methods define it.
 * **Gradient estimator.** Exact without an ``RngBundle``; with one, the
   recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
-  per estimate (per block, or one for the whole vector). Each estimate
-  either refreshes the anchor from a size-b batch (probability p) or
-  corrects it with a size-b' batch of gradient differences between the
-  current point and the matching point of the previous cycle. That point is
-  rebuilt from the two stored full iterates, so memory stays O(d). Each
-  estimate has its own switch and batch, or one switch and batch per cycle
-  are shared by every block (``shared_per_cycle``). Neither depends on the
-  iterate, so after the anchor batch a run draws every switch in one call
-  and then every batch they call for, in the order per-estimate draws would
-  take them: a finite sum draws them all at once, a stream one at a time as
-  its estimates ask. At p = 1 the estimator is plain minibatch and no anchor
-  batch is drawn.
+  per block, held in the block's estimate. Each estimate either refreshes
+  the anchor from a size-b batch (probability p) or corrects it in place
+  with a size-b' batch of gradient differences between the point of the
+  estimate and the matching point of the previous cycle (x_{k-2} in the
+  simultaneous order). That point is rebuilt from the two stored full
+  iterates, so memory stays O(d). In the cyclic order each estimate has its
+  own switch and batch, or one switch and batch per cycle are shared by
+  every block (``shared_per_cycle``); the simultaneous order always shares
+  them. Neither depends on the iterate, so after the anchor batch a run
+  draws every switch in one call and then every batch they call for, in the
+  order per-estimate draws would take them: a finite sum draws them all at
+  once, a stream one at a time as its estimates ask. At p = 1 the estimator
+  is plain minibatch and no anchor batch is drawn.
 
-Before cycle 1 the engine builds a *step plan*, one entry per estimate unit:
-the family's exact-gradient kernel bound to the unit's rows
-(``block_kernel``), the regularizer's prox step bound to eta and the unit's
-metric block (``prox_step``, which computes L1's threshold once), and fixed
-views of x, of every unit's estimate and of two buffers that hold x_{k-1}
-and x_{k-2} in turn. A block step is then one kernel call writing the
-estimate in place and one prox step writing x in place. The public
-``block_grad`` and ``prox`` build the same kernel and step and call them
-once, so both paths round alike, bit for bit.
+Before cycle 1 the engine builds a *step plan*, one entry per block: the
+family's exact-gradient kernel bound to the block's rows (``block_kernel``),
+the regularizer's prox step bound to eta and the block's metric block
+(``prox_step``, which computes L1's threshold once), and fixed views of x,
+of the block's estimate and of two buffers that hold x_{k-1} and x_{k-2} in
+turn. A block step is then one kernel call writing the estimate in place and
+one prox step writing x in place. The public ``block_grad`` and ``prox``
+build the same kernel and step and call them once, so both paths round
+alike, bit for bit.
 
 Conventions shared by every run:
 
@@ -84,9 +87,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import DiagonalMetric, weighted_norm_sq
+from .blocks import DiagonalMetric
 # metric_prox is not called here, nor is Regularizer.prox: the engine checks
-# its inputs once per run and steps through each unit's bound prox_step.
+# its inputs once per run and steps through each block's bound prox_step.
 # perfbench/tracing.py still wraps ``algorithms.metric_prox``.
 from .regularizers import Regularizer, metric_prox, total_value
 # nor is bernoulli_switch, whose draws bernoulli_switches makes in one call;
@@ -239,30 +242,21 @@ def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=
 
 
 def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
-    """Full-vector recursive estimator baseline: one switch and one estimator
-    for the whole gradient per iteration, simultaneous block update. At
+    """Full-vector recursive estimator baseline: one switch and one batch per
+    iteration shared by every block, each block estimated at x_{k-1}. At
     p = 1 and b' = b it is minibatch proximal SGD."""
     return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs, row_sink=row_sink)
 
 
-def _exact_kernel(prob, j):
-    """The exact gradient of block j bound to its rows, or of the whole
-    vector when j is None, as ``kernel(x, out)`` writing into ``out``."""
-    if j is not None:
-        return prob.block_kernel(j)
-    return lambda x, out: np.copyto(out, prob.full_grad(x))
-
-
 class _Unit(NamedTuple):
-    """One estimate unit of the step plan, built once per run."""
+    """One block of the step plan, built once per run."""
 
-    j: int | None  # its block, or None for the whole vector
-    cols: slice
+    j: int
+    lead: int  # coordinates already stepped when its estimate is made
     size: int
     kernel: object  # its exact gradient, bound to its rows; None if never read
     step: object  # the prox step, bound to eta and its metric block
-    inv: np.ndarray  # its inverse metric block
-    x: np.ndarray  # views of x, est and mids over cols
+    x: np.ndarray  # views of x, est and mids over its coordinates
     est: np.ndarray
     mid: np.ndarray | None
     centers: tuple  # its views of the two rotating previous iterates
@@ -284,7 +278,6 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     missing = [name for name in ("p", "b", "b_prime") if recursive and getattr(cfg, name) is None]
     if missing:
         raise ValueError(f"this run needs {', '.join(missing)} in its run config")
-    shared = cfg.sample_sharing == SHARED_PER_CYCLE
     if recursive and cfg.b > prob.n:
         raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
     if record_u and not finite:
@@ -301,31 +294,41 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             f"the problem partition {part.block_sizes}"
         )
 
-    # the step plan, built once: per estimate unit (a block, or the whole
-    # vector), its exact-gradient kernel and prox step, bound to its rows and
-    # metric block, and fixed views of x, est (every unit's g), mids (exact
-    # intermediate gradients) and the two rotating buffers that hold x_{k-1}
-    # and x_{k-2} in turn
+    # the step plan, built once: per block, its exact-gradient kernel and
+    # prox step, bound to its rows and metric block, and fixed views of x,
+    # est (every block's g, and its anchor), mids (exact intermediate
+    # gradients) and the two rotating buffers that hold x_{k-1} and x_{k-2}
+    # in turn
     est = np.empty(d)
     mids = np.empty(d) if record_u else None
     prevs = (x.copy(), x.copy())
     exact = not recursive or record_u
     plan = [
-        _Unit(j, cols, cols.stop - cols.start,
-              _exact_kernel(prob, j) if exact else None,
-              reg.prox_step(cfg.eta, cfg.metric.entries[cols]),
-              cfg.metric.inv_entries[cols], x[cols], est[cols],
+        _Unit(j, cols.start if cyclic else 0, cols.stop - cols.start,
+              prob.block_kernel(j) if exact else None,
+              reg.prox_step(cfg.eta, cfg.metric.entries[cols]), x[cols], est[cols],
               None if mids is None else mids[cols], (prevs[0][cols], prevs[1][cols]))
-        for j, cols in (enumerate(part.slices) if cyclic else [(None, slice(0, d))])
+        for j, cols in enumerate(part.slices)
     ]
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
     eta = cfg.eta
     scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
-    # the squares behind v_k, s_k and (cyclic, with record_u) the intermediate
-    # residual, one row each, and the weights of each row
-    diag_rows = 3 if record_u and cyclic else 2
-    sq = np.zeros((diag_rows, d))
-    sq_runs = _run_views(sq, np.stack([lam_k] + [inv_k] * (diag_rows - 1)), part.runs)
+    # the squares behind v_k, s_k, (cyclic, with record_u) the intermediate
+    # residual and (with record_u) u_k, one row each, and the weights of each
+    # row. Each row is summed per block, but the simultaneous order's u_k
+    # row over the whole vector, as one run.
+    mid_row = record_u and cyclic
+    rows = 2 + mid_row + record_u
+    sq = np.zeros((rows, d))
+    weights = np.stack([lam_k] + [inv_k] * (rows - 1))
+    per_block = rows if cyclic else 2
+    stacks = [_run_views(sq[:per_block], weights[:per_block], part.runs)]
+    if per_block < rows:
+        stacks.append(_run_views(sq[per_block:], weights[per_block:], ((0, d, 1, d),)))
+
+    def row_sums():
+        np.multiply(sq, sq, out=sq)
+        return [total for views in stacks for total in _block_norms_sums(views)]
 
     k_out = None
     trace = RunTrace(seed=None if rngs is None else rngs.seed)
@@ -341,23 +344,24 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     # SGD), so no anchor batch is drawn, u_0 stays unrecorded, and the
     # streams line up with the SGD baseline under a shared seed
     work = 0
-    exact_work = None if recursive else prob.n * d  # each cycle's, summed over its units
-    anchors = [None] * len(plan)
+    exact_work = None if recursive else prob.n * d  # each cycle's, summed over its blocks
     anchored = recursive and cfg.p < 1.0
     u0 = 0.0 if record_u and (anchored or not recursive) else None
     if anchored:
-        g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
-        anchors = [np.array(g_init[unit.cols]) for unit in plan]
+        est[...] = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
         work = cfg.b * d
         if record_u:
-            for unit, anchor in zip(plan, anchors):
+            for unit in plan:
                 unit.kernel(x, unit.mid)
-                u0 += weighted_norm_sq(anchor - unit.mid, unit.inv)
+            np.subtract(est, mids, out=sq[-1])
+            u0 = row_sums()[-1]
     # every estimate's switch, then the size-b (refresh) or size-b'
     # (correction) batch each switch calls for, from the streams in the
-    # order that one switch and one batch per estimate would take them
+    # order that one switch and one batch per estimate would take them; the
+    # simultaneous order shares one of each per cycle
+    per_cycle = not cyclic or cfg.sample_sharing == SHARED_PER_CYCLE
     if recursive:
-        count = cfg.cycles * (1 if shared else len(plan))
+        count = cfg.cycles * (1 if per_cycle else len(plan))
         refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
         sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
         draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
@@ -366,49 +370,37 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     if row_sink is not None:
         row_sink(trace)
 
-    # per cycle, each unit only estimates g, takes its prox step from x_{k-1}
-    # and writes its coordinates: a block is not written before its own
-    # step, so x_{k-1} over its coordinates is its center in either order.
-    # The residuals and the per-cycle sums over them are taken once the
-    # cycle ends.
+    # per cycle, each block only estimates g, takes its prox step from
+    # x_{k-1} and writes its coordinates: a block is not written before its
+    # own step, so x_{k-1} over its coordinates is its center in either
+    # order. The residuals and the per-cycle sums over them are taken once
+    # the cycle ends.
     best_v, best_x = math.inf, x.copy()
     x_hat = None
     for k in range(1, cfg.cycles + 1):
         t_iter = time.perf_counter_ns()
-        u_k = 0.0 if record_u else None
         cur = (k - 1) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
         x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
+        at = x if cyclic else x_prev  # where the estimates are made
         if not recursive:
             work += exact_work
-        for u, (j_u, cols, size, kernel, step, inv, x_u, est_u, mid_u, centers) in enumerate(plan):
+        for u, (j, lead, size, kernel, step, x_u, est_u, mid_u, centers) in enumerate(plan):
             if not recursive:
-                kernel(x, est_u)
+                kernel(at, est_u)
             else:
-                if u == 0 or not shared:
+                if u == 0 or not per_cycle:
                     refresh, batch = next(draws)
                 if refresh:
-                    # whole-vector estimates take the full-vector methods, so
-                    # they round as those do
-                    if j_u is None:
-                        g = prob.batch_full_grad(batch, x)
-                    else:
-                        g = prob.batch_block_grad(batch, j_u, x)
+                    est_u[...] = prob.batch_block_grad(batch, j, at)
                     work += cfg.b * size
                 else:
                     # the matching point of the previous cycle
-                    old = np.concatenate((x_prev[:cols.start], x_prev2[cols.start:]))
-                    if j_u is None:
-                        g_x = prob.batch_full_grad(batch, x)
-                        g_old = prob.batch_full_grad(batch, old)
-                    else:
-                        g_x, g_old = prob.batch_block_grad_pair(batch, j_u, x, old)
-                    g = anchors[u] + (g_x - g_old)
+                    old = np.concatenate((x_prev[:lead], x_prev2[lead:]))
+                    g_x, g_old = prob.batch_block_grad_pair(batch, j, at, old)
+                    est_u += g_x - g_old
                     work += cfg.b_prime * size
-                anchors[u] = g
-                est_u[...] = g
             if record_u:
-                kernel(x, mid_u)
-                u_k += weighted_norm_sq(est_u - mid_u, inv)
+                kernel(at, mid_u)
             step(centers[cur], est_u, x_u)
 
         resid = lam_k * (x_prev - x)
@@ -419,13 +411,15 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
         if grad_end is not None:
             np.add(grad_end, resid, out=sq[1])
-        if diag_rows == 3:
+        if mid_row:
             np.add(mids, resid, out=sq[2])
-        np.multiply(sq, sq, out=sq)
-        sums = _block_norms_sums(sq_runs)
+        if record_u:
+            np.subtract(est, mids, out=sq[-1])
+        sums = row_sums()
         v_k = sums[0]
         s_k = None if grad_end is None else sums[1]
-        mid_k = sums[2] if diag_rows == 3 else None
+        mid_k = sums[2] if mid_row else None
+        u_k = sums[-1] if record_u else None
         if f_k is not None and not math.isfinite(f_k):
             raise NonFiniteObjectiveError(k, f_k)
         if f_k is None and not math.isfinite(v_k):

@@ -23,7 +23,7 @@ class Method:
     (None or False: the config's)."""
 
     entry: str  # looked up on ``algorithms`` at call time
-    cyclic: bool  # block by block, else the whole vector at once
+    cyclic: bool  # block by block at the intermediate point, else every block at x_{k-1}
     stochastic: bool  # the recursive estimator (seeded), else exact gradients
     p: float | None = None
     bprime_is_b: bool = False
@@ -40,7 +40,7 @@ METHODS = MappingProxyType({
     "sgd": Method("page_run", cyclic=False, stochastic=True, p=1.0, bprime_is_b=True),
 })
 ALGORITHMS = tuple(METHODS)
-CYCLIC_EXACT = tuple(name for name, m in METHODS.items() if not m.stochastic)
+EXACT = tuple(name for name, m in METHODS.items() if not m.stochastic)
 VARIANCE_REDUCED = tuple(name for name, m in METHODS.items() if m.cyclic and m.stochastic)
 STOCHASTIC = tuple(name for name, m in METHODS.items() if m.stochastic)
 
@@ -70,8 +70,8 @@ class CheckSpec:
 
 
 CHECKS = {
-    "cyclic-descent": CheckSpec(CYCLIC_EXACT),
-    "step-telescope": CheckSpec(CYCLIC_EXACT, best_seen_reference=True),
+    "cyclic-descent": CheckSpec(EXACT),
+    "step-telescope": CheckSpec(EXACT, best_seen_reference=True),
     "grad-vs-step": CheckSpec(("pccd",), coupling=True),
     "stationarity-rate": CheckSpec(("pccd",), coupling=True, best_seen_reference=True),
     "pl-envelope": CheckSpec(("pccd",), coupling=True, convex_quadratic=True),

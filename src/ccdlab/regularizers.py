@@ -8,11 +8,11 @@ exactly. ``lam`` is the diagonal of the block metric. Values are
 extended-real: evaluating outside the domain returns +inf instead of
 raising.
 
-The prox map is built per estimate unit: ``prox_step(eta, lam)`` binds it to
-one unit's step size and metric block and computes once what does not depend
+The prox map is built per block: ``prox_step(eta, lam)`` binds it to one
+block's step size and metric block and computes once what does not depend
 on the point (L1's threshold; at eta = 1 the product eta * linear, exact, is
 skipped). ``prox`` is that step built and called once, so the cycle engine,
-which builds one step per unit per run, and a single ``prox`` call round
+which builds one step per block per run, and a single ``prox`` call round
 alike, bit for bit.
 """
 
@@ -29,10 +29,10 @@ from .blocks import BlockPartition
 class Regularizer:
     """Interface: block value, whole-vector value and block prox under a
     diagonal metric. ``value`` is the block values added left to right from
-    0.0, +inf if any block is infeasible, computed in one pass. ``prox`` takes
-    j = None for a whole-vector unit; every regularizer here is
-    coordinate-wise, so that call equals the concatenated per-block calls,
-    bit for bit. A subclass implements ``prox_step``."""
+    0.0, +inf if any block is infeasible, computed in one pass. Every
+    regularizer here is coordinate-wise, so ``prox`` over the whole vector
+    equals the concatenated per-block calls, bit for bit. A subclass
+    implements ``prox_step``."""
 
     def block_value(self, j: int, xj: np.ndarray) -> float:
         raise NotImplementedError
@@ -40,9 +40,7 @@ class Regularizer:
     def value(self, x: np.ndarray, partition: BlockPartition) -> float:
         raise NotImplementedError
 
-    def prox(
-        self, j: int | None, center: np.ndarray, linear: np.ndarray, eta: float, lam: np.ndarray
-    ) -> np.ndarray:
+    def prox(self, center: np.ndarray, linear: np.ndarray, eta: float, lam: np.ndarray) -> np.ndarray:
         return self.prox_step(eta, lam)(center, linear)
 
     def prox_step(self, eta: float, lam: np.ndarray):
@@ -140,7 +138,6 @@ class Box(Regularizer):
 
 def metric_prox(
     reg: Regularizer,
-    j: int,
     center: np.ndarray,
     linear: np.ndarray,
     eta: float,
@@ -149,7 +146,7 @@ def metric_prox(
     """Validated block prox step (exact minimizer of the block subproblem).
 
     The public boundary for a single prox step. The cycle engine checks eta,
-    the metric and the block shapes once per run and builds each unit's
+    the metric and the block shapes once per run and builds each block's
     ``reg.prox_step`` directly."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -160,7 +157,7 @@ def metric_prox(
         raise ValueError("center, linear, and metric block must share a shape")
     if not np.all(lam > 0):
         raise ValueError("metric block entries must be strictly positive")
-    return reg.prox(j, center, linear, eta, lam)
+    return reg.prox(center, linear, eta, lam)
 
 
 def total_value(reg: Regularizer, x: np.ndarray, partition: BlockPartition) -> float:

@@ -110,20 +110,15 @@ def draw_minibatches(rng: np.random.Generator, n: int, sizes: list[int]) -> list
 
 
 def bernoulli_switch(rng: np.random.Generator, p: float) -> bool:
-    """True with probability p (the full-batch refresh branch).
-
-    Always consumes exactly one uniform draw, so p = 0 and p = 1 keep the
-    stream aligned with intermediate values.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
-    return bool(rng.random() < p)
+    """True with probability p (the full-batch refresh branch): the
+    one-switch case of :func:`bernoulli_switches`."""
+    return bool(bernoulli_switches(rng, p, 1)[0])
 
 
 def bernoulli_switches(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
-    """``count`` refresh switches, bitwise equal to consecutive
-    ``bernoulli_switch(rng, p)`` calls and leaving ``rng`` where they leave
-    it: one uniform draw each, made in one call."""
+    """``count`` refresh switches, each true with probability p, made in one
+    call. Each consumes exactly one uniform draw, so p = 0 and p = 1 keep the
+    stream aligned with intermediate values."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
     return rng.random(count) < p

@@ -433,7 +433,7 @@ def suite_gradient_prox_oracles() -> SuiteResult:
             lo = float(rng.uniform(-1.5, 0.0))
             reg = Box(lo, lo + float(rng.uniform(0.5, 2.0)))
         analytic = float(
-            metric_prox(reg, 0, np.array([center]), np.array([linear]), eta, np.array([lam]))[0]
+            metric_prox(reg, np.array([center]), np.array([linear]), eta, np.array([lam]))[0]
         )
 
         zero_step = center - eta * linear / lam

@@ -84,19 +84,24 @@ def test_stationarity_matches_gradient_norm_for_zero_reg():
     ids=lambda p: str(p.block_sizes),
 )
 def test_block_norms_sum_is_the_per_block_sum_bitwise(part):
-    """v_k, s_k and the intermediate residual take every block's dot from one
-    stacked matmul per run of equal-size blocks, over all three at once; each
-    total equals the sum of per-block ``weighted_norm_sq`` calls, added left
-    to right."""
+    """v_k, s_k, the intermediate residual and u_k take every block's dot
+    from one stacked matmul per run of equal-size blocks, over all rows at
+    once; each total equals the sum of per-block ``weighted_norm_sq`` calls,
+    added left to right. Taken as one whole-vector run, a row's total is one
+    ``weighted_norm_sq`` call over the whole vector, as the simultaneous
+    order's u_k is."""
     rng = np.random.default_rng(part.dim + 1)
-    for rows in (1, 2, 3):
-        v = rng.standard_normal((rows, part.dim)) * rng.uniform(0.01, 100.0, (rows, 1))
-        weights = rng.uniform(0.05, 20.0, (rows, part.dim))
+    d = part.dim
+    for rows in (1, 2, 3, 4):
+        v = rng.standard_normal((rows, d)) * rng.uniform(0.01, 100.0, (rows, 1))
+        weights = rng.uniform(0.05, 20.0, (rows, d))
         want = [0.0] * rows
         for r in range(rows):
             for cols in part.slices:
                 want[r] += weighted_norm_sq(v[r, cols], weights[r, cols])
         assert _block_norms_sums(_run_views(v * v, weights, part.runs)) == want
+        whole = [weighted_norm_sq(v[r], weights[r]) for r in range(rows)]
+        assert _block_norms_sums(_run_views(v * v, weights, ((0, d, 1, d),))) == whole
 
 
 def test_scalar_l1_step_and_measure():

@@ -81,7 +81,7 @@ def _per_step_run(prob, reg, cfg, rngs, cyclic):
                 anchors[u] = g
             if cfg.record_u:
                 u_k += weighted_norm_sq(g - exact(j, x), inv[cols])
-            x[cols] = reg.prox(j, x_prev[cols], g, cfg.eta, cfg.metric.entries[cols])
+            x[cols] = reg.prox(x_prev[cols], g, cfg.eta, cfg.metric.entries[cols])
         x_prev2, x_prev = x_prev, x.copy()
         iterates.append(x.copy())
         us.append(u_k)

@@ -2,10 +2,10 @@
 the range-checked ``BlockPartition.block_slice`` nor the validated
 ``regularizers.metric_prox`` runs inside the cycle loop, each block step
 makes one call to its bound gradient kernel and one to its bound prox step,
-and both are built once per unit per run. A recursive correction gathers its
-batch rows once for both of its points. The trace diagnostics take
-whole-vector calls: no per-block gradient or regularizer value beyond the
-block steps'."""
+and both are built once per block per run, in either update order. A
+recursive correction gathers its batch rows once for both of its points.
+The trace diagnostics take whole-vector calls: no per-block gradient or
+regularizer value beyond the block steps'."""
 
 from collections import Counter
 
@@ -167,40 +167,29 @@ def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
         assert calls == Counter({"_rows_kernel": m, "kernel": m * cycles})
 
 
-@pytest.mark.parametrize("run, units_per_cycle", [(pccd_run, "m"), (prox_gd_run, 1)],
-                         ids=["pccd", "prox_gd"])
-def test_one_prox_call_per_estimate_unit(run, units_per_cycle, monkeypatch):
+@pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
+def test_one_prox_call_per_estimate_unit(run, monkeypatch):
     calls = Counter()
     _count_bound(monkeypatch, calls, L1, "prox_step", "step")
     prox = L1.prox
-    norm = algorithms.weighted_norm_sq
 
     def counting_prox(self, *args):
         calls["prox"] += 1
         return prox(self, *args)
 
-    def counting_norm(*args):
-        calls["weighted_norm_sq"] += 1
-        return norm(*args)
-
     monkeypatch.setattr(L1, "prox", counting_prox)
-    monkeypatch.setattr(algorithms, "weighted_norm_sq", counting_norm)
     part = BlockPartition((3, 3, 2, 2, 1))
     m = part.num_blocks
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
-    units = m if units_per_cycle == "m" else units_per_cycle
     for cycles in (3, 11):
         for record_u in (False, True):
             calls.clear()
             cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric, eta=0.5,
                             record_u=record_u)
             run(prob, L1(0.1), cfg)
-            # the prox step, and with it L1's threshold eta * weight / lam, is
-            # built once per unit per run; the step runs once per unit per
-            # cycle and the public prox not at all. With record_u on, the
-            # anchor error u_k is the one per-unit norm.
-            norms = units * cycles if record_u else 0
-            assert calls == Counter(
-                {"prox_step": units, "step": units * cycles, "weighted_norm_sq": norms}
-            )
+            # either update order steps block by block: the prox step, and
+            # with it L1's threshold eta * weight / lam, is built once per
+            # block per run; the step runs once per block per cycle and the
+            # public prox not at all
+            assert calls == Counter({"prox_step": m, "step": m * cycles})

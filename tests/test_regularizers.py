@@ -9,19 +9,19 @@ from ccdlab.regularizers import L1, Box, Zero, metric_prox, total_value
 
 def test_zero_prox_is_gradient_step():
     g = np.array([1.0, -2.0, 0.5])
-    out = metric_prox(Zero(), 0, np.zeros(3), g, 1.0, np.ones(3))
+    out = metric_prox(Zero(), np.zeros(3), g, 1.0, np.ones(3))
     assert np.array_equal(out, -g)
 
 
 def test_l1_dead_zone():
     # the tentative step lands at 0.5, inside the threshold: coordinate dies
-    out = metric_prox(L1(1.0), 0, np.zeros(1), np.array([-0.5]), 1.0, np.ones(1))
+    out = metric_prox(L1(1.0), np.zeros(1), np.array([-0.5]), 1.0, np.ones(1))
     assert out[0] == 0.0
 
 
 def test_l1_scalar_example():
     # minimize -4 x + |x| + x^2 (metric weight 2, eta 1): stationarity gives 1.5
-    out = metric_prox(L1(1.0), 0, np.zeros(1), np.array([-4.0]), 1.0, np.array([2.0]))
+    out = metric_prox(L1(1.0), np.zeros(1), np.array([-4.0]), 1.0, np.array([2.0]))
     assert out[0] == pytest.approx(1.5, abs=1e-15)
     grid = np.linspace(-1, 4, 500001)
     vals = -4.0 * grid + np.abs(grid) + grid**2
@@ -29,15 +29,15 @@ def test_l1_scalar_example():
 
 
 def test_box_prox_clips():
-    out = metric_prox(Box(-1.0, 1.0), 0, np.zeros(2), np.array([5.0, -5.0]), 1.0, np.ones(2))
+    out = metric_prox(Box(-1.0, 1.0), np.zeros(2), np.array([5.0, -5.0]), 1.0, np.ones(2))
     assert np.array_equal(out, [-1.0, 1.0])
 
 
 def test_prox_validation():
     with pytest.raises(ValueError):
-        metric_prox(Zero(), 0, np.zeros(2), np.zeros(2), 0.0, np.ones(2))
+        metric_prox(Zero(), np.zeros(2), np.zeros(2), 0.0, np.ones(2))
     with pytest.raises(ValueError):
-        metric_prox(Zero(), 0, np.zeros(2), np.zeros(2), 1.0, np.array([1.0, -1.0]))
+        metric_prox(Zero(), np.zeros(2), np.zeros(2), 1.0, np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         Box(1.0, 1.0)
     with pytest.raises(ValueError):
@@ -105,9 +105,9 @@ def test_total_value_is_the_block_loop_bitwise(part):
     ids=lambda p: str(p.block_sizes),
 )
 def test_whole_vector_prox_is_the_block_calls_bitwise(part):
-    """A simultaneous step makes one prox call with j = None over the whole
-    vector; every regularizer is coordinate-wise, so it equals the
-    concatenated per-block calls, signed zeros included."""
+    """Every regularizer is coordinate-wise, so one prox call over the whole
+    vector equals the concatenated per-block calls, signed zeros included:
+    the full-gradient methods step block by block on that."""
     rng = np.random.default_rng(part.dim + 7)
     d = part.dim
     regs = [Zero(), L1(0.1), L1(2.7), L1(0.0), Box(-1.0, 1.5)]
@@ -122,13 +122,13 @@ def test_whole_vector_prox_is_the_block_calls_bitwise(part):
         center = t + linear / lam
         for eta in (0.3, 1.0, 2.5):
             for reg in regs:
-                whole = reg.prox(None, center, linear, eta, lam)
+                whole = reg.prox(center, linear, eta, lam)
                 blocks = np.concatenate(
-                    [reg.prox(j, center[c], linear[c], eta, lam[c]) for j, c in enumerate(part.slices)]
+                    [reg.prox(center[c], linear[c], eta, lam[c]) for c in part.slices]
                 )
                 assert whole.tobytes() == blocks.tobytes(), (reg, scale, eta)
-        l1 = L1(0.1).prox(None, center, linear, 1.0, lam)
-        box = Box(-1.0, 1.5).prox(None, center, linear, 1.0, lam)
+        l1 = L1(0.1).prox(center, linear, 1.0, lam)
+        box = Box(-1.0, 1.5).prox(center, linear, 1.0, lam)
         assert l1[0] == 0.0 and np.signbit(l1[0])
         assert l1[1] == 0.0 and not np.signbit(l1[1]) and l1[2] > 0.0
         assert box[2] == 1.5 and box[3] == -1.0 and -1.0 < box[4] < 1.5
@@ -181,7 +181,7 @@ def test_prox_first_order_optimality(seed, kind):
         reg = L1(float(rng.uniform(0.05, 2.0)))
     else:
         reg = Box(-1.0, 1.5)
-    z = metric_prox(reg, 0, center, linear, eta, lam)
+    z = metric_prox(reg, center, linear, eta, lam)
     resid = lam * (center - z) / eta - linear
     tol = 1e-10
     if kind == "zero":

@@ -106,16 +106,20 @@ def test_bulk_minibatches_are_consecutive_draws_bitwise(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([0.0, 0.3, 1.0]),
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([0.0, 0.3, 0.999, 1.0]),
        st.booleans())
 def test_bulk_switches_are_consecutive_switches_bitwise(seed, count, p, spare_half_word):
-    bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    """Bulk and single switches both equal one scalar uniform draw per
+    switch compared with p, and leave the stream where those draws do."""
+    bulk, single, oracle = (np.random.default_rng(seed) for _ in range(3))
     if spare_half_word:
-        for rng in (bulk, single):
+        for rng in (bulk, single, oracle):
             rng.integers(5)
     got = bernoulli_switches(bulk, p, count)
-    assert got.tolist() == [bernoulli_switch(single, p) for _ in range(count)]
-    assert bulk.integers(2**62) == single.integers(2**62)
+    want = [bool(oracle.random() < p) for _ in range(count)]
+    assert got.tolist() == want
+    assert [bernoulli_switch(single, p) for _ in range(count)] == want
+    assert bulk.integers(2**62) == single.integers(2**62) == oracle.integers(2**62)
 
 
 def test_bulk_draws_reject_bad_arguments():
