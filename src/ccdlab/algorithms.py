@@ -340,9 +340,9 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     t0 = time.perf_counter_ns()
 
     # anchor the estimator with a size-b batch at the start point; with
-    # p = 1 the anchors are never read (the estimator is plain minibatch
-    # SGD), so no anchor batch is drawn, u_0 stays unrecorded, and the
-    # streams line up with the SGD baseline under a shared seed
+    # p = 1 no anchor is ever read (the estimator is plain minibatch SGD),
+    # so no anchor batch is drawn, u_0 stays unrecorded, and the streams
+    # line up with the SGD baseline under a shared seed
     work = 0
     exact_work = None if recursive else prob.n * d  # each cycle's, summed over its blocks
     anchored = recursive and cfg.p < 1.0
