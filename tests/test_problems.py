@@ -456,9 +456,16 @@ CONTRACT_PARTS = [
 @pytest.mark.parametrize("part", CONTRACT_PARTS, ids=lambda p: str(p.block_sizes))
 def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
     """``full_grad`` makes one stacked matmul per run of equal-size blocks;
-    every slice must still be the block kernel's output, bit for bit."""
+    every slice must still be the block kernel's output, bit for bit. A
+    batch's full-vector gradient, of any size and from either quadratic
+    family, is its block batch gradients concatenated, bit for bit."""
     d = part.dim
     rng = np.random.default_rng(d)
+
+    def assert_batch_full_is_stitched(prob, batch, x):
+        stitched = [prob.batch_block_grad(batch, j, x) for j in range(part.num_blocks)]
+        assert np.array_equal(prob.batch_full_grad(batch, x), np.concatenate(stitched))
+
     for convex in (True, False):
         prob = generate_quadratic(d + 3, n=5, d=d, partition=part, convex=convex)
         full_idx = np.arange(prob.n)
@@ -468,6 +475,12 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
             assert np.array_equal(prob.batch_full_grad(full_idx, x), full)
             for j, cols in enumerate(part.slices):
                 assert np.array_equal(full[cols], prob.block_grad(j, x))
+            for size in (1, prob.n - 2, prob.n):
+                assert_batch_full_is_stitched(prob, prob.draw_batch(rng, size), x)
+    stream = generate_streaming_quadratic(d + 5, d=d, partition=part)
+    for size in (1, 7):
+        x = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
+        assert_batch_full_is_stitched(stream, stream.draw_batch(rng, size), x)
 
 
 def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
