@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .harness import run_experiment, sweep
+from .harness import RUN_ERRORS, run_experiment, sweep
 from .suites import SUITES, run_suite
 
 
@@ -101,7 +101,11 @@ def main(argv=None) -> int:
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
         failed = False
         for name in names:
-            result = run_suite(name)
+            try:
+                result = run_suite(name)
+            except RUN_ERRORS as exc:
+                print(f"ccdlab: error: {name}: {exc}", file=sys.stderr)
+                return 3
             verdict = "PASS" if result.passed else "FAIL"
             print(f"{verdict} {result.name} ({result.elapsed_s:.1f}s)")
             for line in result.lines:

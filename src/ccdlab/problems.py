@@ -23,6 +23,11 @@ that kernel's output: the quadratic family makes one stacked matmul per run
 of equal-size blocks, which calls the same per-slice product the block
 kernel does. Algorithm equivalences that promise bitwise-equal trajectories
 rely on this.
+
+Sampled gradients are likewise block by block: each family states
+``batch_block_grad(batch, j, x)``, and the full-vector ``batch_full_grad`` is
+stated once, on the shared base, as their concatenation. Only the streaming
+sigmoid overrides it (see ``StreamingClassification.batch_full_grad``).
 """
 
 from __future__ import annotations
@@ -77,6 +82,14 @@ class _Objective:
         batch rows between the two."""
         return self.batch_block_grad(batch, j, x), self.batch_block_grad(batch, j, old)
 
+    def batch_full_grad(self, batch, x: np.ndarray) -> np.ndarray:
+        """The blocks' batch gradients concatenated, each slice bitwise
+        ``batch_block_grad(batch, j, x)``. Only the once-per-run anchor and a
+        stream's surrogate read a full-vector batch gradient."""
+        return np.concatenate(
+            [self.batch_block_grad(batch, j, x) for j in range(self.partition.num_blocks)]
+        )
+
 
 class FiniteSumObjective(_Objective):
     """Shared finite-sum plumbing. Each family implements ``full_grad``,
@@ -84,7 +97,9 @@ class FiniteSumObjective(_Objective):
     the stacks of per-component gradients ``component_block_grads`` (one
     block) and ``component_block_grads_full``. The j-th slice of
     ``full_grad(x)`` is bit-identical to ``block_grad(j, x)``; every
-    equivalence contract leans on this."""
+    equivalence contract leans on this. ``batch_block_grad`` routes a full
+    batch to ``block_grad``, so a full batch's ``batch_full_grad`` is
+    ``full_grad``, bit for bit."""
 
     n: int
 
@@ -100,9 +115,6 @@ class FiniteSumObjective(_Objective):
         ``kernel(x, out=None)``; with ``out`` it writes there."""
         return self._rows_kernel(self.partition.slices[j])
 
-    def component_block_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        return self.component_block_grads(j, x)[i]
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
 
@@ -111,17 +123,6 @@ class FiniteSumObjective(_Objective):
         return sampling.draw_minibatches(rng, self.n, sizes)
 
     # a full batch without replacement is the exact average
-    def batch_full_grad(self, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-        idx = np.asarray(batch)
-        if idx.shape[0] == self.n:
-            return self.full_grad(x)
-        return self._batch_full_grad(idx, x)
-
-    def _batch_full_grad(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [self._batch_rows_grad(idx, cols, x) for cols in self.partition.slices]
-        )
-
     def batch_block_grad(self, batch: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(batch)
         if idx.shape[0] == self.n:
@@ -336,9 +337,6 @@ class SigmoidClassification(FiniteSumObjective):
     def _batch_rows_grad(self, idx, cols, x):
         return _sigmoid_rows_grad(self.rows[idx], self.labels[idx], cols, x)
 
-    def _batch_full_grad(self, idx, x):
-        return _sigmoid_grad(self.rows[idx], self.labels[idx], self.partition.slices, x)
-
     def component_block_grads(self, j, x):
         cols = self.partition.block_slice(j)
         return _sigmoid_component_grads(self.rows, self.labels, cols, x)
@@ -431,7 +429,7 @@ class _RowBatch(NamedTuple):
 class StreamingObjective(_Objective):
     """Infinite-sum interface: i.i.d. component batches, no exact gradients.
     Each family implements ``draw_batch``, ``batch_value`` and
-    ``batch_block_grad``."""
+    ``batch_block_grad``; ``batch_full_grad`` is the shared concatenation."""
 
     n = math.inf
 
@@ -443,11 +441,6 @@ class StreamingObjective(_Objective):
         """Consecutive ``draw_batch`` calls, one per size, each made only
         when its batch is asked for: a run never holds more than one."""
         return (self.draw_batch(rng, size) for size in sizes)
-
-    def batch_full_grad(self, batch, x) -> np.ndarray:
-        return np.concatenate(
-            [self.batch_block_grad(batch, j, x) for j in range(self.partition.num_blocks)]
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,6 +554,9 @@ class StreamingClassification(StreamingObjective):
         return _sigmoid_value(batch.rows, batch.labels, x)
 
     def batch_full_grad(self, batch, x):
+        """The shared concatenation's bits with the sigmoid coefficients
+        computed once, not once per block: this serves the surrogate's large
+        batch, the one full-vector batch gradient whose cost shows."""
         return _sigmoid_grad(batch.rows, batch.labels, self.partition.slices, x)
 
     def batch_block_grad(self, batch, j, x):

@@ -243,15 +243,15 @@ def suite_vr_potential() -> SuiteResult:
     ok = True
     lines = []
 
-    # exact-anchor specialization: b = b' = n makes the noise term vanish and
-    # the harness asserts the inequality pathwise
+    # exact-anchor specialization: b = b' = n makes the noise term vanish, so
+    # every estimate is exact (u_k at rounding level) and the harness checks
+    # the inequality pathwise
     problem = ProblemSpec(n=24, d=12, m=3, condition_number=5.0, reg=("l1", 0.05))
     algorithm = AlgorithmSpec(name="vrccd", cycles=100, p=0.4, b=24, bprime=24)
     seeds = [71_000 + s for s in range(5)]
     _, traces, (rep_path,) = _check(7100, problem, algorithm, checked, seeds, record_u=True)
-    for trace in traces:
-        assert max(v for v in trace.est_err_sq if v is not None) <= 1e-20
-    ok = ok and rep_path.passed
+    exact = all(v <= 1e-20 for t in traces for v in t.est_err_sq if v is not None)
+    ok = ok and exact and rep_path.passed
     lines.append(f"exact-anchor pathwise: 5 seeds x 100 cycles, worst slack={rep_path.worst.slack:.3e}")
 
     # generic parameters: seed-mean within the one-sided 99% allowance; the
@@ -404,7 +404,7 @@ def suite_gradient_prox_oracles() -> SuiteResult:
         cols = part.block_slice(j)
         if t % 4 < 2:
             i = int(rng.integers(prob.n))
-            analytic = prob.component_block_grad(i, j, x)
+            analytic = prob.component_block_grads(j, x)[i]
             fd = _central_diff_block(lambda z: prob.component_value(i, z), x, cols)
         else:
             analytic = prob.block_grad(j, x)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccdlab import checks, harness
+from ccdlab import checks, harness, suites
 from ccdlab.algorithms import prox_gd_run
 from ccdlab.cli import main
 from ccdlab.config import parse_config
@@ -488,6 +488,39 @@ def test_cli_usage_errors_exit_3(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_cli_check_reports_a_suite_error_and_exits_3(monkeypatch, capsys):
+    # an escaped exception would exit 1, which reads as a Monte Carlo failure
+    def raising():
+        raise ValueError("no instance")
+
+    monkeypatch.setitem(suites.SUITES, "vr-rate", raising)
+    assert main(["check", "vr-rate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "ccdlab: error: vr-rate: no instance\n"
+    assert captured.out == ""
+
+
+def test_vr_potential_inexact_anchor_fails_the_suite_without_raising(monkeypatch):
+    """The exact-anchor case's u_k <= 1e-20 is part of the verdict, so it
+    holds under ``python -O`` and ``ccdlab check`` prints a FAIL line. Every
+    run keeps 4 seeds, and every bound report still passes: the forced u_k
+    alone fails the suite."""
+    check = suites._check
+    reports = []
+
+    def inexact_anchor(seed, problem, algorithm, checked, seeds, **fields):
+        res, traces, reps = check(seed, problem, algorithm, checked, seeds[:4], **fields)
+        reports.extend(reps)
+        if seed == 7100:
+            traces[0].est_err_sq[-1] = 1e-19
+        return res, traces, reps
+
+    monkeypatch.setattr(suites, "_check", inexact_anchor)
+    result = suites.suite_vr_potential()
+    assert len(reports) == 2 and all(rep.passed for rep in reports)
+    assert result.passed is False
 
 
 def test_cli_seed_override_changes_instance(tmp_path):

@@ -78,7 +78,7 @@ def test_batch_full_equals_explicit_average():
     x = np.random.default_rng(2).standard_normal(8)
     idx = np.array([0, 2, 5])
     got = prob.batch_block_grad(idx, 1, x)
-    want = np.mean([prob.component_block_grad(i, 1, x) for i in idx], axis=0)
+    want = prob.component_block_grads(1, x)[idx].mean(axis=0)
     assert np.allclose(got, want, rtol=1e-12)
     # the full index set routes through the exact averaged matrices
     full_idx = np.arange(prob.n)
@@ -484,8 +484,13 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
 
 
 def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
+    """The streaming sigmoid's full-vector batch gradient, which serves the
+    surrogate's large batch, computes the coefficients once for all blocks.
+    Both sigmoid families' slices are their block batch gradients, bit for
+    bit; the finite sum's is the generic concatenation."""
     part = BlockPartition((3, 3, 2, 2, 1))
-    prob = generate_classification(97, n=24, d=part.dim, partition=part)
+    finite = generate_classification(97, n=24, d=part.dim, partition=part)
+    stream = generate_streaming_classification(97, d=part.dim, partition=part)
     rng = np.random.default_rng(101)
     calls = []
     coeffs = problems._sigmoid_coeffs
@@ -495,14 +500,16 @@ def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
         return coeffs(*args)
 
     monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
-    for size in (1, 8, prob.n - 1, prob.n):
-        batch = prob.draw_batch(rng, size)
-        x = rng.standard_normal(part.dim)
-        calls.clear()
-        full = prob.batch_full_grad(batch, x)
-        assert len(calls) == 1
-        for j, cols in enumerate(part.slices):
-            assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
+    for prob, sizes in ((stream, (1, 8, 100)), (finite, (1, 8, finite.n - 1, finite.n))):
+        for size in sizes:
+            batch = prob.draw_batch(rng, size)
+            x = rng.standard_normal(part.dim)
+            calls.clear()
+            full = prob.batch_full_grad(batch, x)
+            if prob is stream:
+                assert len(calls) == 1
+            for j, cols in enumerate(part.slices):
+                assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
 
 
 # -- the premises each family states about itself ---------------------------
