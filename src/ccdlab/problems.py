@@ -554,9 +554,10 @@ class StreamingClassification(StreamingObjective):
         return _sigmoid_value(batch.rows, batch.labels, x)
 
     def batch_full_grad(self, batch, x):
-        """The shared concatenation's bits with the sigmoid coefficients
-        computed once, not once per block: this serves the surrogate's large
-        batch, the one full-vector batch gradient whose cost shows."""
+        """The shared concatenation's bits, with the sigmoid coefficients
+        computed once rather than once per block. It serves the surrogate's
+        large batch, the only full-vector batch gradient big enough for that
+        to matter."""
         return _sigmoid_grad(batch.rows, batch.labels, self.partition.slices, x)
 
     def batch_block_grad(self, batch, j, x):
