@@ -6,6 +6,8 @@
 
 Exit status: 0 all checks pass, 1 Monte Carlo failure after escalation,
 2 deterministic bound violation, 3 usage, configuration or runtime error.
+A suite that raises prints its traceback; ``check all`` still runs the
+others and then exits 3.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, parse_config
@@ -99,19 +102,22 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
-        failed = False
+        failed = errored = False
         for name in names:
             try:
                 result = run_suite(name)
             except RUN_ERRORS as exc:
+                # a suite takes no user input, so where it raised matters
+                traceback.print_exc()
                 print(f"ccdlab: error: {name}: {exc}", file=sys.stderr)
-                return 3
+                errored = True
+                continue
             verdict = "PASS" if result.passed else "FAIL"
             print(f"{verdict} {result.name} ({result.elapsed_s:.1f}s)")
             for line in result.lines:
                 print(f"    {line}")
             failed = failed or not result.passed
-        return 2 if failed else 0
+        return 3 if errored else 2 if failed else 0
 
     if args.command == "sweep":
         try:

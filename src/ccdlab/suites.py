@@ -250,9 +250,11 @@ def suite_vr_potential() -> SuiteResult:
     algorithm = AlgorithmSpec(name="vrccd", cycles=100, p=0.4, b=24, bprime=24)
     seeds = [71_000 + s for s in range(5)]
     _, traces, (rep_path,) = _check(7100, problem, algorithm, checked, seeds, record_u=True)
-    exact = all(v <= 1e-20 for t in traces for v in t.est_err_sq if v is not None)
-    ok = ok and exact and rep_path.passed
+    inexact = [v for t in traces for v in t.est_err_sq if v is not None and not v <= 1e-20]
+    ok = ok and not inexact and rep_path.passed
     lines.append(f"exact-anchor pathwise: 5 seeds x 100 cycles, worst slack={rep_path.worst.slack:.3e}")
+    if inexact:
+        lines.append(f"exact-anchor estimates: {len(inexact)} u_k above 1e-20, largest={max(inexact):.3e}")
 
     # generic parameters: seed-mean within the one-sided 99% allowance; the
     # components share one curvature, so sigma^2 at the start point is exact

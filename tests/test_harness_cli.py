@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccdlab import checks, harness, suites
+from ccdlab import checks, cli, harness, suites
 from ccdlab.algorithms import prox_gd_run
 from ccdlab.cli import main
 from ccdlab.config import parse_config
@@ -491,15 +491,22 @@ def test_cli_usage_errors_exit_3(argv, message, capsys):
 
 
 def test_cli_check_reports_a_suite_error_and_exits_3(monkeypatch, capsys):
-    # an escaped exception would exit 1, which reads as a Monte Carlo failure
+    # an escaped exception would exit 1, which reads as a Monte Carlo failure;
+    # check all runs the other suites, and a FAIL among them still shows
     def raising():
         raise ValueError("no instance")
 
-    monkeypatch.setitem(suites.SUITES, "vr-rate", raising)
-    assert main(["check", "vr-rate"]) == 3
+    def failing():
+        return suites.SuiteResult("b-fails", False, ["forced"])
+
+    monkeypatch.setattr(suites, "SUITES", {"a-raises": raising, "b-fails": failing})
+    monkeypatch.setattr(cli, "SUITES", suites.SUITES)
+    assert main(["check", "all"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "ccdlab: error: vr-rate: no instance\n"
-    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert 'raise ValueError("no instance")' in captured.err
+    assert captured.err.endswith("ccdlab: error: a-raises: no instance\n")
+    assert captured.out.startswith("FAIL b-fails")
 
 
 def test_vr_potential_inexact_anchor_fails_the_suite_without_raising(monkeypatch):
@@ -521,6 +528,7 @@ def test_vr_potential_inexact_anchor_fails_the_suite_without_raising(monkeypatch
     result = suites.suite_vr_potential()
     assert len(reports) == 2 and all(rep.passed for rep in reports)
     assert result.passed is False
+    assert "exact-anchor estimates: 1 u_k above 1e-20, largest=1.000e-19" in result.lines
 
 
 def test_cli_seed_override_changes_instance(tmp_path):

@@ -323,6 +323,8 @@ def test_sigmoid_full_gradients_slice_into_block_gradients_bitwise():
     for _ in range(3):
         x = rng.standard_normal(8)
         full, batch_full = finite.full_grad(x), stream.batch_full_grad(batch, x)
+        # the anchor's b = n case: a full batch's gradient is full_grad
+        assert np.array_equal(finite.batch_full_grad(np.arange(finite.n), x), full)
         for j, cols in enumerate(part.slices):
             assert np.array_equal(full[cols], finite.block_grad(j, x))
             assert np.array_equal(batch_full[cols], stream.batch_block_grad(batch, j, x))
@@ -483,14 +485,12 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
         assert_batch_full_is_stitched(stream, stream.draw_batch(rng, size), x)
 
 
-def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
+def test_streaming_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
     """The streaming sigmoid's full-vector batch gradient, which serves the
-    surrogate's large batch, computes the coefficients once for all blocks.
-    Both sigmoid families' slices are their block batch gradients, bit for
-    bit; the finite sum's is the generic concatenation."""
+    surrogate's large batch, computes the coefficients once for all blocks,
+    and its slices are the block batch gradients, bit for bit."""
     part = BlockPartition((3, 3, 2, 2, 1))
-    finite = generate_classification(97, n=24, d=part.dim, partition=part)
-    stream = generate_streaming_classification(97, d=part.dim, partition=part)
+    prob = generate_streaming_classification(97, d=part.dim, partition=part)
     rng = np.random.default_rng(101)
     calls = []
     coeffs = problems._sigmoid_coeffs
@@ -500,16 +500,14 @@ def test_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
         return coeffs(*args)
 
     monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
-    for prob, sizes in ((stream, (1, 8, 100)), (finite, (1, 8, finite.n - 1, finite.n))):
-        for size in sizes:
-            batch = prob.draw_batch(rng, size)
-            x = rng.standard_normal(part.dim)
-            calls.clear()
-            full = prob.batch_full_grad(batch, x)
-            if prob is stream:
-                assert len(calls) == 1
-            for j, cols in enumerate(part.slices):
-                assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
+    for size in (1, 8, 100):
+        batch = prob.draw_batch(rng, size)
+        x = rng.standard_normal(part.dim)
+        calls.clear()
+        full = prob.batch_full_grad(batch, x)
+        assert len(calls) == 1
+        for j, cols in enumerate(part.slices):
+            assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
 
 
 # -- the premises each family states about itself ---------------------------
