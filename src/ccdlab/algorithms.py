@@ -26,12 +26,7 @@ maps each algorithm name to its entry point and the settings it fixes.
   intermediate point just before block j is updated; the simultaneous order
   estimates every block's at x_{k-1}, which gives the full-gradient methods
   bit for bit (each slice of ``full_grad`` is ``block_kernel``'s, and every
-  regularizer here is coordinate-wise). The prox residuals and the
-  per-cycle sums over them (v_k, s_k, the intermediate-gradient residual
-  and the anchor error u_k) are computed once the cycle's last block has
-  stepped, all from one stacked matmul per run of equal-size blocks. Each
-  sum adds its blocks left to right, but the simultaneous order's u_k is one
-  sum over the whole vector, as the full-gradient methods define it.
+  regularizer here is coordinate-wise).
 * **Gradient estimator.** Exact without an ``RngBundle``; with one, the
   recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
   per block, held in the block's estimate. Each estimate either refreshes
@@ -58,6 +53,23 @@ one prox step writing x in place. The public ``block_grad`` and ``prox``
 build the same kernel and step and call them once, so both paths round
 alike, bit for bit.
 
+The trace diagnostics are computed once per *chunk* of cycles, not once per
+cycle. The cycles run in chunks of 1, 2, 4, ... up to ``CHUNK_CYCLES`` = 64;
+each cycle copies its iterate, its estimate and (with ``record_u``) its
+intermediate gradients into the chunk's buffers. When the chunk's last cycle
+has stepped, one pass takes F(x_k) and the full gradients of every cycle
+from one stacked family call (``values_and_grads``; a stream draws its
+surrogate batch row by row), then the prox residuals and the per-cycle sums
+over them (v_k, s_k, the intermediate-gradient residual and the anchor
+error u_k) from one stacked matmul per run of equal-size blocks. Each sum
+adds its blocks left to right, but the simultaneous order's u_k is one sum
+over the whole vector, as the full-gradient methods define it. Every value
+is bitwise the one a per-cycle computation gives. The rows are then checked
+and recorded in cycle order, so a ``row_sink`` receives them in bursts of
+up to 64. A run that stops early (``stop_step_sq``) or diverges has stepped
+up to 63 cycles past its last row by then; those cycles leave no row, and a
+diverging run raises at its failing row.
+
 Conventions shared by every run:
 
 * one outer iteration = one cycle, which maps the iterate x_{k-1} to x_k;
@@ -70,12 +82,17 @@ Conventions shared by every run:
 * ``work`` accumulates optimizer gradient effort d-weighted: a batch of size
   c used to update a block of dimension d_j costs c * d_j (diagnostic
   evaluations are excluded);
+* ``wall_ns`` of row k is the cycle's own step time plus an equal share,
+  rounded down, of its chunk's diagnostic pass; it is 0 at k = 0, and the
+  rows add up to at most ``meta["wall_total_ns"]``, which also counts the
+  anchor, the start row and the recording of the rows;
 * exact runs return the iterate with the smallest displacement from its
   predecessor, randomized runs the iterate at an index drawn from the
   output stream;
 * a non-finite objective value raises :class:`NonFiniteObjectiveError`
   wherever a value exists (finite sums, or streaming runs with a surrogate),
-  and so does a non-finite squared step v_k where none does.
+  and so does a non-finite squared step v_k where none does, after every
+  earlier row has reached the ``row_sink``.
 """
 
 from __future__ import annotations
@@ -98,6 +115,9 @@ from .sampling import RngBundle, bernoulli_switch, bernoulli_switches
 
 FRESH_PER_BLOCK = "fresh_per_block"
 SHARED_PER_CYCLE = "shared_per_cycle"
+
+# the most cycles whose trace diagnostics are computed together
+CHUNK_CYCLES = 64
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -123,7 +143,7 @@ class RunTrace:
     est_err_sq: list = field(default_factory=list)  # anchor error; None unless recorded
     mid_resid_sq: list = field(default_factory=list)  # intermediate-gradient residual
     work: list = field(default_factory=list)  # cumulative d-weighted gradient work
-    wall_ns: list = field(default_factory=list)
+    wall_ns: list = field(default_factory=list)  # step time plus a share of its chunk's diagnostics
     iterates: list | None = None
 
     def add_row(self, k, obj, stat_sq, step_sq, est_err_sq, mid_resid_sq, work, wall_ns):
@@ -189,33 +209,25 @@ class RunConfig:
 
 def _run_views(sq, weights, runs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per run of equal-size blocks, the stacked views that
-    ``_block_norms_sums`` multiplies: ``weights`` (q, d) as (q, c, 1, w) and
-    the squares ``sq`` (q, d) as (q, c, w, 1)."""
-    q = sq.shape[0]
-    return [(weights[:, s:e].reshape(q, c, 1, w), sq[:, s:e].reshape(q, c, w, 1))
+    ``_block_norms_sums`` multiplies: ``weights`` (..., d) as (..., c, 1, w)
+    and the squares ``sq`` (..., d) as (..., c, w, 1)."""
+    lead = sq.shape[:-1]
+    return [(weights[..., s:e].reshape(*lead, c, 1, w), sq[..., s:e].reshape(*lead, c, w, 1))
             for s, e, c, w in runs]
 
 
-def _block_norms_sums(run_views) -> list[float]:
-    """Per row r of the stacked squares, the sum over blocks of
-    ``weighted_norm_sq`` against row r of the weights, bit for bit: per run
-    of equal-size blocks one stacked matmul makes each block's dot as
-    ``np.dot`` does, and each row's dots are added left to right."""
-    totals = None
+def _block_norms_sums(run_views) -> list:
+    """Per row of the stacked squares, the sum over blocks of
+    ``weighted_norm_sq`` against the same row of the weights, bit for bit,
+    as nested lists shaped like the leading axes: per run of equal-size
+    blocks one stacked matmul makes each block's dot as ``np.dot`` does, and
+    each row's dots are added left to right, from 0.0."""
+    totals = 0.0
     for w_run, sq_run in run_views:
-        rows = np.matmul(w_run, sq_run).reshape(len(w_run), -1).tolist()
-        if totals is None:
-            totals = [0.0] * len(rows)
-        for r, row in enumerate(rows):
-            total = totals[r]
-            for dot in row:
-                total += dot
-            totals[r] = total
-    return totals
-
-
-def _objective(prob, reg, x) -> float:
-    return prob.value(x) + total_value(reg, x, prob.partition)
+        dots = np.matmul(w_run, sq_run)[..., 0, 0]
+        for b in range(dots.shape[-1]):
+            totals = totals + dots[..., b]
+    return totals.tolist()
 
 
 def pccd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
@@ -313,22 +325,34 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
     eta = cfg.eta
     scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
-    # the squares behind v_k, s_k, (cyclic, with record_u) the intermediate
-    # residual and (with record_u) u_k, one row each, and the weights of each
-    # row. Each row is summed per block, but the simultaneous order's u_k
-    # row over the whole vector, as one run.
+    # the chunk buffers: the iterates of a chunk (row 0 the one before it),
+    # each cycle's estimates and intermediate gradients, and per cycle the
+    # squares behind v_k, s_k, (cyclic, with record_u) the intermediate
+    # residual and (with record_u) u_k, one row each, beside contiguous rows
+    # of their weights. Each row is summed per block, but the simultaneous
+    # order's u_k row over the whole vector, as one run.
     mid_row = record_u and cyclic
     rows = 2 + mid_row + record_u
-    sq = np.zeros((rows, d))
-    weights = np.stack([lam_k] + [inv_k] * (rows - 1))
     per_block = rows if cyclic else 2
-    stacks = [_run_views(sq[:per_block], weights[:per_block], part.runs)]
-    if per_block < rows:
-        stacks.append(_run_views(sq[per_block:], weights[per_block:], ((0, d, 1, d),)))
+    cap = min(cfg.cycles, CHUNK_CYCLES)
+    xs = np.empty((cap + 1, d))
+    ests = np.empty((cap, d))
+    mid_buf = np.empty((cap, d)) if record_u else None
+    sq = np.zeros((cap, rows, d))
+    weights = np.empty((cap, rows, d))
+    weights[:, 0] = lam_k
+    weights[:, 1:] = inv_k
 
-    def row_sums():
-        np.multiply(sq, sq, out=sq)
-        return [total for views in stacks for total in _block_norms_sums(views)]
+    def row_sums(c):
+        """Squares ``sq[:c]`` in place; per cycle, the sum of each row."""
+        block = sq[:c]
+        np.multiply(block, block, out=block)
+        sums = _block_norms_sums(_run_views(block[:, :per_block], weights[:c, :per_block], part.runs))
+        if per_block < rows:
+            whole = _block_norms_sums(
+                _run_views(block[:, per_block:], weights[:c, per_block:], ((0, d, 1, d),)))
+            sums = [head + tail for head, tail in zip(sums, whole)]
+        return sums
 
     k_out = None
     trace = RunTrace(seed=None if rngs is None else rngs.seed)
@@ -353,8 +377,8 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         if record_u:
             for unit in plan:
                 unit.kernel(x, unit.mid)
-            np.subtract(est, mids, out=sq[-1])
-            u0 = row_sums()[-1]
+            np.subtract(est, mids, out=sq[0, -1])
+            u0 = row_sums(1)[0][-1]
     # every estimate's switch, then the size-b (refresh) or size-b'
     # (correction) batch each switch calls for, from the streams in the
     # order that one switch and one batch per estimate would take them; the
@@ -365,97 +389,125 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
         sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
         draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
-    f0, _ = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=False)
+    (f0,), _ = _trace_values_grads(prob, reg, x[None], cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
         row_sink(trace)
 
-    # per cycle, each block only estimates g, takes its prox step from
-    # x_{k-1} and writes its coordinates: a block is not written before its
-    # own step, so x_{k-1} over its coordinates is its center in either
-    # order. The residuals and the per-cycle sums over them are taken once
-    # the cycle ends.
+    # the cycles run in chunks of 1, 2, 4, ... up to CHUNK_CYCLES. Per cycle,
+    # each block only estimates g, takes its prox step from x_{k-1} and
+    # writes its coordinates: a block is not written before its own step, so
+    # x_{k-1} over its coordinates is its center in either order. The
+    # residuals and the per-cycle sums over them are taken for the whole
+    # chunk once its last cycle ends; then its rows are checked and recorded
+    # in order, and a stop or a non-finite row discards the cycles after it.
     best_v, best_x = math.inf, x.copy()
     x_hat = None
-    for k in range(1, cfg.cycles + 1):
-        t_iter = time.perf_counter_ns()
-        cur = (k - 1) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
-        x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
-        at = x if cyclic else x_prev  # where the estimates are made
-        if not recursive:
-            work += exact_work
-        for u, (j, lead, size, kernel, step, x_u, est_u, mid_u, centers) in enumerate(plan):
+    k = 0
+    chunk = 1
+    stopped = False
+    while k < cfg.cycles and not stopped:
+        c = min(chunk, cfg.cycles - k)
+        chunk = min(2 * chunk, CHUNK_CYCLES)
+        xs[0] = x
+        works, walls = [], []
+        for i in range(c):
+            t_iter = time.perf_counter_ns()
+            cur = (k + i) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
+            x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
+            at = x if cyclic else x_prev  # where the estimates are made
             if not recursive:
-                kernel(at, est_u)
-            else:
-                if u == 0 or not per_cycle:
-                    refresh, batch = next(draws)
-                if refresh:
-                    est_u[...] = prob.batch_block_grad(batch, j, at)
-                    work += cfg.b * size
+                work += exact_work
+            for u, (j, lead, size, kernel, step, x_u, est_u, mid_u, centers) in enumerate(plan):
+                if not recursive:
+                    kernel(at, est_u)
                 else:
-                    # the matching point of the previous cycle
-                    old = np.concatenate((x_prev[:lead], x_prev2[lead:]))
-                    g_x, g_old = prob.batch_block_grad_pair(batch, j, at, old)
-                    est_u += g_x - g_old
-                    work += cfg.b_prime * size
+                    if u == 0 or not per_cycle:
+                        refresh, batch = next(draws)
+                    if refresh:
+                        est_u[...] = prob.batch_block_grad(batch, j, at)
+                        work += cfg.b * size
+                    else:
+                        # the matching point of the previous cycle
+                        old = np.concatenate((x_prev[:lead], x_prev2[lead:]))
+                        g_x, g_old = prob.batch_block_grad_pair(batch, j, at, old)
+                        est_u += g_x - g_old
+                        work += cfg.b_prime * size
+                if record_u:
+                    kernel(at, mid_u)
+                step(centers[cur], est_u, x_u)
+            np.copyto(x_prev2, x)  # the next cycle's x_{k-1}
+            xs[i + 1] = x
+            ests[i] = est
             if record_u:
-                kernel(at, mid_u)
-            step(centers[cur], est_u, x_u)
+                mid_buf[i] = mids
+            works.append(work)
+            walls.append(time.perf_counter_ns() - t_iter)
 
-        resid = lam_k * (x_prev - x)
+        t_diag = time.perf_counter_ns()
+        xk, xk_prev = xs[1 : c + 1], xs[:c]
+        resid = lam_k * (xk_prev - xk)
         if scaled:
             resid /= eta
-        resid -= est
-        np.subtract(x, x_prev, out=sq[0])
-        f_k, grad_end = _trace_value_grad(prob, reg, x, cfg.surrogate_samples, rngs, want_grad=True)
-        if grad_end is not None:
-            np.add(grad_end, resid, out=sq[1])
+        resid -= ests[:c]
+        np.subtract(xk, xk_prev, out=sq[:c, 0])
+        values, grads = _trace_values_grads(prob, reg, xk, cfg.surrogate_samples, rngs)
+        if grads is not None:
+            np.add(grads, resid, out=sq[:c, 1])
         if mid_row:
-            np.add(mids, resid, out=sq[2])
+            np.add(mid_buf[:c], resid, out=sq[:c, 2])
         if record_u:
-            np.subtract(est, mids, out=sq[-1])
-        sums = row_sums()
-        v_k = sums[0]
-        s_k = None if grad_end is None else sums[1]
-        mid_k = sums[2] if mid_row else None
-        u_k = sums[-1] if record_u else None
-        if f_k is not None and not math.isfinite(f_k):
-            raise NonFiniteObjectiveError(k, f_k)
-        if f_k is None and not math.isfinite(v_k):
-            raise NonFiniteObjectiveError(k, v_k, "objective value not recorded; squared step v_k =")
-        if k_out is None and v_k < best_v:
-            best_v = v_k
-            best_x = x.copy()
-        if k == k_out:
-            x_hat = x.copy()
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
-        np.copyto(x_prev2, x)  # the next cycle's x_{k-1}
-        trace.add_row(k, f_k, s_k, v_k, u_k, mid_k, work, time.perf_counter_ns() - t_iter)
-        if row_sink is not None:
-            row_sink(trace)
-        if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
-            break
+            np.subtract(ests[:c], mid_buf[:c], out=sq[:c, -1])
+        sums = row_sums(c)
+        share = (time.perf_counter_ns() - t_diag) // c
+
+        for i in range(c):
+            k += 1
+            f_k, row = values[i], sums[i]
+            v_k = row[0]
+            if f_k is not None and not math.isfinite(f_k):
+                raise NonFiniteObjectiveError(k, f_k)
+            if f_k is None and not math.isfinite(v_k):
+                raise NonFiniteObjectiveError(k, v_k, "objective value not recorded; squared step v_k =")
+            if k_out is None and v_k < best_v:
+                best_v = v_k
+                best_x = xk[i].copy()
+            if k == k_out:
+                x_hat = xk[i].copy()
+            if cfg.keep_iterates:
+                trace.iterates.append(xk[i].copy())
+            trace.add_row(k, f_k, None if grads is None else row[1], v_k,
+                          row[-1] if record_u else None, row[2] if mid_row else None,
+                          works[i], walls[i] + share)
+            if row_sink is not None:
+                row_sink(trace)
+            if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
+                stopped = True
+                break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
     return (best_x if k_out is None else x_hat), trace
 
 
-def _trace_value_grad(prob, reg, x, surrogate_samples, rngs, want_grad):
-    """Objective value and full gradient for trace rows.
+def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=True):
+    """F and, with ``want_grad``, the full gradient at each row of the (c, d)
+    stack ``points``, for trace rows: a list of values and a (c, d) array.
 
-    Exact for finite sums. Streaming objectives use a seeded surrogate batch
-    (both quantities are then sample estimates and labeled approximate by
-    the harness); a streaming quadratic's batch is the column mean of its
-    linear terms, drawn in chunks, so the surrogate holds O(chunk * d)
-    memory at any sample count. With no surrogate budget they are skipped.
+    Exact for finite sums, from one stacked ``values_and_grads`` call.
+    Streaming objectives use a seeded surrogate batch per row (both
+    quantities are then sample estimates and labeled approximate by the
+    harness); a streaming quadratic's batch is the column mean of its linear
+    terms, drawn in chunks, so the surrogate holds O(chunk * d) memory at any
+    sample count. With no surrogate budget they are skipped.
     """
     if prob.is_finite:
-        grad = prob.full_grad(x) if want_grad else None
-        return _objective(prob, reg, x), grad
-    if surrogate_samples and surrogate_samples > 0:
-        batch = prob.draw_batch(rngs.surrogate, int(surrogate_samples))
-        value = prob.batch_value(batch, x) + total_value(reg, x, prob.partition)
-        grad = prob.batch_full_grad(batch, x) if want_grad else None
-        return value, grad
-    return None, None
+        values, grads = prob.values_and_grads(points)
+    elif surrogate_samples > 0:
+        values, grads = [], np.empty_like(points) if want_grad else None
+        for i, x in enumerate(points):
+            batch = prob.draw_batch(rngs.surrogate, int(surrogate_samples))
+            values.append(prob.batch_value(batch, x))
+            if want_grad:
+                grads[i] = prob.batch_full_grad(batch, x)
+    else:
+        return [None] * len(points), None
+    return [f + total_value(reg, x, prob.partition) for f, x in zip(values, points)], grads

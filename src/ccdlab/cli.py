@@ -4,10 +4,11 @@
     ccdlab check <suite>   (a criterion suite name, or "all")
     ccdlab sweep <config>  --axis KEY --values v1,v2,... [--seed] [--jobs] [--out-dir]
 
-Exit status: 0 all checks pass, 1 Monte Carlo failure after escalation,
-2 deterministic bound violation, 3 usage, configuration or runtime error.
-A suite that raises prints its traceback; ``check all`` still runs the
-others and then exits 3.
+Exit status: 0 all checks pass, 1 Monte Carlo failure (after escalation,
+for ``run``), 2 deterministic bound violation, 3 usage, configuration or
+runtime error. ``check`` exits 2 when a hard check of a suite failed and 1
+when only Monte Carlo ones did. A suite that raises prints its traceback;
+``check all`` still runs the others and then exits 3.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .harness import RUN_ERRORS, run_experiment, sweep
+from .harness import RUN_ERRORS, exit_status, run_experiment, sweep
 from .suites import SUITES, run_suite
 
 
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
-        failed = errored = False
+        status, errored = 0, False
         for name in names:
             try:
                 result = run_suite(name)
@@ -116,8 +117,8 @@ def main(argv=None) -> int:
             print(f"{verdict} {result.name} ({result.elapsed_s:.1f}s)")
             for line in result.lines:
                 print(f"    {line}")
-            failed = failed or not result.passed
-        return 3 if errored else 2 if failed else 0
+            status = max(status, exit_status(result.hard_failed, not result.passed))
+        return 3 if errored else status
 
     if args.command == "sweep":
         try:

@@ -513,6 +513,12 @@ def run_traces(
 RUN_ERRORS = (ConfigError, ValueError, algorithms.NonFiniteObjectiveError)
 
 
+def exit_status(hard_failed: bool, monte_carlo_failed: bool) -> int:
+    """The exit status of a verdict: 2 when a hard check failed, else 1 when
+    a Monte Carlo one did, else 0."""
+    return 2 if hard_failed else 1 if monte_carlo_failed else 0
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> ExperimentResult:
     out_dir = Path(out_dir)
     trace_dir = out_dir / cfg.output.trace_path
@@ -548,7 +554,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     report_csv = report_txt = None
     if reports:
         report_csv, report_txt = write_report(reports, out_dir / cfg.output.report_path)
-    code = 2 if failed(checks.HARD) else (1 if failed(checks.MONTE_CARLO) else 0)
+    code = exit_status(failed(checks.HARD), failed(checks.MONTE_CARLO))
     return ExperimentResult(code, trace_paths, report_csv, report_txt, reports, traces)
 
 

@@ -22,7 +22,10 @@ gradients are assembled so that each block's slice stays bitwise equal to
 that kernel's output: the quadratic family makes one stacked matmul per run
 of equal-size blocks, which calls the same per-slice product the block
 kernel does. Algorithm equivalences that promise bitwise-equal trajectories
-rely on this.
+rely on this. The trace rows of a chunk of cycles read F and the full
+gradient at a stack of points through ``values_and_grads``, which is the
+per-row ``value`` and ``full_grad`` calls by default; the quadratic family
+stacks them into a few matmuls that make the same per-row BLAS calls.
 
 Sampled gradients are likewise block by block: each family states
 ``batch_block_grad(batch, j, x)``, and the full-vector ``batch_full_grad`` is
@@ -110,6 +113,12 @@ class FiniteSumObjective(_Objective):
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.block_kernel(j)(x)
 
+    def values_and_grads(self, points: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """``value`` and ``full_grad`` at each row of the (c, d) stack
+        ``points``, bit for bit: a list of c values and a (c, d) array. A
+        family may stack the per-row calls."""
+        return [self.value(x) for x in points], np.array([self.full_grad(x) for x in points])
+
     def block_kernel(self, j: int):
         """Block j's exact gradient bound to the block's rows, as
         ``kernel(x, out=None)``; with ``out`` it writes there."""
@@ -178,6 +187,21 @@ class QuadraticFiniteSum(FiniteSumObjective):
 
     def component_value(self, i, x):
         return float(0.5 * x @ (self.quad[i] @ x) + self.lin[i] @ x + self.const[i])
+
+    def values_and_grads(self, points):
+        # each stacked matmul makes, per row, the call that value or
+        # full_grad makes: the (d, d) gemv and the two dots of the value, and
+        # one (size, d) gemv per block of the gradient
+        cols = points[:, :, None]
+        quad_x = np.matmul(self.mean_quad, cols)
+        values = np.matmul(0.5 * points[:, None, :], quad_x)
+        values += np.matmul(self.mean_lin[None, None, :], cols)
+        values += self.mean_const
+        c = len(points)
+        parts = [np.matmul(q, cols[:, None]).reshape(c, -1) for q in self._mean_quad_runs]
+        grads = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        grads += self.mean_lin
+        return values.reshape(c).tolist(), grads
 
     @cached_property
     def _mean_quad_runs(self) -> tuple[np.ndarray, ...]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import harness, problems, sampling
+from . import checks, harness, problems, sampling
 from .algorithms import (
     FRESH_PER_BLOCK,
     RunConfig,
@@ -42,6 +42,17 @@ class SuiteResult:
     passed: bool
     lines: list[str] = field(default_factory=list)
     elapsed_s: float = 0.0
+    # whether a hard check failed; None for a suite whose checks are all
+    # hard, which then failed hard exactly when it failed
+    hard_failed: bool | None = None
+
+    def __post_init__(self):
+        if self.hard_failed is None:
+            self.hard_failed = not self.passed
+
+
+def _hard_failed(reports) -> bool:
+    return any(not rep.passed and rep.kind == checks.HARD for rep in reports)
 
 
 def _x0(prob, seed, reg=None):
@@ -213,12 +224,12 @@ def suite_vr_rate() -> SuiteResult:
     # b = n under the finite-sum schedule, so both variance terms vanish
     problem = ProblemSpec(n=256, d=64, m=4, condition_number=10.0)
     seeds = [61_000 + s for s in range(100)]
-    ok = True
+    reports = []
     lines = []
     for cycles in (10, 100, 1000):
         algorithm = AlgorithmSpec(name="vrccd", cycles=cycles, schedule="finite_sum")
         res, _, (rep,) = _check(6100, problem, algorithm, ("vr-rate",), seeds)
-        ok = ok and rep.passed
+        reports.append(rep)
         row = rep.rows[0]
         note = ""
         if cycles == 100:
@@ -230,7 +241,8 @@ def suite_vr_rate() -> SuiteResult:
         lines.append(f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}")
     run = res.run
     head = f"n=256 d=64 schedule b={run.b} b'={run.b_prime} p={run.p:.4g} eta={run.eta:.4g}"
-    return SuiteResult("vr-rate", ok, [head + ", 100 seeds"] + lines)
+    ok = all(rep.passed for rep in reports)
+    return SuiteResult("vr-rate", ok, [head + ", 100 seeds"] + lines, hard_failed=_hard_failed(reports))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +252,6 @@ def suite_vr_rate() -> SuiteResult:
 
 def suite_vr_potential() -> SuiteResult:
     checked = ("vr-potential",)
-    ok = True
     lines = []
 
     # exact-anchor specialization: b = b' = n makes the noise term vanish, so
@@ -251,7 +262,6 @@ def suite_vr_potential() -> SuiteResult:
     seeds = [71_000 + s for s in range(5)]
     _, traces, (rep_path,) = _check(7100, problem, algorithm, checked, seeds, record_u=True)
     inexact = [v for t in traces for v in t.est_err_sq if v is not None and not v <= 1e-20]
-    ok = ok and not inexact and rep_path.passed
     lines.append(f"exact-anchor pathwise: 5 seeds x 100 cycles, worst slack={rep_path.worst.slack:.3e}")
     if inexact:
         lines.append(f"exact-anchor estimates: {len(inexact)} u_k above 1e-20, largest={max(inexact):.3e}")
@@ -265,12 +275,13 @@ def suite_vr_potential() -> SuiteResult:
     algorithm = AlgorithmSpec(name="vrccd", cycles=120, p=p, b=b, bprime=b_prime)
     seeds = [72_000 + s for s in range(200)]
     _, _, (rep_mc,) = _check(7200, problem, algorithm, checked, seeds, record_u=True)
-    ok = ok and rep_mc.passed
     lines.append(
         f"generic (p={p}, b={b}, b'={b_prime}): 200 seeds x 120 cycles, "
         f"worst mean-vs-allowance slack={rep_mc.worst.slack:.3e}"
     )
-    return SuiteResult("vr-potential", ok, lines)
+    ok = not inexact and rep_path.passed and rep_mc.passed
+    hard_failed = bool(inexact) or _hard_failed([rep_path, rep_mc])
+    return SuiteResult("vr-potential", ok, lines, hard_failed=hard_failed)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +293,7 @@ def suite_work_accounting() -> SuiteResult:
     problem = ProblemSpec(n=64, d=8, m=4, condition_number=4.0, reg=("box", -2.0, 2.0))
     b, b_prime = 64, 8
     checked = ("work-accounting",)
-    ok = True
+    reports = []
     lines = []
     for label, p, cycles in (
         ("p=1 (exact)", 1.0, 2000),
@@ -295,11 +306,12 @@ def suite_work_accounting() -> SuiteResult:
         algorithm = AlgorithmSpec(name="vrccd", cycles=cycles, p=p or 1.0, b=b, bprime=b_prime)
         seeds = [81_000 + int(p * 100)]
         res, (trace,), (rep,) = _check(8100, problem, algorithm, checked, seeds, **fields)
-        ok = ok and rep.passed
+        reports.append(rep)
         target = (p * b + (1 - p) * b_prime) * res.prob.dim
         mean = float(trace.work_increments().mean())
         lines.append(f"{label}: mean per-cycle work {mean:.4f} vs target {target:.4f} over {cycles} cycles")
-    return SuiteResult("work-accounting", ok, lines)
+    ok = all(rep.passed for rep in reports)
+    return SuiteResult("work-accounting", ok, lines, hard_failed=_hard_failed(reports))
 
 
 # --------------------------------------------------------------------------

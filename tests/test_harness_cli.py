@@ -531,6 +531,55 @@ def test_vr_potential_inexact_anchor_fails_the_suite_without_raising(monkeypatch
     assert "exact-anchor estimates: 1 u_k above 1e-20, largest=1.000e-19" in result.lines
 
 
+@pytest.mark.parametrize(
+    "forced, status",
+    [((7200,), 1), ((7100,), 2), ((7100, 7200), 2)],
+    ids=["monte-carlo", "hard", "both"],
+)
+def test_cli_check_exits_by_the_kind_of_failed_report(forced, status, monkeypatch, capsys):
+    """``ccdlab check`` exits 1 when only a Monte Carlo report of a suite
+    fails and 2 when a hard one does, as ``ccdlab run`` does. vr-potential's
+    exact-anchor case (instance 7100) makes a hard report and its generic
+    case (7200) a Monte Carlo one; each run keeps 4 seeds."""
+    check = suites._check
+    kinds = {}
+
+    def forced_fail(seed, problem, algorithm, checked, seeds, **fields):
+        res, traces, reps = check(seed, problem, algorithm, checked, seeds[:4], **fields)
+        (rep,) = reps
+        kinds[seed] = rep.kind
+        if seed in forced:
+            rep = checks.BoundReport(rep.name, rep.kind, [checks.BoundRow(1, 1.0, 0.0)])
+        return res, traces, [rep]
+
+    monkeypatch.setattr(suites, "_check", forced_fail)
+    assert main(["check", "vr-potential"]) == status
+    assert kinds == {7100: checks.HARD, 7200: checks.MONTE_CARLO}
+    assert capsys.readouterr().out.startswith("FAIL vr-potential")
+
+
+def test_check_and_run_share_one_exit_rule(monkeypatch, tmp_path):
+    seen = []
+    rule = harness.exit_status
+
+    def recording(hard_failed, monte_carlo_failed):
+        seen.append((hard_failed, monte_carlo_failed))
+        return rule(hard_failed, monte_carlo_failed)
+
+    monkeypatch.setattr(harness, "exit_status", recording)
+    monkeypatch.setattr(cli, "exit_status", recording)
+    monkeypatch.setattr(suites, "SUITES", {
+        "mc": lambda: suites.SuiteResult("mc", False, hard_failed=False),
+        "ok": lambda: suites.SuiteResult("ok", True),
+    })
+    monkeypatch.setattr(cli, "SUITES", suites.SUITES)
+    assert main(["check", "all"]) == 1
+    assert seen == [(False, True), (False, False)]
+    assert run_experiment(parse_config(VR_CHECKED), out_dir=tmp_path).exit_code == 0
+    assert seen[2:] == [(False, False)]
+    assert [rule(h, m) for h in (False, True) for m in (False, True)] == [0, 1, 2, 2]
+
+
 def test_cli_seed_override_changes_instance(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(VR_CHECKED)

@@ -5,7 +5,8 @@ makes one call to its bound gradient kernel and one to its bound prox step,
 and both are built once per block per run, in either update order. A
 recursive correction gathers its batch rows once for both of its points.
 The trace diagnostics take whole-vector calls: no per-block gradient or
-regularizer value beyond the block steps'."""
+regularizer value beyond the block steps', and one stacked value and
+gradient call per chunk of cycles, not one per cycle."""
 
 from collections import Counter
 
@@ -14,6 +15,7 @@ import pytest
 
 from ccdlab import algorithms, regularizers
 from ccdlab.algorithms import (
+    CHUNK_CYCLES,
     FRESH_PER_BLOCK,
     SHARED_PER_CYCLE,
     RunConfig,
@@ -193,3 +195,25 @@ def test_one_prox_call_per_estimate_unit(run, monkeypatch):
             # block per run; the step runs once per block per cycle and the
             # public prox not at all
             assert calls == Counter({"prox_step": m, "step": m * cycles})
+
+
+@pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
+def test_trace_values_and_gradients_are_stacked_per_chunk(run, monkeypatch):
+    calls = Counter()
+    for name in ("values_and_grads", "value", "full_grad"):
+        fn = getattr(QuadraticFiniteSum, name)
+
+        def counting(self, *args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(QuadraticFiniteSum, name, counting)
+    part = BlockPartition((3, 3, 2, 2))
+    prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
+    metric = exact_quadratic_metric(prob)
+    assert CHUNK_CYCLES == 64
+    for cycles, chunks in ((1, 1), (3, 2), (64, 7), (200, 9), (500, 13)):
+        calls.clear()
+        run(prob, L1(0.1), RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric))
+        # chunks of 1, 2, 4, ... up to CHUNK_CYCLES, plus the start row's F
+        assert calls == Counter({"values_and_grads": chunks + 1})

@@ -456,6 +456,24 @@ CONTRACT_PARTS = [
 
 
 @pytest.mark.parametrize("part", CONTRACT_PARTS, ids=lambda p: str(p.block_sizes))
+def test_stacked_values_and_gradients_are_the_per_row_calls_bitwise(part):
+    """``values_and_grads`` over a (c, d) stack, as the cycle engine reads a
+    chunk's rows, gives each row's ``value`` and ``full_grad`` bit for bit:
+    the quadratic family's stacked matmuls and the sigmoid's per-row loop."""
+    d = part.dim
+    rng = np.random.default_rng(d + 11)
+    fams = [generate_quadratic(d, n=5, d=d, partition=part, convex=convex) for convex in (True, False)]
+    fams.append(generate_classification(d, n=9, d=d, partition=part))
+    for prob in fams:
+        for count in (1, 2, 7, 64):
+            points = rng.standard_normal((count, d)) * rng.uniform(0.01, 100.0, (count, 1))
+            values, grads = prob.values_and_grads(points)
+            assert values == [prob.value(x) for x in points]
+            assert all(type(v) is float for v in values)
+            assert np.array_equal(grads, np.array([prob.full_grad(x) for x in points]))
+
+
+@pytest.mark.parametrize("part", CONTRACT_PARTS, ids=lambda p: str(p.block_sizes))
 def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
     """``full_grad`` makes one stacked matmul per run of equal-size blocks;
     every slice must still be the block kernel's output, bit for bit. A
