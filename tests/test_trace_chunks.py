@@ -16,7 +16,6 @@ from ccdlab.blocks import BlockPartition, DiagonalMetric, weighted_norm_sq
 from ccdlab.config import METHODS, parse_config
 from ccdlab.problems import (
     QuadraticFiniteSum,
-    exact_quadratic_metric,
     generate_classification,
     generate_quadratic,
     generate_streaming_quadratic,
