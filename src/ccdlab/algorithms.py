@@ -70,6 +70,20 @@ up to 64. A run that stops early (``stop_step_sq``) or diverges has stepped
 up to 63 cycles past its last row by then; those cycles leave no row, and a
 diverging run raises at its failing row.
 
+An exact run replays its floating-point orbit. Its cycle reads x_{k-1} only
+(the estimates are kernel calls at points built from it, the prox centers
+are it), and each row is bitwise the same wherever it sits in its chunk; so
+once x_k repeats an earlier iterate x_{k-p} bit for bit, every later row is
+the row p cycles before it. At the end of each chunk that neither stopped
+nor reached K, the engine compares the bits of the chunk's last iterate with
+those of its earlier ones (float ``==`` would match -0.0 with 0.0 and never
+a NaN), and on a match records the remaining rows as copies, with no kernel,
+prox or diagnostic call; ``meta["orbit"]`` (in memory only, not in the
+trace file) holds the cycle found to repeat and the period. The copied rows
+have passed the finiteness and stop checks already, so the returned iterate,
+the stop and the errors are as if every cycle had stepped. A recursive run
+never replays: its state also holds the estimate and the streams.
+
 Conventions shared by every run:
 
 * one outer iteration = one cycle, which maps the iterate x_{k-1} to x_k;
@@ -81,10 +95,12 @@ Conventions shared by every run:
   bound checks consume;
 * ``work`` accumulates optimizer gradient effort d-weighted: a batch of size
   c used to update a block of dimension d_j costs c * d_j (diagnostic
-  evaluations are excluded);
+  evaluations are excluded). It is modeled work, not the arithmetic
+  performed: a replayed cycle adds its work but computes no gradient;
 * ``wall_ns`` of row k is the cycle's own step time plus an equal share,
-  rounded down, of its chunk's diagnostic pass; it is 0 at k = 0, and the
-  rows add up to at most ``meta["wall_total_ns"]``, which also counts the
+  rounded down, of its chunk's diagnostic pass, and a replayed row's is its
+  replay time, the time taken to copy it; it is 0 at k = 0, and the rows
+  add up to at most ``meta["wall_total_ns"]``, which also counts the
   anchor, the start row and the recording of the rows;
 * exact runs return the iterate with the smallest displacement from its
   predecessor, randomized runs the iterate at an index drawn from the
@@ -143,7 +159,7 @@ class RunTrace:
     est_err_sq: list = field(default_factory=list)  # anchor error; None unless recorded
     mid_resid_sq: list = field(default_factory=list)  # intermediate-gradient residual
     work: list = field(default_factory=list)  # cumulative d-weighted gradient work
-    wall_ns: list = field(default_factory=list)  # step time plus a share of its chunk's diagnostics
+    wall_ns: list = field(default_factory=list)  # step plus diagnostic share, or replay time
     iterates: list | None = None
 
     def add_row(self, k, obj, stat_sq, step_sq, est_err_sq, mid_resid_sq, work, wall_ns):
@@ -484,8 +500,42 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
             if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
                 stopped = True
                 break
+        # an exact chunk whose last iterate repeats an earlier one bit for
+        # bit has entered its orbit: the remaining rows are copies
+        if not (recursive or stopped) and k < cfg.cycles:
+            period = _orbit_period(xs[: c + 1])
+            if period:
+                trace.meta["orbit"] = (k, period)
+                _replay_orbit(trace, period, cfg.cycles, exact_work, row_sink)
+                break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
     return (best_x if k_out is None else x_hat), trace
+
+
+def _orbit_period(xs) -> int:
+    """The smallest p such that the last row of the (c + 1, d) stack ``xs``
+    repeats the row p before it bit for bit, or 0 if no earlier row does."""
+    bits = xs.view(np.uint64)
+    hits = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
+    return len(bits) - 1 - int(hits[-1]) if hits.size else 0
+
+
+def _replay_orbit(trace, period, cycles, cycle_work, row_sink):
+    """Record rows up to ``cycles``, each a copy of the row ``period``
+    cycles before it, with the cycle's work added and its copying time as
+    its ``wall_ns``; the iterates too, when kept."""
+    work = trace.work[-1]
+    for k in range(trace.k[-1] + 1, cycles + 1):
+        t_row = time.perf_counter_ns()
+        src = k - period
+        work += cycle_work
+        if trace.iterates is not None:
+            trace.iterates.append(trace.iterates[src].copy())
+        trace.add_row(k, trace.obj[src], trace.stat_sq[src], trace.step_sq[src],
+                      trace.est_err_sq[src], trace.mid_resid_sq[src], work,
+                      time.perf_counter_ns() - t_row)
+        if row_sink is not None:
+            row_sink(trace)
 
 
 def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=True):

@@ -6,7 +6,8 @@ and both are built once per block per run, in either update order. A
 recursive correction gathers its batch rows once for both of its points.
 The trace diagnostics take whole-vector calls: no per-block gradient or
 regularizer value beyond the block steps', and one stacked value and
-gradient call per chunk of cycles, not one per cycle."""
+gradient call per chunk of cycles, not one per cycle. An exact run that
+enters its floating-point orbit makes no call for the cycles it replays."""
 
 from collections import Counter
 
@@ -208,6 +209,9 @@ def test_trace_values_and_gradients_are_stacked_per_chunk(run, monkeypatch):
             return _fn(self, *args)
 
         monkeypatch.setattr(QuadraticFiniteSum, name, counting)
+    # every cycle steps: the longer runs enter an orbit, whose replay would
+    # end the chunks early
+    monkeypatch.setattr(algorithms, "_orbit_period", lambda xs: 0)
     part = BlockPartition((3, 3, 2, 2))
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
@@ -217,3 +221,31 @@ def test_trace_values_and_gradients_are_stacked_per_chunk(run, monkeypatch):
         run(prob, L1(0.1), RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric))
         # chunks of 1, 2, 4, ... up to CHUNK_CYCLES, plus the start row's F
         assert calls == Counter({"values_and_grads": chunks + 1})
+
+
+@pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
+def test_a_run_in_its_orbit_steps_no_further(run, monkeypatch):
+    """Once an exact run's iterate repeats an earlier one bit for bit, its
+    remaining rows are copies: no kernel, prox or diagnostic call."""
+    calls = Counter()
+    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "_rows_kernel", "kernel")
+    _count_bound(monkeypatch, calls, L1, "prox_step", "step")
+    values_and_grads = QuadraticFiniteSum.values_and_grads
+
+    def counting(self, points):
+        calls["values_and_grads"] += 1
+        return values_and_grads(self, points)
+
+    monkeypatch.setattr(QuadraticFiniteSum, "values_and_grads", counting)
+    part = BlockPartition((3, 3, 2, 2))
+    m = part.num_blocks
+    prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
+    cfg = RunConfig(cycles=500, x0=np.ones(part.dim), metric=exact_quadratic_metric(prob))
+    _, trace = run(prob, L1(0.1), cfg)
+    found, period = trace.meta["orbit"]
+    assert trace.cycles == 500 and found < 500 and period >= 1
+    # found is the last stepped cycle, at the end of the chunks 1, 2, 4, ...
+    chunks = (found + 1).bit_length() - 1
+    assert found + 1 == 2**chunks
+    assert calls == Counter({"_rows_kernel": m, "kernel": m * found, "prox_step": m,
+                             "step": m * found, "values_and_grads": chunks + 1})
