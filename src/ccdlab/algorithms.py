@@ -65,10 +65,16 @@ error u_k) from one stacked matmul per run of equal-size blocks. Each sum
 adds its blocks left to right, but the simultaneous order's u_k is one sum
 over the whole vector, as the full-gradient methods define it. Every value
 is bitwise the one a per-cycle computation gives. The rows are then checked
-and recorded in cycle order, so a ``row_sink`` receives them in bursts of
-up to 64. A run that stops early (``stop_step_sq``) or diverges has stepped
-up to 63 cycles past its last row by then; those cycles leave no row, and a
-diverging run raises at its failing row.
+and recorded in cycle order. A run that stops early (``stop_step_sq``) or
+diverges has stepped up to 63 cycles past its last row by then; those cycles
+leave no row, and a diverging run raises at its failing row.
+
+A ``row_sink`` is called once per burst of rows, as ``row_sink(trace,
+start)``, where ``start`` is the index of the burst's first row in the
+trace's columns: once for the k = 0 row, once per chunk and once for a
+replayed orbit. Every row reaches the sink exactly once, in order; a chunk's
+burst ends at a stop, and a diverging run hands over every row before the
+failing one before it raises.
 
 An exact run replays its floating-point orbit. Its cycle reads x_{k-1} only
 (the estimates are kernel calls at points built from it, the prox centers
@@ -78,8 +84,9 @@ the row p cycles before it. At the end of each chunk that neither stopped
 nor reached K, the engine compares the bits of the chunk's last iterate with
 those of its earlier ones (float ``==`` would match -0.0 with 0.0 and never
 a NaN), and on a match records the remaining rows as copies, with no kernel,
-prox or diagnostic call; ``meta["orbit"]`` (in memory only, not in the
-trace file) holds the cycle found to repeat and the period. The copied rows
+prox or diagnostic call: each column is extended once, by the last period's
+values tiled. ``meta["orbit"]`` (in memory only, not in the trace file)
+holds the cycle found to repeat and the period. The copied rows
 have passed the finiteness and stop checks already, so the returned iterate,
 the stop and the errors are as if every cycle had stepped. A recursive run
 never replays: its state also holds the estimate and the streams.
@@ -98,10 +105,10 @@ Conventions shared by every run:
   evaluations are excluded). It is modeled work, not the arithmetic
   performed: a replayed cycle adds its work but computes no gradient;
 * ``wall_ns`` of row k is the cycle's own step time plus an equal share,
-  rounded down, of its chunk's diagnostic pass, and a replayed row's is its
-  replay time, the time taken to copy it; it is 0 at k = 0, and the rows
-  add up to at most ``meta["wall_total_ns"]``, which also counts the
-  anchor, the start row and the recording of the rows;
+  rounded down, of its chunk's diagnostic pass, and a replayed row's is an
+  equal share, rounded down, of the replay's time; it is 0 at k = 0, and
+  the rows add up to at most ``meta["wall_total_ns"]``, which also counts
+  the anchor, the start row and the recording of the rows;
 * exact runs return the iterate with the smallest displacement from its
   predecessor, randomized runs the iterate at an index drawn from the
   output stream;
@@ -180,7 +187,7 @@ class RunTrace:
         vals = getattr(self, name)
         if skip_first:
             vals = vals[1:]
-        return np.array([np.nan if v is None else v for v in vals], dtype=float)
+        return np.array(vals, dtype=float)  # None reads as NaN
 
     def work_increments(self) -> np.ndarray:
         """Per-cycle d-weighted work, excluding any one-time startup cost."""
@@ -408,7 +415,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
     (f0,), _ = _trace_values_grads(prob, reg, x[None], cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
     if row_sink is not None:
-        row_sink(trace)
+        row_sink(trace, 0)
 
     # the cycles run in chunks of 1, 2, 4, ... up to CHUNK_CYCLES. Per cycle,
     # each block only estimates g, takes its prox step from x_{k-1} and
@@ -477,29 +484,34 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         sums = row_sums(c)
         share = (time.perf_counter_ns() - t_diag) // c
 
-        for i in range(c):
-            k += 1
-            f_k, row = values[i], sums[i]
-            v_k = row[0]
-            if f_k is not None and not math.isfinite(f_k):
-                raise NonFiniteObjectiveError(k, f_k)
-            if f_k is None and not math.isfinite(v_k):
-                raise NonFiniteObjectiveError(k, v_k, "objective value not recorded; squared step v_k =")
-            if k_out is None and v_k < best_v:
-                best_v = v_k
-                best_x = xk[i].copy()
-            if k == k_out:
-                x_hat = xk[i].copy()
-            if cfg.keep_iterates:
-                trace.iterates.append(xk[i].copy())
-            trace.add_row(k, f_k, None if grads is None else row[1], v_k,
-                          row[-1] if record_u else None, row[2] if mid_row else None,
-                          works[i], walls[i] + share)
-            if row_sink is not None:
-                row_sink(trace)
-            if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
-                stopped = True
-                break
+        start = len(trace.k)
+        try:
+            for i in range(c):
+                k += 1
+                f_k, row = values[i], sums[i]
+                v_k = row[0]
+                if f_k is not None and not math.isfinite(f_k):
+                    raise NonFiniteObjectiveError(k, f_k)
+                if f_k is None and not math.isfinite(v_k):
+                    raise NonFiniteObjectiveError(
+                        k, v_k, "objective value not recorded; squared step v_k =")
+                if k_out is None and v_k < best_v:
+                    best_v = v_k
+                    best_x = xk[i].copy()
+                if k == k_out:
+                    x_hat = xk[i].copy()
+                if cfg.keep_iterates:
+                    trace.iterates.append(xk[i].copy())
+                trace.add_row(k, f_k, None if grads is None else row[1], v_k,
+                              row[-1] if record_u else None, row[2] if mid_row else None,
+                              works[i], walls[i] + share)
+                if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
+                    stopped = True
+                    break
+        finally:
+            # the chunk's rows, up to a stop or the failing row, in one burst
+            if row_sink is not None and len(trace.k) > start:
+                row_sink(trace, start)
         # an exact chunk whose last iterate repeats an earlier one bit for
         # bit has entered its orbit: the remaining rows are copies
         if not (recursive or stopped) and k < cfg.cycles:
@@ -522,20 +534,27 @@ def _orbit_period(xs) -> int:
 
 def _replay_orbit(trace, period, cycles, cycle_work, row_sink):
     """Record rows up to ``cycles``, each a copy of the row ``period``
-    cycles before it, with the cycle's work added and its copying time as
-    its ``wall_ns``; the iterates too, when kept."""
+    cycles before it, with the cycle's work added; each column is extended
+    once, by the last period's values tiled. Every row's ``wall_ns`` is an
+    equal share, rounded down, of the time the copying took. The iterates
+    are copied too, when kept."""
+    t0 = time.perf_counter_ns()
+    start = len(trace.k)
+    n = cycles + 1 - start
+
+    def tiled(column):
+        return (column[start - period :] * (n // period + 1))[:n]
+
+    for column in (trace.obj, trace.stat_sq, trace.step_sq, trace.est_err_sq, trace.mid_resid_sq):
+        column.extend(tiled(column))
+    if trace.iterates is not None:
+        trace.iterates.extend(x.copy() for x in tiled(trace.iterates))
     work = trace.work[-1]
-    for k in range(trace.k[-1] + 1, cycles + 1):
-        t_row = time.perf_counter_ns()
-        src = k - period
-        work += cycle_work
-        if trace.iterates is not None:
-            trace.iterates.append(trace.iterates[src].copy())
-        trace.add_row(k, trace.obj[src], trace.stat_sq[src], trace.step_sq[src],
-                      trace.est_err_sq[src], trace.mid_resid_sq[src], work,
-                      time.perf_counter_ns() - t_row)
-        if row_sink is not None:
-            row_sink(trace)
+    trace.work.extend(range(work + cycle_work, work + cycle_work * (n + 1), cycle_work))
+    trace.k.extend(range(start, cycles + 1))
+    trace.wall_ns.extend([(time.perf_counter_ns() - t0) // n] * n)
+    if row_sink is not None:
+        row_sink(trace, start)
 
 
 def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=True):

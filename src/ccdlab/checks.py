@@ -1,16 +1,19 @@
 """Executable verifiers for every computable inequality the analysis provides.
 
 Deterministic (pathwise) bounds are hard assertions: each row must satisfy
-lhs <= rhs up to the float allowance of ``BoundReport._margin``.
+lhs <= rhs up to a float allowance of 1e-9 relative to max(1, |rhs|).
 Expectation-level bounds go through ``_expectation``: in the noise-free
 cases they hold pathwise, so every seed is asserted (hard); otherwise they
 are Monte Carlo: the seed mean must stay below the bound plus a one-sided
 99% normal-approximation confidence allowance; a failure there is soft and
 the harness escalates to 4x seeds before the final verdict.
 
-Every report records per-row (k, lhs, rhs, slack) plus conditionality tags
-(e.g. a supplied or start-point variance constant, a best-observed reference
-minimum) so a CSV line can reconstruct the exact claim that was tested.
+Every report holds its rows as columns, k, lhs and rhs (slack is rhs - lhs),
+built from the trace columns in whole-array passes that round each row as a
+per-row loop would, and judged in one pass. It also records conditionality
+tags (e.g. a supplied or start-point variance constant, a best-observed
+reference minimum) so a CSV line can reconstruct the exact claim that was
+tested. ``rows`` and ``worst`` hand out ``BoundRow`` objects.
 """
 
 from __future__ import annotations
@@ -47,52 +50,63 @@ class BoundRow:
 
 @dataclass
 class BoundReport:
-    """Outcome of one bound check over one run family.
+    """Outcome of one bound check over one run family, held as columns: row
+    i claims ``lhs[i] <= rhs[i]`` at iteration ``k[i]``.
 
-    ``rows`` is stored as a tuple, so the per-row verdicts and the worst row,
-    computed together at the first read, hold for the life of the report.
+    The per-row verdicts and the worst row are computed together, in one
+    pass over the columns, at the first read; the columns are not changed
+    after it.
     """
 
     name: str
     kind: str  # hard (deterministic) or monte_carlo (soft)
-    rows: tuple[BoundRow, ...] = ()
+    k: tuple  # iteration of each row; None for aggregate rows
+    lhs: np.ndarray
+    rhs: np.ndarray
     conditional: tuple[str, ...] = ()
     low_power: bool = False
     advisory: bool = False  # reported but never gates the exit status
 
     def __post_init__(self):
-        self.rows = tuple(self.rows)
+        self.k = tuple(self.k)
+        self.lhs = np.asarray(self.lhs, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
         self.conditional = tuple(self.conditional)
 
-    @staticmethod
-    def _margin(row: BoundRow) -> float:
-        """Slack plus the float allowance: the row holds iff this is >= 0
-        (NaN, from a NaN side or inf - inf, never does)."""
-        return row.slack + _REL_TOL * max(1.0, abs(row.rhs))
+    # inf - inf and an overflowing margin are NaN and inf, as Python floats give them
+    @property
+    @np.errstate(invalid="ignore", over="ignore")
+    def slack(self) -> np.ndarray:
+        return self.rhs - self.lhs
 
     @cached_property
-    def _judged(self) -> tuple[tuple[bool, ...], BoundRow | None]:
-        """(whether each row holds, the worst row), from one ``_margin`` call
-        per row; the margins themselves are not kept."""
-        if not self.rows:
-            return (), None
-        margins = [self._margin(r) for r in self.rows]
+    @np.errstate(invalid="ignore", over="ignore")
+    def _judged(self) -> tuple[np.ndarray, int | None]:
+        """(whether each row holds, the index of the worst row). A row holds
+        iff its slack plus the float allowance is >= 0, which a NaN (from a
+        NaN side or inf - inf) never is."""
+        margins = self.slack + _REL_TOL * np.fmax(1.0, np.abs(self.rhs))
         # a NaN margin ranks lowest, so a NaN row is never hidden behind a passing one
-        ranks = [-math.inf if math.isnan(mg) else mg for mg in margins]
-        return tuple(mg >= 0.0 for mg in margins), self.rows[ranks.index(min(ranks))]
+        ranks = np.where(np.isnan(margins), -np.inf, margins)
+        return margins >= 0.0, int(np.argmin(ranks)) if ranks.size else None
 
     @property
     def verdicts(self) -> tuple[bool, ...]:
         """Whether each row holds, in row order."""
-        return self._judged[0]
+        return tuple(self._judged[0].tolist())
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts)
+        return bool(self._judged[0].all())
+
+    @property
+    def rows(self) -> tuple[BoundRow, ...]:
+        return tuple(map(BoundRow, self.k, self.lhs.tolist(), self.rhs.tolist()))
 
     @property
     def worst(self) -> BoundRow | None:
-        return self._judged[1]
+        i = self._judged[1]
+        return None if i is None else BoundRow(self.k[i], self.lhs.item(i), self.rhs.item(i))
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -102,12 +116,7 @@ class BoundReport:
             extra = f" worst: k={worst.k} lhs={worst.lhs:.6g} rhs={worst.rhs:.6g}"
         cond = f" conditional on {', '.join(self.conditional)}" if self.conditional else ""
         power = " [low-power]" if self.low_power else ""
-        return f"{verdict} {self.name} ({self.kind}, {len(self.rows)} rows){extra}{cond}{power}"
-
-    def csv_rows(self):
-        for r, ok in zip(self.rows, self.verdicts):
-            k = "" if r.k is None else r.k
-            yield self.name, k, r.lhs, r.rhs, r.slack, "pass" if ok else "fail"
+        return f"{verdict} {self.name} ({self.kind}, {len(self.k)} rows){extra}{cond}{power}"
 
 
 def mean_with_allowance(values: np.ndarray) -> tuple[float, float]:
@@ -126,42 +135,38 @@ def mean_with_allowance(values: np.ndarray) -> tuple[float, float]:
 
 def check_cyclic_descent(trace: RunTrace, conditional=()) -> BoundReport:
     """Per-cycle objective decrease by at least half the squared metric step."""
-    rows = []
-    for i in range(1, len(trace.k)):
-        rows.append(BoundRow(trace.k[i], trace.obj[i], trace.obj[i - 1] - 0.5 * trace.step_sq[i]))
-    return BoundReport("cyclic-descent", HARD, rows, conditional)
+    obj = trace.array("obj")
+    rhs = obj[:-1] - 0.5 * trace.array("step_sq", skip_first=True)
+    return BoundReport("cyclic-descent", HARD, trace.k[1:], obj[1:], rhs, conditional)
 
 
 def check_step_telescope(trace: RunTrace, delta0: float, conditional=()) -> BoundReport:
     """Accumulated squared metric steps stay below twice the initial gap."""
-    running = 0.0
-    rows = []
-    for i in range(1, len(trace.k)):
-        running += trace.step_sq[i]
-        rows.append(BoundRow(trace.k[i], running, 2.0 * delta0))
-    return BoundReport("step-telescope", HARD, rows, conditional)
+    # the k = 0 row's v_0 = 0.0 starts the running sum, which adds in cycle order
+    running = np.cumsum(trace.array("step_sq"))[1:]
+    return BoundReport("step-telescope", HARD, trace.k[1:], running,
+                       np.full(trace.cycles, 2.0 * delta0), conditional)
 
 
 def check_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) -> BoundReport:
     """Stationarity against the squared step: s_k <= 2 (LT + 1) v_k."""
     factor = 2.0 * (lip_trailing + 1.0)
-    rows = [
-        BoundRow(trace.k[i], trace.stat_sq[i], factor * trace.step_sq[i])
-        for i in range(1, len(trace.k))
-    ]
-    return BoundReport("grad-vs-step", HARD, rows, conditional)
+    lhs = trace.array("stat_sq", skip_first=True)
+    rhs = factor * trace.array("step_sq", skip_first=True)
+    return BoundReport("grad-vs-step", HARD, trace.k[1:], lhs, rhs, conditional)
 
 
 def check_min_stationarity_rate(
     trace: RunTrace, lip_trailing: float, delta0: float, conditional=()
 ) -> BoundReport:
     """min over the first K cycles of s_k <= 4 (LT + 1) delta0 / K, every prefix."""
-    rows = []
-    best = math.inf
-    for i in range(1, len(trace.k)):
-        best = min(best, trace.stat_sq[i])
-        rows.append(BoundRow(trace.k[i], best, 4.0 * (lip_trailing + 1.0) * delta0 / trace.k[i]))
-    return BoundReport("stationarity-rate", HARD, rows, conditional)
+    stat = trace.array("stat_sq")
+    # the running minimum from inf; fmin, like min, passes over a NaN s_k
+    # (each s_k is a sum of squares from 0.0, so never -0.0, where they differ)
+    stat[0] = math.inf
+    best = np.fmin.accumulate(stat)[1:]
+    rhs = 4.0 * (lip_trailing + 1.0) * delta0 / np.array(trace.k[1:])
+    return BoundReport("stationarity-rate", HARD, trace.k[1:], best, rhs, conditional)
 
 
 def check_pl_envelope(
@@ -175,11 +180,10 @@ def check_pl_envelope(
         raise ValueError("mu must be positive")
     gaps = np.asarray(gaps, dtype=float)
     ratio = 2.0 * (lip_trailing + 1.0) / (2.0 * (lip_trailing + 1.0) + mu)
-    rows = [
-        BoundRow(k, float(gaps[k]), float(ratio**k) * float(gaps[0]))
-        for k in range(1, gaps.shape[0])
-    ]
-    return BoundReport("pl-envelope", HARD, rows, conditional)
+    # Python's float pow, not np.power, whose SIMD loop may round otherwise
+    ks = range(1, gaps.shape[0])
+    rhs = [float(ratio**k) * float(gaps[0]) for k in ks]
+    return BoundReport("pl-envelope", HARD, ks, gaps[1:], rhs, conditional)
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def check_pl_envelope(
 
 
 def _require_diagnostics(trace: RunTrace, what: str):
-    if any(trace.est_err_sq[i] is None or trace.mid_resid_sq[i] is None for i in range(1, len(trace.k))):
+    if None in trace.est_err_sq[1:] or None in trace.mid_resid_sq[1:]:
         raise ValueError(f"{what} needs a trace recorded with anchor-error diagnostics on")
 
 
@@ -197,26 +201,24 @@ def check_vr_descent(trace: RunTrace, eta: float, conditional=()) -> BoundReport
     F_k <= F_{k-1} - (1-eta)/(2 eta) v_k + (eta/2) u_k - (eta/2) T_k,
     with T_k the intermediate-gradient residual recorded by diagnostics."""
     _require_diagnostics(trace, "the variance-reduced descent check")
-    rows = []
-    for i in range(1, len(trace.k)):
-        rhs = (
-            trace.obj[i - 1]
-            - (1.0 - eta) / (2.0 * eta) * trace.step_sq[i]
-            + 0.5 * eta * trace.est_err_sq[i]
-            - 0.5 * eta * trace.mid_resid_sq[i]
-        )
-        rows.append(BoundRow(trace.k[i], trace.obj[i], rhs))
-    return BoundReport("vr-descent", HARD, rows, conditional)
+    obj = trace.array("obj")
+    # the scalar factors first, then the terms left to right, as one row rounds them
+    rhs = (
+        obj[:-1]
+        - (1.0 - eta) / (2.0 * eta) * trace.array("step_sq", skip_first=True)
+        + 0.5 * eta * trace.array("est_err_sq", skip_first=True)
+        - 0.5 * eta * trace.array("mid_resid_sq", skip_first=True)
+    )
+    return BoundReport("vr-descent", HARD, trace.k[1:], obj[1:], rhs, conditional)
 
 
 def check_vr_grad_vs_step(trace: RunTrace, lip_trailing: float, conditional=()) -> BoundReport:
     """Pathwise s_k <= 2 LT v_k + 2 T_k for the variance-reduced cycle."""
     _require_diagnostics(trace, "the variance-reduced gradient check")
-    rows = []
-    for i in range(1, len(trace.k)):
-        rhs = 2.0 * lip_trailing * trace.step_sq[i] + 2.0 * trace.mid_resid_sq[i]
-        rows.append(BoundRow(trace.k[i], trace.stat_sq[i], rhs))
-    return BoundReport("vr-grad-vs-step", HARD, rows, conditional)
+    rhs = (2.0 * lip_trailing * trace.array("step_sq", skip_first=True)
+           + 2.0 * trace.array("mid_resid_sq", skip_first=True))
+    lhs = trace.array("stat_sq", skip_first=True)
+    return BoundReport("vr-grad-vs-step", HARD, trace.k[1:], lhs, rhs, conditional)
 
 
 # --------------------------------------------------------------------------
@@ -245,15 +247,12 @@ def _expectation(name, ks, samples, bounds, exact, conditional) -> BoundReport:
     seeds.
     """
     samples = np.asarray(samples, dtype=float)
-    columns = zip(ks, samples.T, bounds)
     if exact:
-        rows = [BoundRow(k, float(col.max()), bound) for k, col, bound in columns]
-        return BoundReport(name, HARD, rows, conditional)
-    rows = []
-    for k, col, bound in columns:
-        mean, allowance = mean_with_allowance(col)
-        rows.append(BoundRow(k, mean, bound + allowance))
-    return BoundReport(name, MONTE_CARLO, rows, conditional, low_power=samples.shape[0] < 30)
+        return BoundReport(name, HARD, ks, samples.max(axis=0), bounds, conditional)
+    # one 1-D mean per column: an axis-0 mean may add the seeds in another order
+    means, allowances = zip(*map(mean_with_allowance, samples.T))
+    return BoundReport(name, MONTE_CARLO, ks, means, np.add(bounds, allowances), conditional,
+                       low_power=samples.shape[0] < 30)
 
 
 def check_vr_rate(
@@ -384,7 +383,9 @@ def check_work_accounting(
     return BoundReport(
         "work-accounting",
         MONTE_CARLO,
-        [BoundRow(None, dev, 0.02 * target)],
+        [None],
+        [dev],
+        [0.02 * target],
         conditional,
         low_power=increments.size < 10_000,
     )

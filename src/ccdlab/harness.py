@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -233,25 +234,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trace_row(trace: algorithms.RunTrace, i: int, record_wall: bool) -> str:
-    return ",".join(
-        [
-            str(trace.k[i]),
-            _fmt(trace.obj[i]),
-            _fmt(trace.stat_sq[i]),
-            _fmt(trace.step_sq[i]),
-            _fmt(trace.est_err_sq[i]),
-            str(trace.work[i]),
-            str(trace.wall_ns[i]) if record_wall else "",
-        ]
-    )
+def float_text(*columns) -> list[list[str]]:
+    """Equal-length float columns as text: each value as ``_fmt`` writes a
+    float, at 17 significant digits, and None as an empty field. Each
+    distinct bit pattern among them is formatted once (0.0 and -0.0 differ
+    in bits and in text)."""
+    floats = np.array(columns, dtype=float)  # None reads as NaN
+    bits, where = np.unique(floats.view(np.uint64), return_inverse=True)
+    distinct = np.array([format(v, ".17g") for v in bits.view(float).tolist()], dtype=object)
+    texts = distinct[where.reshape(floats.shape)].tolist()
+    return [["" if v is None else t for v, t in zip(col, text)] if None in col else text
+            for col, text in zip(columns, texts)]
 
 
 class TraceCsvWriter:
     """Streams trace rows to disk as the optimizer produces them.
 
     The header (echoing every resolved parameter) is written up front, so the
-    file never buffers more than the row being formatted.
+    file never buffers more than the burst of rows being formatted, column by
+    column.
     """
 
     def __init__(self, path: Path, echo: dict, record_wall: bool):
@@ -263,8 +264,13 @@ class TraceCsvWriter:
             self._fh.write(f"# {key} = {_fmt(echo[key])}\n")
         self._fh.write(TRACE_HEADER + "\n")
 
-    def sink(self, trace: algorithms.RunTrace):
-        self._fh.write(_trace_row(trace, len(trace.k) - 1, self.record_wall) + "\n")
+    def sink(self, trace: algorithms.RunTrace, start: int):
+        """Write the trace's rows from index ``start`` on."""
+        floats = float_text(
+            *(col[start:] for col in (trace.obj, trace.stat_sq, trace.step_sq, trace.est_err_sq)))
+        walls = map(str, trace.wall_ns[start:]) if self.record_wall else repeat("")
+        rows = zip(map(str, trace.k[start:]), *floats, map(str, trace.work[start:]), walls)
+        self._fh.write("\n".join(map(",".join, rows)) + "\n")
 
     def close(self):
         self._fh.close()
@@ -276,8 +282,10 @@ def write_report(reports: list[checks.BoundReport], path_base: Path) -> tuple[Pa
     txt_path = path_base.with_suffix(".txt")
     lines = ["bound_name,k,lhs,rhs,slack,verdict"]
     for rep in reports:
-        for name, k, lhs, rhs, slack, verdict in rep.csv_rows():
-            lines.append(f"{name},{k},{lhs:.17g},{rhs:.17g},{slack:.17g},{verdict}")
+        ks = ["" if k is None else str(k) for k in rep.k]
+        verdicts = ["pass" if ok else "fail" for ok in rep.verdicts]
+        lhs, rhs, slack = float_text(rep.lhs, rep.rhs, rep.slack)
+        lines.extend(map(",".join, zip(repeat(rep.name), ks, lhs, rhs, slack, verdicts)))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     txt_path.write_text("".join(rep.summary() + "\n" for rep in reports), encoding="utf-8")
     return csv_path, txt_path

@@ -316,13 +316,16 @@ def test_metric_partition_checked_before_first_row(algo):
     metric = DiagonalMetric.identity(BlockPartition((1, 5, 5, 5)))
     x0 = np.zeros(16)
     rows = []
+
+    def sink(trace, start):
+        rows.extend(trace.k[start:])
+
     with pytest.raises(ValueError, match="metric partition"):
         if algo == "pccd":
-            pccd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=rows.append)
+            pccd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=sink)
         elif algo == "prox_gd":
-            prox_gd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric),
-                        row_sink=rows.append)
+            prox_gd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=sink)
         else:
             cfg = RunConfig(cycles=3, eta=0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
-            vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0), row_sink=rows.append)
+            vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0), row_sink=sink)
     assert rows == []

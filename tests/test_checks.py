@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdlab.algorithms import RunConfig, RunTrace, pccd_run, vrccd_run
@@ -44,15 +44,14 @@ def _setup(seed=211, n=16, d=8, m=4, cond=5.0, identical=False):
 
 
 def test_bound_report_tolerance_semantics():
-    ok = BoundReport("demo", "hard", [BoundRow(1, 1.0, 1.0)])
+    ok = BoundReport("demo", "hard", [1], [1.0], [1.0])
     assert ok.passed
-    borderline = BoundReport("demo", "hard", [BoundRow(1, 1.0 + 5e-10, 1.0)])
+    borderline = BoundReport("demo", "hard", [1], [1.0 + 5e-10], [1.0])
     assert borderline.passed  # inside the 1e-9-relative allowance
-    bad = BoundReport("demo", "hard", [BoundRow(1, 1.0 + 1e-8, 1.0)])
+    bad = BoundReport("demo", "hard", [1], [1.0 + 1e-8], [1.0])
     assert not bad.passed
-    assert not BoundReport("demo", "hard", [BoundRow(1, math.nan, 1.0)]).passed
-    rows = list(bad.csv_rows())
-    assert rows[0][0] == "demo" and rows[0][-1] == "fail"
+    assert not BoundReport("demo", "hard", [1], [math.nan], [1.0]).passed
+    assert bad.verdicts == (False,) and bad.rows == (BoundRow(1, 1.0 + 1e-8, 1.0),)
 
 
 def test_descent_check_flags_violations():
@@ -285,6 +284,23 @@ def test_exact_expectation_asserts_every_trace():
         assert both.worst.lhs == 1e6
 
 
+def _report(rows):
+    return BoundReport("demo", "hard", [r.k for r in rows], [r.lhs for r in rows],
+                       [r.rhs for r in rows])
+
+
+@np.errstate(invalid="ignore", over="ignore")  # for np.float64 sides, as for Python floats
+def _margin(row):
+    """The scalar rule: a row holds iff this is >= 0."""
+    return row.slack + 1e-9 * max(1.0, abs(row.rhs))
+
+
+def _scalar_worst(rows):
+    """The first row of least margin, a NaN margin ranking lowest."""
+    ranks = [-math.inf if math.isnan(m := _margin(r)) else m for r in rows]
+    return rows[ranks.index(min(ranks))]
+
+
 _SIDES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
     [0.0, 1.0, -1.0, 1.0 + 5e-10, 1e9]
 )
@@ -293,8 +309,8 @@ _SIDES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_f
 @given(st.lists(st.tuples(_SIDES, _SIDES), min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_passed_iff_worst_margin_is_nonnegative(sides):
-    rep = BoundReport("demo", "hard", [BoundRow(k, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)])
-    assert rep.passed == (BoundReport._margin(rep.worst) >= 0.0)
+    rep = _report([BoundRow(k, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)])
+    assert rep.passed == (_margin(rep.worst) >= 0.0)
     for row, ok in zip(rep.rows, rep.verdicts):
         if math.isnan(row.lhs) or math.isnan(row.rhs):
             assert not ok
@@ -303,44 +319,28 @@ def test_passed_iff_worst_margin_is_nonnegative(sides):
             assert ok == (row.slack >= -1e-9 * max(1.0, abs(row.rhs)))
 
 
-def _old_worst(rows):
-    # the worst-row rule that computed every margin a second time
-    return min(rows, key=lambda r: -math.inf if math.isnan(m := BoundReport._margin(r)) else m)
+# the sides a check hands a report: Python and numpy floats, NaN, infinities,
+# -0.0 and ints (exact in float64)
+_ANY_SIDE = (
+    _SIDES
+    | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0])
+    | st.integers(-(2**53), 2**53)
+    | st.floats(allow_nan=True, allow_infinity=True, width=64).map(np.float64)
+)
 
 
-@given(st.lists(st.tuples(_SIDES, _SIDES), max_size=8))
-@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ANY_SIDE, _ANY_SIDE), max_size=8))
+@settings(max_examples=500, deadline=None)
+@example([(1.0, 2.0), (3.0, 1.0), (math.nan, 1.0), (math.inf, math.inf), (-math.inf, 0.0),
+          (1.0, 1.0 - 5e-10)])
 def test_one_margin_pass_keeps_verdicts_and_worst(sides):
+    """The report's one pass over its columns gives, row by row, the verdicts
+    and the worst row of the scalar rule."""
     rows = [BoundRow(k, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)]
-    rep = BoundReport("demo", "hard", rows)
-    assert rep.verdicts == tuple(BoundReport._margin(r) >= 0.0 for r in rows)
-    assert rep.worst is (_old_worst(rows) if rows else None)
-
-
-def test_each_margin_is_computed_once(monkeypatch):
-    calls = []
-    margin = BoundReport._margin
-
-    def counting(row):
-        calls.append(row)
-        return margin(row)
-
-    monkeypatch.setattr(BoundReport, "_margin", staticmethod(counting))
-    rows = [
-        BoundRow(1, 1.0, 2.0),  # passes
-        BoundRow(2, 3.0, 1.0),  # fails
-        BoundRow(3, math.nan, 1.0),  # NaN: fails and ranks worst
-        BoundRow(4, math.inf, math.inf),  # inf - inf is NaN: fails
-        BoundRow(5, -math.inf, 0.0),  # passes by an infinite margin
-        BoundRow(None, 1.0, 1.0 - 5e-10),  # inside the allowance
-    ]
-    rep = BoundReport("demo", "hard", rows)
-    assert rep.verdicts == (True, False, False, False, True, True)
-    assert not rep.passed
-    assert rep.worst is rows[2]
-    rep.summary()
-    list(rep.csv_rows())
-    assert calls == rows
+    rep = _report(rows)
+    assert rep.verdicts == tuple(bool(_margin(r) >= 0.0) for r in rows)
+    assert rep.passed == all(rep.verdicts)
+    assert (rep.worst.k if rows else rep.worst) == (_scalar_worst(rows).k if rows else None)
 
 
 def test_report_csv_formats_each_side_as_a_float(tmp_path):
@@ -352,11 +352,11 @@ def test_report_csv_formats_each_side_as_a_float(tmp_path):
         BoundRow(None, math.nan, math.inf),
         BoundRow(4, 1e300, -math.inf),
     ]
-    csv_path, _ = write_report([BoundReport("demo", "hard", rows)], tmp_path / "report")
+    csv_path, _ = write_report([_report(rows)], tmp_path / "report")
     lines = csv_path.read_text().splitlines()[1:]
     want = [
         f"demo,{'' if r.k is None else r.k},{_fmt(float(r.lhs))},{_fmt(float(r.rhs))},"
-        f"{_fmt(float(r.slack))},{'pass' if ok else 'fail'}"
-        for r, ok in zip(rows, BoundReport("demo", "hard", rows).verdicts)
+        f"{_fmt(float(r.slack))},{'pass' if _margin(r) >= 0.0 else 'fail'}"
+        for r in rows
     ]
     assert lines == want

@@ -116,7 +116,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     cfg = parse_config(VR_CHECKED)
 
     def hard_fail(res, traces, reference=None):
-        return [checks.BoundReport("demo", checks.HARD, [checks.BoundRow(1, 2.0, 1.0)])]
+        return [checks.BoundReport("demo", checks.HARD, [1], [2.0], [1.0])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", hard_fail)
     assert run_experiment(cfg, out_dir=tmp_path / "hard").exit_code == 2
@@ -126,7 +126,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     def soft_fail_then_pass(res, traces, reference=None):
         calls["n"] += 1
         lhs = 2.0 if calls["n"] == 1 else 0.5
-        return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, lhs, 1.0)])]
+        return [checks.BoundReport("demo", checks.MONTE_CARLO, [1], [lhs], [1.0])]
 
     resolves = []
 
@@ -141,7 +141,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     assert len(resolves) == 1  # on the instance resolved for the first stage
 
     def soft_fail_always(res, traces, reference=None):
-        return [checks.BoundReport("demo", checks.MONTE_CARLO, [checks.BoundRow(1, 2.0, 1.0)])]
+        return [checks.BoundReport("demo", checks.MONTE_CARLO, [1], [2.0], [1.0])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", soft_fail_always)
     assert run_experiment(cfg, out_dir=tmp_path / "soft2").exit_code == 1
@@ -175,8 +175,8 @@ def test_escalation_reuses_the_reference_minimum(tmp_path, monkeypatch):
 
     def failing_vr_rate(*args):
         rep = vr_rate(*args)
-        rows = [checks.BoundRow(r.k, r.rhs + 1.0, r.rhs) for r in rep.rows]
-        return checks.BoundReport(rep.name, rep.kind, rows, rep.conditional, rep.low_power)
+        return checks.BoundReport(rep.name, rep.kind, rep.k, rep.rhs + 1.0, rep.rhs,
+                                  rep.conditional, rep.low_power)
 
     solves = []
     solve = harness.reference_minimum
@@ -549,7 +549,7 @@ def test_cli_check_exits_by_the_kind_of_failed_report(forced, status, monkeypatc
         (rep,) = reps
         kinds[seed] = rep.kind
         if seed in forced:
-            rep = checks.BoundReport(rep.name, rep.kind, [checks.BoundRow(1, 1.0, 0.0)])
+            rep = checks.BoundReport(rep.name, rep.kind, [1], [1.0], [0.0])
         return res, traces, [rep]
 
     monkeypatch.setattr(suites, "_check", forced_fail)

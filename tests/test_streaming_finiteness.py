@@ -40,7 +40,7 @@ def test_streaming_surrogate_run_raises_at_first_nonfinite_objective():
     )
     rows = []
     with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError) as err:
-        vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(1), row_sink=lambda t: rows.append(t.obj[-1]))
+        vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(1), row_sink=lambda t, start: rows.extend(t.obj[start:]))
     # every row written before the failing cycle is finite
     assert 1 <= err.value.iteration <= 400
     assert len(rows) == err.value.iteration

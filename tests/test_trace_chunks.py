@@ -44,8 +44,9 @@ def _run(name, prob, reg, cycles, record_u, surrogate=0):
                     record_u=record_u, keep_iterates=True, surrogate_samples=surrogate, **fields)
     args = (prob, reg, cfg) + ((RngBundle.from_seed(5),) if method.stochastic else ())
     rows = []
-    _, trace = getattr(algorithms, method.entry)(*args, row_sink=lambda t: rows.append(len(t.k)))
-    assert rows == list(range(1, cycles + 2))  # every row reached the sink, in order
+    _, trace = getattr(algorithms, method.entry)(
+        *args, row_sink=lambda t, start: rows.extend(t.k[start:]))
+    assert rows == list(range(cycles + 1))  # every row reached the sink once, in order
     return cfg, trace
 
 
@@ -157,7 +158,7 @@ def test_diverging_run_raises_at_its_first_nonfinite_row(run, iteration, value):
     the chunk's end before it raises at the failing row."""
     rows = []
     with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError) as err:
-        run()(lambda t: rows.append((t.k[-1], t.obj[-1])))
+        run()(lambda t, start: rows.extend(zip(t.k[start:], t.obj[start:])))
     assert (err.value.iteration, err.value.value) == (iteration, value)
     assert [k for k, _ in rows] == list(range(iteration))
     assert all(math.isfinite(f) for _, f in rows)
