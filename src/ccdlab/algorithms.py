@@ -69,13 +69,6 @@ and recorded in cycle order. A run that stops early (``stop_step_sq``) or
 diverges has stepped up to 63 cycles past its last row by then; those cycles
 leave no row, and a diverging run raises at its failing row.
 
-A ``row_sink`` is called once per burst of rows, as ``row_sink(trace,
-start)``, where ``start`` is the index of the burst's first row in the
-trace's columns: once for the k = 0 row, once per chunk and once for a
-replayed orbit. Every row reaches the sink exactly once, in order; a chunk's
-burst ends at a stop, and a diverging run hands over every row before the
-failing one before it raises.
-
 An exact run replays its floating-point orbit. Its cycle reads x_{k-1} only
 (the estimates are kernel calls at points built from it, the prox centers
 are it), and each row is bitwise the same wherever it sits in its chunk; so
@@ -108,14 +101,15 @@ Conventions shared by every run:
   rounded down, of its chunk's diagnostic pass, and a replayed row's is an
   equal share, rounded down, of the replay's time; it is 0 at k = 0, and
   the rows add up to at most ``meta["wall_total_ns"]``, which also counts
-  the anchor, the start row and the recording of the rows;
+  the anchor, the start row and the recording of the rows, but no file
+  write: a run writes no file, it returns its whole trace;
 * exact runs return the iterate with the smallest displacement from its
   predecessor, randomized runs the iterate at an index drawn from the
   output stream;
 * a non-finite objective value raises :class:`NonFiniteObjectiveError`
   wherever a value exists (finite sums, or streaming runs with a surrogate),
-  and so does a non-finite squared step v_k where none does, after every
-  earlier row has reached the ``row_sink``.
+  and so does a non-finite squared step v_k where none does; its
+  ``NonFiniteObjectiveError.trace`` holds every row before the failing one.
 """
 
 from __future__ import annotations
@@ -145,12 +139,20 @@ CHUNK_CYCLES = 64
 
 class NonFiniteObjectiveError(RuntimeError):
     """Objective became non-finite during a run (or, where no objective value
-    is recorded, the squared step v_k); carries the iteration."""
+    is recorded, the squared step v_k); carries the iteration and, raised by
+    a run, the run's ``trace`` of every row before the failing one. It
+    survives a pickle round trip, so a pool worker can raise it."""
+
+    trace: RunTrace | None = None
 
     def __init__(self, iteration: int, value: float, quantity: str = "objective value"):
         super().__init__(f"{quantity} {value} at iteration {iteration}")
         self.iteration = iteration
         self.value = value
+        self.quantity = quantity
+
+    def __reduce__(self):
+        return type(self), (self.iteration, self.value, self.quantity), self.__dict__
 
 
 @dataclass(eq=False)
@@ -253,19 +255,19 @@ def _block_norms_sums(run_views) -> list:
     return totals.tolist()
 
 
-def pccd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
+def pccd_run(prob, reg: Regularizer, cfg: RunConfig):
     """Cyclic proximal descent; returns the iterate with the smallest metric
     displacement from its predecessor (first minimizer on ties) and the trace.
     """
-    return _run_cycles(prob, reg, cfg, cyclic=True, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=True)
 
 
-def prox_gd_run(prob, reg: Regularizer, cfg: RunConfig, row_sink=None):
+def prox_gd_run(prob, reg: Regularizer, cfg: RunConfig):
     """Full-gradient proximal baseline; same return rule as the cyclic run."""
-    return _run_cycles(prob, reg, cfg, cyclic=False, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=False)
 
 
-def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
+def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
     """Variance-reduced cyclic run; returns an iterate drawn uniformly from
     the K cycle endpoints (via the output stream) and the trace.
 
@@ -273,14 +275,14 @@ def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=
     trajectory coincides, float for float, with the cyclic proximal method
     run at the same step size.
     """
-    return _run_cycles(prob, reg, cfg, cyclic=True, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=True, rngs=rngs)
 
 
-def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle, row_sink=None):
+def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
     """Full-vector recursive estimator baseline: one switch and one batch per
     iteration shared by every block, each block estimated at x_{k-1}. At
     p = 1 and b' = b it is minibatch proximal SGD."""
-    return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs, row_sink=row_sink)
+    return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs)
 
 
 class _Unit(NamedTuple):
@@ -299,7 +301,7 @@ class _Unit(NamedTuple):
 
 # a diverging run is reported by the F and v_k checks, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
+def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
     """The cycle engine. ``cyclic`` picks the update order; with ``rngs`` the
     gradient estimator is the recursive one with cfg's p, b, b' and sample
     sharing, without it exact gradients."""
@@ -414,8 +416,6 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
     (f0,), _ = _trace_values_grads(prob, reg, x[None], cfg.surrogate_samples, rngs, want_grad=False)
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
-    if row_sink is not None:
-        row_sink(trace, 0)
 
     # the cycles run in chunks of 1, 2, 4, ... up to CHUNK_CYCLES. Per cycle,
     # each block only estimates g, takes its prox step from x_{k-1} and
@@ -484,41 +484,35 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None, row_sink=None):
         sums = row_sums(c)
         share = (time.perf_counter_ns() - t_diag) // c
 
-        start = len(trace.k)
-        try:
-            for i in range(c):
-                k += 1
-                f_k, row = values[i], sums[i]
-                v_k = row[0]
-                if f_k is not None and not math.isfinite(f_k):
-                    raise NonFiniteObjectiveError(k, f_k)
-                if f_k is None and not math.isfinite(v_k):
-                    raise NonFiniteObjectiveError(
-                        k, v_k, "objective value not recorded; squared step v_k =")
-                if k_out is None and v_k < best_v:
-                    best_v = v_k
-                    best_x = xk[i].copy()
-                if k == k_out:
-                    x_hat = xk[i].copy()
-                if cfg.keep_iterates:
-                    trace.iterates.append(xk[i].copy())
-                trace.add_row(k, f_k, None if grads is None else row[1], v_k,
-                              row[-1] if record_u else None, row[2] if mid_row else None,
-                              works[i], walls[i] + share)
-                if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
-                    stopped = True
-                    break
-        finally:
-            # the chunk's rows, up to a stop or the failing row, in one burst
-            if row_sink is not None and len(trace.k) > start:
-                row_sink(trace, start)
+        for i in range(c):
+            k += 1
+            f_k, row = values[i], sums[i]
+            v_k = row[0]
+            if not math.isfinite(v_k if f_k is None else f_k):
+                err = NonFiniteObjectiveError(k, f_k) if f_k is not None else NonFiniteObjectiveError(
+                    k, v_k, "objective value not recorded; squared step v_k =")
+                err.trace = trace  # every row before this one
+                raise err
+            if k_out is None and v_k < best_v:
+                best_v = v_k
+                best_x = xk[i].copy()
+            if k == k_out:
+                x_hat = xk[i].copy()
+            if cfg.keep_iterates:
+                trace.iterates.append(xk[i].copy())
+            trace.add_row(k, f_k, None if grads is None else row[1], v_k,
+                          row[-1] if record_u else None, row[2] if mid_row else None,
+                          works[i], walls[i] + share)
+            if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
+                stopped = True
+                break
         # an exact chunk whose last iterate repeats an earlier one bit for
         # bit has entered its orbit: the remaining rows are copies
         if not (recursive or stopped) and k < cfg.cycles:
             period = _orbit_period(xs[: c + 1])
             if period:
                 trace.meta["orbit"] = (k, period)
-                _replay_orbit(trace, period, cfg.cycles, exact_work, row_sink)
+                _replay_orbit(trace, period, cfg.cycles, exact_work)
                 break
     trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
     return (best_x if k_out is None else x_hat), trace
@@ -532,7 +526,7 @@ def _orbit_period(xs) -> int:
     return len(bits) - 1 - int(hits[-1]) if hits.size else 0
 
 
-def _replay_orbit(trace, period, cycles, cycle_work, row_sink):
+def _replay_orbit(trace, period, cycles, cycle_work):
     """Record rows up to ``cycles``, each a copy of the row ``period``
     cycles before it, with the cycle's work added; each column is extended
     once, by the last period's values tiled. Every row's ``wall_ns`` is an
@@ -553,8 +547,6 @@ def _replay_orbit(trace, period, cycles, cycle_work, row_sink):
     trace.work.extend(range(work + cycle_work, work + cycle_work * (n + 1), cycle_work))
     trace.k.extend(range(start, cycles + 1))
     trace.wall_ns.extend([(time.perf_counter_ns() - t0) // n] * n)
-    if row_sink is not None:
-        row_sink(trace, start)
 
 
 def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=True):

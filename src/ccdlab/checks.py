@@ -296,17 +296,15 @@ def potential_values(trace: RunTrace, eta: float, p: float, b_prime: int, lip_tr
     _require_diagnostics(trace, "the potential check")
     cu = (1.0 - p) * eta / (2.0 * p)
     cv = (1.0 - p) * lip_trailing * eta / (p * b_prime)
-    u0 = trace.est_err_sq[0]
-    if u0 is None:
+    u = trace.array("est_err_sq")
+    if trace.est_err_sq[0] is None:
         if cu != 0.0:
             raise ValueError("the potential check needs the initial anchor error (k = 0 row)")
-        u0 = 0.0
-    phi = [trace.obj[0] + cu * u0 + cv * trace.step_sq[0]]
-    deficits = []
-    for i in range(1, len(trace.k)):
-        phi.append(trace.obj[i] + cu * trace.est_err_sq[i] + cv * trace.step_sq[i])
-        deficits.append(0.25 * eta * trace.stat_sq[i] + phi[i] - phi[i - 1])
-    return np.array(phi), np.array(deficits)
+        u[0] = 0.0
+    # the scalar factors first, then the terms left to right, as one row rounds them
+    phi = trace.array("obj") + cu * u + cv * trace.array("step_sq")
+    deficits = 0.25 * eta * trace.array("stat_sq", skip_first=True) + phi[1:] - phi[:-1]
+    return phi, deficits
 
 
 def check_vr_potential(

@@ -31,7 +31,7 @@ import concurrent.futures
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -117,6 +117,12 @@ class Resolved:
     conditional: tuple[str, ...]
     run: algorithms.RunConfig
     mu: float | None = None  # the PL constant, when a check reads it
+
+    @cached_property
+    def reference(self) -> tuple[float, str]:
+        """The instance's ``reference_minimum``, solved at most once per
+        Resolved (``dataclasses.replace`` makes one without it)."""
+        return reference_minimum(self)
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
@@ -210,15 +216,15 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     )
 
 
-def run_seed(res: Resolved, seed: int, row_sink=None):
+def run_seed(res: Resolved, seed: int):
     """Execute one seed; returns (x_out, trace). The exact methods draw no
     randomness, so they get no ``RngBundle``."""
     method = METHODS[res.cfg.algorithm.name]
     # looked up at call time, so that a rebound entry point (a profiler's wrapper) is called
     entry = getattr(algorithms, method.entry)
     if not method.stochastic:
-        return entry(res.prob, res.reg, res.run, row_sink=row_sink)
-    return entry(res.prob, res.reg, res.run, RngBundle.from_seed(seed), row_sink=row_sink)
+        return entry(res.prob, res.reg, res.run)
+    return entry(res.prob, res.reg, res.run, RngBundle.from_seed(seed))
 
 
 # --------------------------------------------------------------------------
@@ -248,11 +254,11 @@ def float_text(*columns) -> list[list[str]]:
 
 
 class TraceCsvWriter:
-    """Streams trace rows to disk as the optimizer produces them.
+    """Writes one run's trace file in one pass per file, not streamed.
 
-    The header (echoing every resolved parameter) is written up front, so the
-    file never buffers more than the burst of rows being formatted, column by
-    column.
+    The header (echoing every resolved parameter) is written before the run,
+    so a run that fails before its first row leaves the header alone; the
+    rows follow once the run has returned its trace, or raised with it.
     """
 
     def __init__(self, path: Path, echo: dict, record_wall: bool):
@@ -264,12 +270,11 @@ class TraceCsvWriter:
             self._fh.write(f"# {key} = {_fmt(echo[key])}\n")
         self._fh.write(TRACE_HEADER + "\n")
 
-    def sink(self, trace: algorithms.RunTrace, start: int):
-        """Write the trace's rows from index ``start`` on."""
-        floats = float_text(
-            *(col[start:] for col in (trace.obj, trace.stat_sq, trace.step_sq, trace.est_err_sq)))
-        walls = map(str, trace.wall_ns[start:]) if self.record_wall else repeat("")
-        rows = zip(map(str, trace.k[start:]), *floats, map(str, trace.work[start:]), walls)
+    def sink(self, trace: algorithms.RunTrace):
+        """Write every row of the trace, its float columns formatted together."""
+        floats = float_text(trace.obj, trace.stat_sq, trace.step_sq, trace.est_err_sq)
+        walls = map(str, trace.wall_ns) if self.record_wall else repeat("")
+        rows = zip(map(str, trace.k), *floats, map(str, trace.work), walls)
         self._fh.write("\n".join(map(",".join, rows)) + "\n")
 
     def close(self):
@@ -317,28 +322,22 @@ def reference_minimum(res: Resolved) -> tuple[float, str]:
 
 class _CheckInputs:
     """What the checks read, each computed at most once per ``run_checks``
-    call and only when a requested check reads it. ``reference`` returns the
-    reference minimum; by default it calls ``reference_minimum``."""
+    call and only when a requested check reads it."""
 
-    def __init__(self, res: Resolved, traces: list[algorithms.RunTrace], reference=None):
+    def __init__(self, res: Resolved, traces: list[algorithms.RunTrace]):
         self.res, self.traces, self.prob = res, traces, res.prob
-        self._reference = reference or (lambda: reference_minimum(res))
         run = res.run
         self.eta, self.p, self.b, self.b_prime = run.eta, run.p, run.b, run.b_prime
         self.lip = res.profile.lip_trailing if res.profile is not None else None
         self.mu = res.mu
 
-    @cached_property
-    def reference(self) -> tuple[float, str]:
-        return self._reference()
-
     @property
     def no_reference(self) -> bool:
-        return self.reference[1] == "unavailable"
+        return self.res.reference[1] == "unavailable"
 
     @cached_property
     def delta0(self) -> float:
-        return self.traces[0].obj[0] - self.reference[0]
+        return self.traces[0].obj[0] - self.res.reference[0]
 
     @cached_property
     def delta0_or_best_seen(self) -> float:
@@ -348,7 +347,7 @@ class _CheckInputs:
 
     @property
     def provenance_tag(self) -> tuple[str, ...]:
-        provenance = self.reference[1]
+        provenance = self.res.reference[1]
         if provenance in ("closed_form", "unavailable"):
             return ()
         return (f"reference minimum: {provenance}",)
@@ -364,11 +363,11 @@ class _CheckInputs:
         return value, () if everywhere else ("sigma_sq estimated at the start point",)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
-        return np.array(trace.obj) - self.reference[0]
+        return np.array(trace.obj) - self.res.reference[0]
 
     @property
     def final_gaps(self) -> np.ndarray:
-        return np.array([t.obj[-1] for t in self.traces]) - self.reference[0]
+        return np.array([t.obj[-1] for t in self.traces]) - self.res.reference[0]
 
 
 # check name -> its reports, given the inputs and the conditional tags
@@ -402,18 +401,15 @@ _RUN_CHECK = {
 }
 
 
-def run_checks(
-    res: Resolved, traces: list[algorithms.RunTrace], reference=None
-) -> list[checks.BoundReport]:
+def run_checks(res: Resolved, traces: list[algorithms.RunTrace]) -> list[checks.BoundReport]:
     """The reports of every requested check, in the order requested.
 
     ``config.validate`` has already rejected each check the run cannot
     feed, so this only computes inputs; the conditional tags are the run's,
-    then the ones ``config.CHECKS`` implies for the check. ``reference``,
-    when given, returns the instance's reference minimum in place of a
-    ``reference_minimum`` call.
+    then the ones ``config.CHECKS`` implies for the check. F* is
+    ``res.reference``, solved when a check first reads it.
     """
-    inputs = _CheckInputs(res, traces, reference)
+    inputs = _CheckInputs(res, traces)
     shared = res.run.sample_sharing == algorithms.SHARED_PER_CYCLE
     reports: list[checks.BoundReport] = []
     for name in res.cfg.diagnostics.checks:
@@ -454,15 +450,24 @@ def _seed_list(cfg: ExperimentConfig) -> list[int]:
 
 
 def _execute_seed(res: Resolved, seed: int, trace_path):
+    """Run one seed and, given a path, write its trace file: the header
+    first, then, after the run, its rows, or on divergence the rows before
+    the failing one; any other error leaves the header alone."""
     writer = None
     if trace_path is not None:
         echo = dict(res.echo())
         echo["resolved.run_seed"] = seed
         writer = TraceCsvWriter(Path(trace_path), echo, res.cfg.output.record_wall)
+    trace = None
     try:
-        _, trace = run_seed(res, seed, row_sink=writer.sink if writer else None)
+        _, trace = run_seed(res, seed)
+    except algorithms.NonFiniteObjectiveError as exc:
+        trace = exc.trace
+        raise
     finally:
         if writer is not None:
+            if trace is not None:
+                writer.sink(trace)
             writer.close()
     trace.seed = seed
     return trace
@@ -490,7 +495,7 @@ def run_traces(
     res: Resolved | None = None,
     seeds: list[int] | None = None,
 ) -> tuple[Resolved, list[algorithms.RunTrace], list[Path]]:
-    """Run every seed, optionally streaming each trace to its CSV file.
+    """Run every seed, optionally writing each trace to its CSV file.
 
     ``res`` is ``resolve(cfg)`` when the caller already has it, and
     ``seeds`` are the run seeds, ``_seed_list(cfg)`` by default. The
@@ -536,10 +541,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, [], None, None, [], [])
 
-    # F* belongs to the instance, which the escalation keeps: one solve serves both
-    reference = cache(lambda: reference_minimum(res))
     try:
-        reports = run_checks(res, traces, reference)
+        reports = run_checks(res, traces)
     except (ConfigError, ValueError) as exc:
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, trace_paths, None, None, [], traces)
@@ -551,10 +554,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     if failed(checks.MONTE_CARLO):
         # escalate: rerun the Monte Carlo evidence at 4x seeds before failing
         try:
-            # only the seed count changes, so the instance is not resolved again
+            # only the seed count changes: the instance, and so F* (res.reference,
+            # one solve for both stages), is the first stage's Resolved
             cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=cfg.seeds.count * 4))
-            res_esc, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=replace(res, cfg=cfg4))
-            reports = run_checks(res_esc, traces_esc, reference)
+            _, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=res)
+            reports = run_checks(res, traces_esc)
         except RUN_ERRORS as exc:
             print(f"ccdlab: error during escalation: {exc}", file=sys.stderr)
             return ExperimentResult(3, trace_paths, None, None, reports, traces)

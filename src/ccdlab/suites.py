@@ -235,7 +235,7 @@ def suite_vr_rate() -> SuiteResult:
         if cycles == 100:
             # the schedule's accuracy target: K = 4*delta0/(eps^2 eta) cycles
             # drive the mean below eps^2, which is exactly this bound value
-            delta0 = res.prob.value(res.run.x0) - harness.reference_minimum(res)[0]
+            delta0 = res.prob.value(res.run.x0) - res.reference[0]
             eps_sq = 4.0 * delta0 / (res.run.eta * cycles)
             note = f" (meets target eps^2={eps_sq:.4g})"
         lines.append(f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}")

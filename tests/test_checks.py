@@ -20,6 +20,7 @@ from ccdlab.checks import (
     mean_with_allowance,
     potential_values,
 )
+from ccdlab.config import parse_config
 from ccdlab.problems import (
     estimate_sigma_sq,
     exact_coupling_matrices,
@@ -360,3 +361,53 @@ def test_report_csv_formats_each_side_as_a_float(tmp_path):
         for r in rows
     ]
     assert lines == want
+
+
+def _loop_potential_values(trace, eta, p, b_prime, lip_trailing):
+    """The potential and its deficits row by row, as the check once made
+    them: the reference for the columnar ``potential_values``."""
+    cu = (1.0 - p) * eta / (2.0 * p)
+    cv = (1.0 - p) * lip_trailing * eta / (p * b_prime)
+    u0 = trace.est_err_sq[0]
+    if u0 is None:
+        u0 = 0.0
+    phi = [trace.obj[0] + cu * u0 + cv * trace.step_sq[0]]
+    deficits = []
+    for i in range(1, len(trace.k)):
+        phi.append(trace.obj[i] + cu * trace.est_err_sq[i] + cv * trace.step_sq[i])
+        deficits.append(0.25 * eta * trace.stat_sq[i] + phi[i] - phi[i - 1])
+    return np.array(phi), np.array(deficits)
+
+
+# the vr-potential suite's generic instance
+VR_POTENTIAL = """
+problem.n = 64
+problem.d = 16
+problem.m = 4
+problem.condition_number = 8
+problem.identical_curvature = true
+problem.reg = l1(0.05)
+algorithm.name = vrccd
+algorithm.K = 120
+seeds.base = 7200
+seeds.count = 20
+diagnostics.record_u = true
+diagnostics.checks = vr-potential
+"""
+
+
+@pytest.mark.parametrize("p, b, b_prime", [(0.2, 32, 8), (0.5, 16, 4), (1.0, 16, 16)],
+                         ids=["suite", "other", "p-one"])
+def test_columnar_potential_matches_the_row_loop_bitwise(p, b, b_prime):
+    """At p = 1 no anchor is drawn, so the trace has no u_0."""
+    from ccdlab.harness import run_traces
+
+    text = VR_POTENTIAL + f"algorithm.p = {p}\nalgorithm.b = {b}\nalgorithm.bprime = {b_prime}\n"
+    res, traces, _ = run_traces(parse_config(text))
+    lip, eta = res.profile.lip_trailing, res.run.eta
+    assert all((t.est_err_sq[0] is None) == (p == 1.0) for t in traces)
+    for trace in traces:
+        got = potential_values(trace, eta, p, b_prime, lip)
+        want = _loop_potential_values(trace, eta, p, b_prime, lip)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

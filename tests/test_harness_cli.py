@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ccdlab import checks, cli, harness, suites
-from ccdlab.algorithms import prox_gd_run
+from ccdlab.algorithms import NonFiniteObjectiveError, prox_gd_run
 from ccdlab.cli import main
 from ccdlab.config import parse_config
 from ccdlab.harness import (
@@ -115,7 +115,7 @@ def test_initial_anchor_error_only_where_an_anchor_is_drawn(tmp_path, name, extr
 def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     cfg = parse_config(VR_CHECKED)
 
-    def hard_fail(res, traces, reference=None):
+    def hard_fail(res, traces):
         return [checks.BoundReport("demo", checks.HARD, [1], [2.0], [1.0])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", hard_fail)
@@ -123,7 +123,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
 
     calls = {"n": 0}
 
-    def soft_fail_then_pass(res, traces, reference=None):
+    def soft_fail_then_pass(res, traces):
         calls["n"] += 1
         lhs = 2.0 if calls["n"] == 1 else 0.5
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [1], [lhs], [1.0])]
@@ -140,7 +140,7 @@ def test_exit_codes_for_failing_checks(tmp_path, monkeypatch):
     assert calls["n"] == 2  # escalation re-ran the evidence
     assert len(resolves) == 1  # on the instance resolved for the first stage
 
-    def soft_fail_always(res, traces, reference=None):
+    def soft_fail_always(res, traces):
         return [checks.BoundReport("demo", checks.MONTE_CARLO, [1], [2.0], [1.0])]
 
     monkeypatch.setattr("ccdlab.harness.run_checks", soft_fail_always)
@@ -253,14 +253,16 @@ seeds.count = 1
 """
 
 
-def test_cli_sweep_exits_3_when_one_value_diverges(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_exits_3_when_one_value_diverges(tmp_path, capsys, jobs):
+    # two seeds, so that jobs = 2 runs them in the pool
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(DIVERGING_PCCD)
-    args = ["--values", "1,50", "--out-dir", str(tmp_path / "sw"), "--jobs", "1"]
+    cfg_path.write_text(DIVERGING_PCCD.replace("seeds.count = 1", "seeds.count = 2"))
+    args = ["--values", "1,50", "--out-dir", str(tmp_path / "sw"), "--jobs", jobs]
     code = main(["sweep", str(cfg_path), "--axis", "algorithm.eta", *args])
-    err = capsys.readouterr().err
     assert code == 3
-    assert "ccdlab: error: algorithm.eta = 50: objective value inf at iteration" in err
+    assert capsys.readouterr().err == (
+        "ccdlab: error: algorithm.eta = 50: objective value inf at iteration 94\n")
     assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
@@ -277,6 +279,28 @@ def test_cli_run_that_diverges_prints_only_its_error_line(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert done.returncode == 3
     assert re.fullmatch(r"ccdlab: error: objective value inf at iteration \d+\n", done.stderr)
+
+
+def test_diverging_seeds_exit_3_under_the_pool_and_leave_their_rows(tmp_path, capsys):
+    """A pool worker's divergence reaches the parent as its error, not as a
+    broken pool; every seed's file holds the rows before the failing one,
+    byte for byte as a run of that seed alone on one process writes it."""
+    cfg = parse_config(DIVERGING_PCCD.replace("seeds.count = 1", "seeds.count = 2")
+                       + "algorithm.eta = 50\n")
+    with np.errstate(all="ignore"):
+        result = run_experiment(cfg, out_dir=tmp_path / "pool", jobs=2)
+    assert result.exit_code == 3
+    assert capsys.readouterr().err == "ccdlab: error: objective value inf at iteration 94\n"
+    paths = sorted((tmp_path / "pool").rglob("trace_seed*.csv"))
+    assert [p.name for p in paths] == ["trace_seed1000.csv", "trace_seed1001.csv"]
+    for path in paths:
+        seed = int(path.stem.removeprefix("trace_seed"))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError):
+            harness.run_traces(cfg, jobs=1, trace_dir=tmp_path / "serial", seeds=[seed])
+        lines = path.read_text().splitlines()
+        assert [int(row.split(",")[0]) for row in lines[lines.index(TRACE_HEADER) + 1 :]] == \
+            list(range(94))
+        assert path.read_bytes() == (tmp_path / "serial" / path.name).read_bytes()
 
 
 # kappa close to 1: the top eigenvalues of the coupling sum nearly tie, and

@@ -2,8 +2,8 @@
 remaining rows as copies of the rows one period before. With detection
 switched off (``_orbit_period`` patched to find no period) every cycle
 steps, and the two runs agree bit for bit: every trace column but the wall
-times, the iterates, the returned point and the rows the ``row_sink`` is
-handed, each once and in order."""
+times, the iterates and the returned point; every row appears once, in
+order."""
 
 import numpy as np
 import pytest
@@ -25,22 +25,15 @@ def _bits(v):
     return v.hex() if isinstance(v, float) else v
 
 
-def _row(trace, i):
-    row = tuple(_bits(getattr(trace, c)[i]) for c in COLUMNS)
-    return row + ((None if trace.iterates is None else trace.iterates[i].tobytes()),)
-
-
 def _record(run, prob, reg, cfg):
-    """The run's returned point, trace columns, iterates and sink rows, as bits."""
-    sunk = []
-    x, trace = run(prob, reg, cfg,
-                   row_sink=lambda t, start: sunk.extend(_row(t, i) for i in range(start, len(t.k))))
-    assert [row[0] for row in sunk] == trace.k  # every row was sunk once, in order
+    """The run's returned point, trace columns and iterates, as bits."""
+    x, trace = run(prob, reg, cfg)
+    assert trace.k == list(range(len(trace.k)))  # every row once, in order
     assert all(isinstance(w, int) and w >= 0 for w in trace.wall_ns)
     assert sum(trace.wall_ns) <= trace.meta["wall_total_ns"]
     columns = {c: [_bits(v) for v in getattr(trace, c)] for c in COLUMNS}
     iterates = None if trace.iterates is None else [xi.tobytes() for xi in trace.iterates]
-    return (x.tobytes(), columns, iterates, sunk), trace
+    return (x.tobytes(), columns, iterates), trace
 
 
 def _replayed_and_stepped(run, prob, reg, cfg, monkeypatch):

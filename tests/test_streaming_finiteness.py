@@ -38,13 +38,13 @@ def test_streaming_surrogate_run_raises_at_first_nonfinite_objective():
         cycles=400, eta=50.0, p=0.5, b=8, b_prime=2, x0=np.ones(8),
         metric=exact_quadratic_metric(prob), surrogate_samples=64,
     )
-    rows = []
     with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError) as err:
-        vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(1), row_sink=lambda t, start: rows.extend(t.obj[start:]))
-    # every row written before the failing cycle is finite
+        vrccd_run(prob, Zero(), cfg, RngBundle.from_seed(1))
+    # the error's trace holds every row before the failing cycle, each finite
+    trace = err.value.trace
     assert 1 <= err.value.iteration <= 400
-    assert len(rows) == err.value.iteration
-    assert all(math.isfinite(v) for v in rows)
+    assert trace.k == list(range(err.value.iteration))
+    assert all(math.isfinite(v) for v in trace.obj)
     assert not math.isfinite(err.value.value)
 
 

@@ -3,9 +3,10 @@
 shorter run is a prefix of a longer one across every chunk boundary, F and
 v_k match a row-by-row recomputation, an early stop ends the trace at its
 row, and a diverging run raises at its first non-finite row with only the
-rows before it written."""
+rows before it in the error's trace."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,10 +44,8 @@ def _run(name, prob, reg, cycles, record_u, surrogate=0):
     cfg = RunConfig(cycles=cycles, x0=np.linspace(-1.0, 1.0, d), metric=metric, eta=0.7,
                     record_u=record_u, keep_iterates=True, surrogate_samples=surrogate, **fields)
     args = (prob, reg, cfg) + ((RngBundle.from_seed(5),) if method.stochastic else ())
-    rows = []
-    _, trace = getattr(algorithms, method.entry)(
-        *args, row_sink=lambda t, start: rows.extend(t.k[start:]))
-    assert rows == list(range(cycles + 1))  # every row reached the sink once, in order
+    _, trace = getattr(algorithms, method.entry)(*args)
+    assert trace.k == list(range(cycles + 1))  # every row once, in order
     return cfg, trace
 
 
@@ -140,14 +139,14 @@ def _concave():
     part = BlockPartition((d,))
     prob = QuadraticFiniteSum((-np.eye(d))[None], np.zeros((1, d)), np.zeros(1), part)
     cfg = RunConfig(cycles=5000, x0=np.ones(d), metric=DiagonalMetric.identity(part))
-    return lambda row_sink: algorithms.pccd_run(prob, Zero(), cfg, row_sink=row_sink)
+    return lambda: algorithms.pccd_run(prob, Zero(), cfg)
 
 
 def _eta_50():
     res = harness.resolve(parse_config(
         "problem.family = quadratic\nproblem.n = 16\nproblem.d = 8\nproblem.m = 2\n"
         "algorithm.name = pccd\nalgorithm.K = 400\nalgorithm.eta = 50\n"))
-    return lambda row_sink: harness.run_seed(res, 0, row_sink=row_sink)
+    return lambda: harness.run_seed(res, 0)
 
 
 @pytest.mark.parametrize("run, iteration, value", [(_concave, 512, -math.inf), (_eta_50, 94, math.inf)],
@@ -156,12 +155,30 @@ def test_diverging_run_raises_at_its_first_nonfinite_row(run, iteration, value):
     """Both iterations, and the values, are those of the per-cycle engine.
     512 opens a chunk and 94 sits inside one; either way the run steps to
     the chunk's end before it raises at the failing row."""
-    rows = []
     with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError) as err:
-        run()(lambda t, start: rows.extend(zip(t.k[start:], t.obj[start:])))
+        run()()
     assert (err.value.iteration, err.value.value) == (iteration, value)
-    assert [k for k, _ in rows] == list(range(iteration))
-    assert all(math.isfinite(f) for _, f in rows)
+    trace = err.value.trace
+    assert trace.k == list(range(iteration))
+    assert all(math.isfinite(f) for f in trace.obj)
+
+
+def test_nonfinite_error_survives_a_pickle_round_trip():
+    """A pool worker hands its error to the parent pickled: the iteration,
+    value, quantity, message and trace all arrive."""
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteObjectiveError) as err:
+        _eta_50()()
+    sent = err.value
+    back = pickle.loads(pickle.dumps(sent))
+    assert type(back) is NonFiniteObjectiveError
+    assert str(back) == str(sent) == "objective value inf at iteration 94"
+    assert (back.iteration, back.value, back.quantity) == (94, math.inf, "objective value")
+    assert back.trace.k == sent.trace.k == list(range(94))
+    assert back.trace.obj == sent.trace.obj
+    bare = NonFiniteObjectiveError(3, math.nan, "objective value not recorded; squared step v_k =")
+    back = pickle.loads(pickle.dumps(bare))
+    assert str(back) == str(bare) == "objective value not recorded; squared step v_k = nan at iteration 3"
+    assert back.quantity == bare.quantity and back.trace is None
 
 
 def test_recorded_wall_times_add_up_within_the_run(tmp_path):

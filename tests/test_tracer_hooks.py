@@ -134,3 +134,22 @@ def test_reference_solve_records_its_metric_and_run_spans(tmp_path):
     assert spans[reference[0]][3] == checks_run[0]
     children = sorted(span[0] for span in spans if span[3] == reference[0])
     assert children == ["algorithms.run", "problems.coupling"]
+
+
+def test_each_trace_file_is_written_once_outside_the_run(tmp_path):
+    # the tracer rebinds TraceCsvWriter.__init__, sink and close: each of
+    # the four files opens, takes its whole trace in one sink and closes,
+    # and none of it happens inside an optimizer run
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        result = run_experiment(parse_config(VRCCD), out_dir=tmp_path, jobs=1)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0 and len(result.trace_paths) == 4
+    spans = tracer.spans
+    writes = [span for span in spans if span[0] == "harness.trace_write"]
+    assert len(writes) == 12
+    assert not any(parent >= 0 and spans[parent][0] == "algorithms.run"
+                   for _, _, _, parent, _, _ in writes)
