@@ -254,7 +254,7 @@ def float_text(*columns) -> list[list[str]]:
 
 
 class TraceCsvWriter:
-    """Writes one run's trace file in one pass per file, not streamed.
+    """Writes one run's trace file in one pass, not streamed.
 
     The header (echoing every resolved parameter) is written before the run,
     so a run that fails before its first row leaves the header alone; the

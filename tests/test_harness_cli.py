@@ -209,6 +209,17 @@ def test_config_error_exit_code(tmp_path):
     assert run_experiment(bad, out_dir=tmp_path).exit_code == 3
 
 
+def test_run_error_propagates_and_leaves_the_header_alone(tmp_path):
+    # the engine rejects the start point before its first row; that error,
+    # not one of the file writing, reaches the caller
+    res = resolve(parse_config(VR_CHECKED))
+    res = replace(res, run=replace(res.run, x0=np.zeros(3)))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="x0 does not match the problem dimension"):
+        harness._execute_seed(res, 1003, path)
+    assert path.read_text().endswith("\n" + TRACE_HEADER + "\n")
+
+
 def test_sweep_row_counts_and_m_equivalence(tmp_path):
     text = """
 problem.family = quadratic
