@@ -6,9 +6,11 @@
 
 Exit status: 0 all checks pass, 1 Monte Carlo failure (after escalation,
 for ``run``), 2 deterministic bound violation, 3 usage, configuration or
-runtime error. ``check`` exits 2 when a hard check of a suite failed and 1
-when only Monte Carlo ones did. A suite that raises prints its traceback;
-``check all`` still runs the others and then exits 3.
+runtime error. ``check`` judges a suite's reports by ``run``'s rule
+(``harness.failed``): 2 when a hard report or an oracle comparison failed, 1
+when only Monte Carlo ones did; an advisory report never gates. A suite that
+raises prints its traceback; ``check all`` still runs the others and then
+exits 3.
 """
 
 from __future__ import annotations

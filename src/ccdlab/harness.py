@@ -518,12 +518,25 @@ def run_traces(
         ) as pool:
             traces = list(pool.map(_run_one, zip(seeds, paths)))
     else:
-        traces = [_execute_seed(res, s, p) for s, p in zip(seeds, paths)]
+        # as in the pool, every seed runs; the first error in seed order is raised
+        traces, errors = [], []
+        for s, p in zip(seeds, paths):
+            try:
+                traces.append(_execute_seed(res, s, p))
+            except RUN_ERRORS as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
     return res, traces, [p for p in paths if p is not None]
 
 
 # what a run of seeds raises on bad input or divergence: exit status 3, not a traceback
 RUN_ERRORS = (ConfigError, ValueError, algorithms.NonFiniteObjectiveError)
+
+
+def failed(reports: list[checks.BoundReport], kind: str) -> bool:
+    """Whether a gating report of this kind failed; an advisory report never gates."""
+    return any(not r.passed and not r.advisory and r.kind == kind for r in reports)
 
 
 def exit_status(hard_failed: bool, monte_carlo_failed: bool) -> int:
@@ -547,11 +560,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
         print(f"ccdlab: error: {exc}", file=sys.stderr)
         return ExperimentResult(3, trace_paths, None, None, [], traces)
 
-    def failed(kind: str) -> bool:
-        """Whether a gating report of this kind failed (reads the latest reports)."""
-        return any(not r.passed and not r.advisory and r.kind == kind for r in reports)
-
-    if failed(checks.MONTE_CARLO):
+    if failed(reports, checks.MONTE_CARLO):
         # escalate: rerun the Monte Carlo evidence at 4x seeds before failing
         try:
             # only the seed count changes: the instance, and so F* (res.reference,
@@ -566,7 +575,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
     report_csv = report_txt = None
     if reports:
         report_csv, report_txt = write_report(reports, out_dir / cfg.output.report_path)
-    code = exit_status(failed(checks.HARD), failed(checks.MONTE_CARLO))
+    code = exit_status(failed(reports, checks.HARD), failed(reports, checks.MONTE_CARLO))
     return ExperimentResult(code, trace_paths, report_csv, report_txt, reports, traces)
 
 

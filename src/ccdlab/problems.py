@@ -22,10 +22,11 @@ gradients are assembled so that each block's slice stays bitwise equal to
 that kernel's output: the quadratic family makes one stacked matmul per run
 of equal-size blocks, which calls the same per-slice product the block
 kernel does. Algorithm equivalences that promise bitwise-equal trajectories
-rely on this. The trace rows of a chunk of cycles read F and the full
-gradient at a stack of points through ``values_and_grads``, which is the
-per-row ``value`` and ``full_grad`` calls by default; the quadratic family
-stacks them into a few matmuls that make the same per-row BLAS calls.
+rely on this. Each finite family states F and the full gradient once, at a
+stack of points, in ``values_and_grads``, which the trace rows of a chunk of
+cycles read; ``value`` and ``full_grad`` are its one-point case. The
+quadratic family stacks the rows into a few matmuls that make the same
+per-row BLAS calls; the sigmoid family evaluates row by row.
 
 Sampled gradients are likewise block by block: each family states
 ``batch_block_grad(batch, j, x)``, and the full-vector ``batch_full_grad`` is
@@ -95,14 +96,15 @@ class _Objective:
 
 
 class FiniteSumObjective(_Objective):
-    """Shared finite-sum plumbing. Each family implements ``full_grad``,
-    ``_rows_kernel``, ``_batch_rows_grad``, ``value``, ``component_value``, and
-    the stacks of per-component gradients ``component_block_grads`` (one
-    block) and ``component_block_grads_full``. The j-th slice of
-    ``full_grad(x)`` is bit-identical to ``block_grad(j, x)``; every
-    equivalence contract leans on this. ``batch_block_grad`` routes a full
-    batch to ``block_grad``, so a full batch's ``batch_full_grad`` is
-    ``full_grad``, bit for bit."""
+    """Shared finite-sum plumbing. Each family implements ``values_and_grads``
+    (F and the full gradient at each row of a (c, d) stack of points: a list
+    of c values and a (c, d) array, each row bitwise the same for any c),
+    ``_rows_kernel``, ``_batch_rows_grad``, ``component_value``, and the
+    stacks of per-component gradients ``component_block_grads`` (one block)
+    and ``component_block_grads_full``. The j-th slice of ``full_grad(x)`` is
+    bit-identical to ``block_grad(j, x)``; every equivalence contract leans
+    on this. ``batch_block_grad`` routes a full batch to ``block_grad``, so a
+    full batch's ``batch_full_grad`` is ``full_grad``, bit for bit."""
 
     n: int
 
@@ -113,11 +115,13 @@ class FiniteSumObjective(_Objective):
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.block_kernel(j)(x)
 
-    def values_and_grads(self, points: np.ndarray) -> tuple[list[float], np.ndarray]:
-        """``value`` and ``full_grad`` at each row of the (c, d) stack
-        ``points``, bit for bit: a list of c values and a (c, d) array. A
-        family may stack the per-row calls."""
-        return [self.value(x) for x in points], np.array([self.full_grad(x) for x in points])
+    def value(self, x: np.ndarray) -> float:
+        """F(x), the one-point case of the family's ``values_and_grads``."""
+        return self.values_and_grads(x[None])[0][0]
+
+    def full_grad(self, x: np.ndarray) -> np.ndarray:
+        """The full gradient at x, the one-point case of ``values_and_grads``."""
+        return self.values_and_grads(x[None])[1][0]
 
     def block_kernel(self, j: int):
         """Block j's exact gradient bound to the block's rows, as
@@ -182,16 +186,13 @@ class QuadraticFiniteSum(FiniteSumObjective):
     def mean_const(self) -> float:
         return float(self.const.mean())
 
-    def value(self, x):
-        return float(0.5 * x @ (self.mean_quad @ x) + self.mean_lin @ x + self.mean_const)
-
     def component_value(self, i, x):
         return float(0.5 * x @ (self.quad[i] @ x) + self.lin[i] @ x + self.const[i])
 
     def values_and_grads(self, points):
-        # each stacked matmul makes, per row, the call that value or
-        # full_grad makes: the (d, d) gemv and the two dots of the value, and
-        # one (size, d) gemv per block of the gradient
+        # each stacked matmul makes the same call for every row: the (d, d)
+        # gemv and the two dots of the value, and one (size, d) gemv per
+        # block of the gradient, the one-row product block_kernel makes
         cols = points[:, :, None]
         quad_x = np.matmul(self.mean_quad, cols)
         values = np.matmul(0.5 * points[:, None, :], quad_x)
@@ -208,14 +209,6 @@ class QuadraticFiniteSum(FiniteSumObjective):
         # per run of equal-size blocks, the (count, size, d) view of its rows
         d = self.dim
         return tuple(self.mean_quad[s:e].reshape(c, w, d) for s, e, c, w in self.partition.runs)
-
-    def full_grad(self, x):
-        # the stacked matmul makes the 2-D product's call once per block, so
-        # each slice stays bitwise block_grad(j, x)
-        parts = [(q @ x).reshape(-1) for q in self._mean_quad_runs]
-        g = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        g += self.mean_lin
-        return g
 
     def _rows_kernel(self, cols):
         quad, lin = self.mean_quad[cols], self.mean_lin[cols]
@@ -342,15 +335,14 @@ class SigmoidClassification(FiniteSumObjective):
     def n(self) -> int:  # type: ignore[override]
         return self.rows.shape[0]
 
-    def value(self, x):
-        return _sigmoid_value(self.rows, self.labels, x)
-
     def component_value(self, i, x):
         z = self.labels[i] * float(self.rows[i] @ x)
         return float(_expit()(-z))
 
-    def full_grad(self, x):
-        return _sigmoid_grad(self.rows, self.labels, self.partition.slices, x)
+    def values_and_grads(self, points):
+        rows, labels, slices = self.rows, self.labels, self.partition.slices
+        values = [_sigmoid_value(rows, labels, x) for x in points]
+        return values, np.array([_sigmoid_grad(rows, labels, slices, x) for x in points])
 
     def _rows_kernel(self, cols):
         def kernel(x, out=None):

@@ -2,12 +2,15 @@
 
 The seven optimizer suites take the ``ccdlab run`` path: each instance is
 an ``ExperimentConfig`` that ``harness.resolve`` builds, ``run_traces``
-runs and ``run_checks`` checks. A suite owns only its choice of runs: the
-instance seeds, run seeds, start-point rule ``_x0`` and cycle counts. The
-batch-variance, equivalence and gradient/prox suites, and the one-cycle
-exact solve, call the library directly, as oracles for the pieces the
-harness is built from. The CLI ``check`` subcommand and the acceptance
-tests both run these functions, so the gate has a single implementation.
+runs and ``run_checks`` checks. A suite owns only its choice of runs (the
+instance seeds, run seeds, start-point rule ``_x0`` and cycle counts) and
+its printed lines; its verdict comes from the reports it hands to
+``SuiteResult``, judged by ``harness.failed``, the rule ``ccdlab run``
+exits by. The batch-variance, equivalence and gradient/prox suites, and the
+one-cycle exact solve, call the library directly, as oracles for the pieces
+the harness is built from; a failed oracle comparison fails hard. The CLI
+``check`` subcommand and the acceptance tests both run these functions, so
+the gate has a single implementation.
 """
 
 from __future__ import annotations
@@ -38,21 +41,24 @@ _JOBS = os.cpu_count() or 1
 
 @dataclass
 class SuiteResult:
+    """A suite's printed lines and the evidence for its verdict: its bound
+    reports, judged by ``harness.failed`` as ``ccdlab run`` judges them (an
+    advisory report never gates), and ``oracle_failed``, whether a
+    comparison that is not a bound report failed, which fails hard."""
+
     name: str
-    passed: bool
     lines: list[str] = field(default_factory=list)
+    reports: list[checks.BoundReport] = field(default_factory=list)
+    oracle_failed: bool = False
     elapsed_s: float = 0.0
-    # whether a hard check failed; None for a suite whose checks are all
-    # hard, which then failed hard exactly when it failed
-    hard_failed: bool | None = None
 
-    def __post_init__(self):
-        if self.hard_failed is None:
-            self.hard_failed = not self.passed
+    @property
+    def hard_failed(self) -> bool:
+        return self.oracle_failed or harness.failed(self.reports, checks.HARD)
 
-
-def _hard_failed(reports) -> bool:
-    return any(not rep.passed and rep.kind == checks.HARD for rep in reports)
+    @property
+    def passed(self) -> bool:
+        return not self.hard_failed and not harness.failed(self.reports, checks.MONTE_CARLO)
 
 
 def _x0(prob, seed, reg=None):
@@ -111,7 +117,7 @@ def suite_batch_variance_identity() -> SuiteResult:
     lines = [
         f"instances=50 comparisons={comparisons} max_rel_err={worst:.3e} (tol 1e-10)",
     ]
-    return SuiteResult("batch-variance-identity", ok, lines)
+    return SuiteResult("batch-variance-identity", lines, oracle_failed=not ok)
 
 
 # --------------------------------------------------------------------------
@@ -120,8 +126,7 @@ def suite_batch_variance_identity() -> SuiteResult:
 
 
 def suite_cyclic_descent() -> SuiteResult:
-    ok = True
-    worst = math.inf
+    reports = []
     kinds = ("convex", "boxed", "sigmoid")
     m_choices = (1, 2, 5, None)  # None means one block per coordinate
     d_choices = (8, 20, 50, 100)
@@ -137,11 +142,11 @@ def suite_cyclic_descent() -> SuiteResult:
             convex = kind == "convex"
             reg = ("zero",) if convex else ("box", -2.0, 2.0)
             problem = ProblemSpec(n=6, d=d, m=m, condition_number=6.0, convex=convex, reg=reg)
-        _, _, (rep,) = _check(2000 + idx, problem, AlgorithmSpec(cycles=25), ("cyclic-descent",))
-        ok = ok and rep.passed
-        worst = min(worst, rep.worst.slack)
+        reports += _check(2000 + idx, problem, AlgorithmSpec(cycles=25), ("cyclic-descent",))[2]
+    # from inf, as a running minimum: a NaN slack is passed over
+    worst = min(math.inf, *(rep.worst.slack for rep in reports))
     lines = [f"instances=100 cycles=25 each, min slack={worst:.3e} (tol 1e-9 rel)"]
-    return SuiteResult("cyclic-descent", ok, lines)
+    return SuiteResult("cyclic-descent", lines, reports)
 
 
 # --------------------------------------------------------------------------
@@ -150,15 +155,14 @@ def suite_cyclic_descent() -> SuiteResult:
 
 
 def suite_stationarity_rate() -> SuiteResult:
-    ok = True
+    reports = []
     problem = ProblemSpec(n=4, d=16, m=4, condition_number=3.0, reg=("l1", 0.1))
     # the harness takes delta0 from its machine-precision reference solve
     checked = ("stationarity-rate", "grad-vs-step", "step-telescope")
     for idx in range(100):
-        _, _, reports = _check(3000 + idx, problem, AlgorithmSpec(cycles=500), checked)
-        ok = ok and all(rep.passed for rep in reports)
+        reports += _check(3000 + idx, problem, AlgorithmSpec(cycles=500), checked)[2]
     lines = ["instances=100, prefixes K=1..500 plus per-cycle gradient/telescope bounds"]
-    return SuiteResult("stationarity-rate", ok, lines)
+    return SuiteResult("stationarity-rate", lines, reports)
 
 
 # --------------------------------------------------------------------------
@@ -167,11 +171,10 @@ def suite_stationarity_rate() -> SuiteResult:
 
 
 def suite_pl_linear_rate() -> SuiteResult:
-    ok = True
+    reports = []
     problem = ProblemSpec(n=6, d=16, m=4, condition_number=10.0)
     for idx in range(100):
-        _, _, (rep,) = _check(4000 + idx, problem, AlgorithmSpec(cycles=60), ("pl-envelope",))
-        ok = ok and rep.passed
+        reports += _check(4000 + idx, problem, AlgorithmSpec(cycles=60), ("pl-envelope",))[2]
 
     # one-cycle exact solve: identity curvature, one block per coordinate
     d = 24
@@ -182,12 +185,12 @@ def suite_pl_linear_rate() -> SuiteResult:
     metric = DiagonalMetric.identity(part)
     x_out, _ = pccd_run(prob, Zero(), RunConfig(cycles=1, x0=_x0(prob, 41), metric=metric))
     one_cycle_gap = prob.gap(x_out)
-    ok = ok and one_cycle_gap <= 1e-20
     lines = [
         "instances=100, geometric envelope at every cycle (K=60)",
         f"one-cycle exact solve gap={one_cycle_gap:.3e} (tol 1e-20)",
     ]
-    return SuiteResult("pl-linear-rate", ok, lines)
+    # a NaN gap fails
+    return SuiteResult("pl-linear-rate", lines, reports, oracle_failed=not one_cycle_gap <= 1e-20)
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +199,7 @@ def suite_pl_linear_rate() -> SuiteResult:
 
 
 def suite_vr_pathwise() -> SuiteResult:
-    ok = True
-    worst = math.inf
+    reports = []
     algorithm = AlgorithmSpec(
         name="vrccd", cycles=200, p=0.3, b=16, bprime=4, sample_sharing=FRESH_PER_BLOCK
     )
@@ -207,12 +209,11 @@ def suite_vr_pathwise() -> SuiteResult:
         convex = idx % 2 == 0
         reg = ("l1", 0.05) if convex else ("box", -2.0, 2.0)
         problem = ProblemSpec(n=32, d=16, m=4, condition_number=5.0, convex=convex, reg=reg)
-        _, _, reports = _check(seed, problem, algorithm, checked, [seed], record_u=True)
-        for rep in reports:
-            ok = ok and rep.passed
-            worst = min(worst, rep.worst.slack)
+        reports += _check(seed, problem, algorithm, checked, [seed], record_u=True)[2]
+    # from inf, as a running minimum: a NaN slack is passed over
+    worst = min(math.inf, *(rep.worst.slack for rep in reports))
     lines = [f"instances=50 x 200 cycles, both pathwise bounds, min slack={worst:.3e}"]
-    return SuiteResult("vr-pathwise", ok, lines)
+    return SuiteResult("vr-pathwise", lines, reports)
 
 
 # --------------------------------------------------------------------------
@@ -241,8 +242,7 @@ def suite_vr_rate() -> SuiteResult:
         lines.append(f"K={cycles}: seed-mean={row.lhs:.4g} <= bound+CI={row.rhs:.4g}{note}")
     run = res.run
     head = f"n=256 d=64 schedule b={run.b} b'={run.b_prime} p={run.p:.4g} eta={run.eta:.4g}"
-    ok = all(rep.passed for rep in reports)
-    return SuiteResult("vr-rate", ok, [head + ", 100 seeds"] + lines, hard_failed=_hard_failed(reports))
+    return SuiteResult("vr-rate", [head + ", 100 seeds"] + lines, reports)
 
 
 # --------------------------------------------------------------------------
@@ -279,9 +279,7 @@ def suite_vr_potential() -> SuiteResult:
         f"generic (p={p}, b={b}, b'={b_prime}): 200 seeds x 120 cycles, "
         f"worst mean-vs-allowance slack={rep_mc.worst.slack:.3e}"
     )
-    ok = not inexact and rep_path.passed and rep_mc.passed
-    hard_failed = bool(inexact) or _hard_failed([rep_path, rep_mc])
-    return SuiteResult("vr-potential", ok, lines, hard_failed=hard_failed)
+    return SuiteResult("vr-potential", lines, [rep_path, rep_mc], oracle_failed=bool(inexact))
 
 
 # --------------------------------------------------------------------------
@@ -310,8 +308,7 @@ def suite_work_accounting() -> SuiteResult:
         target = (p * b + (1 - p) * b_prime) * res.prob.dim
         mean = float(trace.work_increments().mean())
         lines.append(f"{label}: mean per-cycle work {mean:.4f} vs target {target:.4f} over {cycles} cycles")
-    ok = all(rep.passed for rep in reports)
-    return SuiteResult("work-accounting", ok, lines, hard_failed=_hard_failed(reports))
+    return SuiteResult("work-accounting", lines, reports)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +380,7 @@ def suite_equivalences() -> SuiteResult:
     ok = ok and same
     lines.append(f"p=1, b=n recursive baseline == proximal gradient: {'bitwise equal' if same else 'MISMATCH'}")
 
-    return SuiteResult("equivalences", ok, lines)
+    return SuiteResult("equivalences", lines, oracle_failed=not ok)
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +470,7 @@ def suite_gradient_prox_oracles() -> SuiteResult:
     ok = ok and worst_prox <= 1e-5
     lines.append(f"1000 scalar prox grid searches, worst err={worst_prox:.3e} (tol 1e-5)")
 
-    return SuiteResult("gradient-prox-oracles", ok, lines)
+    return SuiteResult("gradient-prox-oracles", lines, oracle_failed=not ok)
 
 
 SUITES = {

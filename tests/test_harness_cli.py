@@ -203,10 +203,11 @@ def test_escalation_reuses_the_reference_minimum(tmp_path, monkeypatch):
     assert result.report_txt.read_bytes() == txt.read_bytes()
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     cfg = parse_config(VR_CHECKED)
-    bad = cfg.with_override("algorithm.b", 64)  # b > n surfaces at run time
+    bad = cfg.with_override("algorithm.b", 64)  # b > n: config.validate rejects it in resolve
     assert run_experiment(bad, out_dir=tmp_path).exit_code == 3
+    assert capsys.readouterr().err == "ccdlab: error: line 0: need b <= n\n"
 
 
 def test_run_error_propagates_and_leaves_the_header_alone(tmp_path):
@@ -292,14 +293,17 @@ def test_cli_run_that_diverges_prints_only_its_error_line(tmp_path):
     assert re.fullmatch(r"ccdlab: error: objective value inf at iteration \d+\n", done.stderr)
 
 
-def test_diverging_seeds_exit_3_under_the_pool_and_leave_their_rows(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_diverging_seeds_exit_3_at_any_jobs_and_leave_their_rows(tmp_path, capsys, jobs):
     """A pool worker's divergence reaches the parent as its error, not as a
-    broken pool; every seed's file holds the rows before the failing one,
-    byte for byte as a run of that seed alone on one process writes it."""
+    broken pool, and one process, like the pool, runs every seed before it
+    raises the first error: at either job count every seed's file holds the
+    rows before the failing one, byte for byte as a run of that seed alone
+    on one process writes it."""
     cfg = parse_config(DIVERGING_PCCD.replace("seeds.count = 1", "seeds.count = 2")
                        + "algorithm.eta = 50\n")
     with np.errstate(all="ignore"):
-        result = run_experiment(cfg, out_dir=tmp_path / "pool", jobs=2)
+        result = run_experiment(cfg, out_dir=tmp_path / "pool", jobs=jobs)
     assert result.exit_code == 3
     assert capsys.readouterr().err == "ccdlab: error: objective value inf at iteration 94\n"
     paths = sorted((tmp_path / "pool").rglob("trace_seed*.csv"))
@@ -532,7 +536,7 @@ def test_cli_check_reports_a_suite_error_and_exits_3(monkeypatch, capsys):
         raise ValueError("no instance")
 
     def failing():
-        return suites.SuiteResult("b-fails", False, ["forced"])
+        return suites.SuiteResult("b-fails", ["forced"], oracle_failed=True)
 
     monkeypatch.setattr(suites, "SUITES", {"a-raises": raising, "b-fails": failing})
     monkeypatch.setattr(cli, "SUITES", suites.SUITES)
@@ -593,6 +597,32 @@ def test_cli_check_exits_by_the_kind_of_failed_report(forced, status, monkeypatc
     assert capsys.readouterr().out.startswith("FAIL vr-potential")
 
 
+def _failing_report(kind, advisory=False):
+    return checks.BoundReport("stub", kind, [1], [1.0], [0.0], advisory=advisory)
+
+
+@pytest.mark.parametrize(
+    "result, verdict, status",
+    [
+        (suites.SuiteResult("stub", reports=[_failing_report(checks.HARD)]), "FAIL", 2),
+        (suites.SuiteResult("stub", reports=[_failing_report(checks.MONTE_CARLO)]), "FAIL", 1),
+        (suites.SuiteResult("stub", oracle_failed=True), "FAIL", 2),
+        (suites.SuiteResult("stub", reports=[_failing_report(checks.HARD, advisory=True)]),
+         "PASS", 0),
+    ],
+    ids=["hard", "monte-carlo", "oracle", "advisory"],
+)
+def test_cli_check_judges_a_suite_by_the_rule_run_uses(result, verdict, status, monkeypatch,
+                                                         capsys):
+    """A suite's verdict is ``harness.failed`` over its reports, as in
+    ``ccdlab run``: a failing hard report or oracle comparison exits 2, a
+    failing Monte Carlo report 1, and a failing advisory report never gates."""
+    monkeypatch.setattr(suites, "SUITES", {"stub": lambda: result})
+    monkeypatch.setattr(cli, "SUITES", suites.SUITES)
+    assert main(["check", "stub"]) == status
+    assert capsys.readouterr().out.startswith(f"{verdict} stub")
+
+
 def test_check_and_run_share_one_exit_rule(monkeypatch, tmp_path):
     seen = []
     rule = harness.exit_status
@@ -604,8 +634,8 @@ def test_check_and_run_share_one_exit_rule(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "exit_status", recording)
     monkeypatch.setattr(cli, "exit_status", recording)
     monkeypatch.setattr(suites, "SUITES", {
-        "mc": lambda: suites.SuiteResult("mc", False, hard_failed=False),
-        "ok": lambda: suites.SuiteResult("ok", True),
+        "mc": lambda: suites.SuiteResult("mc", reports=[_failing_report(checks.MONTE_CARLO)]),
+        "ok": lambda: suites.SuiteResult("ok"),
     })
     monkeypatch.setattr(cli, "SUITES", suites.SUITES)
     assert main(["check", "all"]) == 1

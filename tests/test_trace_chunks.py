@@ -69,7 +69,7 @@ def test_short_run_is_a_bitwise_prefix_of_a_long_one(name, part, reg, record_u):
 
 @pytest.mark.parametrize("name", ["pccd", "vrccd", "prox_gd", "page"])
 def test_sigmoid_rows_are_prefixes_too(name):
-    """The generic per-row ``values_and_grads`` across the same boundaries."""
+    """The sigmoid family's row-by-row ``values_and_grads`` across the same boundaries."""
     part = PARTS[1]
     prob = generate_classification(4, n=12, d=part.dim, partition=part)
     _assert_prefixes(name, prob, L1(0.05), record_u=False)
