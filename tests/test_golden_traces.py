@@ -8,7 +8,10 @@ coupling constants computed from the loss, with a best-observed reference,
 shared-batch sampling, the deterministic (p = 1, b = n) and pathwise forms,
 a supplied ``sigma_sq`` and the exact streaming ``sigma_sq``. Three more
 run pccd, prox_gd and vrccd (shared batches, anchor errors) on an uneven
-partition, blocks (3, 3, 2, 2), whose equal-size blocks form two runs. The test
+partition, blocks (3, 3, 2, 2), whose equal-size blocks form two runs, and
+three run the simultaneous order on the sigmoid losses: prox_gd and page
+(anchor errors) on the finite family, and page on a streaming sigmoid under
+``lambda.values`` with a surrogate. The test
 hashes every trace and report file and compares the SHA-256 digests, and the
 exit code, with the stored record in ``golden_traces.json``. Float results
 depend on the numpy build and the BLAS kernels, so the record carries the
@@ -52,6 +55,17 @@ output.report_path = report
 
 # d = 10 over m = 4 blocks: sizes (3, 3, 2, 2), two runs of equal-size blocks
 _UNEVEN = _QUAD.replace("problem.d = 8", "problem.d = 10")
+
+# the sigmoid family under its sigmoid_bound metric, on the uneven partition
+_SIGMOID = """\
+problem.family = sigmoid
+problem.n = 16
+problem.d = 10
+problem.m = 4
+seeds.base = 7
+output.trace_path = traces
+output.report_path = report
+"""
 
 CONFIGS = {
     "pccd": _QUAD + """\
@@ -233,6 +247,44 @@ algorithm.b = 8
 seeds.base = 9
 seeds.count = 2
 diagnostics.s_surrogate_samples = 2000
+diagnostics.checks = work-accounting
+output.trace_path = traces
+output.report_path = report
+""",
+    "prox_gd-sigmoid": _SIGMOID + """\
+problem.reg = l1(0.02)
+algorithm.name = prox_gd
+algorithm.K = 20
+diagnostics.checks = cyclic-descent, step-telescope
+""",
+    "page-sigmoid-record-u": _SIGMOID + """\
+algorithm.name = page
+algorithm.K = 15
+algorithm.p = 0.3
+algorithm.b = 8
+algorithm.bprime = 3
+seeds.count = 2
+diagnostics.record_u = true
+diagnostics.checks = work-accounting
+""",
+    # exit 1: twenty work increments put the low-power Monte Carlo mean
+    # outside its 2 % band; the bytes are pinned all the same
+    "page-streaming-sigmoid-surrogate": """\
+problem.family = streaming
+problem.streaming_family = sigmoid
+problem.n = inf
+problem.d = 10
+problem.m = 4
+problem.reg = l1(0.02)
+lambda.values = 0.5, 1, 2, 1.5
+algorithm.name = page
+algorithm.K = 10
+algorithm.p = 0.4
+algorithm.b = 8
+algorithm.bprime = 3
+seeds.base = 9
+seeds.count = 2
+diagnostics.s_surrogate_samples = 700
 diagnostics.checks = work-accounting
 output.trace_path = traces
 output.report_path = report
