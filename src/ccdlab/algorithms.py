@@ -8,25 +8,28 @@ ones also an ``RngBundle``). The methods differ in two choices only. A
 ``RunConfig`` without a metric is rejected when built, and the engine
 rejects, before cycle 1, a config that lacks another field it needs:
 
-================  ============  ==================  ====================
-entry point       update order  gradient estimator  RunConfig fields
-================  ============  ==================  ====================
-``pccd_run``      cyclic        exact               metric
-``prox_gd_run``   simultaneous  exact               metric
-``vrccd_run``     cyclic        recursive           p, b, b', metric
-``page_run``      simultaneous  recursive           p, b, b', metric
-================  ============  ==================  ====================
+================  ============  ================  ==================  ================
+entry point       update order  groups per plan   gradient estimator  RunConfig fields
+================  ============  ================  ==================  ================
+``pccd_run``      cyclic        m, one per block  exact               metric
+``prox_gd_run``   simultaneous  1, every block    exact               metric
+``vrccd_run``     cyclic        m, one per block  recursive           p, b, b', metric
+``page_run``      simultaneous  1, every block    recursive           p, b, b', metric
+================  ============  ================  ==================  ================
 
 Minibatch proximal SGD is ``page_run`` at p = 1, b' = b. ``config.METHODS``
 maps each algorithm name to its entry point and the settings it fixes.
 
-* **Update order.** Both orders step the blocks one after another, each
-  block estimating its gradient and taking one prox step from x_{k-1} over
-  its own coordinates. The cyclic order estimates block j's gradient at the
-  intermediate point just before block j is updated; the simultaneous order
-  estimates every block's at x_{k-1}, which gives the full-gradient methods
-  bit for bit (each slice of ``full_grad`` is ``block_kernel``'s, and every
-  regularizer here is coordinate-wise).
+* **Update order.** It only groups the blocks. Each cycle steps the groups
+  of consecutive blocks one after another, each group estimating its
+  gradient at the current x and taking one prox step from x_{k-1} over its
+  own coordinates. The cyclic order makes each block a group, so block j's
+  gradient is estimated at the intermediate point just before block j is
+  updated; the simultaneous order makes one group of every block, whose
+  estimate is made at x_{k-1}: the full-gradient methods, one gradient call
+  and one prox step per cycle. Each block's slice of a group's gradient is
+  the block's own gradient bit for bit, and every regularizer here is
+  coordinate-wise, so the grouping moves no bit.
 * **Gradient estimator.** Exact without an ``RngBundle``; with one, the
   recursive estimator of PAGE (Li et al., arXiv:2008.10898) with one anchor
   per block, held in the block's estimate. Each estimate either refreshes
@@ -34,24 +37,26 @@ maps each algorithm name to its entry point and the settings it fixes.
   with a size-b' batch of gradient differences between the point of the
   estimate and the matching point of the previous cycle (x_{k-2} in the
   simultaneous order). That point is rebuilt from the two stored full
-  iterates, so memory stays O(d). In the cyclic order each estimate has its
-  own switch and batch, or one switch and batch per cycle are shared by
-  every block (``shared_per_cycle``); the simultaneous order always shares
-  them. Neither depends on the iterate, so after the anchor batch a run
-  draws every switch in one call and then every batch they call for, in the
-  order per-estimate draws would take them: a finite sum draws them all at
-  once, a stream one at a time as its estimates ask. At p = 1 the estimator
-  is plain minibatch and no anchor batch is drawn.
+  iterates, so memory stays O(d). Each group's estimate has its own switch
+  and batch, or one switch and batch per cycle are shared by every group
+  (``shared_per_cycle``); the simultaneous order's one group draws one per
+  cycle either way. Neither depends on the iterate, so after the anchor
+  batch a run draws every switch in one call and then every batch they call
+  for, in the order per-estimate draws would take them: a finite sum draws
+  them all at once, a stream one at a time as its estimates ask. At p = 1
+  the estimator is plain minibatch and no anchor batch is drawn.
 
-Before cycle 1 the engine builds a *step plan*, one entry per block: the
-family's exact-gradient kernel bound to the block's rows (``block_kernel``),
-the regularizer's prox step bound to eta and the block's metric block
-(``prox_step``, which computes L1's threshold once), and fixed views of x,
-of the block's estimate and of two buffers that hold x_{k-1} and x_{k-2} in
-turn. A block step is then one kernel call writing the estimate in place and
-one prox step writing x in place. The public ``block_grad`` and ``prox``
-build the same kernel and step and call them once, so both paths round
-alike, bit for bit.
+Before cycle 1 the engine builds a *step plan*, one entry per group: the
+family's exact and batch gradients bound to the group's rows
+(``group_kernel`` and ``group_batch_grads``), the regularizer's prox step
+bound to eta and the group's metric entries (``prox_step``, which computes
+L1's threshold once), and fixed views of x, of the group's estimate and of
+two buffers that hold x_{k-1} and x_{k-2} in turn. A group step is then one
+gradient call writing the estimate and one prox step writing x in place.
+The public ``block_grad``, ``batch_block_grad`` and ``prox`` build the same
+functions for one block and call them once, so both paths round alike, bit
+for bit. Beyond the groups, the order decides only which trace rows are
+summed per block (below) and whether the intermediate-residual row exists.
 
 The trace diagnostics are computed once per *chunk* of cycles, not once per
 cycle. The cycles run in chunks of 1, 2, 4, ... up to ``CHUNK_CYCLES`` = 64;
@@ -286,13 +291,13 @@ def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
 
 
 class _Unit(NamedTuple):
-    """One block of the step plan, built once per run."""
+    """One group of consecutive blocks of the step plan, built once per run."""
 
-    j: int
-    lead: int  # coordinates already stepped when its estimate is made
+    lead: int  # its first coordinate: those before it are stepped already
     size: int
     kernel: object  # its exact gradient, bound to its rows; None if never read
-    step: object  # the prox step, bound to eta and its metric block
+    grads: object  # its batch gradients, bound to its rows; None if never read
+    step: object  # the prox step, bound to eta and its metric entries
     x: np.ndarray  # views of x, est and mids over its coordinates
     est: np.ndarray
     mid: np.ndarray | None
@@ -331,22 +336,25 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
             f"the problem partition {part.block_sizes}"
         )
 
-    # the step plan, built once: per block, its exact-gradient kernel and
-    # prox step, bound to its rows and metric block, and fixed views of x,
-    # est (every block's g, and its anchor), mids (exact intermediate
-    # gradients) and the two rotating buffers that hold x_{k-1} and x_{k-2}
-    # in turn
+    # the step plan, built once: per group of blocks (each block in the
+    # cyclic order, all of them in the simultaneous one), its exact and batch
+    # gradients and its prox step, bound to its rows and metric entries, and
+    # fixed views of x, est (every block's g, and its anchor), mids (exact
+    # intermediate gradients) and the two rotating buffers that hold x_{k-1}
+    # and x_{k-2} in turn
     est = np.empty(d)
     mids = np.empty(d) if record_u else None
     prevs = (x.copy(), x.copy())
     exact = not recursive or record_u
-    plan = [
-        _Unit(j, cols.start if cyclic else 0, cols.stop - cols.start,
-              prob.block_kernel(j) if exact else None,
-              reg.prox_step(cfg.eta, cfg.metric.entries[cols]), x[cols], est[cols],
-              None if mids is None else mids[cols], (prevs[0][cols], prevs[1][cols]))
-        for j, cols in enumerate(part.slices)
-    ]
+    m = part.num_blocks
+    plan = []
+    for blocks in [slice(j, j + 1) for j in range(m)] if cyclic else [slice(0, m)]:
+        cols = slice(part.offsets[blocks.start], part.offsets[blocks.stop])
+        plan.append(_Unit(
+            cols.start, cols.stop - cols.start, prob.group_kernel(blocks) if exact else None,
+            prob.group_batch_grads(blocks) if recursive else None,
+            reg.prox_step(cfg.eta, cfg.metric.entries[cols]), x[cols], est[cols],
+            None if mids is None else mids[cols], (prevs[0][cols], prevs[1][cols])))
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
     eta = cfg.eta
     scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
@@ -397,7 +405,7 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
     anchored = recursive and cfg.p < 1.0
     u0 = 0.0 if record_u and (anchored or not recursive) else None
     if anchored:
-        est[...] = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
+        est[...] = prob.group_batch_grads(slice(None))(prob.draw_batch(rngs.batch, cfg.b), (x,))[0]
         work = cfg.b * d
         if record_u:
             for unit in plan:
@@ -406,11 +414,11 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
             u0 = row_sums(1)[0][-1]
     # every estimate's switch, then the size-b (refresh) or size-b'
     # (correction) batch each switch calls for, from the streams in the
-    # order that one switch and one batch per estimate would take them; the
-    # simultaneous order shares one of each per cycle
-    per_cycle = not cyclic or cfg.sample_sharing == SHARED_PER_CYCLE
+    # order that one switch and one batch per estimate would take them;
+    # shared sampling draws one of each per cycle
+    shared = cfg.sample_sharing == SHARED_PER_CYCLE
     if recursive:
-        count = cfg.cycles * (1 if per_cycle else len(plan))
+        count = cfg.cycles * (1 if shared else len(plan))
         refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
         sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
         draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
@@ -418,12 +426,13 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
     trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
 
     # the cycles run in chunks of 1, 2, 4, ... up to CHUNK_CYCLES. Per cycle,
-    # each block only estimates g, takes its prox step from x_{k-1} and
-    # writes its coordinates: a block is not written before its own step, so
-    # x_{k-1} over its coordinates is its center in either order. The
-    # residuals and the per-cycle sums over them are taken for the whole
-    # chunk once its last cycle ends; then its rows are checked and recorded
-    # in order, and a stop or a non-finite row discards the cycles after it.
+    # each group estimates g at x, takes its prox step from x_{k-1} and
+    # writes its coordinates: a group is not written before its own step, so
+    # x_{k-1} over its coordinates is its center, and x is x_{k-1} until the
+    # first group steps. The residuals and the per-cycle sums over them are
+    # taken for the whole chunk once its last cycle ends; then its rows are
+    # checked and recorded in order, and a stop or a non-finite row discards
+    # the cycles after it.
     best_v, best_x = math.inf, x.copy()
     x_hat = None
     k = 0
@@ -438,26 +447,25 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
             t_iter = time.perf_counter_ns()
             cur = (k + i) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
             x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
-            at = x if cyclic else x_prev  # where the estimates are made
             if not recursive:
                 work += exact_work
-            for u, (j, lead, size, kernel, step, x_u, est_u, mid_u, centers) in enumerate(plan):
+            for u, (lead, size, kernel, grads, step, x_u, est_u, mid_u, centers) in enumerate(plan):
                 if not recursive:
-                    kernel(at, est_u)
+                    kernel(x, est_u)
                 else:
-                    if u == 0 or not per_cycle:
+                    if u == 0 or not shared:
                         refresh, batch = next(draws)
                     if refresh:
-                        est_u[...] = prob.batch_block_grad(batch, j, at)
+                        est_u[...] = grads(batch, (x,))[0]
                         work += cfg.b * size
                     else:
                         # the matching point of the previous cycle
                         old = np.concatenate((x_prev[:lead], x_prev2[lead:]))
-                        g_x, g_old = prob.batch_block_grad_pair(batch, j, at, old)
+                        g_x, g_old = grads(batch, (x, old))
                         est_u += g_x - g_old
                         work += cfg.b_prime * size
                 if record_u:
-                    kernel(at, mid_u)
+                    kernel(x, mid_u)
                 step(centers[cur], est_u, x_u)
             np.copyto(x_prev2, x)  # the next cycle's x_{k-1}
             xs[i + 1] = x
@@ -564,11 +572,12 @@ def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=Tr
         values, grads = prob.values_and_grads(points)
     elif surrogate_samples > 0:
         values, grads = [], np.empty_like(points) if want_grad else None
+        full = prob.group_batch_grads(slice(None))
         for i, x in enumerate(points):
             batch = prob.draw_batch(rngs.surrogate, int(surrogate_samples))
             values.append(prob.batch_value(batch, x))
             if want_grad:
-                grads[i] = prob.batch_full_grad(batch, x)
+                grads[i] = full(batch, (x,))[0]
     else:
         return [None] * len(points), None
     return [f + total_value(reg, x, prob.partition) for f, x in zip(values, points)], grads

@@ -14,24 +14,25 @@ and its reference values: ``closed_form_minimum(reg)`` (F*, or None),
 ``solve_reaches_minimum`` (whether a high-precision solve in ``metric()``
 reaches F*) and ``pl_constant(metric)`` (the gradient-dominance mu, or None).
 
-Exact block gradients go through one per-family kernel, ``block_kernel(j)``:
-block j's gradient as a function of x, bound once to the block's rows, that
-writes into a caller's buffer when given one. ``block_grad`` builds it and
-calls it once; the cycle engine builds one per block per run. Full-vector
-gradients are assembled so that each block's slice stays bitwise equal to
-that kernel's output: the quadratic family makes one stacked matmul per run
-of equal-size blocks, which calls the same per-slice product the block
-kernel does. Algorithm equivalences that promise bitwise-equal trajectories
-rely on this. Each finite family states F and the full gradient once, at a
-stack of points, in ``values_and_grads``, which the trace rows of a chunk of
-cycles read; ``value`` and ``full_grad`` are its one-point case. The
-quadratic family stacks the rows into a few matmuls that make the same
-per-row BLAS calls; the sigmoid family evaluates row by row.
-
-Sampled gradients are likewise block by block: each family states
-``batch_block_grad(batch, j, x)``, and the full-vector ``batch_full_grad`` is
-stated once, on the shared base, as their concatenation. Only the streaming
-sigmoid overrides it (see ``StreamingClassification.batch_full_grad``).
+Gradients are stated once per *group*, a slice of consecutive blocks: the
+cycle engine's cyclic order steps one-block groups, its simultaneous order
+one group of every block. A finite family's ``group_kernel(blocks)`` is the
+group's exact gradient, bound once to its rows, as ``kernel(x, out=None)``;
+every family's ``group_batch_grads(blocks)`` is the group's batch gradient
+at each of one or more points (a correction asks for two), from one gather
+of the batch rows. The engine builds both once per group per run;
+``block_grad`` and ``batch_block_grad`` build a one-block group's and call
+it once. The generic bodies loop over the blocks, so a one-block group is
+its block's function itself, and each block's slice of a wider group keeps
+that function's bits. The two sigmoid families share one override, which
+takes one coefficient pass per batch and point and multiplies it into each
+block's rows; each slice is still bitwise the one-block gradient. Algorithm
+equivalences that promise bitwise-equal trajectories rely on this. Each
+finite family states F and the full gradient once, at a stack of points, in
+``values_and_grads``, which the trace rows of a chunk of cycles read;
+``value`` and ``full_grad`` are its one-point case. The quadratic family
+stacks the rows into a few matmuls that make the same per-row BLAS calls;
+the sigmoid family calls its all-blocks kernel row by row.
 """
 
 from __future__ import annotations
@@ -80,31 +81,31 @@ class _Objective:
         out = self._coupling(self.partition.block_slice(j), 1.0 / metric.block(j))
         return 0.5 * (out + out.T)
 
-    def batch_block_grad_pair(self, batch, j: int, x: np.ndarray, old: np.ndarray):
-        """Block j's batch gradients at ``x`` and at ``old``, bitwise equal to
-        two ``batch_block_grad`` calls; a family may share one gather of the
-        batch rows between the two."""
-        return self.batch_block_grad(batch, j, x), self.batch_block_grad(batch, j, old)
+    def batch_block_grad(self, batch, j: int, x: np.ndarray) -> np.ndarray:
+        """Block j's batch gradient at x, from its one-block group."""
+        return self.group_batch_grads(slice(j, j + 1))(batch, (x,))[0]
 
-    def batch_full_grad(self, batch, x: np.ndarray) -> np.ndarray:
-        """The blocks' batch gradients concatenated, each slice bitwise
-        ``batch_block_grad(batch, j, x)``. Only the once-per-run anchor and a
-        stream's surrogate read a full-vector batch gradient."""
-        return np.concatenate(
-            [self.batch_block_grad(batch, j, x) for j in range(self.partition.num_blocks)]
-        )
+    def group_batch_grads(self, blocks: slice):
+        """The batch gradient over the blocks ``blocks`` as ``grads(batch,
+        points)``: a list of one gradient per point. The generic body joins
+        each block's ``_rows_batch_grads``."""
+        per_block = [self._rows_batch_grads(cols) for cols in self.partition.slices[blocks]]
+        if len(per_block) == 1:
+            return per_block[0]
+        return lambda batch, points: [np.concatenate(parts) for parts in zip(
+            *(grads(batch, points) for grads in per_block))]
 
 
 class FiniteSumObjective(_Objective):
     """Shared finite-sum plumbing. Each family implements ``values_and_grads``
     (F and the full gradient at each row of a (c, d) stack of points: a list
     of c values and a (c, d) array, each row bitwise the same for any c),
-    ``_rows_kernel``, ``_batch_rows_grad``, ``component_value``, and the
-    stacks of per-component gradients ``component_block_grads`` (one block)
-    and ``component_block_grads_full``. The j-th slice of ``full_grad(x)`` is
+    its group gradients, ``component_value``, and the stacks of
+    per-component gradients ``component_block_grads`` (one block) and
+    ``component_block_grads_full``. The j-th slice of ``full_grad(x)`` is
     bit-identical to ``block_grad(j, x)``; every equivalence contract leans
-    on this. ``batch_block_grad`` routes a full batch to ``block_grad``, so a
-    full batch's ``batch_full_grad`` is ``full_grad``, bit for bit."""
+    on this. A full batch is routed to the exact gradient, so its batch
+    gradient is ``full_grad``, bit for bit."""
 
     n: int
 
@@ -113,7 +114,7 @@ class FiniteSumObjective(_Objective):
         return True
 
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self.block_kernel(j)(x)
+        return self.group_kernel(slice(j, j + 1))(x)
 
     def value(self, x: np.ndarray) -> float:
         """F(x), the one-point case of the family's ``values_and_grads``."""
@@ -123,10 +124,14 @@ class FiniteSumObjective(_Objective):
         """The full gradient at x, the one-point case of ``values_and_grads``."""
         return self.values_and_grads(x[None])[1][0]
 
-    def block_kernel(self, j: int):
-        """Block j's exact gradient bound to the block's rows, as
-        ``kernel(x, out=None)``; with ``out`` it writes there."""
-        return self._rows_kernel(self.partition.slices[j])
+    def group_kernel(self, blocks: slice):
+        """The exact gradient over the blocks ``blocks``, bound to their rows,
+        as ``kernel(x, out=None)``; with ``out`` it writes there. The generic
+        body joins each block's ``_rows_kernel``."""
+        kernels = [self._rows_kernel(cols) for cols in self.partition.slices[blocks]]
+        if len(kernels) == 1:
+            return kernels[0]
+        return lambda x, out=None: np.concatenate([kernel(x) for kernel in kernels], out=out)
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
@@ -134,13 +139,6 @@ class FiniteSumObjective(_Objective):
     def draw_batches(self, rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
         """Consecutive ``draw_batch`` calls, one per size, drawn together."""
         return sampling.draw_minibatches(rng, self.n, sizes)
-
-    # a full batch without replacement is the exact average
-    def batch_block_grad(self, batch: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
-        idx = np.asarray(batch)
-        if idx.shape[0] == self.n:
-            return self.block_grad(j, x)
-        return self._batch_rows_grad(idx, self.partition.slices[j], x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +190,7 @@ class QuadraticFiniteSum(FiniteSumObjective):
     def values_and_grads(self, points):
         # each stacked matmul makes the same call for every row: the (d, d)
         # gemv and the two dots of the value, and one (size, d) gemv per
-        # block of the gradient, the one-row product block_kernel makes
+        # block of the gradient, the one-row product _rows_kernel makes
         cols = points[:, :, None]
         quad_x = np.matmul(self.mean_quad, cols)
         values = np.matmul(0.5 * points[:, None, :], quad_x)
@@ -220,22 +218,21 @@ class QuadraticFiniteSum(FiniteSumObjective):
 
         return kernel
 
-    def _batch_rows_grad(self, idx, cols, x):
-        # add.reduce then divide by the count is what mean does, without
-        # its Python wrapper
-        g = self.quad[idx, cols, :] @ x + self.lin[idx, cols]
-        return g.sum(axis=0) / idx.shape[0]
+    def _rows_batch_grads(self, cols):
+        kernel, quad, lin, n = self._rows_kernel(cols), self.quad, self.lin, self.n
 
-    def batch_block_grad_pair(self, batch, j, x, old):
-        idx = np.asarray(batch)
-        if idx.shape[0] == self.n:
-            return super().batch_block_grad_pair(idx, j, x, old)
-        cols = self.partition.slices[j]
-        # one gather of the batch rows serves both points; each gradient keeps
-        # its own matmul, add and sum, so it rounds as _batch_rows_grad does
-        quad, lin = self.quad[idx, cols, :], self.lin[idx, cols]
-        size = idx.shape[0]
-        return (quad @ x + lin).sum(axis=0) / size, (quad @ old + lin).sum(axis=0) / size
+        def grads(batch, points):
+            # a full batch without replacement is the exact average
+            idx = np.asarray(batch)
+            size = idx.shape[0]
+            if size == n:
+                return [kernel(x) for x in points]
+            # one gather of the batch rows serves every point; add.reduce
+            # then divide by the count is what mean does, without its wrapper
+            q, l = quad[idx, cols, :], lin[idx, cols]
+            return [(q @ x + l).sum(axis=0) / size for x in points]
+
+        return grads
 
     def component_block_grads(self, j, x):
         cols = self.partition.block_slice(j)
@@ -311,8 +308,22 @@ class QuadraticFiniteSum(FiniteSumObjective):
         return float(0.5 * z @ (self.mean_quad @ z))
 
 
+class _SigmoidLoss:
+    """What the two sigmoid families share: a group's batch gradient gathers
+    the batch rows once and takes one coefficient pass per point."""
+
+    def group_batch_grads(self, blocks: slice):
+        grad = _sigmoid_group(self.partition.slices[blocks])
+
+        def grads(batch, points):
+            rows, labels = self._batch_rows(batch)
+            return [grad(rows, labels, x) for x in points]
+
+        return grads
+
+
 @dataclass(frozen=True, eq=False)
-class SigmoidClassification(FiniteSumObjective):
+class SigmoidClassification(_SigmoidLoss, FiniteSumObjective):
     """f_i(x) = 1/(1 + exp(y_i a_i^T x)): smooth, nonconvex, in (0, 1)."""
 
     rows: np.ndarray  # (n, d)
@@ -340,18 +351,20 @@ class SigmoidClassification(FiniteSumObjective):
         return float(_expit()(-z))
 
     def values_and_grads(self, points):
-        rows, labels, slices = self.rows, self.labels, self.partition.slices
-        values = [_sigmoid_value(rows, labels, x) for x in points]
-        return values, np.array([_sigmoid_grad(rows, labels, slices, x) for x in points])
+        kernel = self.group_kernel(slice(None))
+        values = [_sigmoid_value(self.rows, self.labels, x) for x in points]
+        return values, np.array([kernel(x) for x in points])
 
-    def _rows_kernel(self, cols):
-        def kernel(x, out=None):
-            return _sigmoid_rows_grad(self.rows, self.labels, cols, x, out)
+    def group_kernel(self, blocks: slice):
+        grad, rows, labels = _sigmoid_group(self.partition.slices[blocks]), self.rows, self.labels
+        return lambda x, out=None: grad(rows, labels, x, out)
 
-        return kernel
-
-    def _batch_rows_grad(self, idx, cols, x):
-        return _sigmoid_rows_grad(self.rows[idx], self.labels[idx], cols, x)
+    def _batch_rows(self, batch):
+        # a full batch without replacement is the exact average
+        idx = np.asarray(batch)
+        if idx.shape[0] == self.n:
+            return self.rows, self.labels
+        return self.rows[idx], self.labels[idx]
 
     def component_block_grads(self, j, x):
         cols = self.partition.block_slice(j)
@@ -405,17 +418,19 @@ def _sigmoid_coeffs(rows, labels, x):
     return -expit(z) * expit(-z) * labels
 
 
-def _sigmoid_rows_grad(rows, labels, cols, x, out=None):
-    coeff = _sigmoid_coeffs(rows, labels, x)
-    return np.divide(rows[:, cols].T @ coeff, rows.shape[0], out=out)
+def _sigmoid_group(slices):
+    """The gradient over the blocks ``slices`` from given rows, as
+    ``grad(rows, labels, x, out=None)``: the coefficients do not depend on the
+    block, so one pass computes them, and each block's product with them
+    rounds as it does alone."""
 
+    def grad(rows, labels, x, out=None):
+        coeff = _sigmoid_coeffs(rows, labels, x)
+        prods = [rows[:, cols].T @ coeff for cols in slices]
+        total = prods[0] if len(prods) == 1 else np.concatenate(prods)
+        return np.divide(total, rows.shape[0], out=out)
 
-def _sigmoid_grad(rows, labels, slices, x):
-    """The blocks of ``slices`` concatenated, each bitwise its
-    ``_sigmoid_rows_grad``: the coefficients do not depend on the block, so
-    they are computed once."""
-    coeff = _sigmoid_coeffs(rows, labels, x)
-    return np.concatenate([rows[:, cols].T @ coeff / rows.shape[0] for cols in slices])
+    return grad
 
 
 def _sigmoid_component_grads(rows, labels, cols, x):
@@ -444,8 +459,8 @@ class _RowBatch(NamedTuple):
 
 class StreamingObjective(_Objective):
     """Infinite-sum interface: i.i.d. component batches, no exact gradients.
-    Each family implements ``draw_batch``, ``batch_value`` and
-    ``batch_block_grad``; ``batch_full_grad`` is the shared concatenation."""
+    Each family implements ``draw_batch``, ``batch_value`` and its group
+    batch gradients."""
 
     n = math.inf
 
@@ -516,9 +531,9 @@ class StreamingQuadratic(StreamingObjective):
     def batch_value(self, batch, x):
         return float(0.5 * x @ (self.quad @ x) + batch.lin @ x)
 
-    def batch_block_grad(self, batch, j, x):
-        cols = self.partition.slices[j]
-        return self.quad[cols] @ x + batch.lin[cols]
+    def _rows_batch_grads(self, cols):
+        quad = self.quad[cols]
+        return lambda batch, points: [quad @ x + batch.lin[cols] for x in points]
 
     # population quantities, exact for this family
     def population_grad(self, x):
@@ -543,7 +558,7 @@ class StreamingQuadratic(StreamingObjective):
 
 
 @dataclass(frozen=True, eq=False)
-class StreamingClassification(StreamingObjective):
+class StreamingClassification(_SigmoidLoss, StreamingObjective):
     """Sigmoid loss on freshly drawn Gaussian rows with planted labels."""
 
     plant: np.ndarray
@@ -569,15 +584,8 @@ class StreamingClassification(StreamingObjective):
     def batch_value(self, batch, x):
         return _sigmoid_value(batch.rows, batch.labels, x)
 
-    def batch_full_grad(self, batch, x):
-        """The shared concatenation's bits, with the sigmoid coefficients
-        computed once rather than once per block. It serves the surrogate's
-        100k-row batch: at d = 64, m = 4 it takes 18 ms where the
-        concatenation takes 42 ms (one BLAS thread, 2-CPU x86 VM)."""
-        return _sigmoid_grad(batch.rows, batch.labels, self.partition.slices, x)
-
-    def batch_block_grad(self, batch, j, x):
-        return _sigmoid_rows_grad(batch.rows, batch.labels, self.partition.slices[j], x)
+    def _batch_rows(self, batch):
+        return batch
 
     metric_mode = None
 

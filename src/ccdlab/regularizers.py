@@ -27,15 +27,12 @@ from .blocks import BlockPartition
 
 
 class Regularizer:
-    """Interface: block value, whole-vector value and block prox under a
-    diagonal metric. ``value`` is the block values added left to right from
-    0.0, +inf if any block is infeasible, computed in one pass. Every
+    """Interface: whole-vector value and block prox under a diagonal metric.
+    ``value`` is the block values added left to right from 0.0, +inf if any
+    block is infeasible, computed in one pass. Every
     regularizer here is coordinate-wise, so ``prox`` over the whole vector
     equals the concatenated per-block calls, bit for bit. A subclass
     implements ``prox_step``."""
-
-    def block_value(self, j: int, xj: np.ndarray) -> float:
-        raise NotImplementedError
 
     def value(self, x: np.ndarray, partition: BlockPartition) -> float:
         raise NotImplementedError
@@ -52,9 +49,6 @@ class Regularizer:
 @dataclass(frozen=True)
 class Zero(Regularizer):
     """No regularization; the prox is a plain metric gradient step."""
-
-    def block_value(self, j, xj):
-        return 0.0
 
     def value(self, x, partition):
         return 0.0
@@ -77,9 +71,6 @@ class L1(Regularizer):
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError("l1 weight must be nonnegative")
-
-    def block_value(self, j, xj):
-        return self.weight * float(np.sum(np.abs(xj)))
 
     def value(self, x, partition):
         # add.reduce along the rows of a run's (count, size) view sums each
@@ -115,11 +106,6 @@ class Box(Regularizer):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    def block_value(self, j, xj):
-        if np.any(xj < self.lo) or np.any(xj > self.hi):
-            return float("inf")
-        return 0.0
 
     def value(self, x, partition):
         # the vector is in the box exactly when every block is

@@ -1,10 +1,14 @@
 """The engine draws a recursive run's switches and minibatches before cycle 1
-and steps each estimate unit through the plan it builds then. A per-step
-loop that draws one switch and one batch when each estimate needs them, in
-the order the streams are read, and that calls the public ``block_grad``,
-``full_grad`` and ``prox`` at each step, must give the same iterates bit
-for bit, signed zeros included: for the recursive runs and the exact pccd
-and prox_gd runs, on even and uneven partitions, under every regularizer.
+and steps each estimate unit through the plan it builds then, one group of
+blocks per unit: each block in the cyclic order, all of them in the
+simultaneous one. A per-step loop that draws one switch and one batch when
+each estimate needs them, in the order the streams are read, and that calls
+the public per-block ``block_grad``, ``batch_block_grad`` and ``prox`` at
+each step (concatenated over the blocks for a whole-vector unit), must give
+the same iterates bit for bit, signed zeros included: for the recursive runs
+and the exact pccd and prox_gd runs, on even and uneven partitions, under
+every regularizer, for the quadratic family and for the sigmoid family,
+whose group gradients share one coefficient pass over the blocks.
 With ``record_u`` on, the anchor-error column u_k must match too, bit for
 bit: the loop takes each estimate's ``weighted_norm_sq`` against the exact
 gradient at the point the estimate was made, per block in the cyclic order
@@ -26,7 +30,7 @@ from ccdlab.algorithms import (
     vrccd_run,
 )
 from ccdlab.blocks import BlockPartition, weighted_norm_sq
-from ccdlab.problems import exact_quadratic_metric, generate_quadratic
+from ccdlab.problems import exact_quadratic_metric, generate_classification, generate_quadratic
 from ccdlab.regularizers import L1, Box, Zero
 
 ENTRIES = {"vrccd": (vrccd_run, True), "page": (page_run, False),
@@ -44,11 +48,15 @@ def _per_step_run(prob, reg, cfg, rngs, cyclic):
     units = list(enumerate(prob.partition.slices)) if cyclic else [(None, slice(0, d))]
     shared = cfg.sample_sharing == SHARED_PER_CYCLE
 
+    def per_block(j, grad):
+        blocks = range(prob.partition.num_blocks) if j is None else [j]
+        return np.concatenate([grad(i) for i in blocks])
+
     def grad(j, batch, point):
-        return prob.batch_full_grad(batch, point) if j is None else prob.batch_block_grad(batch, j, point)
+        return per_block(j, lambda i: prob.batch_block_grad(batch, i, point))
 
     def exact(j, point):
-        return prob.full_grad(point) if j is None else prob.block_grad(j, point)
+        return per_block(j, lambda i: prob.block_grad(i, point))
 
     x = np.array(cfg.x0, dtype=float)
     anchors = [None] * len(units)
@@ -57,7 +65,7 @@ def _per_step_run(prob, reg, cfg, rngs, cyclic):
     if rngs is not None:
         rngs.output.integers(1, cfg.cycles + 1)  # the output index comes first, as in the engine
         if cfg.p < 1.0:
-            g_init = prob.batch_full_grad(prob.draw_batch(rngs.batch, cfg.b), x)
+            g_init = grad(None, prob.draw_batch(rngs.batch, cfg.b), x)
             anchors = [np.array(g_init[cols]) for _, cols in units]
             if cfg.record_u:
                 for (j, cols), anchor in zip(units, anchors):
@@ -112,21 +120,27 @@ def _configs(draw):
         entry=draw(st.sampled_from(sorted(ENTRIES))),
         reg=draw(st.sampled_from(sorted(REGULARIZERS))),
         record_u=draw(st.booleans()),
+        family=draw(st.sampled_from(["quadratic", "sigmoid"])),
     )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_configs())
 def test_engine_draws_match_a_per_step_loop_bitwise(c):
     part = BlockPartition(c["sizes"])
     d = part.dim
-    prob = generate_quadratic(c["seed"], n=c["n"], d=d, partition=part)
+    if c["family"] == "quadratic":
+        prob = generate_quadratic(c["seed"], n=c["n"], d=d, partition=part)
+        metric = exact_quadratic_metric(prob)
+    else:
+        prob = generate_classification(c["seed"], n=c["n"], d=d, partition=part)
+        metric = prob.metric()
     reg = REGULARIZERS[c["reg"]]
     entry, cyclic = ENTRIES[c["entry"]]
     recursive = entry in (vrccd_run, page_run)
     sampling = dict(p=c["p"], b=c["b"], b_prime=c["b_prime"], sample_sharing=c["sharing"])
     cfg = RunConfig(cycles=c["cycles"], eta=c["eta"], x0=np.linspace(-1.0, 1.0, d),
-                    metric=exact_quadratic_metric(prob), keep_iterates=True,
+                    metric=metric, keep_iterates=True,
                     record_u=c["record_u"], **(sampling if recursive else {}))
     if recursive:
         _, trace = entry(prob, reg, cfg, RngBundle.from_seed(c["seed"]))

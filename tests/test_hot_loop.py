@@ -1,35 +1,44 @@
 """The cycle engine reads the step plan it builds before cycle 1: neither
 the range-checked ``BlockPartition.block_slice`` nor the validated
-``regularizers.metric_prox`` runs inside the cycle loop, each block step
-makes one call to its bound gradient kernel and one to its bound prox step,
-and both are built once per block per run, in either update order. A
-recursive correction gathers its batch rows once for both of its points.
-The trace diagnostics take whole-vector calls: no per-block gradient or
-regularizer value beyond the block steps', and one stacked value and
-gradient call per chunk of cycles, not one per cycle. An exact run that
-enters its floating-point orbit makes no call for the cycles it replays."""
+``regularizers.metric_prox`` runs inside the cycle loop, each unit of the
+plan (one block in the cyclic order, every block in the simultaneous one)
+makes one call to its bound gradient kernel and one to its bound prox step
+per cycle, and both are built once per unit per run. A recursive correction
+gathers its batch rows once for both of its points, and a sigmoid problem
+takes one coefficient pass per batch and point in either order. The trace
+diagnostics take whole-vector calls: no per-block gradient beyond the
+units' own, and one stacked value and gradient call per chunk of cycles,
+not one per cycle. An exact run that enters its floating-point orbit makes
+no call for the cycles it replays."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ccdlab import algorithms, regularizers
+from ccdlab import algorithms, problems, regularizers
 from ccdlab.algorithms import (
     CHUNK_CYCLES,
     FRESH_PER_BLOCK,
     SHARED_PER_CYCLE,
     RunConfig,
+    page_run,
     pccd_run,
     prox_gd_run,
     vrccd_run,
 )
-from ccdlab.blocks import BlockPartition
+from ccdlab.blocks import BlockPartition, DiagonalMetric
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
-from ccdlab.problems import QuadraticFiniteSum, exact_quadratic_metric, generate_quadratic
+from ccdlab.problems import (
+    QuadraticFiniteSum,
+    exact_quadratic_metric,
+    generate_classification,
+    generate_quadratic,
+    generate_streaming_classification,
+)
 from ccdlab.regularizers import L1
-from ccdlab.sampling import RngBundle, bernoulli_switch
+from ccdlab.sampling import RngBundle, bernoulli_switch, bernoulli_switches
 
 PCCD_L1 = """\
 problem.family = quadratic
@@ -150,14 +159,7 @@ def _count_bound(monkeypatch, calls, owner, factory, name):
                          ids=lambda p: str(p.block_sizes))
 def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
     calls = Counter()
-    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "_rows_kernel", "kernel")
-    block_value = L1.block_value
-
-    def counting_value(*args):
-        calls["block_value"] += 1
-        return block_value(*args)
-
-    monkeypatch.setattr(L1, "block_value", counting_value)
+    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "group_kernel", "kernel")
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
     m = part.num_blocks
@@ -167,11 +169,11 @@ def test_trace_diagnostics_make_no_per_block_calls(part, monkeypatch):
         pccd_run(prob, L1(0.1), cfg)
         # one kernel built per block per run (a block_grad call would build
         # another) and one call to it per block step; F(x_k) and s_k add none
-        assert calls == Counter({"_rows_kernel": m, "kernel": m * cycles})
+        assert calls == Counter({"group_kernel": m, "kernel": m * cycles})
 
 
-@pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
-def test_one_prox_call_per_estimate_unit(run, monkeypatch):
+@pytest.mark.parametrize("run, units", [(pccd_run, 5), (prox_gd_run, 1)], ids=["pccd", "prox_gd"])
+def test_one_prox_call_per_estimate_unit(run, units, monkeypatch):
     calls = Counter()
     _count_bound(monkeypatch, calls, L1, "prox_step", "step")
     prox = L1.prox
@@ -182,7 +184,6 @@ def test_one_prox_call_per_estimate_unit(run, monkeypatch):
 
     monkeypatch.setattr(L1, "prox", counting_prox)
     part = BlockPartition((3, 3, 2, 2, 1))
-    m = part.num_blocks
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     metric = exact_quadratic_metric(prob)
     for cycles in (3, 11):
@@ -191,11 +192,12 @@ def test_one_prox_call_per_estimate_unit(run, monkeypatch):
             cfg = RunConfig(cycles=cycles, x0=np.ones(part.dim), metric=metric, eta=0.5,
                             record_u=record_u)
             run(prob, L1(0.1), cfg)
-            # either update order steps block by block: the prox step, and
-            # with it L1's threshold eta * weight / lam, is built once per
-            # block per run; the step runs once per block per cycle and the
-            # public prox not at all
-            assert calls == Counter({"prox_step": m, "step": m * cycles})
+            # the cyclic order steps each of the 5 blocks, the simultaneous
+            # one all of them at once: the prox step, and with it L1's
+            # threshold eta * weight / lam, is built once per unit per run;
+            # the step runs once per unit per cycle and the public prox not
+            # at all
+            assert calls == Counter({"prox_step": units, "step": units * cycles})
 
 
 @pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
@@ -223,12 +225,12 @@ def test_trace_values_and_gradients_are_stacked_per_chunk(run, monkeypatch):
         assert calls == Counter({"values_and_grads": chunks + 1})
 
 
-@pytest.mark.parametrize("run", [pccd_run, prox_gd_run], ids=["pccd", "prox_gd"])
-def test_a_run_in_its_orbit_steps_no_further(run, monkeypatch):
+@pytest.mark.parametrize("run, units", [(pccd_run, 4), (prox_gd_run, 1)], ids=["pccd", "prox_gd"])
+def test_a_run_in_its_orbit_steps_no_further(run, units, monkeypatch):
     """Once an exact run's iterate repeats an earlier one bit for bit, its
     remaining rows are copies: no kernel, prox or diagnostic call."""
     calls = Counter()
-    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "_rows_kernel", "kernel")
+    _count_bound(monkeypatch, calls, QuadraticFiniteSum, "group_kernel", "kernel")
     _count_bound(monkeypatch, calls, L1, "prox_step", "step")
     values_and_grads = QuadraticFiniteSum.values_and_grads
 
@@ -238,7 +240,6 @@ def test_a_run_in_its_orbit_steps_no_further(run, monkeypatch):
 
     monkeypatch.setattr(QuadraticFiniteSum, "values_and_grads", counting)
     part = BlockPartition((3, 3, 2, 2))
-    m = part.num_blocks
     prob = generate_quadratic(5, n=4, d=part.dim, partition=part, condition_number=3.0)
     cfg = RunConfig(cycles=500, x0=np.ones(part.dim), metric=exact_quadratic_metric(prob))
     _, trace = run(prob, L1(0.1), cfg)
@@ -247,5 +248,54 @@ def test_a_run_in_its_orbit_steps_no_further(run, monkeypatch):
     # found is the last stepped cycle, at the end of the chunks 1, 2, 4, ...
     chunks = (found + 1).bit_length() - 1
     assert found + 1 == 2**chunks
-    assert calls == Counter({"_rows_kernel": m, "kernel": m * found, "prox_step": m,
-                             "step": m * found, "values_and_grads": chunks + 1})
+    assert calls == Counter({"group_kernel": units, "kernel": units * found, "prox_step": units,
+                             "step": units * found, "values_and_grads": chunks + 1})
+
+
+SIGMOID_RUNS = {"pccd": (pccd_run, 5), "prox_gd": (prox_gd_run, 1), "vrccd": (vrccd_run, 5),
+                "page": (page_run, 1)}  # each entry point and its units per cycle
+
+
+@pytest.mark.parametrize("name, streaming, sharing", [
+    ("pccd", False, FRESH_PER_BLOCK), ("prox_gd", False, FRESH_PER_BLOCK),
+    ("vrccd", False, FRESH_PER_BLOCK), ("vrccd", False, SHARED_PER_CYCLE),
+    ("page", False, FRESH_PER_BLOCK), ("vrccd", True, FRESH_PER_BLOCK),
+    ("vrccd", True, SHARED_PER_CYCLE), ("page", True, FRESH_PER_BLOCK),
+])
+def test_sigmoid_coefficients_once_per_batch_and_point(name, streaming, sharing, monkeypatch):
+    """Both sigmoid families, in either order, take one coefficient pass per
+    (batch, point): per unit estimate, one for an exact gradient or a refresh
+    and two for a correction; one for the anchor; and one per trace row's
+    gradient (the start row of a stream reads no gradient)."""
+    calls = []
+    coeffs = problems._sigmoid_coeffs
+
+    def counting(*args):
+        calls.append(1)
+        return coeffs(*args)
+
+    monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
+    monkeypatch.setattr(algorithms, "_orbit_period", lambda xs: 0)
+    part = BlockPartition((3, 3, 2, 2, 1))
+    if streaming:
+        prob = generate_streaming_classification(11, d=part.dim, partition=part)
+        metric = DiagonalMetric.from_block_scales(part, [2.0, 1.0, 0.5, 1.5, 1.0])
+    else:
+        prob = generate_classification(11, n=24, d=part.dim, partition=part)
+        metric = prob.metric()
+    run, units = SIGMOID_RUNS[name]
+    K = 9
+    rows = K if streaming else K + 1
+    if run in (pccd_run, prox_gd_run):
+        run(prob, L1(0.05), RunConfig(cycles=K, x0=np.linspace(-1.0, 1.0, part.dim), metric=metric))
+        assert len(calls) == units * K + rows
+        return
+    cfg = RunConfig(cycles=K, x0=np.linspace(-1.0, 1.0, part.dim), metric=metric, eta=0.5, p=0.4,
+                    b=8, b_prime=3, sample_sharing=sharing, surrogate_samples=50 if streaming else 0)
+    run(prob, L1(0.05), cfg, RngBundle.from_seed(13))
+    # the run's switches, read back from a fresh copy of its switch stream:
+    # one per unit estimate, or one per cycle shared by every unit
+    per_switch = units if sharing == SHARED_PER_CYCLE else 1
+    switches = bernoulli_switches(RngBundle.from_seed(13).switch, cfg.p, K * units // per_switch)
+    estimates = sum(per_switch * (1 if refresh else 2) for refresh in switches.tolist())
+    assert len(calls) == 1 + estimates + rows

@@ -259,7 +259,7 @@ def test_streaming_quadratic_contracts():
     assert np.array_equal(b1.lin, b2.lin)
     x = np.ones(6)
     big = prob.draw_batch(rng, 20000)
-    approx = prob.batch_full_grad(big, x)
+    (approx,) = prob.group_batch_grads(slice(None))(big, (x,))
     assert np.allclose(approx, prob.population_grad(x), atol=0.05)
     metric = exact_quadratic_metric(prob)
     exact = prob.sigma_sq(metric, None)[0]
@@ -314,20 +314,42 @@ def test_streaming_quadratic_width_one_block_sums_sequentially():
     assert np.array_equal(prob.batch_block_grad(batch, 0, x), prob.quad[:1] @ x + total / size)
 
 
-def test_sigmoid_full_gradients_slice_into_block_gradients_bitwise():
+def test_sigmoid_full_gradients_slice_into_block_gradients_bitwise(monkeypatch):
+    """The all-blocks group of either sigmoid family takes one coefficient
+    pass per batch and point, and each of its slices is the block's own
+    gradient, bit for bit: the exact kernel, and batch gradients at one or
+    two points, of any batch size."""
     part = BlockPartition((1, 2, 5))
     rng = np.random.default_rng(79)
     finite = generate_classification(83, n=40, d=8, partition=part)
     stream = generate_streaming_classification(89, d=8, partition=part)
-    batch = stream.draw_batch(rng, 64)
+    calls = []
+    coeffs = problems._sigmoid_coeffs
+
+    def counting(*args):
+        calls.append(1)
+        return coeffs(*args)
+
+    monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
+    kernel = finite.group_kernel(slice(None))
+    batches = [(finite, finite.draw_batch(rng, size)) for size in (1, 16, 40)]
+    batches += [(stream, stream.draw_batch(rng, size)) for size in (1, 8, 100)]
     for _ in range(3):
-        x = rng.standard_normal(8)
-        full, batch_full = finite.full_grad(x), stream.batch_full_grad(batch, x)
+        x, old = rng.standard_normal(8), rng.standard_normal(8)
+        calls.clear()
+        full = kernel(x)
+        assert len(calls) == 1
         # the anchor's b = n case: a full batch's gradient is full_grad
-        assert np.array_equal(finite.batch_full_grad(np.arange(finite.n), x), full)
+        assert np.array_equal(finite.group_batch_grads(slice(None))(np.arange(40), (x,))[0], full)
         for j, cols in enumerate(part.slices):
             assert np.array_equal(full[cols], finite.block_grad(j, x))
-            assert np.array_equal(batch_full[cols], stream.batch_block_grad(batch, j, x))
+        for prob, batch in batches:
+            calls.clear()
+            g_x, g_old = prob.group_batch_grads(slice(None))(batch, (x, old))
+            assert len(calls) == 2
+            for j, cols in enumerate(part.slices):
+                assert np.array_equal(g_x[cols], prob.batch_block_grad(batch, j, x))
+                assert np.array_equal(g_old[cols], prob.batch_block_grad(batch, j, old))
 
 
 def test_streaming_classification_batches():
@@ -411,7 +433,7 @@ def test_coupling_matrices_match_the_strided_einsum_bitwise(part, n):
 
 def _assert_pairs_match(prob, batch, x, old):
     for j in range(prob.partition.num_blocks):
-        g_x, g_old = prob.batch_block_grad_pair(batch, j, x, old)
+        g_x, g_old = prob.group_batch_grads(slice(j, j + 1))(batch, (x, old))
         assert np.array_equal(g_x, prob.batch_block_grad(batch, j, x))
         assert np.array_equal(g_old, prob.batch_block_grad(batch, j, old))
 
@@ -484,7 +506,7 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
 
     def assert_batch_full_is_stitched(prob, batch, x):
         stitched = [prob.batch_block_grad(batch, j, x) for j in range(part.num_blocks)]
-        assert np.array_equal(prob.batch_full_grad(batch, x), np.concatenate(stitched))
+        assert np.array_equal(prob.group_batch_grads(slice(None))(batch, (x,))[0], np.concatenate(stitched))
 
     for convex in (True, False):
         prob = generate_quadratic(d + 3, n=5, d=d, partition=part, convex=convex)
@@ -492,7 +514,7 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
         for _ in range(3):
             x = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
             full = prob.full_grad(x)
-            assert np.array_equal(prob.batch_full_grad(full_idx, x), full)
+            assert np.array_equal(prob.group_batch_grads(slice(None))(full_idx, (x,))[0], full)
             for j, cols in enumerate(part.slices):
                 assert np.array_equal(full[cols], prob.block_grad(j, x))
             for size in (1, prob.n - 2, prob.n):
@@ -501,31 +523,6 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
     for size in (1, 7):
         x = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
         assert_batch_full_is_stitched(stream, stream.draw_batch(rng, size), x)
-
-
-def test_streaming_sigmoid_batch_gradient_computes_its_coefficients_once(monkeypatch):
-    """The streaming sigmoid's full-vector batch gradient, which serves the
-    surrogate's large batch, computes the coefficients once for all blocks,
-    and its slices are the block batch gradients, bit for bit."""
-    part = BlockPartition((3, 3, 2, 2, 1))
-    prob = generate_streaming_classification(97, d=part.dim, partition=part)
-    rng = np.random.default_rng(101)
-    calls = []
-    coeffs = problems._sigmoid_coeffs
-
-    def counting(*args):
-        calls.append(1)
-        return coeffs(*args)
-
-    monkeypatch.setattr(problems, "_sigmoid_coeffs", counting)
-    for size in (1, 8, 100):
-        batch = prob.draw_batch(rng, size)
-        x = rng.standard_normal(part.dim)
-        calls.clear()
-        full = prob.batch_full_grad(batch, x)
-        assert len(calls) == 1
-        for j, cols in enumerate(part.slices):
-            assert np.array_equal(full[cols], prob.batch_block_grad(batch, j, x))
 
 
 # -- the premises each family states about itself ---------------------------

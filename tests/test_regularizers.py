@@ -52,12 +52,21 @@ def test_extended_values():
     assert total_value(L1(2.0), x, part) == pytest.approx(7.0)
 
 
+def _block_value(reg, xj):
+    """One block's value, as each regularizer's per-block form states it."""
+    if isinstance(reg, L1):
+        return reg.weight * float(np.sum(np.abs(xj)))
+    if isinstance(reg, Box) and (np.any(xj < reg.lo) or np.any(xj > reg.hi)):
+        return float("inf")
+    return 0.0
+
+
 def _block_loop_total(reg, x, part):
     """r(x) as the per-block loop computed it: block values added left to
     right from 0.0, +inf at the first non-finite one."""
     total = 0.0
-    for j, cols in enumerate(part.slices):
-        v = reg.block_value(j, x[cols])
+    for cols in part.slices:
+        v = _block_value(reg, x[cols])
         if not np.isfinite(v):
             return float("inf")
         total += v

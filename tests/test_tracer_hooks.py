@@ -1,14 +1,20 @@
 """The benchmark's tracer (``perfbench/tracing.py``) counts cycles through
 the optimizer entry points it rebinds. Every harness run must reach those
-entry points, or the benchmark's per-layer numbers silently read zero."""
+entry points, or the benchmark's per-layer numbers silently read zero. A
+traced run of either update order must write what an untraced one writes,
+and every gradient method the tracer wraps by name must keep the signature
+its cost hook reads."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ccdlab.blocks import BlockPartition
 from ccdlab.config import parse_config
 from ccdlab.harness import run_experiment
+from ccdlab.problems import generate_quadratic, generate_streaming_quadratic
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -55,6 +61,11 @@ algorithm.p = 0.5
 algorithm.b = 4
 seeds.count = 2
 """
+
+
+# the simultaneous order: the full-gradient baseline and the recursive one
+PROX_GD = PCCD.replace("algorithm.name = pccd", "algorithm.name = prox_gd")
+PAGE = VRCCD.replace("algorithm.name = vrccd", "algorithm.name = page")
 
 
 def _tracing_module():
@@ -153,3 +164,40 @@ def test_each_trace_file_is_written_once_outside_the_run(tmp_path):
     assert len(writes) == 12
     assert not any(parent >= 0 and spans[parent][0] == "algorithms.run"
                    for _, _, _, parent, _, _ in writes)
+
+
+@pytest.mark.parametrize("text", [PROX_GD, PAGE], ids=["prox_gd", "page"])
+def test_traced_simultaneous_runs_write_the_untraced_bytes(tmp_path, text):
+    plain = run_experiment(parse_config(text), out_dir=tmp_path / "plain", jobs=1)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        traced = run_experiment(parse_config(text), out_dir=tmp_path / "traced", jobs=1)
+        # every gradient method the tracer wraps, called by its public
+        # signature on each quadratic family, records one span and its cost
+        part = BlockPartition((2, 2, 2))
+        x = np.linspace(-1.0, 1.0, 6)
+        finite = generate_quadratic(3, n=5, d=6, partition=part)
+        stream = generate_streaming_quadratic(3, d=6, partition=part)
+        rng = np.random.default_rng(0)
+        before = sum(span[0] == "problems.grad" for span in tracer.spans)
+        called = 0
+        for prob in (finite, stream):
+            batch = prob.draw_batch(rng, 3)
+            args = {"block_grad": (1, x), "full_grad": (x,), "batch_block_grad": (batch, 1, x),
+                    "batch_full_grad": (batch, x)}
+            for method in tracing.GRAD_METHODS:
+                if hasattr(prob, method):
+                    getattr(prob, method)(*args[method])
+                    called += 1
+    finally:
+        tracer.uninstall()
+    assert plain.exit_code == traced.exit_code == 0
+    files = sorted(p for p in (tmp_path / "plain").rglob("*") if p.is_file())
+    assert len(files) == (2 if text is PROX_GD else 4)  # one trace per seed
+    for path in files:
+        twin = tmp_path / "traced" / path.relative_to(tmp_path / "plain")
+        assert twin.read_bytes() == path.read_bytes()
+    assert sum(span[0] == "problems.grad" for span in tracer.spans) - before == called == 4
+    assert tracer.counts["problems.flops_computed"] > 0
