@@ -121,8 +121,19 @@ class Resolved:
     @cached_property
     def reference(self) -> tuple[float, str]:
         """The instance's ``reference_minimum``, solved at most once per
-        Resolved (``dataclasses.replace`` makes one without it)."""
+        Resolved (``dataclasses.replace`` makes one without it), and not
+        at all once ``reference_from`` has read it off a run."""
         return reference_minimum(self)
+
+    def reference_from(self, trace: algorithms.RunTrace) -> tuple[float, str]:
+        """``reference``, read off ``trace``, one of this Resolved's runs,
+        when nothing holds it yet and the run shows the reference solve's
+        F* (``traced_minimum``)."""
+        if "reference" not in vars(self):  # where cached_property keeps its value
+            f_star = traced_minimum(self, trace)
+            if f_star is not None:
+                self.reference = f_star, "high_precision_run"
+        return self.reference
 
     def echo(self) -> dict:
         out = dict(config_to_dict(self.cfg))
@@ -244,12 +255,14 @@ def float_text(*columns) -> list[list[str]]:
     """Equal-length float columns as text: each value as ``_fmt`` writes a
     float, at 17 significant digits, and None as an empty field. Each
     distinct bit pattern among them is formatted once (0.0 and -0.0 differ
-    in bits and in text)."""
+    in bits and in text). A float array holds no None, so it is not
+    searched for one."""
     floats = np.array(columns, dtype=float)  # None reads as NaN
     bits, where = np.unique(floats.view(np.uint64), return_inverse=True)
     distinct = np.array([format(v, ".17g") for v in bits.view(float).tolist()], dtype=object)
     texts = distinct[where.reshape(floats.shape)].tolist()
-    return [["" if v is None else t for v, t in zip(col, text)] if None in col else text
+    return [["" if v is None else t for v, t in zip(col, text)]
+            if not isinstance(col, np.ndarray) and None in col else text
             for col, text in zip(columns, texts)]
 
 
@@ -301,23 +314,64 @@ def write_report(reports: list[checks.BoundReport], path_base: Path) -> tuple[Pa
 # --------------------------------------------------------------------------
 
 
+# the reference solve stops at its first squared step of at most this, or
+# after this many cycles
+_SOLVE_STOP_STEP_SQ = 1e-28
+_SOLVE_CYCLES = 30_000
+
+
 def reference_minimum(res: Resolved) -> tuple[float, str]:
     """(F*, provenance) for the resolved instance and regularizer: the
     family's closed form when it has one; else, when the family says it
-    reaches F*, a high-precision cyclic solve (machine-level stationarity),
-    which upper-bounds F* by a negligible amount; else NaN, "unavailable".
-    F* belongs to the instance, so the solve takes the family's own
-    ``metric()``, not the run's, which may diverge."""
+    reaches F*, the least objective of a high-precision cyclic solve
+    (machine-level stationarity), which upper-bounds F* by a negligible
+    amount; else NaN, "unavailable". F* belongs to the instance, so the
+    solve is pccd at eta = 1 in the family's own ``metric()``, not the
+    run's, which may diverge, from the run's start point. The checks read
+    F* through ``Resolved.reference_from``, which takes the solve's value
+    off a run that steps the solve's trajectory (``traced_minimum``) and
+    calls this only when none does."""
     prob, reg = res.prob, res.reg
     closed = prob.closed_form_minimum(reg)
     if closed is not None:
         return closed, "closed_form"
     if prob.solve_reaches_minimum:
-        metric = prob.metric()
-        pcfg = algorithms.RunConfig(cycles=30_000, x0=res.run.x0, metric=metric, stop_step_sq=1e-28)
+        pcfg = algorithms.RunConfig(cycles=_SOLVE_CYCLES, x0=res.run.x0, metric=prob.metric(),
+                                    stop_step_sq=_SOLVE_STOP_STEP_SQ)
         _, trace = algorithms.pccd_run(prob, reg, pcfg)
         return float(min(trace.obj)), "high_precision_run"
     return math.nan, "unavailable"
+
+
+def traced_minimum(res: Resolved, trace: algorithms.RunTrace) -> float | None:
+    """``reference_minimum``'s solved F*, bit for bit, read off ``trace``,
+    a run of ``res``; None when the run does not show it.
+
+    The run steps the solve's trajectory when the solve would run (no
+    closed form; the family says a solve reaches F*), the method is pccd,
+    eta is 1 and the run's metric entries are the family's ``metric()``
+    bit for bit: both then start at ``res.run.x0``, and the engine's rows
+    are bitwise the same wherever they sit in a chunk, so the two agree row
+    for row up to the shorter of them. The solve stops at the run's first
+    row k in 1.._SOLVE_CYCLES whose squared step is at most its stop. With
+    no such row, a run that replayed an orbit still shows the solve's least
+    objective among its rows up to ``_SOLVE_CYCLES``: the solve stops in no
+    row of the orbit, so it replays the same orbit or steps to its cap.
+    """
+    prob, run = res.prob, res.run
+    if not (res.cfg.algorithm.name == "pccd" and run.eta == 1.0 and prob.solve_reaches_minimum
+            and prob.closed_form_minimum(res.reg) is None):
+        return None
+    entries = run.metric.entries.view(np.uint64)
+    if not np.array_equal(entries, prob.metric().entries.view(np.uint64)):
+        return None
+    steps = trace.step_sq[1 : _SOLVE_CYCLES + 1]
+    last = next((k for k, v in enumerate(steps, 1) if v <= _SOLVE_STOP_STEP_SQ), None)
+    if last is None:
+        if "orbit" not in trace.meta:
+            return None
+        last = _SOLVE_CYCLES
+    return float(min(trace.obj[: last + 1]))
 
 
 class _CheckInputs:
@@ -331,13 +385,17 @@ class _CheckInputs:
         self.lip = res.profile.lip_trailing if res.profile is not None else None
         self.mu = res.mu
 
+    @cached_property
+    def reference(self) -> tuple[float, str]:
+        return self.res.reference_from(self.traces[0])
+
     @property
     def no_reference(self) -> bool:
-        return self.res.reference[1] == "unavailable"
+        return self.reference[1] == "unavailable"
 
     @cached_property
     def delta0(self) -> float:
-        return self.traces[0].obj[0] - self.res.reference[0]
+        return self.traces[0].obj[0] - self.reference[0]
 
     @cached_property
     def delta0_or_best_seen(self) -> float:
@@ -347,7 +405,7 @@ class _CheckInputs:
 
     @property
     def provenance_tag(self) -> tuple[str, ...]:
-        provenance = self.res.reference[1]
+        provenance = self.reference[1]
         if provenance in ("closed_form", "unavailable"):
             return ()
         return (f"reference minimum: {provenance}",)
@@ -363,11 +421,11 @@ class _CheckInputs:
         return value, () if everywhere else ("sigma_sq estimated at the start point",)
 
     def gaps(self, trace: algorithms.RunTrace) -> np.ndarray:
-        return np.array(trace.obj) - self.res.reference[0]
+        return np.array(trace.obj) - self.reference[0]
 
     @property
     def final_gaps(self) -> np.ndarray:
-        return np.array([t.obj[-1] for t in self.traces]) - self.res.reference[0]
+        return np.array([t.obj[-1] for t in self.traces]) - self.reference[0]
 
 
 # check name -> its reports, given the inputs and the conditional tags
@@ -407,7 +465,8 @@ def run_checks(res: Resolved, traces: list[algorithms.RunTrace]) -> list[checks.
     ``config.validate`` has already rejected each check the run cannot
     feed, so this only computes inputs; the conditional tags are the run's,
     then the ones ``config.CHECKS`` implies for the check. F* is
-    ``res.reference``, solved when a check first reads it.
+    ``res.reference_from(traces[0])``, read off that run or solved when a
+    check first reads it.
     """
     inputs = _CheckInputs(res, traces)
     shared = res.run.sample_sharing == algorithms.SHARED_PER_CYCLE
@@ -564,7 +623,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", jobs: int = 1) -> Experim
         # escalate: rerun the Monte Carlo evidence at 4x seeds before failing
         try:
             # only the seed count changes: the instance, and so F* (res.reference,
-            # one solve for both stages), is the first stage's Resolved
+            # read off a run or solved once for both stages), is the first stage's Resolved
             cfg4 = replace(cfg, seeds=replace(cfg.seeds, count=cfg.seeds.count * 4))
             _, traces_esc, _ = run_traces(cfg4, jobs=jobs, res=res)
             reports = run_checks(res, traces_esc)

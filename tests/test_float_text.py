@@ -48,3 +48,16 @@ def test_each_distinct_bit_pattern_is_formatted_once(monkeypatch):
     # None is NaN's bits; 0.0 and -0.0 are two patterns, and so are NaN and -NaN
     assert sorted(_bits(calls)) == sorted(set(_bits(values + other)))
     assert len(calls) == 6
+
+
+class _Unsearchable(np.ndarray):
+    def __contains__(self, value):
+        raise AssertionError("a float array column was searched for None")
+
+
+def test_array_columns_are_not_searched_for_none():
+    # report columns are float arrays: they hold no None, and an ``in`` test
+    # would compare every element
+    values = [0.5, -0.0, math.nan, 1e300, 0.5]
+    column = np.array(values).view(_Unsearchable)
+    assert float_text(column, values) == [[f"{v:.17g}" for v in values]] * 2

@@ -115,6 +115,65 @@ def test_spectral_norm_matches_two_product_loop_on_near_tied_couplings(monkeypat
     assert fallbacks >= 1
 
 
+def _allocating_power_iteration(M, tol=1e-10, max_iter=10000):
+    """The oracle: ``spectral_norm`` as it was when each step allocated its
+    direction ``w / nw`` and product ``M @ v`` and took both dots with
+    ``@``, not into fixed buffers."""
+    M = symmetrize(M)
+    d = M.shape[0]
+    if d == 0:
+        return 0.0
+    w = M @ (np.ones(d) / math.sqrt(d))
+    est = 0.0
+    perturbed = False
+    for it in range(max_iter):
+        nw = math.sqrt(float(w @ w))
+        if nw == 0.0:
+            if perturbed:
+                return 0.0
+            v = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(d)
+            v /= np.linalg.norm(v)
+            w = M @ v
+            perturbed = True
+            continue
+        v = w / nw
+        w = M @ v
+        new_est = float(v @ w)
+        if it > 0 and abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
+            return new_est
+        est = new_est
+    return float(np.linalg.eigvalsh(M)[-1])
+
+
+@st.composite
+def _psd_matrices(draw):
+    """A PSD matrix with d <= 64: a scaled Gram matrix of any rank, the zero
+    matrix, or a graph Laplacian with integer weights at d = 4, 16 or 64,
+    whose kernel holds the all-ones start exactly (its entries, 1/sqrt(d)
+    and every partial sum of the product are exact)."""
+    kind = draw(st.sampled_from(["gram", "zero", "laplacian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "laplacian":
+        d = draw(st.sampled_from([4, 16, 64]))
+        weights = np.triu(rng.integers(0, 4, size=(d, d)), 1).astype(float)
+        weights += weights.T
+        lap = np.diag(weights.sum(axis=1)) - weights
+        assert not np.any(lap @ (np.ones(d) / math.sqrt(d)))
+        return lap
+    d = draw(st.integers(1, 64))
+    if kind == "zero":
+        return np.zeros((d, d))
+    g = rng.standard_normal((d, draw(st.integers(1, d)))) * 10.0 ** draw(st.integers(-3, 3))
+    return g @ g.T
+
+
+@given(_psd_matrices(), st.sampled_from([1e-10, 1e-14, 0.0]), st.sampled_from([1, 2, 50, 10000]))
+@settings(max_examples=150, deadline=None)
+def test_spectral_norm_matches_the_allocating_loop_bitwise(mat, tol, max_iter):
+    want = _allocating_power_iteration(mat, tol, max_iter)
+    assert spectral_norm(mat, tol, max_iter).hex() == want.hex()
+
+
 def test_masked_constants_singleton_ladder():
     # identical scalar coupling on every singleton block: the trailing sum is
     # a staircase with top weight m, the leading sum tops out at m - 1
