@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
+from .algorithms import FRESH_PER_BLOCK, SHARED_PER_CYCLE
 from .smoothness import finite_sum_schedule
 
 
@@ -33,7 +34,7 @@ class Method:
 METHODS = MappingProxyType({
     "pccd": Method("pccd_run", cyclic=True, stochastic=False),
     "vrccd": Method("vrccd_run", cyclic=True, stochastic=True),
-    "vroccd": Method("vrccd_run", cyclic=True, stochastic=True, sample_sharing="shared_per_cycle"),
+    "vroccd": Method("vrccd_run", cyclic=True, stochastic=True, sample_sharing=SHARED_PER_CYCLE),
     "sccd": Method("vrccd_run", cyclic=True, stochastic=True, p=1.0),
     "prox_gd": Method("prox_gd_run", cyclic=False, stochastic=False),
     "page": Method("page_run", cyclic=False, stochastic=True),
@@ -107,101 +108,6 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(f"line {ln}: {msg}" for ln, msg in self.errors))
-
-
-@dataclass
-class ProblemSpec:
-    family: str = "quadratic"
-    n: float = 32  # int, or math.inf for streaming
-    d: int = 16
-    m: int = 4
-    condition_number: float = 10.0
-    convex: bool = True
-    identical_curvature: bool = False
-    margin: float = 0.5
-    reg: tuple = ("zero",)
-    streaming_family: str = "quadratic"
-    lin_scale: float = 1.0
-    sigma_sq: float | None = None
-
-
-@dataclass
-class AlgorithmSpec:
-    name: str = "pccd"
-    cycles: int = 50
-    eta: float | str = "auto"
-    eta_scale: float = 1.0
-    p: float | None = None
-    b: int | None = None
-    bprime: int | None = None
-    sample_sharing: str | None = None
-    schedule: str | None = None
-    eta_override: bool = False
-
-
-@dataclass
-class LambdaSpec:
-    values: tuple | None = None  # per-block scales; set, they are the run's metric
-
-
-@dataclass
-class SeedSpec:
-    base: int = 0
-    count: int = 1
-
-
-@dataclass
-class DiagSpec:
-    record_u: bool = False
-    checks: tuple = ()
-    s_surrogate_samples: int = 100_000
-
-
-@dataclass
-class OutputSpec:
-    trace_path: str = "traces"
-    report_path: str = "report"
-    record_wall: bool = False
-
-
-@dataclass
-class ExperimentConfig:
-    problem: ProblemSpec = field(default_factory=ProblemSpec)
-    algorithm: AlgorithmSpec = field(default_factory=AlgorithmSpec)
-    lam: LambdaSpec = field(default_factory=LambdaSpec)
-    seeds: SeedSpec = field(default_factory=SeedSpec)
-    diagnostics: DiagSpec = field(default_factory=DiagSpec)
-    output: OutputSpec = field(default_factory=OutputSpec)
-
-    def with_override(self, path: str, value) -> "ExperimentConfig":
-        """Copy with one dotted field replaced (used by sweeps and CLI flags)."""
-        section, key = _split_path(path)
-        attr = _SECTION_ATTRS[section]
-        sub = getattr(self, attr)
-        if not hasattr(sub, key):
-            raise KeyError(f"unknown config field {path!r}")
-        return replace(self, **{attr: replace(sub, **{key: value})})
-
-
-_SECTION_ATTRS = {
-    "problem": "problem",
-    "algorithm": "algorithm",
-    "lambda": "lam",
-    "seeds": "seeds",
-    "diagnostics": "diagnostics",
-    "output": "output",
-}
-
-_KEY_CANON = {"K": "cycles"}
-
-
-def _split_path(path: str) -> tuple[str, str]:
-    if "." not in path:
-        raise KeyError(f"config field {path!r} needs a section prefix")
-    section, key = path.split(".", 1)
-    if section not in _SECTION_ATTRS:
-        raise KeyError(f"unknown config section {section!r}")
-    return section, _KEY_CANON.get(key, key)
 
 
 def _parse_bool(tok: str) -> bool:
@@ -309,47 +215,109 @@ class Key:
         return f"{key} must lie in {'(' if self.strict else '['}{self.least:g}, {self.most:g}]"
 
 
-KEYS = MappingProxyType({
-    "problem.family": Key(_choice(FAMILIES)),
-    "problem.n": Key(_parse_count, least=1),
-    "problem.d": Key(_parse_int, least=1),
-    "problem.m": Key(_parse_int, least=1),
-    "problem.condition_number": Key(_parse_float, least=1, kinds=QUADRATIC_KINDS),
-    "problem.convex": Key(_parse_bool, kinds=("quadratic",)),
-    "problem.identical_curvature": Key(_parse_bool, kinds=("quadratic",)),
-    "problem.margin": Key(_parse_float, kinds=SIGMOID_KINDS),
-    "problem.reg": Key(_parse_reg),
-    "problem.streaming_family": Key(_choice(("quadratic", "sigmoid")), kinds=STREAMING_KINDS),
-    "problem.lin_scale": Key(_parse_float, least=0, kinds=("streaming quadratic",)),
-    "problem.sigma_sq": Key(_parse_float, least=0, algorithms=VARIANCE_REDUCED),
-    "algorithm.name": Key(_choice(ALGORITHMS)),
-    "algorithm.K": Key(_parse_int, least=1),
-    "algorithm.eta": Key(_parse_eta, least=0, strict=True),
-    "algorithm.eta_scale": Key(_parse_float, least=0, strict=True),
-    "algorithm.p": Key(_parse_float, least=0, strict=True, most=1, algorithms=STOCHASTIC),
-    "algorithm.b": Key(_parse_int, least=1, algorithms=STOCHASTIC),
+def _key(default, parse, name: str | None = None, **row) -> dataclasses.Field:
+    """A spec field holding ``default`` that is one config key: its ``Key``
+    row is ``Key(parse, **row)``, and ``name`` names the key where it is not
+    the field's own name."""
+    return field(default=default, metadata={"key": Key(parse, **row), "name": name})
+
+
+@dataclass
+class ProblemSpec:
+    family: str = _key("quadratic", _choice(FAMILIES))
+    n: float = _key(32, _parse_count, least=1)  # int, or math.inf for streaming
+    d: int = _key(16, _parse_int, least=1)
+    m: int = _key(4, _parse_int, least=1)
+    condition_number: float = _key(10.0, _parse_float, least=1, kinds=QUADRATIC_KINDS)
+    convex: bool = _key(True, _parse_bool, kinds=("quadratic",))
+    identical_curvature: bool = _key(False, _parse_bool, kinds=("quadratic",))
+    margin: float = _key(0.5, _parse_float, kinds=SIGMOID_KINDS)
+    reg: tuple = _key(("zero",), _parse_reg)
+    streaming_family: str = _key(
+        "quadratic", _choice(("quadratic", "sigmoid")), kinds=STREAMING_KINDS
+    )
+    lin_scale: float = _key(1.0, _parse_float, least=0, kinds=("streaming quadratic",))
+    sigma_sq: float | None = _key(None, _parse_float, least=0, algorithms=VARIANCE_REDUCED)
+
+
+@dataclass
+class AlgorithmSpec:
+    name: str = _key("pccd", _choice(ALGORITHMS))
+    cycles: int = _key(50, _parse_int, name="K", least=1)
+    eta: float | str = _key("auto", _parse_eta, least=0, strict=True)
+    eta_scale: float = _key(1.0, _parse_float, least=0, strict=True)
+    p: float | None = _key(None, _parse_float, least=0, strict=True, most=1, algorithms=STOCHASTIC)
+    b: int | None = _key(None, _parse_int, least=1, algorithms=STOCHASTIC)
     # read where p is not fixed, also at p = 1, where no correction batch is
     # drawn: the work-accounting suite resolves its p = 0 row at p = 1 with b' = 8
-    "algorithm.bprime": Key(
-        _parse_int, least=1,
+    bprime: int | None = _key(
+        None, _parse_int, least=1,
         algorithms=tuple(name for name in STOCHASTIC if METHODS[name].p is None),
-    ),
-    "algorithm.sample_sharing": Key(
-        _choice(("fresh_per_block", "shared_per_cycle")), algorithms=VARIANCE_REDUCED
-    ),
-    "algorithm.schedule": Key(_choice(SCHEDULES), kinds=FINITE_KINDS, algorithms=STOCHASTIC),
+    )
+    sample_sharing: str | None = _key(
+        None, _choice((FRESH_PER_BLOCK, SHARED_PER_CYCLE)), algorithms=VARIANCE_REDUCED
+    )
+    schedule: str | None = _key(None, _choice(SCHEDULES), kinds=FINITE_KINDS, algorithms=STOCHASTIC)
     # a permission: it changes a run only when eta exceeds the admissible bound
-    "algorithm.eta_override": Key(_parse_bool, algorithms=STOCHASTIC),
-    "lambda.values": Key(_parse_values),
-    "seeds.base": Key(_parse_int, least=0),
-    "seeds.count": Key(_parse_int, least=1),
-    "diagnostics.record_u": Key(_parse_bool, kinds=FINITE_KINDS, algorithms=STOCHASTIC),
-    "diagnostics.checks": Key(_parse_checks),
-    "diagnostics.s_surrogate_samples": Key(_parse_int, least=0, kinds=STREAMING_KINDS),
-    "output.trace_path": Key(str),
-    "output.report_path": Key(str),
-    "output.record_wall": Key(_parse_bool),
+    eta_override: bool = _key(False, _parse_bool, algorithms=STOCHASTIC)
+
+
+@dataclass
+class LambdaSpec:
+    # per-block scales; set, they are the run's metric
+    values: tuple | None = _key(None, _parse_values)
+
+
+@dataclass
+class SeedSpec:
+    base: int = _key(0, _parse_int, least=0)
+    count: int = _key(1, _parse_int, least=1)
+
+
+@dataclass
+class DiagSpec:
+    record_u: bool = _key(False, _parse_bool, kinds=FINITE_KINDS, algorithms=STOCHASTIC)
+    checks: tuple = _key((), _parse_checks)
+    s_surrogate_samples: int = _key(100_000, _parse_int, least=0, kinds=STREAMING_KINDS)
+
+
+@dataclass
+class OutputSpec:
+    trace_path: str = _key("traces", str)
+    report_path: str = _key("report", str)
+    record_wall: bool = _key(False, _parse_bool)
+
+
+@dataclass
+class ExperimentConfig:
+    problem: ProblemSpec = field(default_factory=ProblemSpec)
+    algorithm: AlgorithmSpec = field(default_factory=AlgorithmSpec)
+    lam: LambdaSpec = field(default_factory=LambdaSpec, metadata={"name": "lambda"})
+    seeds: SeedSpec = field(default_factory=SeedSpec)
+    diagnostics: DiagSpec = field(default_factory=DiagSpec)
+    output: OutputSpec = field(default_factory=OutputSpec)
+
+    def with_override(self, key: str, value) -> "ExperimentConfig":
+        """Copy with one config key's field replaced (used by sweeps and CLI
+        flags); a name other than a key of ``KEYS`` raises KeyError."""
+        if key not in KEY_FIELDS:
+            raise KeyError(f"unknown config key {key!r}")
+        attr, f = KEY_FIELDS[key]
+        return replace(self, **{attr: replace(getattr(self, attr), **{f.name: value})})
+
+
+def _name(f: dataclasses.Field) -> str:
+    return f.metadata.get("name") or f.name
+
+
+# each config key, in declaration order -> (its section's ExperimentConfig
+# attribute, its spec field)
+KEY_FIELDS = MappingProxyType({
+    f"{_name(section)}.{_name(f)}": (section.name, f)
+    for section in dataclasses.fields(ExperimentConfig)
+    for f in dataclasses.fields(section.default_factory)
 })
+KEYS = MappingProxyType({key: f.metadata["key"] for key, (_, f) in KEY_FIELDS.items()})
 
 _NUMERIC = {_parse_int: int, _parse_count: int, _parse_float: float, _parse_eta: float}
 
@@ -385,13 +353,11 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         seen.add(key)
         key_lines[key] = ln
+        attr, f = KEY_FIELDS[key]
         try:
-            parsed = KEYS[key].parse(value)
+            setattr(getattr(cfg, attr), f.name, KEYS[key].parse(value))
         except ValueError as exc:
             errors.append((ln, f"{key}: {exc}"))
-            continue
-        section, attr = _split_path(key)
-        setattr(getattr(cfg, _SECTION_ATTRS[section]), attr, parsed)
 
     errors.extend(validate(cfg, key_lines))
     if errors:
@@ -403,16 +369,8 @@ def _line(key_lines, key) -> int:
     return key_lines.get(key, 0)
 
 
-def _value(cfg: ExperimentConfig, key: str):
-    section, attr = _split_path(key)
-    return getattr(getattr(cfg, _SECTION_ATTRS[section]), attr)
-
-
-_DEFAULT = ExperimentConfig()
-
-
 def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
-    """One pass over ``KEYS``, then the cross-field rules; returns (line,
+    """One pass over the keys, then the cross-field rules; returns (line,
     message) pairs (line 0 when the offending value is a default)."""
     key_lines = key_lines or {}
     errs: list[tuple[int, str]] = []
@@ -431,10 +389,11 @@ def validate(cfg: ExperimentConfig, key_lines=None) -> list[tuple[int, str]]:
         "algorithm.b": (a.schedule is not None, "the schedule sets b"),
         "output.report_path": (not checks, "no check is requested"),
     }
-    for key, row in KEYS.items():
-        value = _value(cfg, key)
-        if value == _value(_DEFAULT, key):
+    for key, (attr, f) in KEY_FIELDS.items():
+        value = getattr(getattr(cfg, attr), f.name)
+        if value == f.default:
             continue
+        row = KEYS[key]
         line = _line(key_lines, key)
         unread, why = unread_when.get(key, (False, ""))
         bound_error = row.bound_error(key, value)
@@ -534,7 +493,7 @@ def estimator_settings(cfg: ExperimentConfig) -> tuple[float | None, int | None,
             b_prime = b
     elif b_prime is None and b is not None:
         b_prime = max(1, round(math.sqrt(b)))
-    return p, b, b_prime, method.sample_sharing or a.sample_sharing or "fresh_per_block"
+    return p, b, b_prime, method.sample_sharing or a.sample_sharing or FRESH_PER_BLOCK
 
 
 def problem_kind(cfg: ExperimentConfig) -> str:
@@ -552,10 +511,9 @@ def needs_coupling(cfg: ExperimentConfig) -> bool:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flat dotted-key view (for echoing resolved parameters into outputs)."""
-    out = {}
-    for section, attr in _SECTION_ATTRS.items():
-        sub = getattr(cfg, attr)
-        for f in dataclasses.fields(sub):
-            out[f"{section}.{f.name}"] = getattr(sub, f.name)
-    return out
+    """Flat dotted view, each key under its section and field name
+    (``algorithm.cycles``), for echoing resolved parameters into outputs."""
+    return {
+        f"{key.split('.')[0]}.{f.name}": getattr(getattr(cfg, attr), f.name)
+        for key, (attr, f) in KEY_FIELDS.items()
+    }

@@ -136,7 +136,9 @@ class Resolved:
         return self.reference
 
     def echo(self) -> dict:
-        out = dict(config_to_dict(self.cfg))
+        out = config_to_dict(self.cfg)
+        # the instance's n: inf on a stream, whose config may leave the default
+        out["problem.n"] = self.prob.n
         # the deleted lambda.mode and lambda.lip_* keys stay, empty, until
         # the header re-record of ROADMAP item 8
         out["lambda.mode"] = out["lambda.lip_leading"] = out["lambda.lip_trailing"] = None
@@ -349,8 +351,10 @@ def traced_minimum(res: Resolved, trace: algorithms.RunTrace) -> float | None:
 
     The run steps the solve's trajectory when the solve would run (no
     closed form; the family says a solve reaches F*), the method is pccd,
-    eta is 1 and the run's metric entries are the family's ``metric()``
-    bit for bit: both then start at ``res.run.x0``, and the engine's rows
+    eta is 1 and the run's metric is the family's ``metric()``, as
+    ``resolve`` builds it when no ``lambda.values`` are set (no caller
+    replaces ``res.run.metric``; the suites replace x0, p and eta only):
+    both then start at ``res.run.x0``, and the engine's rows
     are bitwise the same wherever they sit in a chunk, so the two agree row
     for row up to the shorter of them. The solve stops at the run's first
     row k in 1.._SOLVE_CYCLES whose squared step is at most its stop. With
@@ -358,12 +362,9 @@ def traced_minimum(res: Resolved, trace: algorithms.RunTrace) -> float | None:
     objective among its rows up to ``_SOLVE_CYCLES``: the solve stops in no
     row of the orbit, so it replays the same orbit or steps to its cap.
     """
-    prob, run = res.prob, res.run
-    if not (res.cfg.algorithm.name == "pccd" and run.eta == 1.0 and prob.solve_reaches_minimum
-            and prob.closed_form_minimum(res.reg) is None):
-        return None
-    entries = run.metric.entries.view(np.uint64)
-    if not np.array_equal(entries, prob.metric().entries.view(np.uint64)):
+    prob, cfg = res.prob, res.cfg
+    if not (cfg.algorithm.name == "pccd" and res.run.eta == 1.0 and cfg.lam.values is None
+            and prob.solve_reaches_minimum and prob.closed_form_minimum(res.reg) is None):
         return None
     steps = trace.step_sq[1 : _SOLVE_CYCLES + 1]
     last = next((k for k, v in enumerate(steps, 1) if v <= _SOLVE_STOP_STEP_SQ), None)

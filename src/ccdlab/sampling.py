@@ -38,13 +38,7 @@ class RngBundle:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngBundle":
-        return cls(
-            seed=int(seed),
-            switch=stream(seed, "switch"),
-            batch=stream(seed, "batch"),
-            output=stream(seed, "output"),
-            surrogate=stream(seed, "surrogate"),
-        )
+        return cls(int(seed), **{label: stream(seed, label) for label in STREAM_IDS})
 
 
 def draw_minibatch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:

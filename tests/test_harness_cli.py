@@ -811,6 +811,20 @@ diagnostics.s_surrogate_samples = 128
     assert result.trace_paths[0].read_text() == again.trace_paths[0].read_text()
 
 
+def test_header_echoes_the_instance_n(tmp_path):
+    # a stream that leaves problem.n at its default still has n = inf
+    stream = parse_config(
+        "problem.family = streaming\nproblem.d = 6\nproblem.m = 2\nalgorithm.name = vrccd\n"
+        "algorithm.K = 2\nalgorithm.p = 0.5\nalgorithm.b = 8\n"
+    )
+    assert stream.problem.n == 32
+    (path,) = run_experiment(stream, out_dir=tmp_path).trace_paths
+    assert "# problem.n = inf\n" in path.read_text()
+    # a finite instance echoes the config's n, as the integer it is
+    res = resolve(parse_config(VR_CHECKED))
+    assert res.echo()["problem.n"] == 16 and type(res.echo()["problem.n"]) is int
+
+
 @pytest.mark.parametrize(
     "line, argv, message",
     [

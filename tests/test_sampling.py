@@ -7,6 +7,7 @@ from scipy.stats import chi2
 from ccdlab.blocks import BlockPartition, DiagonalMetric
 from ccdlab.problems import generate_quadratic
 from ccdlab.sampling import (
+    STREAM_IDS,
     RngBundle,
     bernoulli_switch,
     bernoulli_switches,
@@ -30,6 +31,14 @@ def test_streams_are_reproducible_and_independent():
     assert np.array_equal(got, switch_draws_ref)
     with pytest.raises(ValueError):
         stream(1, "nope")
+
+
+def test_bundle_holds_one_stream_per_label():
+    bundle = RngBundle.from_seed(7)
+    assert bundle.seed == 7
+    assert [f for f in vars(bundle) if f != "seed"] == list(STREAM_IDS)
+    for label in STREAM_IDS:
+        assert np.array_equal(getattr(bundle, label).random(4), stream(7, label).random(4))
 
 
 def test_minibatch_basics():

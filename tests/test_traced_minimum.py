@@ -172,3 +172,19 @@ def test_an_orbit_without_a_stop_row_reads_the_solved_minimum(seed, orbit):
     assert f_star is not None and _same_bits(f_star, _solved(res))
     # the least objective lies before the orbit, not in the last row
     assert f_star == min(trace.obj) < trace.obj[-1]
+
+
+def test_the_read_off_computes_the_family_metric_once(tmp_path, monkeypatch):
+    # resolve builds the run's metric from metric(); reading F* off the run
+    # asks no second call, and solves nothing
+    solves = _counting_solves(monkeypatch)
+    calls = []
+    metric = problems.QuadraticFiniteSum.metric
+
+    def counting(prob):
+        calls.append(prob)
+        return metric(prob)
+
+    monkeypatch.setattr(problems.QuadraticFiniteSum, "metric", counting)
+    result = run_experiment(_pccd_l1({}), out_dir=tmp_path)
+    assert result.reports and not solves and len(calls) == 1
