@@ -4,7 +4,8 @@ common per-cycle trace.
 
 Every method takes the same block prox step under the run's diagonal
 metric, and every entry point takes one :class:`RunConfig` (the randomized
-ones also an ``RngBundle``). The methods differ in two choices only. A
+ones also an ``RngBundle``, or a seat in a :class:`SeedStack`). The
+methods differ in two choices only. A
 ``RunConfig`` without a metric is rejected when built, and the engine
 rejects, before cycle 1, a config that lacks another field it needs:
 
@@ -50,13 +51,28 @@ Before cycle 1 the engine builds a *step plan*, one entry per group: the
 family's exact and batch gradients bound to the group's rows
 (``group_kernel`` and ``group_batch_grads``), the regularizer's prox step
 bound to eta and the group's metric entries (``prox_step``, which computes
-L1's threshold once), and fixed views of x, of the group's estimate and of
-two buffers that hold x_{k-1} and x_{k-2} in turn. A group step is then one
-gradient call writing the estimate and one prox step writing x in place.
-The public ``block_grad``, ``batch_block_grad`` and ``prox`` build the same
-functions for one block and call them once, so both paths round alike, bit
-for bit. Beyond the groups, the order decides only which trace rows are
-summed per block (below) and whether the intermediate-residual row exists.
+L1's threshold once), and views of the group's columns of x, of its
+estimate and of two buffers that hold x_{k-1} and x_{k-2} in turn. A group
+step is then one gradient call writing the estimate and one prox step
+writing x in place. The public ``block_grad``, ``batch_block_grad`` and
+``prox`` build the same functions for one block and call them once, so both
+paths round alike, bit for bit. Beyond the groups, the order decides only
+which trace rows are summed per block (below) and whether the
+intermediate-residual row exists.
+
+The engine steps a *stack* of runs that share a problem, regularizer,
+config and order: the seeds of a recursive experiment, gathered in a
+``SeedStack``; an exact run, which has no seed, is a stack of one. Every
+seed's state is a row of an (S, d) array, so each group step, the chunk's
+diagnostics and the row bookkeeping run once over the stack. Each seed
+keeps its own streams, draws, output index and trace, and at each estimate
+step the seeds that refresh and those that correct each take one gradient
+call: the family's group gradients take one batch per seed and one (S, d)
+stack per point, and a quadratic finite sum gathers the batch rows of every
+seed at once. Every row of a stacked call is bitwise the one-seed call, so
+each seed's trace, output index and returned iterate are those of its run
+alone. A seed that stops or diverges leaves the stack at its chunk's end;
+the others run on.
 
 The trace diagnostics are computed once per *chunk* of cycles, not once per
 cycle. The cycles run in chunks of 1, 2, 4, ... up to ``CHUNK_CYCLES`` = 64;
@@ -102,12 +118,15 @@ Conventions shared by every run:
   c used to update a block of dimension d_j costs c * d_j (diagnostic
   evaluations are excluded). It is modeled work, not the arithmetic
   performed: a replayed cycle adds its work but computes no gradient;
-* ``wall_ns`` of row k is the cycle's own step time plus an equal share,
-  rounded down, of its chunk's diagnostic pass, and a replayed row's is an
-  equal share, rounded down, of the replay's time; it is 0 at k = 0, and
-  the rows add up to at most ``meta["wall_total_ns"]``, which also counts
-  the anchor, the start row and the recording of the rows, but no file
-  write: a run writes no file, it returns its whole trace;
+* ``wall_ns`` of row k is the run's equal share, rounded down, of its
+  stack's step time for the cycle, plus an equal share of its chunk's
+  diagnostic pass, and a replayed row's is an equal share, rounded down,
+  of the replay's time; it is 0 at k = 0, and the rows add up to at most
+  ``meta["wall_total_ns"]``, the run's equal share of each chunk of the
+  stack's time while it is in the stack, which also counts the anchor, the
+  start row and the recording of the rows, but no file write: a run writes
+  no file, it returns its whole trace. Summed over a stack's runs, it is
+  the stack's time, less the rounding;
 * exact runs return the iterate with the smallest displacement from its
   predecessor, randomized runs the iterate at an index drawn from the
   output stream;
@@ -115,6 +134,7 @@ Conventions shared by every run:
   wherever a value exists (finite sums, or streaming runs with a surrogate),
   and so does a non-finite squared step v_k where none does; its
   ``NonFiniteObjectiveError.trace`` holds every row before the failing one.
+  A stack's seed raises its own error from its own entry call.
 """
 
 from __future__ import annotations
@@ -272,9 +292,10 @@ def prox_gd_run(prob, reg: Regularizer, cfg: RunConfig):
     return _run_cycles(prob, reg, cfg, cyclic=False)
 
 
-def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
+def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs):
     """Variance-reduced cyclic run; returns an iterate drawn uniformly from
-    the K cycle endpoints (via the output stream) and the trace.
+    the K cycle endpoints (via the output stream) and the trace. ``rngs`` is
+    the seed's ``RngBundle``, or its seat in a ``SeedStack``.
 
     With p = 1 and b = n the anchor is the exact block gradient and the
     trajectory coincides, float for float, with the cyclic proximal method
@@ -283,38 +304,106 @@ def vrccd_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
     return _run_cycles(prob, reg, cfg, cyclic=True, rngs=rngs)
 
 
-def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs: RngBundle):
+def page_run(prob, reg: Regularizer, cfg: RunConfig, rngs):
     """Full-vector recursive estimator baseline: one switch and one batch per
     iteration shared by every block, each block estimated at x_{k-1}. At
-    p = 1 and b' = b it is minibatch proximal SGD."""
+    p = 1 and b' = b it is minibatch proximal SGD. ``rngs`` as for
+    ``vrccd_run``."""
     return _run_cycles(prob, reg, cfg, cyclic=False, rngs=rngs)
 
 
+class SeedStack:
+    """The ``RngBundle``s of seeds that the engine steps as one stack. Each
+    of ``seats`` stands in for its seed's bundle in ``vrccd_run`` or
+    ``page_run``: the first run asked of any seat steps every seed of the
+    stack, with that call's problem, regularizer, config and order, and each
+    seat's run returns, or raises, its own seed's result. A caller that runs
+    its seeds one entry call at a time, as a profiler's wrapper sees them,
+    so still steps them together."""
+
+    def __init__(self, bundles):
+        self.bundles = tuple(bundles)
+        self._run = self._results = None
+
+    @property
+    def seats(self) -> list[_Seat]:
+        return [_Seat(self, i) for i in range(len(self.bundles))]
+
+    def result(self, index, prob, reg, cfg, cyclic):
+        run = (prob, reg, cfg, cyclic)
+        if self._results is None:
+            self._results = _run_stack(prob, reg, cfg, cyclic, self.bundles)
+            self._run = run
+        elif any(a is not b for a, b in zip(run, self._run)):
+            raise ValueError("the seats of a seed stack share one problem, regularizer, config and order")
+        return self._results[index]
+
+
+class _Seat(NamedTuple):
+    """One seed's place in a ``SeedStack``."""
+
+    stack: SeedStack
+    index: int
+
+
+def _run_cycles(prob, reg, cfg, cyclic, rngs=None):
+    """One run: the engine on a stack of one, or on a seat's whole stack."""
+    if isinstance(rngs, _Seat):
+        result = rngs.stack.result(rngs.index, prob, reg, cfg, cyclic)
+    else:
+        (result,) = _run_stack(prob, reg, cfg, cyclic, (rngs,))
+    if isinstance(result, NonFiniteObjectiveError):
+        raise result
+    return result
+
+
 class _Unit(NamedTuple):
-    """One group of consecutive blocks of the step plan, built once per run."""
+    """One group of consecutive blocks of the step plan, built once per run;
+    its views are taken again when the stack sheds a seed."""
 
     lead: int  # its first coordinate: those before it are stepped already
     size: int
     kernel: object  # its exact gradient, bound to its rows; None if never read
     grads: object  # its batch gradients, bound to its rows; None if never read
     step: object  # the prox step, bound to eta and its metric entries
-    x: np.ndarray  # views of x, est and mids over its coordinates
-    est: np.ndarray
+    x: np.ndarray | None  # views of its columns of x and est
+    est: np.ndarray | None
+    est_col: np.ndarray | None  # the kernel's (S, size, 1) views of est and mids
     mid: np.ndarray | None
-    centers: tuple  # its views of the two rotating previous iterates
+    centers: tuple | None  # its views of the two rotating previous iterates
+
+
+_ALL = slice(None)  # every seed of the stack
+
+
+def _step_groups(switches) -> list[tuple]:
+    """Per estimate step, the (refresh, rows) groups of the seeds of the
+    (S, steps) ``switches``: the seeds that refresh and those that correct,
+    as ``_ALL`` when a group holds every seed, and no empty group."""
+    every, none = switches.all(axis=0).tolist(), (~switches.any(axis=0)).tolist()
+    groups = []
+    for t, (refresh_all, correct_all) in enumerate(zip(every, none)):
+        if refresh_all or correct_all:
+            groups.append(((refresh_all, _ALL),))
+        else:
+            col = switches[:, t]
+            groups.append(((True, np.flatnonzero(col)), (False, np.flatnonzero(~col))))
+    return groups
 
 
 # a diverging run is reported by the F and v_k checks, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
-    """The cycle engine. ``cyclic`` picks the update order; with ``rngs`` the
-    gradient estimator is the recursive one with cfg's p, b, b' and sample
-    sharing, without it exact gradients."""
+def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
+    """The cycle engine, stepping a stack of seeds in lockstep: one
+    ``RngBundle`` per seed, or ``(None,)`` for exact gradients. ``cyclic``
+    picks the update order; with bundles the gradient estimator is the
+    recursive one with cfg's p, b, b' and sample sharing. Returns per seed
+    ``(x, trace)``, or the ``NonFiniteObjectiveError`` it stopped with."""
     part = prob.partition
     d = part.dim
     finite = prob.is_finite
     record_u = cfg.record_u
-    recursive = rngs is not None
+    recursive = bundles[0] is not None
     if not (recursive or finite):
         raise ValueError("exact gradients need a finite sum")
     missing = [name for name in ("p", "b", "b_prime") if recursive and getattr(cfg, name) is None]
@@ -324,8 +413,8 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
         raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
     if record_u and not finite:
         raise ValueError("anchor-error recording needs exact gradients (finite sums)")
-    x = np.array(cfg.x0, dtype=float)
-    if x.shape != (d,):
+    x0 = np.array(cfg.x0, dtype=float)
+    if x0.shape != (d,):
         raise ValueError("x0 does not match the problem dimension")
     # with eta > 0 (the config) and positive metric entries (DiagonalMetric),
     # matching partitions are all the per-step prox needs: every block's
@@ -338,109 +427,142 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
 
     # the step plan, built once: per group of blocks (each block in the
     # cyclic order, all of them in the simultaneous one), its exact and batch
-    # gradients and its prox step, bound to its rows and metric entries, and
-    # fixed views of x, est (every block's g, and its anchor), mids (exact
-    # intermediate gradients) and the two rotating buffers that hold x_{k-1}
-    # and x_{k-2} in turn
-    est = np.empty(d)
-    mids = np.empty(d) if record_u else None
+    # gradients and its prox step, bound to its rows and metric entries. The
+    # state of every seed is a row of an (S, d) stack: x, est (every block's
+    # g, and its anchor), mids (exact intermediate gradients) and the two
+    # rotating buffers that hold x_{k-1} and x_{k-2} in turn; each unit steps
+    # its columns of them
+    seeds = len(bundles)
+    # x is row 0 of ``points``, whose row 1 holds a correction's matching
+    # point of the previous cycle: a correction's two points are one array
+    points = np.empty((2, seeds, d))
+    x = points[0]
+    x[...] = x0
+    est = np.empty((seeds, d))
+    mids = np.empty((seeds, d)) if record_u else None
     prevs = (x.copy(), x.copy())
+
+    def on_stack(unit):
+        """The unit with views of its columns over the seeds in the stack."""
+        cols = slice(unit.lead, unit.lead + unit.size)
+        return unit._replace(x=x[:, cols], est=est[:, cols], est_col=est[:, cols, None],
+                             mid=None if mids is None else mids[:, cols, None],
+                             centers=(prevs[0][:, cols], prevs[1][:, cols]))
+
     exact = not recursive or record_u
     m = part.num_blocks
     plan = []
     for blocks in [slice(j, j + 1) for j in range(m)] if cyclic else [slice(0, m)]:
         cols = slice(part.offsets[blocks.start], part.offsets[blocks.stop])
-        plan.append(_Unit(
+        plan.append(on_stack(_Unit(
             cols.start, cols.stop - cols.start, prob.group_kernel(blocks) if exact else None,
             prob.group_batch_grads(blocks) if recursive else None,
-            reg.prox_step(cfg.eta, cfg.metric.entries[cols]), x[cols], est[cols],
-            None if mids is None else mids[cols], (prevs[0][cols], prevs[1][cols])))
+            # a (1, size) metric row: a stack of one steps without broadcasting
+            reg.prox_step(cfg.eta, cfg.metric.entries[None, cols]), None, None, None, None, None)))
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
     eta = cfg.eta
     scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
-    # the chunk buffers: the iterates of a chunk (row 0 the one before it),
-    # each cycle's estimates and intermediate gradients, and per cycle the
-    # squares behind v_k, s_k, (cyclic, with record_u) the intermediate
-    # residual and (with record_u) u_k, one row each, beside contiguous rows
-    # of their weights. Each row is summed per block, but the simultaneous
-    # order's u_k row over the whole vector, as one run.
+    # the chunk buffers, per cycle one row per seed: the iterates of a chunk
+    # (row 0 the one before it), each cycle's estimates and intermediate
+    # gradients, and the squares behind v_k, s_k, (cyclic, with record_u)
+    # the intermediate residual and (with record_u) u_k, one row each,
+    # beside contiguous rows of their weights. Each row is summed per block,
+    # but the simultaneous order's u_k row over the whole vector, as one run.
+    # The diagnostics read a chunk's c cycles of S seeds as c * S rows, cycle
+    # by cycle.
     mid_row = record_u and cyclic
     rows = 2 + mid_row + record_u
     per_block = rows if cyclic else 2
     cap = min(cfg.cycles, CHUNK_CYCLES)
-    xs = np.empty((cap + 1, d))
-    ests = np.empty((cap, d))
-    mid_buf = np.empty((cap, d)) if record_u else None
-    sq = np.zeros((cap, rows, d))
-    weights = np.empty((cap, rows, d))
+    xs = np.empty((cap + 1, seeds, d))
+    ests = np.empty((cap, seeds, d))
+    mid_buf = np.empty((cap, seeds, d)) if record_u else None
+    sq = np.zeros((cap * seeds, rows, d))
+    weights = np.empty((cap * seeds, rows, d))
     weights[:, 0] = lam_k
     weights[:, 1:] = inv_k
 
-    def row_sums(c):
-        """Squares ``sq[:c]`` in place; per cycle, the sum of each row."""
-        block = sq[:c]
+    def row_sums(n):
+        """Squares ``sq[:n]`` in place; per row, the sum of each of its rows."""
+        block = sq[:n]
         np.multiply(block, block, out=block)
-        sums = _block_norms_sums(_run_views(block[:, :per_block], weights[:c, :per_block], part.runs))
+        sums = _block_norms_sums(_run_views(block[:, :per_block], weights[:n, :per_block], part.runs))
         if per_block < rows:
             whole = _block_norms_sums(
-                _run_views(block[:, per_block:], weights[:c, per_block:], ((0, d, 1, d),)))
+                _run_views(block[:, per_block:], weights[:n, per_block:], ((0, d, 1, d),)))
             sums = [head + tail for head, tail in zip(sums, whole)]
         return sums
 
-    k_out = None
-    trace = RunTrace(seed=None if rngs is None else rngs.seed)
-    if rngs is not None:
-        k_out = int(rngs.output.integers(1, cfg.cycles + 1))
-        trace.meta["output_index"] = k_out
+    traces = [RunTrace(seed=None if rngs is None else rngs.seed) for rngs in bundles]
+    k_outs = [None] * seeds
+    if recursive:
+        k_outs = [int(rngs.output.integers(1, cfg.cycles + 1)) for rngs in bundles]
+        for trace, k_out in zip(traces, k_outs):
+            trace.meta["output_index"] = k_out
     if cfg.keep_iterates:
-        trace.iterates = [x.copy()]
+        for trace in traces:
+            trace.iterates = [x0.copy()]
     t0 = time.perf_counter_ns()
 
-    # anchor the estimator with a size-b batch at the start point; with
-    # p = 1 no anchor is ever read (the estimator is plain minibatch SGD),
-    # so no anchor batch is drawn, u_0 stays unrecorded, and the streams
-    # line up with the SGD baseline under a shared seed
-    work = 0
+    # anchor the estimator with a size-b batch at the start point, one per
+    # seed; with p = 1 no anchor is ever read (the estimator is plain
+    # minibatch SGD), so no anchor batch is drawn, u_0 stays unrecorded, and
+    # the streams line up with the SGD baseline under a shared seed
+    work = [0] * seeds
     exact_work = None if recursive else prob.n * d  # each cycle's, summed over its blocks
     anchored = recursive and cfg.p < 1.0
-    u0 = 0.0 if record_u and (anchored or not recursive) else None
+    u0s = [0.0 if record_u and (anchored or not recursive) else None] * seeds
     if anchored:
-        est[...] = prob.group_batch_grads(slice(None))(prob.draw_batch(rngs.batch, cfg.b), (x,))[0]
-        work = cfg.b * d
+        anchors = [prob.draw_batch(rngs.batch, cfg.b) for rngs in bundles]
+        est[...] = prob.group_batch_grads(slice(None))(anchors, x[None])[0]
+        work = [cfg.b * d] * seeds
         if record_u:
             for unit in plan:
-                unit.kernel(x, unit.mid)
-            np.subtract(est, mids, out=sq[0, -1])
-            u0 = row_sums(1)[0][-1]
-    # every estimate's switch, then the size-b (refresh) or size-b'
-    # (correction) batch each switch calls for, from the streams in the
-    # order that one switch and one batch per estimate would take them;
-    # shared sampling draws one of each per cycle
+                unit.kernel(x[:, :, None], unit.mid)
+            np.subtract(est, mids, out=sq[:seeds, -1])
+            u0s = [row[-1] for row in row_sums(seeds)]
+    # per seed, every estimate's switch, then the size-b (refresh) or size-b'
+    # (correction) batch each switch calls for, from its streams in the order
+    # that one switch and one batch per estimate would take them; shared
+    # sampling draws one of each per cycle. Per estimate step, the seeds that
+    # refresh and those that correct each take one gradient call
     shared = cfg.sample_sharing == SHARED_PER_CYCLE
     if recursive:
         count = cfg.cycles * (1 if shared else len(plan))
-        refreshes = bernoulli_switches(rngs.switch, cfg.p, count).tolist()
-        sizes = [cfg.b if refresh else cfg.b_prime for refresh in refreshes]
-        draws = zip(refreshes, prob.draw_batches(rngs.batch, sizes))
-    (f0,), _ = _trace_values_grads(prob, reg, x[None], cfg.surrogate_samples, rngs, want_grad=False)
-    trace.add_row(0, f0, None, 0.0, u0, None, work, 0)
+        switches = np.array([bernoulli_switches(rngs.switch, cfg.p, count) for rngs in bundles])
+        draws = [iter(prob.draw_batches(rngs.batch, np.where(refreshes, cfg.b, cfg.b_prime).tolist()))
+                 for rngs, refreshes in zip(bundles, switches)]
+        groups = _step_groups(switches)
+    streams = [None if rngs is None else rngs.surrogate for rngs in bundles]
+    values, _ = _trace_values_grads(prob, reg, x, cfg.surrogate_samples, streams, want_grad=False)
+    for trace, f0, u0, w0 in zip(traces, values, u0s, work):
+        trace.add_row(0, f0, None, 0.0, u0, None, w0, 0)
 
     # the cycles run in chunks of 1, 2, 4, ... up to CHUNK_CYCLES. Per cycle,
     # each group estimates g at x, takes its prox step from x_{k-1} and
     # writes its coordinates: a group is not written before its own step, so
     # x_{k-1} over its coordinates is its center, and x is x_{k-1} until the
     # first group steps. The residuals and the per-cycle sums over them are
-    # taken for the whole chunk once its last cycle ends; then its rows are
-    # checked and recorded in order, and a stop or a non-finite row discards
-    # the cycles after it.
-    best_v, best_x = math.inf, x.copy()
-    x_hat = None
+    # taken for the whole chunk once its last cycle ends; then each seed's
+    # rows are checked and recorded in order, and a stop or a non-finite row
+    # discards the seed's cycles after it. A seed that stops, diverges or
+    # replays its orbit leaves the stack at the chunk's end; the others run
+    # on. Each seed is charged an equal share of the stack's time.
+    results = [None] * seeds
+    active = list(range(seeds))  # the seeds in the stack, by bundle index
+    best = [(math.inf, x0.copy())] * seeds
+    x_hats = [None] * seeds
+    spent = [0] * seeds
+    clock = t0
     k = 0
+    t = 0  # the next estimate step
+    x_col = x[:, :, None]  # x as the exact kernels take it, a stack of columns
     chunk = 1
-    stopped = False
-    while k < cfg.cycles and not stopped:
+    while True:
         c = min(chunk, cfg.cycles - k)
         chunk = min(2 * chunk, CHUNK_CYCLES)
+        stack = len(active)
+        n = c * stack
         xs[0] = x
         works, walls = [], []
         for i in range(c):
@@ -448,83 +570,123 @@ def _run_cycles(prob, reg, cfg: RunConfig, cyclic, rngs=None):
             cur = (k + i) % 2  # prevs[cur] holds x_{k-1}, the other x_{k-2}
             x_prev, x_prev2 = prevs[cur], prevs[1 - cur]
             if not recursive:
-                work += exact_work
-            for u, (lead, size, kernel, grads, step, x_u, est_u, mid_u, centers) in enumerate(plan):
+                work[0] += exact_work
+            for u, (lead, size, kernel, grads, step, x_u, est_u, est_col, mid_u, centers) in enumerate(
+                    plan):
                 if not recursive:
-                    kernel(x, est_u)
+                    kernel(x_col, est_col)
                 else:
                     if u == 0 or not shared:
-                        refresh, batch = next(draws)
-                    if refresh:
-                        est_u[...] = grads(batch, (x,))[0]
-                        work += cfg.b * size
-                    else:
-                        # the matching point of the previous cycle
-                        old = np.concatenate((x_prev[:lead], x_prev2[lead:]))
-                        g_x, g_old = grads(batch, (x, old))
-                        est_u += g_x - g_old
-                        work += cfg.b_prime * size
+                        batches = list(map(next, draws))
+                        step_groups = groups[t]
+                        t += 1
+                    for refresh, among in step_groups:
+                        picked = batches if among is _ALL else [batches[s] for s in among]
+                        if refresh:
+                            est_u[among] = grads(picked, points[:1, among])[0]
+                        else:
+                            # the matching point of the previous cycle
+                            np.concatenate((x_prev[:, :lead], x_prev2[:, lead:]), axis=1, out=points[1])
+                            g_x, g_old = grads(picked, points[:, among])
+                            est_u[among] += g_x - g_old
+                        cost = (cfg.b if refresh else cfg.b_prime) * size
+                        for s in range(stack) if among is _ALL else among:
+                            work[s] += cost
                 if record_u:
-                    kernel(x, mid_u)
+                    kernel(x_col, mid_u)
                 step(centers[cur], est_u, x_u)
             np.copyto(x_prev2, x)  # the next cycle's x_{k-1}
             xs[i + 1] = x
             ests[i] = est
             if record_u:
                 mid_buf[i] = mids
-            works.append(work)
-            walls.append(time.perf_counter_ns() - t_iter)
+            works.append(work.copy())
+            walls.append((time.perf_counter_ns() - t_iter) // stack)
 
         t_diag = time.perf_counter_ns()
-        xk, xk_prev = xs[1 : c + 1], xs[:c]
+        xk, xk_prev = xs[1 : c + 1].reshape(n, d), xs[:c].reshape(n, d)
         resid = lam_k * (xk_prev - xk)
         if scaled:
             resid /= eta
-        resid -= ests[:c]
-        np.subtract(xk, xk_prev, out=sq[:c, 0])
-        values, grads = _trace_values_grads(prob, reg, xk, cfg.surrogate_samples, rngs)
-        if grads is not None:
-            np.add(grads, resid, out=sq[:c, 1])
+        resid -= ests[:c].reshape(n, d)
+        np.subtract(xk, xk_prev, out=sq[:n, 0])
+        values, full_grads = _trace_values_grads(prob, reg, xk, cfg.surrogate_samples, streams)
+        if full_grads is not None:
+            np.add(full_grads, resid, out=sq[:n, 1])
         if mid_row:
-            np.add(mid_buf[:c], resid, out=sq[:c, 2])
+            np.add(mid_buf[:c].reshape(n, d), resid, out=sq[:n, 2])
         if record_u:
-            np.subtract(ests[:c], mid_buf[:c], out=sq[:c, -1])
-        sums = row_sums(c)
-        share = (time.perf_counter_ns() - t_diag) // c
+            np.subtract(ests[:c].reshape(n, d), mid_buf[:c].reshape(n, d), out=sq[:n, -1])
+        sums = row_sums(n)
+        share = (time.perf_counter_ns() - t_diag) // n
 
-        for i in range(c):
-            k += 1
-            f_k, row = values[i], sums[i]
-            v_k = row[0]
-            if not math.isfinite(v_k if f_k is None else f_k):
-                err = NonFiniteObjectiveError(k, f_k) if f_k is not None else NonFiniteObjectiveError(
-                    k, v_k, "objective value not recorded; squared step v_k =")
-                err.trace = trace  # every row before this one
-                raise err
-            if k_out is None and v_k < best_v:
-                best_v = v_k
-                best_x = xk[i].copy()
-            if k == k_out:
-                x_hat = xk[i].copy()
-            if cfg.keep_iterates:
-                trace.iterates.append(xk[i].copy())
-            trace.add_row(k, f_k, None if grads is None else row[1], v_k,
-                          row[-1] if record_u else None, row[2] if mid_row else None,
-                          works[i], walls[i] + share)
-            if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
-                stopped = True
-                break
-        # an exact chunk whose last iterate repeats an earlier one bit for
-        # bit has entered its orbit: the remaining rows are copies
-        if not (recursive or stopped) and k < cfg.cycles:
-            period = _orbit_period(xs[: c + 1])
-            if period:
-                trace.meta["orbit"] = (k, period)
-                _replay_orbit(trace, period, cfg.cycles, exact_work)
-                break
-    trace.meta["wall_total_ns"] = time.perf_counter_ns() - t0
-    return (best_x if k_out is None else x_hat), trace
-
+        leaving = []
+        for r, s in enumerate(active):
+            trace, k_out, stopped = traces[s], k_outs[s], False
+            for j in range(r, n, stack):  # the seed's rows, cycle by cycle
+                i = j // stack
+                k_j, f_k, row = k + 1 + i, values[j], sums[j]
+                v_k = row[0]
+                if not math.isfinite(v_k if f_k is None else f_k):
+                    err = NonFiniteObjectiveError(k_j, f_k) if f_k is not None else (
+                        NonFiniteObjectiveError(k_j, v_k, "objective value not recorded; squared step v_k ="))
+                    err.trace = trace  # every row before this one
+                    results[s] = err
+                    break
+                if k_out is None and v_k < best[s][0]:
+                    best[s] = v_k, xk[j].copy()
+                if k_j == k_out:
+                    x_hats[s] = xk[j].copy()
+                if cfg.keep_iterates:
+                    trace.iterates.append(xk[j].copy())
+                trace.add_row(k_j, f_k, None if full_grads is None else row[1], v_k,
+                              row[-1] if record_u else None, row[2] if mid_row else None,
+                              works[i][r], walls[i] + share)
+                if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
+                    stopped = True
+                    break
+            # an exact chunk whose last iterate repeats an earlier one bit for
+            # bit has entered its orbit: the remaining rows are copies
+            if results[s] is None and not (recursive or stopped) and k + c < cfg.cycles:
+                period = _orbit_period(xs[: c + 1, r])
+                if period:
+                    trace.meta["orbit"] = (k + c, period)
+                    _replay_orbit(trace, period, cfg.cycles, exact_work)
+                    stopped = True
+            if results[s] is not None or stopped or k + c == cfg.cycles:
+                leaving.append(r)
+        k += c
+        now = time.perf_counter_ns()
+        for s in active:
+            spent[s] += (now - clock) // stack
+        clock = now
+        for r in leaving:
+            s = active[r]
+            traces[s].meta["wall_total_ns"] = spent[s]
+            if results[s] is None:
+                results[s] = (best[s][1] if k_outs[s] is None else x_hats[s]), traces[s]
+        if len(leaving) == stack:
+            return results
+        if leaving:
+            # the stack sheds the seeds that left: every seed-axis array and
+            # the unit views over them keep the remaining rows
+            keep = [r for r in range(stack) if r not in leaving]
+            active = [active[r] for r in keep]
+            points, est, work = points[:, keep], est[keep], [work[r] for r in keep]
+            x = points[0]
+            mids = None if mids is None else mids[keep]
+            prevs = (prevs[0][keep], prevs[1][keep])
+            xs, ests = xs[:, keep], ests[:, keep]
+            mid_buf = None if mid_buf is None else mid_buf[:, keep]
+            sq = sq.reshape(cap, stack, rows, d)[:, keep].reshape(-1, rows, d)
+            weights = weights[: cap * len(keep)]
+            plan = [on_stack(unit) for unit in plan]
+            x_col = x[:, :, None]
+            streams = [streams[r] for r in keep]
+            if recursive:
+                draws = [draws[r] for r in keep]
+                switches = switches[keep]
+                groups = _step_groups(switches)
 
 def _orbit_period(xs) -> int:
     """The smallest p such that the last row of the (c + 1, d) stack ``xs``
@@ -557,27 +719,30 @@ def _replay_orbit(trace, period, cycles, cycle_work):
     trace.wall_ns.extend([(time.perf_counter_ns() - t0) // n] * n)
 
 
-def _trace_values_grads(prob, reg, points, surrogate_samples, rngs, want_grad=True):
-    """F and, with ``want_grad``, the full gradient at each row of the (c, d)
-    stack ``points``, for trace rows: a list of values and a (c, d) array.
+def _trace_values_grads(prob, reg, points, surrogate_samples, streams, want_grad=True):
+    """F and, with ``want_grad``, the full gradient at each row of the
+    (c * S, d) stack ``points``, cycle by cycle, for trace rows: a list of
+    values and a (c * S, d) array.
 
     Exact for finite sums, from one stacked ``values_and_grads`` call.
-    Streaming objectives use a seeded surrogate batch per row (both
-    quantities are then sample estimates and labeled approximate by the
-    harness); a streaming quadratic's batch is the column mean of its linear
-    terms, drawn in chunks, so the surrogate holds O(chunk * d) memory at any
+    Streaming objectives use a seeded surrogate batch per row, seed s's
+    drawn from its stream ``streams[s]`` in cycle order (both quantities are
+    then sample estimates and labeled approximate by the harness); a
+    streaming quadratic's batch is the column mean of its linear terms,
+    drawn in chunks, so the surrogate holds O(chunk * d) memory at any
     sample count. With no surrogate budget they are skipped.
     """
     if prob.is_finite:
         values, grads = prob.values_and_grads(points)
     elif surrogate_samples > 0:
-        values, grads = [], np.empty_like(points) if want_grad else None
+        values, grads = [None] * len(points), np.empty_like(points) if want_grad else None
         full = prob.group_batch_grads(slice(None))
-        for i, x in enumerate(points):
-            batch = prob.draw_batch(rngs.surrogate, int(surrogate_samples))
-            values.append(prob.batch_value(batch, x))
-            if want_grad:
-                grads[i] = full(batch, (x,))[0]
+        for s, stream in enumerate(streams):
+            for r in range(s, len(points), len(streams)):
+                batch = prob.draw_batch(stream, int(surrogate_samples))
+                values[r] = prob.batch_value(batch, points[r])
+                if want_grad:
+                    grads[r] = full([batch], points[None, r : r + 1])[0, 0]
     else:
         return [None] * len(points), None
     return [f + total_value(reg, x, prob.partition) for f, x in zip(values, points)], grads

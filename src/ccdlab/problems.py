@@ -16,23 +16,31 @@ reaches F*) and ``pl_constant(metric)`` (the gradient-dominance mu, or None).
 
 Gradients are stated once per *group*, a slice of consecutive blocks: the
 cycle engine's cyclic order steps one-block groups, its simultaneous order
-one group of every block. A finite family's ``group_kernel(blocks)`` is the
-group's exact gradient, bound once to its rows, as ``kernel(x, out=None)``;
-every family's ``group_batch_grads(blocks)`` is the group's batch gradient
-at each of one or more points (a correction asks for two), from one gather
-of the batch rows. The engine builds both once per group per run;
-``block_grad`` and ``batch_block_grad`` build a one-block group's and call
-it once. The generic bodies loop over the blocks, so a one-block group is
-its block's function itself, and each block's slice of a wider group keeps
-that function's bits. The two sigmoid families share one override, which
-takes one coefficient pass per batch and point and multiplies it into each
-block's rows; each slice is still bitwise the one-block gradient. Algorithm
-equivalences that promise bitwise-equal trajectories rely on this. Each
-finite family states F and the full gradient once, at a stack of points, in
-``values_and_grads``, which the trace rows of a chunk of cycles read;
-``value`` and ``full_grad`` are its one-point case. The quadratic family
-stacks the rows into a few matmuls that make the same per-row BLAS calls;
-the sigmoid family calls its all-blocks kernel row by row.
+one group of every block. Both take a *seed stack*, one row per seed of the
+runs the engine steps together. A finite family's ``group_kernel(blocks)``
+is the group's exact gradient, bound once to its rows, as
+``kernel(cols, out=None)``: at each point of ``cols``, an (S, d, 1) stack
+of columns, the (S, size, 1) stack of gradients. The engine calls it on
+views of its stack that it takes once, which matmul reads and writes as
+they are: a stack of one steps as fast as a single vector. Every family's ``group_batch_grads(blocks)`` is the group's
+batch gradient as ``grads(batches, points)``: ``batches`` holds one batch
+per seed and ``points`` is a (P, S, d) array of P points per seed (a
+correction asks for two); it returns the (P, S, size) gradients, row s
+from seed s's batch. The engine builds both once per group per run; ``block_grad`` and
+``batch_block_grad`` build a one-block group's and call it on a stack of
+one. Each row is bitwise the one-seed, one-block gradient: the quadratic
+families make one stacked matmul per run of equal-size blocks, in which
+each block's rows are the same (d_j, d) gemv per seed, batch row and point
+that a one-block call makes, and the quadratic finite sum gathers the batch
+rows of all its seeds at once; the sigmoid families loop over the
+seeds and take one coefficient pass per batch and point, multiplied into
+each block's rows. Algorithm equivalences that promise bitwise-equal
+trajectories rely on this. Each finite family states F and the full
+gradient once, at a stack of points, in ``values_and_grads``, which the
+trace rows of a chunk of cycles read; ``value`` and ``full_grad`` are its
+one-point case. The quadratic family stacks the rows into a few matmuls
+that make the same per-row BLAS calls; the sigmoid family calls its
+all-blocks kernel on the whole stack.
 """
 
 from __future__ import annotations
@@ -83,17 +91,30 @@ class _Objective:
 
     def batch_block_grad(self, batch, j: int, x: np.ndarray) -> np.ndarray:
         """Block j's batch gradient at x, from its one-block group."""
-        return self.group_batch_grads(slice(j, j + 1))(batch, (x,))[0]
+        return self.group_batch_grads(slice(j, j + 1))([batch], x[None, None])[0, 0]
 
-    def group_batch_grads(self, blocks: slice):
-        """The batch gradient over the blocks ``blocks`` as ``grads(batch,
-        points)``: a list of one gradient per point. The generic body joins
-        each block's ``_rows_batch_grads``."""
-        per_block = [self._rows_batch_grads(cols) for cols in self.partition.slices[blocks]]
-        if len(per_block) == 1:
-            return per_block[0]
-        return lambda batch, points: [np.concatenate(parts) for parts in zip(
-            *(grads(batch, points) for grads in per_block))]
+    def _group_cols(self, blocks: slice) -> slice:
+        """The coordinates of the blocks ``blocks``."""
+        start, stop, _ = blocks.indices(self.partition.num_blocks)
+        return slice(self.partition.offsets[start], self.partition.offsets[stop])
+
+    def _group_runs(self, blocks: slice) -> list[tuple[int, int, int, int]]:
+        """``(start, stop, count, size)`` per run of consecutive equal-size
+        blocks among ``blocks``: the partition's runs, cut to the group."""
+        cols = self._group_cols(blocks)
+        cut = ((max(s, cols.start), min(e, cols.stop), w) for s, e, _, w in self.partition.runs)
+        return [(s, e, (e - s) // w, w) for s, e, w in cut if s < e]
+
+
+def _run_products(mats, points) -> np.ndarray:
+    """Per row of the (S, d) ``points``, the product with the rows of each
+    (count, size, d) view in ``mats`` (one per run of equal-size blocks),
+    joined: one stacked matmul per run, each block one (size, d) gemv per
+    point, as a one-block ``mat @ x`` makes it."""
+    col = points[:, None, :, None]
+    if len(mats) == 1:
+        return np.matmul(mats[0], col).reshape(len(points), -1)
+    return np.concatenate([np.matmul(mat, col).reshape(len(points), -1) for mat in mats], axis=1)
 
 
 class FiniteSumObjective(_Objective):
@@ -114,7 +135,7 @@ class FiniteSumObjective(_Objective):
         return True
 
     def block_grad(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self.group_kernel(slice(j, j + 1))(x)
+        return self.group_kernel(slice(j, j + 1))(x[None, :, None])[0, :, 0]
 
     def value(self, x: np.ndarray) -> float:
         """F(x), the one-point case of the family's ``values_and_grads``."""
@@ -123,15 +144,6 @@ class FiniteSumObjective(_Objective):
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         """The full gradient at x, the one-point case of ``values_and_grads``."""
         return self.values_and_grads(x[None])[1][0]
-
-    def group_kernel(self, blocks: slice):
-        """The exact gradient over the blocks ``blocks``, bound to their rows,
-        as ``kernel(x, out=None)``; with ``out`` it writes there. The generic
-        body joins each block's ``_rows_kernel``."""
-        kernels = [self._rows_kernel(cols) for cols in self.partition.slices[blocks]]
-        if len(kernels) == 1:
-            return kernels[0]
-        return lambda x, out=None: np.concatenate([kernel(x) for kernel in kernels], out=out)
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sampling.draw_minibatch(rng, self.n, size)
@@ -190,17 +202,15 @@ class QuadraticFiniteSum(FiniteSumObjective):
     def values_and_grads(self, points):
         # each stacked matmul makes the same call for every row: the (d, d)
         # gemv and the two dots of the value, and one (size, d) gemv per
-        # block of the gradient, the one-row product _rows_kernel makes
+        # block of the gradient, the product a one-block kernel makes
         cols = points[:, :, None]
         quad_x = np.matmul(self.mean_quad, cols)
         values = np.matmul(0.5 * points[:, None, :], quad_x)
         values += np.matmul(self.mean_lin[None, None, :], cols)
         values += self.mean_const
-        c = len(points)
-        parts = [np.matmul(q, cols[:, None]).reshape(c, -1) for q in self._mean_quad_runs]
-        grads = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        grads = _run_products(self._mean_quad_runs, points)
         grads += self.mean_lin
-        return values.reshape(c).tolist(), grads
+        return values.reshape(len(points)).tolist(), grads
 
     @cached_property
     def _mean_quad_runs(self) -> tuple[np.ndarray, ...]:
@@ -208,29 +218,54 @@ class QuadraticFiniteSum(FiniteSumObjective):
         d = self.dim
         return tuple(self.mean_quad[s:e].reshape(c, w, d) for s, e, c, w in self.partition.runs)
 
-    def _rows_kernel(self, cols):
-        quad, lin = self.mean_quad[cols], self.mean_lin[cols]
+    def group_kernel(self, blocks: slice):
+        """The exact gradient over the blocks ``blocks``, bound to their rows,
+        as ``kernel(cols, out=None)``; with ``out`` it writes there."""
+        runs = self._group_runs(blocks)
+        d = self.dim
+        # a (1, size, 1) column: a stack of one adds without broadcasting
+        lin = self.mean_lin[None, runs[0][0] : runs[-1][1], None]
+        if len(runs) > 1 or runs[0][2] > 1:
+            mats = [self.mean_quad[s:e].reshape(c, w, d) for s, e, c, w in runs]
+            return lambda cols, out=None: np.add(_run_products(mats, cols[:, :, 0])[:, :, None],
+                                                 lin, out=out)
+        # one block, as the cyclic order steps it: its (size, d) gemv per
+        # column, written in place, then the linear term added
+        rows = self.mean_quad[runs[0][0] : runs[0][1]]
 
-        def kernel(x, out=None):
-            out = np.matmul(quad, x, out=out)
-            out += lin
-            return out
+        def kernel(cols, out=None):
+            out = np.matmul(rows, cols, out=out)
+            return np.add(out, lin, out=out)
 
         return kernel
 
-    def _rows_batch_grads(self, cols):
-        kernel, quad, lin, n = self._rows_kernel(cols), self.quad, self.lin, self.n
+    def group_batch_grads(self, blocks: slice):
+        """The batch gradient over the blocks ``blocks`` as ``grads(batches,
+        points)``, each seed's batch an index array of one size."""
+        kernel, runs = self.group_kernel(blocks), self._group_runs(blocks)
+        quad, lin, n, d = self.quad, self.lin, self.n, self.dim
+        cols = slice(runs[0][0], runs[-1][1])
+        block_cols = [slice(a - cols.start, a - cols.start + w)
+                      for s, e, _, w in runs for a in range(s, e, w)]
 
-        def grads(batch, points):
+        def grads(batches, points):
+            idx = np.asarray(batches)
+            count, size = idx.shape
             # a full batch without replacement is the exact average
-            idx = np.asarray(batch)
-            size = idx.shape[0]
             if size == n:
-                return [kernel(x) for x in points]
-            # one gather of the batch rows serves every point; add.reduce
-            # then divide by the count is what mean does, without its wrapper
-            q, l = quad[idx, cols, :], lin[idx, cols]
-            return [(q @ x + l).sum(axis=0) / size for x in points]
+                return kernel(points.reshape(-1, d, 1)).reshape(len(points), count, -1)
+            # one gather of every seed's batch rows per run serves every point;
+            # each block's product is one (d_j, d) gemv per point, seed and
+            # batch row, and its rows are added in batch order, then divided
+            # by the count, as a one-seed, one-block mean adds them
+            col, shape = points[:, :, None, None, :, None], (len(points), count, size, -1)
+            parts = [np.matmul(quad[idx, s:e, :].reshape(count, size, c, w, d), col).reshape(shape)
+                     for s, e, c, w in runs]
+            prods = np.concatenate(parts, axis=3) if len(parts) > 1 else parts[0]
+            prods += lin[idx, cols]
+            sums = [np.add.reduce(prods[..., block], axis=2) for block in block_cols]
+            total = np.concatenate(sums, axis=2) if len(sums) > 1 else sums[0]
+            return np.divide(total, size, out=total)
 
         return grads
 
@@ -309,15 +344,21 @@ class QuadraticFiniteSum(FiniteSumObjective):
 
 
 class _SigmoidLoss:
-    """What the two sigmoid families share: a group's batch gradient gathers
-    the batch rows once and takes one coefficient pass per point."""
+    """What the two sigmoid families share: a group's batch gradient takes,
+    per seed, its batch rows once and one coefficient pass per point."""
 
     def group_batch_grads(self, blocks: slice):
         grad = _sigmoid_group(self.partition.slices[blocks])
+        cols = self._group_cols(blocks)
+        size = cols.stop - cols.start
 
-        def grads(batch, points):
-            rows, labels = self._batch_rows(batch)
-            return [grad(rows, labels, x) for x in points]
+        def grads(batches, points):
+            out = np.empty((len(points), len(batches), size))
+            for s, batch in enumerate(batches):
+                rows, labels = self._batch_rows(batch)
+                for p, o in zip(points, out):
+                    grad(rows, labels, p[s], o[s])
+            return out
 
         return grads
 
@@ -351,13 +392,22 @@ class SigmoidClassification(_SigmoidLoss, FiniteSumObjective):
         return float(_expit()(-z))
 
     def values_and_grads(self, points):
-        kernel = self.group_kernel(slice(None))
         values = [_sigmoid_value(self.rows, self.labels, x) for x in points]
-        return values, np.array([kernel(x) for x in points])
+        return values, self.group_kernel(slice(None))(points[:, :, None])[:, :, 0]
 
     def group_kernel(self, blocks: slice):
         grad, rows, labels = _sigmoid_group(self.partition.slices[blocks]), self.rows, self.labels
-        return lambda x, out=None: grad(rows, labels, x, out)
+        cols = self._group_cols(blocks)
+        size = cols.stop - cols.start
+
+        def kernel(cols, out=None):
+            if out is None:
+                out = np.empty((len(cols), size, 1))
+            for x, o in zip(cols, out):
+                grad(rows, labels, x[:, 0], o[:, 0])
+            return out
+
+        return kernel
 
     def _batch_rows(self, batch):
         # a full batch without replacement is the exact average
@@ -531,9 +581,20 @@ class StreamingQuadratic(StreamingObjective):
     def batch_value(self, batch, x):
         return float(0.5 * x @ (self.quad @ x) + batch.lin @ x)
 
-    def _rows_batch_grads(self, cols):
-        quad = self.quad[cols]
-        return lambda batch, points: [quad @ x + batch.lin[cols] for x in points]
+    def group_batch_grads(self, blocks: slice):
+        """The batch gradient over the blocks ``blocks`` as ``grads(batches,
+        points)``: the shared curvature's rows times each point, plus each
+        seed's batch mean of the linear terms."""
+        runs = self._group_runs(blocks)
+        mats = [self.quad[s:e].reshape(c, w, self.dim) for s, e, c, w in runs]
+        cols = slice(runs[0][0], runs[-1][1])
+
+        def grads(batches, points):
+            lins = np.array([batch.lin[cols] for batch in batches])
+            prods = _run_products(mats, points.reshape(-1, self.dim))
+            return np.add(prods.reshape(len(points), len(batches), -1), lins)
+
+        return grads
 
     # population quantities, exact for this family
     def population_grad(self, x):
@@ -610,11 +671,15 @@ class StreamingClassification(_SigmoidLoss, StreamingObjective):
 # --------------------------------------------------------------------------
 
 
-def _random_symmetric(rng: np.random.Generator, eigs: np.ndarray) -> np.ndarray:
+def _random_symmetric(rng: np.random.Generator, eigs: np.ndarray, out=None) -> np.ndarray:
+    """A random symmetric matrix with eigenvalues ``eigs``; with ``out`` it
+    is written there."""
     d = eigs.shape[0]
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
     a = (basis * eigs) @ basis.T
-    return 0.5 * (a + a.T)
+    out = np.add(a, a.T, out=out)
+    out *= 0.5
+    return out
 
 
 def generate_quadratic(
@@ -653,7 +718,10 @@ def generate_quadratic(
         shared = _random_symmetric(rng, eig_draw())
         quad = np.broadcast_to(shared, (n, d, d)).copy()
     else:
-        quad = np.stack([_random_symmetric(rng, eig_draw()) for _ in range(n)])
+        # each component is written into its slot: the instance is never held twice
+        quad = np.empty((n, d, d))
+        for i in range(n):
+            _random_symmetric(rng, eig_draw(), out=quad[i])
     lin = rng.standard_normal((n, d))
     const = rng.standard_normal(n)
     return QuadraticFiniteSum(quad, lin, const, partition, identical_components=identical_curvature)

@@ -42,25 +42,26 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> f
         return 0.0
     # w is M @ v for the current direction v: the Rayleigh quotient's product
     # is the next step's, and ||w|| is computed as np.linalg.norm does. Both
-    # are fixed buffers, written in place
+    # are fixed buffers, written in place. The bound ``dot`` methods make the
+    # BLAS calls np.dot makes, without its dispatch
     w = M @ (np.ones(d) / math.sqrt(d))
     v = np.empty(d)
     est = 0.0
     perturbed = False
     for it in range(max_iter):
-        nw = math.sqrt(float(np.dot(w, w)))
+        nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             if perturbed:
                 return 0.0
             # ones-vector may sit in the kernel; retry once off a fixed seed
             v[...] = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(d)
             v /= np.linalg.norm(v)
-            np.dot(M, v, out=w)
+            M.dot(v, out=w)
             perturbed = True
             continue
         np.divide(w, nw, out=v)
-        np.dot(M, v, out=w)
-        new_est = float(np.dot(v, w))
+        M.dot(v, out=w)
+        new_est = float(v.dot(w))
         if it > 0 and abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
             return new_est
         est = new_est

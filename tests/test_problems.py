@@ -259,7 +259,7 @@ def test_streaming_quadratic_contracts():
     assert np.array_equal(b1.lin, b2.lin)
     x = np.ones(6)
     big = prob.draw_batch(rng, 20000)
-    (approx,) = prob.group_batch_grads(slice(None))(big, (x,))
+    ((approx,),) = prob.group_batch_grads(slice(None))([big], x[None, None])
     assert np.allclose(approx, prob.population_grad(x), atol=0.05)
     metric = exact_quadratic_metric(prob)
     exact = prob.sigma_sq(metric, None)[0]
@@ -337,15 +337,15 @@ def test_sigmoid_full_gradients_slice_into_block_gradients_bitwise(monkeypatch):
     for _ in range(3):
         x, old = rng.standard_normal(8), rng.standard_normal(8)
         calls.clear()
-        full = kernel(x)
+        full = kernel(x[None, :, None])[0, :, 0]
         assert len(calls) == 1
         # the anchor's b = n case: a full batch's gradient is full_grad
-        assert np.array_equal(finite.group_batch_grads(slice(None))(np.arange(40), (x,))[0], full)
+        assert np.array_equal(finite.group_batch_grads(slice(None))([np.arange(40)], x[None, None])[0, 0], full)
         for j, cols in enumerate(part.slices):
             assert np.array_equal(full[cols], finite.block_grad(j, x))
         for prob, batch in batches:
             calls.clear()
-            g_x, g_old = prob.group_batch_grads(slice(None))(batch, (x, old))
+            (g_x,), (g_old,) = prob.group_batch_grads(slice(None))([batch], np.array([[x], [old]]))
             assert len(calls) == 2
             for j, cols in enumerate(part.slices):
                 assert np.array_equal(g_x[cols], prob.batch_block_grad(batch, j, x))
@@ -433,7 +433,7 @@ def test_coupling_matrices_match_the_strided_einsum_bitwise(part, n):
 
 def _assert_pairs_match(prob, batch, x, old):
     for j in range(prob.partition.num_blocks):
-        g_x, g_old = prob.group_batch_grads(slice(j, j + 1))(batch, (x, old))
+        (g_x,), (g_old,) = prob.group_batch_grads(slice(j, j + 1))([batch], np.array([[x], [old]]))
         assert np.array_equal(g_x, prob.batch_block_grad(batch, j, x))
         assert np.array_equal(g_old, prob.batch_block_grad(batch, j, old))
 
@@ -506,15 +506,17 @@ def test_quadratic_full_gradient_slices_are_block_gradients_bitwise(part):
 
     def assert_batch_full_is_stitched(prob, batch, x):
         stitched = [prob.batch_block_grad(batch, j, x) for j in range(part.num_blocks)]
-        assert np.array_equal(prob.group_batch_grads(slice(None))(batch, (x,))[0], np.concatenate(stitched))
+        whole = prob.group_batch_grads(slice(None))([batch], x[None, None])[0, 0]
+        assert np.array_equal(whole, np.concatenate(stitched))
 
     for convex in (True, False):
-        prob = generate_quadratic(d + 3, n=5, d=d, partition=part, convex=convex)
+        # n = 12: a batch of n - 2 rows is summed pairwise in a one-block group
+        prob = generate_quadratic(d + 3, n=12, d=d, partition=part, convex=convex)
         full_idx = np.arange(prob.n)
         for _ in range(3):
             x = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
             full = prob.full_grad(x)
-            assert np.array_equal(prob.group_batch_grads(slice(None))(full_idx, (x,))[0], full)
+            assert np.array_equal(prob.group_batch_grads(slice(None))([full_idx], x[None, None])[0, 0], full)
             for j, cols in enumerate(part.slices):
                 assert np.array_equal(full[cols], prob.block_grad(j, x))
             for size in (1, prob.n - 2, prob.n):
