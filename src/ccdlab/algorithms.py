@@ -67,12 +67,13 @@ seed's state is a row of an (S, d) array, so each group step, the chunk's
 diagnostics and the row bookkeeping run once over the stack. Each seed
 keeps its own streams, draws, output index and trace, and at each estimate
 step the seeds that refresh and those that correct each take one gradient
-call: the family's group gradients take one batch per seed and one (S, d)
-stack per point, and a quadratic finite sum gathers the batch rows of every
-seed at once. Every row of a stacked call is bitwise the one-seed call, so
-each seed's trace, output index and returned iterate are those of its run
-alone. A seed that stops or diverges leaves the stack at its chunk's end;
-the others run on.
+call: the family's group gradients take one batch per seed and a
+(P, S, d) array of points (a correction's two points, x and the matching
+point of the previous cycle, are one array), and a quadratic finite sum
+gathers the batch rows of every seed at once. Every row of a stacked call
+is bitwise the one-seed call, so each seed's trace, output index and
+returned iterate are those of its run alone. A seed that stops or diverges
+leaves the stack at its chunk's end; the others run on.
 
 The trace diagnostics are computed once per *chunk* of cycles, not once per
 cycle. The cycles run in chunks of 1, 2, 4, ... up to ``CHUNK_CYCLES`` = 64;
@@ -330,10 +331,14 @@ class SeedStack:
         return [_Seat(self, i) for i in range(len(self.bundles))]
 
     def result(self, index, prob, reg, cfg, cyclic):
+        """Seat ``index``'s ``(x, trace)``, or the error its run ends with."""
         run = (prob, reg, cfg, cyclic)
-        if self._results is None:
-            self._results = _run_stack(prob, reg, cfg, cyclic, self.bundles)
+        if self._run is None:
             self._run = run
+            try:
+                self._results = _run_stack(prob, reg, cfg, cyclic, self.bundles)
+            except ValueError as exc:  # a run the engine refuses: every seat's
+                self._results = [exc] * len(self.bundles)
         elif any(a is not b for a, b in zip(run, self._run)):
             raise ValueError("the seats of a seed stack share one problem, regularizer, config and order")
         return self._results[index]
@@ -352,7 +357,7 @@ def _run_cycles(prob, reg, cfg, cyclic, rngs=None):
         result = rngs.stack.result(rngs.index, prob, reg, cfg, cyclic)
     else:
         (result,) = _run_stack(prob, reg, cfg, cyclic, (rngs,))
-    if isinstance(result, NonFiniteObjectiveError):
+    if isinstance(result, Exception):
         raise result
     return result
 

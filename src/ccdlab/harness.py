@@ -560,11 +560,12 @@ def _run_stack(res: Resolved, tasks) -> list:
     return out
 
 
-# the most seeds stepped as one stack. A stack's correction gathers
-# S * b' * d_j * d floats of batch rows at once; on the vr-rate suite's
-# family (b' = 16, d_j = 16, d = 64: 128 KiB per seed), 100 seeds at K = 300
-# on one CPU ran at 50 ms per seed alone, 31-36 ms in stacks of 6 to 12, and
-# 39 ms in one stack of 100, whose 6 MiB gathers leave the cache
+# the most seeds stepped as one stack. A stack's chunk buffers and each
+# correction's gather of batch rows grow with its seeds: on the vr-rate
+# suite's family (d = 64, b' = 16, d_j = 16) about 330 KiB per seed, some
+# 260 MiB for the 800 seeds of a 200-seed experiment escalated 4x. There,
+# 100 seeds at K = 300 on one CPU ran at 50-55 ms per seed alone, 41 ms in
+# stacks of 2 and 28-33 ms in stacks of 8, as in one stack of 100
 STACK_SEEDS = 8
 
 # the experiment's Resolved in a pool worker, set once by _init_worker

@@ -242,9 +242,8 @@ class QuadraticFiniteSum(FiniteSumObjective):
     def group_batch_grads(self, blocks: slice):
         """The batch gradient over the blocks ``blocks`` as ``grads(batches,
         points)``, each seed's batch an index array of one size."""
-        kernel, runs = self.group_kernel(blocks), self._group_runs(blocks)
+        kernel, runs, cols = self.group_kernel(blocks), self._group_runs(blocks), self._group_cols(blocks)
         quad, lin, n, d = self.quad, self.lin, self.n, self.dim
-        cols = slice(runs[0][0], runs[-1][1])
         block_cols = [slice(a - cols.start, a - cols.start + w)
                       for s, e, _, w in runs for a in range(s, e, w)]
 
@@ -349,8 +348,8 @@ class _SigmoidLoss:
 
     def group_batch_grads(self, blocks: slice):
         grad = _sigmoid_group(self.partition.slices[blocks])
-        cols = self._group_cols(blocks)
-        size = cols.stop - cols.start
+        span = self._group_cols(blocks)
+        size = span.stop - span.start
 
         def grads(batches, points):
             out = np.empty((len(points), len(batches), size))
@@ -397,8 +396,8 @@ class SigmoidClassification(_SigmoidLoss, FiniteSumObjective):
 
     def group_kernel(self, blocks: slice):
         grad, rows, labels = _sigmoid_group(self.partition.slices[blocks]), self.rows, self.labels
-        cols = self._group_cols(blocks)
-        size = cols.stop - cols.start
+        span = self._group_cols(blocks)
+        size = span.stop - span.start
 
         def kernel(cols, out=None):
             if out is None:
@@ -587,7 +586,7 @@ class StreamingQuadratic(StreamingObjective):
         seed's batch mean of the linear terms."""
         runs = self._group_runs(blocks)
         mats = [self.quad[s:e].reshape(c, w, self.dim) for s, e, c, w in runs]
-        cols = slice(runs[0][0], runs[-1][1])
+        cols = self._group_cols(blocks)
 
         def grads(batches, points):
             lins = np.array([batch.lin[cols] for batch in batches])

@@ -124,8 +124,8 @@ def test_the_harness_stacks_at_most_stack_seeds_seeds(monkeypatch):
         return run_stack(prob, reg, cfg, cyclic, bundles)
 
     monkeypatch.setattr(algorithms, "_run_stack", counting)
-    text = DIVERGING.replace("algorithm.K = 169", "algorithm.K = 20")
-    harness.run_traces(parse_config(text.replace("seeds.count = 6", "seeds.count = 20")))
+    text = DIVERGING.replace("algorithm.K = 196", "algorithm.K = 20")
+    harness.run_traces(parse_config(text.replace("seeds.count = 8", "seeds.count = 20")))
     assert harness.STACK_SEEDS == 8 and sizes == [8, 8, 4]
     sizes.clear()
     # an exact run has no seed to stack
@@ -141,11 +141,19 @@ def test_a_stack_steps_one_run():
     algorithms.vrccd_run(prob, Zero(), cfg, seats[0])
     with pytest.raises(ValueError, match="share one problem"):
         algorithms.vrccd_run(prob, L1(0.1), cfg, seats[1])
+    # a run the engine refuses fails every seat, without a second attempt
+    bad = RunConfig(cycles=3, x0=np.zeros(PART.dim + 1), metric=cfg.metric, p=0.5, b=4, b_prime=2)
+    seats, reg = SeedStack([RngBundle.from_seed(s) for s in SEEDS[:2]]).seats, Zero()
+    for seat in seats:
+        with pytest.raises(ValueError, match="x0 does not match"):
+            algorithms.vrccd_run(prob, reg, bad, seat)
 
 
-# at 32 times the admissible eta every seed's iterate overflows within
-# 160-175 cycles, each at its own cycle: at K = 169 the seeds 1001 (166),
-# 1003 (169), 1004 (168) and 1005 (167) diverge, 1000 and 1002 do not
+# at 26 times the admissible eta every seed's iterate overflows within
+# 190-200 cycles, each at its own cycle: at K = 196 the seeds 1004 and 1007
+# diverge at 190, in the chunk of cycles 128-191, so they leave the stack
+# before 1001 (192), 1003 (196), 1005 and 1006 (195) diverge in the next;
+# 1000 and 1002 do not diverge
 DIVERGING = """\
 problem.family = quadratic
 problem.n = 8
@@ -153,13 +161,13 @@ problem.d = 4
 problem.m = 2
 problem.condition_number = 10
 algorithm.name = vrccd
-algorithm.K = 169
+algorithm.K = 196
 algorithm.p = 0.2
 algorithm.b = 4
 algorithm.bprime = 1
-algorithm.eta_scale = 32
+algorithm.eta_scale = 26
 algorithm.eta_override = true
-seeds.count = 6
+seeds.count = 8
 output.record_wall = false
 """
 
@@ -172,7 +180,7 @@ def test_a_diverging_seed_leaves_the_stack_and_the_others_run_on(tmp_path, capsy
             result = harness.run_experiment(cfg, out_dir=tmp_path / str(jobs), jobs=jobs)
             assert result.exit_code == 3
             # the first error in seed order
-            assert capsys.readouterr().err == "ccdlab: error: objective value inf at iteration 166\n"
+            assert capsys.readouterr().err == "ccdlab: error: objective value inf at iteration 192\n"
             files[jobs] = {p.name: p.read_bytes() for p in (tmp_path / str(jobs)).rglob("*.csv")}
         res = harness.resolve(cfg)
         alone = {}
@@ -184,14 +192,15 @@ def test_a_diverging_seed_leaves_the_stack_and_the_others_run_on(tmp_path, capsy
                 alone[seed] = exc.iteration
             else:
                 alone[seed] = None
-    assert alone == {1000: None, 1001: 166, 1002: None, 1003: 169, 1004: 168, 1005: 167}
+    assert alone == {1000: None, 1001: 192, 1002: None, 1003: 196, 1004: 190, 1005: 195, 1006: 195,
+                     1007: 190}
     assert files[1] == files[2]
     assert files[1] == {p.name: p.read_bytes() for p in (tmp_path / "alone").rglob("*.csv")}
     for seed, failed_at in alone.items():
         text = files[1][f"trace_seed{seed}.csv"].decode()
         rows = text[text.index(harness.TRACE_HEADER):].splitlines()[1:]
         # a diverging seed keeps every row before its failing one
-        assert [int(r.split(",")[0]) for r in rows] == list(range(failed_at or 170))
+        assert [int(r.split(",")[0]) for r in rows] == list(range(failed_at or 197))
 
 
 def test_the_first_error_in_seed_order_is_raised_at_any_jobs():
@@ -199,8 +208,8 @@ def test_the_first_error_in_seed_order_is_raised_at_any_jobs():
     for jobs in (1, 2):
         with np.errstate(all="ignore"), pytest.raises(algorithms.NonFiniteObjectiveError) as err:
             harness.run_traces(cfg, jobs=jobs)
-        assert err.value.iteration == 166
-        assert err.value.trace.k == list(range(166))
+        assert err.value.iteration == 192
+        assert err.value.trace.k == list(range(192))
 
 
 class _Clock:
@@ -214,23 +223,26 @@ class _Clock:
         return self.readings[-1]
 
 
-@pytest.mark.parametrize("cycles, diverging", [(100, False), (169, True)])
+@pytest.mark.parametrize("cycles, diverging", [(100, False), (196, True)])
 def test_seed_wall_times_are_equal_shares_of_the_stack(monkeypatch, cycles, diverging):
-    cfg = parse_config(DIVERGING.replace("algorithm.K = 169", f"algorithm.K = {cycles}"))
+    cfg = parse_config(DIVERGING.replace("algorithm.K = 196", f"algorithm.K = {cycles}"))
     res = harness.resolve(cfg)
     clock = _Clock()
     monkeypatch.setattr(algorithms, "time", clock)
     stack = SeedStack([RngBundle.from_seed(s) for s in harness._seed_list(cfg)])
     with np.errstate(all="ignore"):
-        results = [stack.result(i, res.prob, res.reg, res.run, True) for i in range(6)]
+        results = [stack.result(i, res.prob, res.reg, res.run, True) for i in range(8)]
     traces = [r.trace if isinstance(r, Exception) else r[1] for r in results]
-    assert any(isinstance(r, Exception) for r in results) == diverging
+    # each seed's own error, that of its run alone: 1004 and 1007 left the
+    # stack at the end of cycle 191
+    failed_at = [getattr(r, "iteration", None) for r in results]
+    assert failed_at == ([None, 192, None, 196, 190, 195, 195, 190] if diverging else [None] * 8)
     totals = [t.meta["wall_total_ns"] for t in traces]
     # the stack's time from its first reading to its last, split among the
     # seeds in it, rounded down once per chunk and seed
     loop = clock.readings[-1] - clock.readings[0]
     chunks = 6 + math.ceil((cycles - 63) / 64)
-    assert loop - 6 * chunks <= sum(totals) <= loop
+    assert loop - 8 * chunks <= sum(totals) <= loop
     if not diverging:
         assert len(set(totals)) == 1
     for trace in traces:
