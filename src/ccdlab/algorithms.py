@@ -72,8 +72,11 @@ call: the family's group gradients take one batch per seed and a
 point of the previous cycle, are one array), and a quadratic finite sum
 gathers the batch rows of every seed at once. Every row of a stacked call
 is bitwise the one-seed call, so each seed's trace, output index and
-returned iterate are those of its run alone. A seed that stops or diverges
-leaves the stack at its chunk's end; the others run on.
+returned iterate are those of its run alone. A seed is done when it
+diverges (or, in a stack of one, stops or enters its orbit) or reaches K:
+it takes its result at its chunk's end and records no further row, while
+its row steps on with the stack until every seed is done, which moves no
+other seed's bit.
 
 The trace diagnostics are computed once per *chunk* of cycles, not once per
 cycle. The cycles run in chunks of 1, 2, 4, ... up to ``CHUNK_CYCLES`` = 64;
@@ -87,9 +90,11 @@ error u_k) from one stacked matmul per run of equal-size blocks. Each sum
 adds its blocks left to right, but the simultaneous order's u_k is one sum
 over the whole vector, as the full-gradient methods define it. Every value
 is bitwise the one a per-cycle computation gives. The rows are then checked
-and recorded in cycle order. A run that stops early (``stop_step_sq``) or
-diverges has stepped up to 63 cycles past its last row by then; those cycles
-leave no row, and a diverging run raises at its failing row.
+and recorded in cycle order. A run that stops early (``stop_step_sq``, for
+exact runs only) or diverges has stepped up to 63 cycles past its last row
+by then, and a diverging seed steps on with its stack until every seed is
+done; those cycles leave no row, and a diverging run raises at its failing
+row.
 
 An exact run replays its floating-point orbit. Its cycle reads x_{k-1} only
 (the estimates are kernel calls at points built from it, the prox centers
@@ -124,7 +129,7 @@ Conventions shared by every run:
   diagnostic pass, and a replayed row's is an equal share, rounded down,
   of the replay's time; it is 0 at k = 0, and the rows add up to at most
   ``meta["wall_total_ns"]``, the run's equal share of each chunk of the
-  stack's time while it is in the stack, which also counts the anchor, the
+  stack's time until it is done, which also counts the anchor, the
   start row and the recording of the rows, but no file write: a run writes
   no file, it returns its whole trace. Summed over a stack's runs, it is
   the stack's time, less the rounding;
@@ -239,7 +244,7 @@ class RunConfig:
     record_u: bool = False
     keep_iterates: bool = False
     surrogate_samples: int = 0
-    stop_step_sq: float | None = None  # early exit once v_k falls below this
+    stop_step_sq: float | None = None  # early exit once v_k falls below this; exact runs only
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -363,19 +368,19 @@ def _run_cycles(prob, reg, cfg, cyclic, rngs=None):
 
 
 class _Unit(NamedTuple):
-    """One group of consecutive blocks of the step plan, built once per run;
-    its views are taken again when the stack sheds a seed."""
+    """One group of consecutive blocks of the step plan, with its views of
+    every seed's columns, built once per run."""
 
     lead: int  # its first coordinate: those before it are stepped already
     size: int
     kernel: object  # its exact gradient, bound to its rows; None if never read
     grads: object  # its batch gradients, bound to its rows; None if never read
     step: object  # the prox step, bound to eta and its metric entries
-    x: np.ndarray | None  # views of its columns of x and est
-    est: np.ndarray | None
-    est_col: np.ndarray | None  # the kernel's (S, size, 1) views of est and mids
-    mid: np.ndarray | None
-    centers: tuple | None  # its views of the two rotating previous iterates
+    x: np.ndarray  # views of its columns of x and est
+    est: np.ndarray
+    est_col: np.ndarray  # the kernel's (S, size, 1) views of est and mids
+    mid: np.ndarray | None  # None without record_u
+    centers: tuple  # its views of the two rotating previous iterates
 
 
 _ALL = slice(None)  # every seed of the stack
@@ -416,6 +421,9 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
         raise ValueError(f"this run needs {', '.join(missing)} in its run config")
     if recursive and cfg.b > prob.n:
         raise ValueError(f"need b <= n, got b={cfg.b}, n={prob.n}")
+    # a recursive run's output index may lie past the cycle it would stop at
+    if recursive and cfg.stop_step_sq is not None:
+        raise ValueError("early stopping (stop_step_sq) is for exact runs only")
     if record_u and not finite:
         raise ValueError("anchor-error recording needs exact gradients (finite sums)")
     x0 = np.array(cfg.x0, dtype=float)
@@ -447,23 +455,18 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
     mids = np.empty((seeds, d)) if record_u else None
     prevs = (x.copy(), x.copy())
 
-    def on_stack(unit):
-        """The unit with views of its columns over the seeds in the stack."""
-        cols = slice(unit.lead, unit.lead + unit.size)
-        return unit._replace(x=x[:, cols], est=est[:, cols], est_col=est[:, cols, None],
-                             mid=None if mids is None else mids[:, cols, None],
-                             centers=(prevs[0][:, cols], prevs[1][:, cols]))
-
     exact = not recursive or record_u
     m = part.num_blocks
     plan = []
     for blocks in [slice(j, j + 1) for j in range(m)] if cyclic else [slice(0, m)]:
         cols = slice(part.offsets[blocks.start], part.offsets[blocks.stop])
-        plan.append(on_stack(_Unit(
+        plan.append(_Unit(
             cols.start, cols.stop - cols.start, prob.group_kernel(blocks) if exact else None,
             prob.group_batch_grads(blocks) if recursive else None,
             # a (1, size) metric row: a stack of one steps without broadcasting
-            reg.prox_step(cfg.eta, cfg.metric.entries[None, cols]), None, None, None, None, None)))
+            reg.prox_step(cfg.eta, cfg.metric.entries[None, cols]), x[:, cols], est[:, cols],
+            est[:, cols, None], None if mids is None else mids[:, cols, None],
+            (prevs[0][:, cols], prevs[1][:, cols])))
     lam_k, inv_k = cfg.metric.entries, cfg.metric.inv_entries
     eta = cfg.eta
     scaled = eta != 1.0  # at eta = 1 the exact division by it is skipped
@@ -551,10 +554,11 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
     # taken for the whole chunk once its last cycle ends; then each seed's
     # rows are checked and recorded in order, and a stop or a non-finite row
     # discards the seed's cycles after it. A seed that stops, diverges or
-    # replays its orbit leaves the stack at the chunk's end; the others run
-    # on. Each seed is charged an equal share of the stack's time.
-    results = [None] * seeds
-    active = list(range(seeds))  # the seeds in the stack, by bundle index
+    # replays its orbit (only a stack of one stops or replays) is done at the
+    # chunk's end: it records no further row, while its row steps on with the
+    # stack until every seed is done. Each seed not yet done is charged an
+    # equal share of the stack's time.
+    results = [None] * seeds  # per seed, once it is done, its (x, trace) or error
     best = [(math.inf, x0.copy())] * seeds
     x_hats = [None] * seeds
     spent = [0] * seeds
@@ -566,8 +570,8 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
     while True:
         c = min(chunk, cfg.cycles - k)
         chunk = min(2 * chunk, CHUNK_CYCLES)
-        stack = len(active)
-        n = c * stack
+        live = [s for s, result in enumerate(results) if result is None]
+        n = c * seeds
         xs[0] = x
         works, walls = [], []
         for i in range(c):
@@ -595,7 +599,7 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
                             g_x, g_old = grads(picked, points[:, among])
                             est_u[among] += g_x - g_old
                         cost = (cfg.b if refresh else cfg.b_prime) * size
-                        for s in range(stack) if among is _ALL else among:
+                        for s in range(seeds) if among is _ALL else among:
                             work[s] += cost
                 if record_u:
                     kernel(x_col, mid_u)
@@ -606,7 +610,7 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
             if record_u:
                 mid_buf[i] = mids
             works.append(work.copy())
-            walls.append((time.perf_counter_ns() - t_iter) // stack)
+            walls.append((time.perf_counter_ns() - t_iter) // len(live))
 
         t_diag = time.perf_counter_ns()
         xk, xk_prev = xs[1 : c + 1].reshape(n, d), xs[:c].reshape(n, d)
@@ -623,13 +627,13 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
         if record_u:
             np.subtract(ests[:c].reshape(n, d), mid_buf[:c].reshape(n, d), out=sq[:n, -1])
         sums = row_sums(n)
-        share = (time.perf_counter_ns() - t_diag) // n
+        share = (time.perf_counter_ns() - t_diag) // (c * len(live))
 
-        leaving = []
-        for r, s in enumerate(active):
+        done = []
+        for s in live:
             trace, k_out, stopped = traces[s], k_outs[s], False
-            for j in range(r, n, stack):  # the seed's rows, cycle by cycle
-                i = j // stack
+            for j in range(s, n, seeds):  # the seed's rows, cycle by cycle
+                i = j // seeds
                 k_j, f_k, row = k + 1 + i, values[j], sums[j]
                 v_k = row[0]
                 if not math.isfinite(v_k if f_k is None else f_k):
@@ -646,52 +650,32 @@ def _run_stack(prob, reg, cfg: RunConfig, cyclic, bundles):
                     trace.iterates.append(xk[j].copy())
                 trace.add_row(k_j, f_k, None if full_grads is None else row[1], v_k,
                               row[-1] if record_u else None, row[2] if mid_row else None,
-                              works[i][r], walls[i] + share)
+                              works[i][s], walls[i] + share)
                 if cfg.stop_step_sq is not None and v_k <= cfg.stop_step_sq:
                     stopped = True
                     break
             # an exact chunk whose last iterate repeats an earlier one bit for
             # bit has entered its orbit: the remaining rows are copies
             if results[s] is None and not (recursive or stopped) and k + c < cfg.cycles:
-                period = _orbit_period(xs[: c + 1, r])
+                period = _orbit_period(xs[: c + 1, s])
                 if period:
                     trace.meta["orbit"] = (k + c, period)
                     _replay_orbit(trace, period, cfg.cycles, exact_work)
                     stopped = True
             if results[s] is not None or stopped or k + c == cfg.cycles:
-                leaving.append(r)
+                done.append(s)
         k += c
         now = time.perf_counter_ns()
-        for s in active:
-            spent[s] += (now - clock) // stack
+        for s in live:
+            spent[s] += (now - clock) // len(live)
         clock = now
-        for r in leaving:
-            s = active[r]
+        for s in done:
             traces[s].meta["wall_total_ns"] = spent[s]
             if results[s] is None:
                 results[s] = (best[s][1] if k_outs[s] is None else x_hats[s]), traces[s]
-        if len(leaving) == stack:
+        if len(done) == len(live):
             return results
-        if leaving:
-            # the stack sheds the seeds that left: every seed-axis array and
-            # the unit views over them keep the remaining rows
-            keep = [r for r in range(stack) if r not in leaving]
-            active = [active[r] for r in keep]
-            points, est, work = points[:, keep], est[keep], [work[r] for r in keep]
-            x = points[0]
-            mids = None if mids is None else mids[keep]
-            prevs = (prevs[0][keep], prevs[1][keep])
-            xs, ests = xs[:, keep], ests[:, keep]
-            mid_buf = None if mid_buf is None else mid_buf[:, keep]
-            sq = sq.reshape(cap, stack, rows, d)[:, keep].reshape(-1, rows, d)
-            weights = weights[: cap * len(keep)]
-            plan = [on_stack(unit) for unit in plan]
-            x_col = x[:, :, None]
-            streams = [streams[r] for r in keep]
-            if recursive:
-                draws = [draws[r] for r in keep]
-                switches = switches[keep]
-                groups = _step_groups(switches)
+
 
 def _orbit_period(xs) -> int:
     """The smallest p such that the last row of the (c + 1, d) stack ``xs``

@@ -511,11 +511,15 @@ def _seed_list(cfg: ExperimentConfig) -> list[int]:
     return [cfg.seeds.base + 1000 + i for i in range(cfg.seeds.count)]
 
 
-def _execute_seed(res: Resolved, seed: int, trace_path, rngs=None):
-    """Run one seed (on ``rngs``, as ``run_seed`` takes it) and, given a
-    path, write its trace file: the header first, then, after the run, its
-    rows, or on divergence the rows before the failing one; any other error
-    leaves the header alone."""
+def _run_one(task):
+    """Run one ``(res, seed, trace_path, rngs)`` task (``rngs`` as
+    ``run_seed`` takes it) and, given a path, write its trace file: the
+    header first, then, after the run, its rows, or on divergence the rows
+    before the failing one; any other error leaves the header alone. Returns
+    the trace. ``_run_tasks`` calls it by module name for each task, so that
+    a rebound entry (a profiler's wrapper, which in a pool worker hands its
+    records back on the returned trace) is called."""
+    res, seed, trace_path, rngs = task
     writer = None
     if trace_path is not None:
         echo = dict(res.echo())
@@ -536,15 +540,7 @@ def _execute_seed(res: Resolved, seed: int, trace_path, rngs=None):
     return trace
 
 
-def _run_one(task):
-    """Run one ``(res, seed, trace_path, rngs)`` task; returns its trace.
-    ``_run_stack`` calls it by module name for each task, so that a rebound
-    entry (a profiler's wrapper, which in a pool worker hands its records
-    back on the returned trace) is called."""
-    return _execute_seed(*task)
-
-
-def _run_stack(res: Resolved, tasks) -> list:
+def _run_tasks(res: Resolved, tasks) -> list:
     """Run the ``(seed, trace_path)`` tasks in order, a recursive method's
     seeds as one ``algorithms.SeedStack`` (an exact run has no seed to
     stack: each runs alone); per task its trace, or the run error it raised."""
@@ -580,7 +576,7 @@ def _init_worker(res: Resolved):
 def _run_group(tasks):
     """Pool entry: run a group of ``(seed, trace_path)`` tasks as one stack
     on the worker's Resolved."""
-    return _run_stack(_worker_res, tasks)
+    return _run_tasks(_worker_res, tasks)
 
 
 def run_traces(
@@ -619,7 +615,7 @@ def run_traces(
         ) as pool:
             results = [r for group in pool.map(_run_group, groups) for r in group]
     else:
-        results = [r for group in groups for r in _run_stack(res, group)]
+        results = [r for group in groups for r in _run_tasks(res, group)]
     errors = [r for r in results if isinstance(r, BaseException)]
     if errors:
         raise errors[0]

@@ -217,7 +217,7 @@ def test_run_error_propagates_and_leaves_the_header_alone(tmp_path):
     res = replace(res, run=replace(res.run, x0=np.zeros(3)))
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match="x0 does not match the problem dimension"):
-        harness._execute_seed(res, 1003, path)
+        harness._run_one((res, 1003, path, None))
     assert path.read_text().endswith("\n" + TRACE_HEADER + "\n")
 
 

@@ -4,9 +4,10 @@ branch, so its trace, output index and returned iterate are bit for bit
 those of its run alone, a stack of one: for every recursive method name,
 both sharing modes, every regularizer, with and without ``record_u``, on the
 quadratic and sigmoid finite sums and both streaming families. A seed that
-diverges leaves the stack and the others run on; the harness writes the same
-files at any ``--jobs`` and raises the first error in seed order. Each seed
-is charged an equal share of the stack's time."""
+diverges is done at its chunk's end and records no further row, while its
+row steps on with the stack and the others run on; the harness writes the
+same files at any ``--jobs`` and raises the first error in seed order. Each
+seed not yet done is charged an equal share of the stack's time."""
 
 import math
 
@@ -149,9 +150,32 @@ def test_a_stack_steps_one_run():
             algorithms.vrccd_run(prob, reg, bad, seat)
 
 
+@pytest.mark.parametrize("entry", [algorithms.vrccd_run, algorithms.page_run])
+def test_a_recursive_run_refuses_early_stopping(entry):
+    """A stop could end a recursive run before its drawn output index: on
+    this instance every seed's v_k falls below 1e-6 by cycle 16, while the
+    output indices lie between 44 and 177. So only a stack of one, an exact
+    run, stops early, and a seed of a larger stack is done early only when
+    it diverges."""
+    part = BlockPartition((4, 4))
+    prob = generate_quadratic(0, n=16, d=8, partition=part, condition_number=4.0)
+    cfg = RunConfig(cycles=200, x0=np.ones(8), metric=prob.metric(), eta=0.5, p=0.5, b=16,
+                    b_prime=16)
+    reg = Zero()
+    for seed in range(5):
+        trace = entry(prob, reg, cfg, RngBundle.from_seed(seed))[1]
+        stop_at = next(k for k, v in zip(trace.k[1:], trace.step_sq[1:]) if v <= 1e-6)
+        assert stop_at <= 16 and trace.meta["output_index"] >= 44
+    stopping = RunConfig(cycles=200, x0=np.ones(8), metric=prob.metric(), eta=0.5, p=0.5, b=16,
+                         b_prime=16, stop_step_sq=1e-6)
+    for rngs in [RngBundle.from_seed(0)] + SeedStack([RngBundle.from_seed(s) for s in range(5)]).seats:
+        with pytest.raises(ValueError, match="exact runs only"):
+            entry(prob, reg, stopping, rngs)
+
+
 # at 26 times the admissible eta every seed's iterate overflows within
 # 190-200 cycles, each at its own cycle: at K = 196 the seeds 1004 and 1007
-# diverge at 190, in the chunk of cycles 128-191, so they leave the stack
+# diverge at 190, in the chunk of cycles 128-191, so they are done a chunk
 # before 1001 (192), 1003 (196), 1005 and 1006 (195) diverge in the next;
 # 1000 and 1002 do not diverge
 DIVERGING = """\
@@ -187,7 +211,7 @@ def test_a_diverging_seed_leaves_the_stack_and_the_others_run_on(tmp_path, capsy
         for seed in harness._seed_list(cfg):
             path = tmp_path / "alone" / f"trace_seed{seed}.csv"
             try:
-                harness._execute_seed(res, seed, path)
+                harness._run_one((res, seed, path, None))
             except algorithms.NonFiniteObjectiveError as exc:
                 alone[seed] = exc.iteration
             else:
@@ -233,8 +257,8 @@ def test_seed_wall_times_are_equal_shares_of_the_stack(monkeypatch, cycles, dive
     with np.errstate(all="ignore"):
         results = [stack.result(i, res.prob, res.reg, res.run, True) for i in range(8)]
     traces = [r.trace if isinstance(r, Exception) else r[1] for r in results]
-    # each seed's own error, that of its run alone: 1004 and 1007 left the
-    # stack at the end of cycle 191
+    # each seed's own error, that of its run alone: 1004 and 1007 were done
+    # at the end of cycle 191, and their rows stepped on with the stack
     failed_at = [getattr(r, "iteration", None) for r in results]
     assert failed_at == ([None, 192, None, 196, 190, 195, 195, 190] if diverging else [None] * 8)
     totals = [t.meta["wall_total_ns"] for t in traces]
